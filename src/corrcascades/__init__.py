@@ -1,6 +1,6 @@
 """Marked multivariate Hawkes toolkit for competing/cooperating adoption
-cascades: simulation by thinning, per-user convex MLE with a log-barrier
-interior-point solver, and evaluation metrics."""
+cascades: simulation by thinning, per-user convex MLE by projected Newton on
+theta >= 0 with the exact Hessian, and evaluation metrics."""
 
 from .data import Event, EventLog, concat_logs
 from .fitting import FitConfig, FitReport, UserFitEntry, cross_validate_beta, fit_all, fit_user

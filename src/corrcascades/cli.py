@@ -51,7 +51,12 @@ def _build_parser() -> _Parser:
     group.add_argument("--beta-grid", type=str, help="comma-separated betas for cross-validation")
     p_fit.add_argument("--holdout", type=float, default=0.2)
     p_fit.add_argument("--init-value", type=float, default=0.01)
-    p_fit.add_argument("--inner-max-iter", type=int, default=500)
+    p_fit.add_argument(
+        "--inner-max-iter",
+        type=int,
+        default=500,
+        help="cap on each user's projected-Newton steps",
+    )
     p_fit.add_argument("--out-params", required=True)
     p_fit.add_argument("--out-report", required=True)
 

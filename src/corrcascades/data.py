@@ -36,6 +36,9 @@ class EventLog:
     ):
         if n_users < 1 or n_products < 1:
             raise ValueError("n_users and n_products must be >= 1")
+        # NaN passes every comparison below, so finiteness is checked first
+        if not np.isfinite(horizon):
+            raise ValueError("horizon must be finite")
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         rows = [(e.time, e.user, e.product) if isinstance(e, Event) else tuple(e) for e in events]
@@ -48,6 +51,8 @@ class EventLog:
             users = np.empty(0, dtype=np.int64)
             products = np.empty(0, dtype=np.int64)
         if times.size:
+            if not np.all(np.isfinite(times)):
+                raise ValueError("event times must be finite")
             if np.any(np.diff(times) < 0):
                 raise ValueError("events must be sorted nondecreasing by time")
             if times[0] < 0:

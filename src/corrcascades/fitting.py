@@ -1,12 +1,16 @@
-"""Constrained MLE per user via a log-barrier interior-point scheme.
+"""Constrained MLE per user by projected Newton on theta >= 0.
 
 Each user's problem (minimize the per-user NLL over theta >= 0) is convex
 and independent of every other user's, so the full fit is a map over users
 that may run in parallel with bit-identical results to a sequential run.
+A user's problem has only N + M dimensions, so every iteration builds and
+solves with the exact Hessian (Bertsekas 1982, "Projected Newton methods
+for optimization problems with simple constraints").
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,9 +23,9 @@ from .likelihood import (
     EventFeatures,
     InfeasibleLikelihoodError,
     UserParams,
-    _diag_hessian_from_eval,
     _eval_features,
     _gradient_from_eval,
+    _hessian_from_eval,
     build_all_features,
     nll_from_features,
     nll_gradient_from_features,
@@ -34,12 +38,16 @@ WORKERS_ENV_VAR = "CORRCASCADES_WORKERS"
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Barrier-solver controls; defaults are standard interior-point choices."""
+    """Projected-Newton solver controls.
+
+    `inner_grad_tol` bounds the norm of the projected gradient at which a
+    user's solve stops, `inner_max_iter` caps its Newton steps, and
+    `ls_shrink` / `ls_decrease` set the backtracking factor and the Armijo
+    fraction of its line search.  Influence coordinates start at
+    `init_value`; baselines start at the user's per-product event rate.
+    """
 
     beta: float = 1.0
-    barrier_t0: float = 1.0
-    barrier_mult: float = 10.0
-    barrier_gap_tol: float = 1e-6
     inner_grad_tol: float = 1e-7
     inner_max_iter: int = 500
     ls_shrink: float = 0.5
@@ -48,17 +56,23 @@ class FitConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        for name in ("beta", "init_value"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.barrier_mult <= 1:
-            raise ValueError("barrier_mult must exceed 1")
-        for name in ("barrier_t0", "barrier_gap_tol", "inner_grad_tol", "init_value"):
+        for name in ("inner_grad_tol", "init_value"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
 @dataclass
 class UserFitEntry:
+    """One user's solve: `outer_iterations` counts projected-Newton
+    iterations (gradient evaluations, the final optimality check included)
+    and `inner_iterations` objective evaluations (line-search trials
+    included)."""
+
     user: int
     nll: float
     outer_iterations: int
@@ -85,70 +99,83 @@ class FitReport:
         return all(e.converged for e in self.entries)
 
 
-def _barrier_eval(features, theta, beta, t_weight):
-    """(value, g, lam) of the barrier objective; value inf when infeasible."""
-    if np.any(theta <= 0):
-        return np.inf, None, None
-    try:
-        nll, g, lam = _eval_features(
-            features, theta[: features.n_users], theta[features.n_users :], beta
-        )
-    except InfeasibleLikelihoodError:
-        return np.inf, None, None
-    return nll - np.log(theta).sum() / t_weight, g, lam
+# Bertsekas's epsilon: coordinates within this distance of the bound whose
+# gradient pushes outward take a diagonal step instead of a Newton step
+_ACTIVE_EPS = 1e-3
+# ridge = _RIDGE * |grad_F| / |theta| on the free Hessian block (see _projected_newton)
+_RIDGE = 0.3
+_MAX_BACKTRACKS = 60
 
 
-def _barrier_value(features, theta, beta, t_weight):
-    return _barrier_eval(features, theta, beta, t_weight)[0]
+def _projected_newton(features, theta, live, config):
+    """Projected Newton (Bertsekas 1982) on theta >= 0 over the `live` coordinates.
 
+    Each iteration splits the live coordinates into Bertsekas's
+    epsilon-active set (within epsilon of the bound, gradient pushing
+    outward), which takes a diagonally scaled gradient step, and the free
+    set, which takes a Newton step on the exact Hessian block.  With fewer
+    events than dimensions that block is singular and the NLL is linear
+    along its null space.  A ridge proportional to the gradient norm (Li,
+    Fukushima, Qi and Yamashita 2004), divided by |theta| to carry Hessian
+    units, keeps such steps near the size of theta and vanishes at the
+    optimum, where Newton's fast local convergence returns.  The step
+    backtracks along the projection arc max(theta + s * d, 0) under
+    Bertsekas's Armijo rule, so the objective never rises.
 
-def _minimize_barrier(features, theta, beta, t_weight, config, fixed=None):
-    """Preconditioned descent with backtracking on nll - (1/t) * sum(log theta).
-
-    The direction scales the gradient by the analytic diagonal NLL curvature
-    plus the exact barrier curvature 1/(t * theta^2); without that scaling
-    the tiny floored coordinates cap the step size and the free coordinates
-    stall.  Coordinates in `fixed` are held in place: the likelihood does
-    not depend on them, so the barrier alone would run them to infinity.
-    Stops at the gradient tolerance, the iteration cap, or after the
-    objective stagnates (three consecutive relative decreases below 1e-12).
+    Stops when the projected gradient norm reaches `inner_grad_tol`, when
+    the predicted decrease falls below the objective's floating-point
+    resolution, when the line search finds no decrease, or after
+    `inner_max_iter` steps.  Returns (theta, iterations, evaluations):
+    iterations counts gradient evaluations, the final check included.
     """
-    value, g, lam = _barrier_eval(features, theta, beta, t_weight)
-    iterations = 0
-    grad_norm = np.inf
-    stagnant = 0
-    for _ in range(config.inner_max_iter):
-        grad = _gradient_from_eval(features, beta, g, lam) - 1.0 / (t_weight * theta)
-        if fixed is not None:
-            grad[fixed] = 0.0
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= config.inner_grad_tol:
+    beta = config.beta
+    n = features.n_users
+    # the start is feasible by construction; a likelihood that overflows
+    # there (an absurd init_value) raises instead of reading as +inf
+    value, g, lam = _eval_features(features, theta[:n], theta[n:], beta)
+    iterations, evals = 0, 1
+    while True:
+        iterations += 1
+        grad = _gradient_from_eval(features, beta, g, lam)
+        grad[~live] = 0.0
+        gap = float(np.linalg.norm(theta - np.maximum(theta - grad, 0.0)))
+        if gap <= config.inner_grad_tol or iterations > config.inner_max_iter:
             break
-        # the max() guards against theta**2 underflowing at absurd inits
-        curvature = _diag_hessian_from_eval(features, beta, g, lam) + 1.0 / np.maximum(
-            t_weight * theta**2, 1e-250
-        )
-        direction = -grad / curvature
-        dmax = float(np.abs(direction).max())
-        if dmax > 1e3:  # keep the trial point and slope finite at wild inits
-            direction *= 1e3 / dmax
-        slope = float(grad @ direction)
+        active = live & (theta <= min(_ACTIVE_EPS, gap)) & (grad > 0)
+        free = live & ~active
+        hess = _hessian_from_eval(features, beta, g, lam)
+        direction = np.zeros_like(theta)
+        direction[active] = -grad[active] / np.diag(hess)[active]
+        if free.any():
+            g_free = grad[free]
+            ridge = _RIDGE * np.linalg.norm(g_free) / np.linalg.norm(theta)
+            h_free = hess[np.ix_(free, free)] + ridge * np.eye(g_free.size)
+            direction[free] = -np.linalg.solve(h_free, g_free)
+        slope = float(grad[free] @ direction[free])
+
+        def predicted(cand, step):
+            # Armijo's reference decrease: linear on the free set, the
+            # actual move on the active set
+            return step * slope + float(grad[active] @ (cand - theta)[active])
+
+        cand = np.maximum(theta + direction, 0.0)
+        if -predicted(cand, 1.0) <= 8.0 * math.ulp(value):
+            break
         step = 1.0
-        accepted = False
-        while step * float(np.abs(direction).max()) > 1e-18:
-            cand = theta + step * direction
-            cand_value, cand_g, cand_lam = _barrier_eval(features, cand, beta, t_weight)
-            if cand_value <= value + config.ls_decrease * step * slope:
-                decrease = value - cand_value
-                theta, value, g, lam = cand, cand_value, cand_g, cand_lam
-                accepted = True
-                stagnant = stagnant + 1 if decrease <= 1e-12 * (1.0 + abs(value)) else 0
+        for _ in range(_MAX_BACKTRACKS):
+            evals += 1
+            try:
+                cand_value, cand_g, cand_lam = _eval_features(features, cand[:n], cand[n:], beta)
+            except InfeasibleLikelihoodError:  # a nonpositive intensity: +inf
+                cand_value = np.inf
+            if cand_value < value + config.ls_decrease * predicted(cand, step):
                 break
             step *= config.ls_shrink
-        iterations += 1
-        if not accepted or stagnant >= 3:
+            cand = np.maximum(theta + step * direction, 0.0)
+        else:
             break
-    return theta, value, grad_norm, iterations
+        theta, value, g, lam = cand, cand_value, cand_g, cand_lam
+    return theta, iterations, evals
 
 
 def fit_user(
@@ -157,55 +184,39 @@ def fit_user(
     config: FitConfig,
     features: EventFeatures | None = None,
 ) -> tuple[UserParams, UserFitEntry]:
-    """Barrier-method MLE of one user's packed parameters over theta >= 0."""
+    """Projected-Newton MLE of one user's packed parameters over theta >= 0."""
     if features is None:
         features = build_all_features(log)[user]
     start = time.perf_counter()
-    n_dim = features.n_users + features.n_products
-    init = config.init_value
-    theta = np.full(n_dim, init)
-    while not np.isfinite(
-        _barrier_value(features, theta, config.beta, config.barrier_t0)
-    ):
-        init *= 10.0
-        theta = np.full(n_dim, init)
-
-    # alpha coordinates with a zero excitation integral never enter the
-    # likelihood (their source is silent before the horizon); pin them at a
-    # tiny positive value instead of letting the barrier push them upward
-    dead = np.concatenate(
-        [features.excite_integrals == 0.0, np.zeros(features.n_products, dtype=bool)]
+    n, m = features.n_users, features.n_products
+    # a source that fired before none of this user's events enters the NLL
+    # only through its compensator slice, linearly with a nonnegative slope,
+    # so its minimizer is exactly 0; with no events at all the same holds
+    # for every baseline
+    live = np.concatenate(
+        [features.b_totals.sum(axis=0) > 0, np.full(m, features.n_events > 0)]
     )
-    theta[dead] = 1e-8
+    theta = np.where(live, config.init_value, 0.0)
+    if features.horizon > 0:
+        # baselines start at the per-product event rate, where the
+        # intensities and their curvature stay finite for any init_value
+        theta[n:] = features._product_counts / features.horizon
+    theta, iterations, evals = _projected_newton(features, theta, live, config)
 
-    t_weight = config.barrier_t0
-    outer = 0
-    total_inner = 0
-    while True:
-        theta, _, _, inner = _minimize_barrier(
-            features, theta, config.beta, t_weight, config, fixed=dead
-        )
-        outer += 1
-        total_inner += inner
-        if n_dim / t_weight < config.barrier_gap_tol:
-            break
-        t_weight *= config.barrier_mult
-
-    params = UserParams(theta[: features.n_users], theta[features.n_users :])
+    params = UserParams(theta[:n], theta[n:])
     nll = nll_from_features(features, params.alpha_col, params.mu_row, config.beta)
     # KKT certificate: at coordinates pinned to the constraint floor only an
     # outward (negative) NLL gradient counts as unfinished business
     grad = nll_gradient_from_features(features, params.alpha_col, params.mu_row, config.beta)
     pinned = theta <= 1e-6
     grad[pinned] = np.minimum(grad[pinned], 0.0)
-    grad[dead] = 0.0
     proj_norm = float(np.linalg.norm(grad))
     converged = proj_norm <= 1e-4 * max(1.0, abs(float(nll)))
     entry = UserFitEntry(
         user=user,
         nll=float(nll),
-        outer_iterations=outer,
-        inner_iterations=total_inner,
+        outer_iterations=iterations,
+        inner_iterations=evals,
         converged=converged,
         grad_norm=proj_norm,
         wall_time=time.perf_counter() - start,

@@ -72,8 +72,6 @@ class EventFeatures:
         "n_users",
         "n_products",
         "_b_flat",
-        "_b_flat_sq",
-        "_b_totals_sq",
         "_b_observed",
         "_product_counts",
     )
@@ -89,8 +87,6 @@ class EventFeatures:
         # theta-independent aggregates reused every solver iteration
         k = products.size
         self._b_flat = np.ascontiguousarray(b_mats.transpose(1, 0, 2).reshape(n_users, k * n_products))
-        self._b_flat_sq = self._b_flat**2
-        self._b_totals_sq = b_totals**2
         if k:
             self._b_observed = b_mats[np.arange(k), :, products].sum(axis=0)
         else:
@@ -185,16 +181,22 @@ def _eval_features(features, alpha_col, mu_row, beta):
     return float(-ll), g, lam
 
 
+def _mark_probabilities(beta, g):
+    """Soft-max mark probabilities f = softmax(beta * g) of every event (rows)."""
+    z = beta * g
+    z = z - z.max(axis=1, keepdims=True)
+    f = np.exp(z)
+    f /= f.sum(axis=1, keepdims=True)
+    return f
+
+
 def _gradient_from_eval(features, beta, g, lam):
     """Gradient of the per-user NLL given the cached evaluation of g and lam."""
     m = features.n_products
     grad_alpha = features.excite_integrals.copy()
     grad_mu = np.full(m, features.horizon)
     if features.n_events:
-        z = beta * g
-        z = z - z.max(axis=1, keepdims=True)
-        f = np.exp(z)
-        f /= f.sum(axis=1, keepdims=True)
+        f = _mark_probabilities(beta, g)
         inv_lam = 1.0 / lam
         grad_mu += -inv_lam.sum() - beta * features._product_counts + beta * f.sum(axis=0)
         grad_alpha += (
@@ -205,28 +207,34 @@ def _gradient_from_eval(features, beta, g, lam):
     return np.concatenate([grad_alpha, grad_mu])
 
 
-def _diag_hessian_from_eval(features, beta, g, lam):
-    """Diagonal of the per-user NLL Hessian given the cached evaluation.
+def _hessian_from_eval(features, beta, g, lam):
+    """Exact per-user NLL Hessian given the cached evaluation of g and lam.
 
-    Only the -log lambda and log-sum-exp terms are curved; the compensator
-    and observed-mark terms are linear in theta.
+    Only the -log lambda and log-sum-exp terms are curved.  With the event
+    Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I] ((N+M) x M), the Hessian is
+    sum_i (D_i 1)(D_i 1)^T / lambda_i^2
+        + beta^2 sum_i D_i (diag(f_i) - f_i f_i^T) D_i^T,
+    with f_i the soft-max mark probabilities at event i.
     """
-    if features.n_events == 0:
-        return np.zeros(features.n_users + features.n_products)
-    z = beta * g
-    z = z - z.max(axis=1, keepdims=True)
-    f = np.exp(z)
-    f /= f.sum(axis=1, keepdims=True)
-    # clamp so the curvature stays finite at absurdly small intensities;
-    # the line search keeps descent correct regardless of the scaling
-    inv_sq = 1.0 / np.maximum(lam, 1e-100) ** 2
-    h_mu = inv_sq.sum() + beta**2 * (f * (1.0 - f)).sum(axis=0)
-    mean_b = np.einsum("kq,knq->kn", f, features.b_mats)
-    h_alpha = (
-        inv_sq @ features._b_totals_sq
-        + beta**2 * ((features._b_flat_sq @ f.ravel()) - (mean_b**2).sum(axis=0))
-    )
-    return np.concatenate([h_alpha, h_mu])
+    n, m, k = features.n_users, features.n_products, features.n_events
+    hess = np.zeros((n + m, n + m))
+    if k == 0:
+        return hess
+    f = _mark_probabilities(beta, g)
+    w = 1.0 / lam**2
+    b_tot = features.b_totals
+    # bf[j, i*M + q] = B(t_i)[j, q] f_i[q]
+    bf = features._b_flat * f.ravel()
+    bf_3d = bf.reshape(n, k, m)
+    mean_b = bf_3d.sum(axis=2).T  # (K, N): B(t_i) f_i
+    h_aa = (b_tot.T * w) @ b_tot + beta**2 * (bf @ features._b_flat.T - mean_b.T @ mean_b)
+    h_am = (w @ b_tot)[:, None] + beta**2 * (bf_3d.sum(axis=1) - mean_b.T @ f)
+    h_mm = w.sum() + beta**2 * (np.diag(f.sum(axis=0)) - f.T @ f)
+    hess[:n, :n] = h_aa
+    hess[:n, n:] = h_am
+    hess[n:, :n] = h_am.T
+    hess[n:, n:] = h_mm
+    return hess
 
 
 def nll_from_features(

@@ -22,17 +22,31 @@ def make_recovery_model(
     n_products: int = 5,
     beta: float = 1.0,
     mu_high: float = 0.1,
-    alpha_high: float = 0.01,
+    alpha_high: float | None = None,
 ) -> ModelParams:
-    """Random dense model: mu ~ U(0, 0.1), alpha ~ U(0, 0.01)."""
+    """Random dense model: mu ~ U(0, 0.1), alpha ~ U(0, 0.5 / n_users).
+
+    The default alpha scale keeps the expected branching ratio near 0.25
+    at every N (at N=50 it is 0.01); a fixed scale turns supercritical as
+    N grows.
+    """
+    if alpha_high is None:
+        alpha_high = 0.5 / n_users
     mu = rng.uniform(0.0, mu_high, size=(n_users, n_products))
     alpha = rng.uniform(0.0, alpha_high, size=(n_users, n_users))
     return ModelParams(mu, alpha, SoftMaxMark(beta))
 
 
 def expected_event_rate(params: ModelParams) -> float:
-    """Stationary total event rate: solve m = mu_u + alpha^T m, sum over users."""
+    """Stationary total event rate: solve m = mu_u + alpha^T m, sum over users.
+
+    Raises ValueError for a supercritical model (spectral radius of alpha
+    at least 1), which has no stationary rate.
+    """
     n = params.n_users
+    radius = float(np.abs(np.linalg.eigvals(params.alpha)).max())
+    if radius >= 1.0:
+        raise ValueError(f"supercritical model: spectral radius of alpha is {radius:.4g} >= 1")
     m = np.linalg.solve(np.eye(n) - params.alpha.T, params.mu_user)
     return float(m.sum())
 

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -200,6 +206,30 @@ class TestCliFit:
         )
         assert code == EXIT_OK
         assert "# chosen_beta=" in out_report.read_text()
+
+    def test_nan_time_is_usage_error_not_hang(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "# n_users=2 n_products=1 horizon=5.0\n"
+            "time,user,product\n"
+            "1.0,0,0\n"
+            "nan,1,0\n"
+            "2.0,0,0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "corrcascades.cli", "fit", "--events", str(events),
+                "--beta", "1.0", "--out-params", str(tmp_path / "fit.json"),
+                "--out-report", str(tmp_path / "report.csv"),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "finite" in proc.stderr
 
     def test_beta_and_grid_mutually_exclusive(self, tmp_path, capsys):
         code = main(

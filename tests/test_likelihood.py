@@ -19,6 +19,12 @@ from corrcascades import (
     window_nll,
 )
 
+from corrcascades.likelihood import (
+    _eval_features,
+    _hessian_from_eval,
+    nll_gradient_from_features,
+)
+
 from conftest import brute_total_nll, random_log, random_params
 
 
@@ -191,6 +197,55 @@ class TestGradient:
         theta = UserParams(np.zeros(2) + 1e-9, np.array([0.2, 0.3]))
         grad = user_nll_gradient(log, 1, theta, beta=1.0)
         np.testing.assert_allclose(grad[2:], 3.0, rtol=1e-12)
+
+
+class TestHessian:
+    @staticmethod
+    def _tied_log(rng):
+        # times on a coarse grid, so several events share a time stamp
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        horizon = float(rng.uniform(2.0, 8.0))
+        k = int(rng.integers(1, 30))
+        times = np.sort(np.floor(rng.uniform(0.0, horizon, k)))
+        return EventLog(zip(times, rng.integers(0, n, k), rng.integers(0, m, k)), horizon, n, m)
+
+    def test_matches_central_differences_of_gradient(self):
+        rng = np.random.default_rng(67)
+        step = 1e-6
+        checked = 0
+        for _ in range(40):
+            log = self._tied_log(rng)
+            n, m = log.n_users, log.n_products
+            user = int(rng.integers(n))
+            features = build_features(log, user)
+            if features.n_events == 0:
+                continue
+            beta = float(rng.uniform(0.3, 3.0))
+            theta = np.concatenate(
+                [rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)]
+            )
+            _, g, lam = _eval_features(features, theta[:n], theta[n:], beta)
+            hess = _hessian_from_eval(features, beta, g, lam)
+            numeric = np.zeros_like(hess)
+            for i in range(n + m):
+                hi, lo = theta.copy(), theta.copy()
+                hi[i] += step
+                lo[i] -= step
+                numeric[:, i] = (
+                    nll_gradient_from_features(features, hi[:n], hi[n:], beta)
+                    - nll_gradient_from_features(features, lo[:n], lo[n:], beta)
+                ) / (2 * step)
+            scale = np.abs(numeric).max()
+            assert np.abs(hess - numeric).max() <= 1e-6 * scale
+            np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12 * scale)
+            assert np.linalg.eigvalsh(hess).min() >= -1e-12 * scale
+            checked += 1
+        assert checked >= 25
+
+    def test_silent_user_has_zero_curvature(self):
+        log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
+        features = build_features(log, 1)
+        assert not _hessian_from_eval(features, 1.0, None, None).any()
 
 
 class TestConvexity:

@@ -282,6 +282,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             EventLog([(6.0, 0, 0)], 5.0, 1, 1)
 
+    def test_non_finite_times_and_horizon_rejected(self):
+        # NaN passes every ordering check, and a NaN time stalls tie grouping
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                EventLog([(1.0, 0, 0), (bad, 0, 0)], 5.0, 1, 1)
+            with pytest.raises(ValueError, match="finite"):
+                EventLog([(1.0, 0, 0)], bad, 1, 1)
+
     def test_ids_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             EventLog([(1.0, 1, 0)], 5.0, 1, 1)

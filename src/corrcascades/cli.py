@@ -142,11 +142,9 @@ def _cmd_fit(args) -> int:
 
 def _shift_to_window(log: EventLog, t_start: float) -> EventLog:
     mask = log.times >= t_start
-    return EventLog(
-        zip(log.times[mask] - t_start, log.users[mask], log.products[mask]),
-        log.horizon - t_start,
-        log.n_users,
-        log.n_products,
+    return EventLog.from_arrays(
+        log.times[mask] - t_start, log.users[mask], log.products[mask],
+        log.horizon - t_start, log.n_users, log.n_products,
     )
 
 

@@ -34,6 +34,18 @@ class EventLog:
         n_users: int,
         n_products: int,
     ):
+        rows = [(e.time, e.user, e.product) if isinstance(e, Event) else tuple(e) for e in events]
+        times, users, products = zip(*rows) if rows else ((), (), ())
+        self._assign(times, users, products, horizon, n_users, n_products)
+
+    @classmethod
+    def from_arrays(cls, times, users, products, horizon, n_users, n_products) -> "EventLog":
+        """A log from parallel time, user and product arrays (copied)."""
+        log = cls.__new__(cls)
+        log._assign(times, users, products, horizon, n_users, n_products)
+        return log
+
+    def _assign(self, times, users, products, horizon, n_users, n_products) -> None:
         if n_users < 1 or n_products < 1:
             raise ValueError("n_users and n_products must be >= 1")
         # NaN passes every comparison below, so finiteness is checked first
@@ -41,15 +53,11 @@ class EventLog:
             raise ValueError("horizon must be finite")
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        rows = [(e.time, e.user, e.product) if isinstance(e, Event) else tuple(e) for e in events]
-        if rows:
-            times = np.array([r[0] for r in rows], dtype=float)
-            users = np.array([r[1] for r in rows], dtype=np.int64)
-            products = np.array([r[2] for r in rows], dtype=np.int64)
-        else:
-            times = np.empty(0, dtype=float)
-            users = np.empty(0, dtype=np.int64)
-            products = np.empty(0, dtype=np.int64)
+        times = np.array(times, dtype=float)
+        users = np.array(users, dtype=np.int64)
+        products = np.array(products, dtype=np.int64)
+        if times.ndim != 1 or users.shape != times.shape or products.shape != times.shape:
+            raise ValueError("times, users and products must be equal-length vectors")
         if times.size:
             if not np.all(np.isfinite(times)):
                 raise ValueError("event times must be finite")
@@ -93,11 +101,8 @@ class EventLog:
         )
 
     def _mask(self, mask: np.ndarray) -> "EventLog":
-        return EventLog(
-            zip(self.times[mask], self.users[mask], self.products[mask]),
-            self.horizon,
-            self.n_users,
-            self.n_products,
+        return EventLog.from_arrays(
+            self.times[mask], self.users[mask], self.products[mask], self.horizon, self.n_users, self.n_products
         )
 
     def restrict_user(self, user: int) -> "EventLog":
@@ -114,7 +119,9 @@ class EventLog:
 
     def with_horizon(self, horizon: float) -> "EventLog":
         """Same events re-wrapped with a different horizon."""
-        return EventLog(zip(self.times, self.users, self.products), horizon, self.n_users, self.n_products)
+        return EventLog.from_arrays(
+            self.times, self.users, self.products, horizon, self.n_users, self.n_products
+        )
 
 
 def concat_logs(head: EventLog, tail: EventLog) -> EventLog:
@@ -123,7 +130,11 @@ def concat_logs(head: EventLog, tail: EventLog) -> EventLog:
         raise ValueError("logs have mismatched dimensions")
     if tail.times.size and head.times.size and tail.times[0] < head.times[-1]:
         raise ValueError("tail events start before head events end")
-    events = list(zip(head.times, head.users, head.products)) + list(
-        zip(tail.times, tail.users, tail.products)
+    return EventLog.from_arrays(
+        np.concatenate([head.times, tail.times]),
+        np.concatenate([head.users, tail.users]),
+        np.concatenate([head.products, tail.products]),
+        max(head.horizon, tail.horizon),
+        head.n_users,
+        head.n_products,
     )
-    return EventLog(events, max(head.horizon, tail.horizon), head.n_users, head.n_products)

@@ -40,18 +40,14 @@ WORKERS_ENV_VAR = "CORRCASCADES_WORKERS"
 class FitConfig:
     """Projected-Newton solver controls.
 
-    `inner_grad_tol` bounds the norm of the projected gradient at which a
-    user's solve stops, `inner_max_iter` caps its Newton steps, and
-    `ls_shrink` / `ls_decrease` set the backtracking factor and the Armijo
-    fraction of its line search.  Influence coordinates start at
-    `init_value`; baselines start at the user's per-product event rate.
+    `beta` is the soft-max mark sharpness, `inner_max_iter` caps each
+    user's Newton steps, and `n_workers` sets the processes `fit_all` maps
+    users over.  Influence coordinates start at `init_value`; baselines
+    start at the user's per-product event rate.
     """
 
     beta: float = 1.0
-    inner_grad_tol: float = 1e-7
     inner_max_iter: int = 500
-    ls_shrink: float = 0.5
-    ls_decrease: float = 1e-4
     init_value: float = 0.01
     n_workers: int = 1
 
@@ -59,9 +55,6 @@ class FitConfig:
         for name in ("beta", "init_value"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        for name in ("inner_grad_tol", "init_value"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -102,6 +95,11 @@ class FitReport:
 # Bertsekas's epsilon: coordinates within this distance of the bound whose
 # gradient pushes outward take a diagonal step instead of a Newton step
 _ACTIVE_EPS = 1e-3
+# a user's solve stops once its projected gradient norm is this small
+_GRAD_TOL = 1e-7
+# backtracking factor and Armijo fraction of the line search
+_LS_SHRINK = 0.5
+_LS_DECREASE = 1e-4
 # ridge = _RIDGE * |grad_F| / |theta| on the free Hessian block (see _projected_newton)
 _RIDGE = 0.3
 _MAX_BACKTRACKS = 60
@@ -122,7 +120,7 @@ def _projected_newton(features, theta, live, config):
     backtracks along the projection arc max(theta + s * d, 0) under
     Bertsekas's Armijo rule, so the objective never rises.
 
-    Stops when the projected gradient norm reaches `inner_grad_tol`, when
+    Stops when the projected gradient norm reaches `_GRAD_TOL`, when
     the predicted decrease falls below the objective's floating-point
     resolution, when the line search finds no decrease, or after
     `inner_max_iter` steps.  Returns (theta, iterations, evaluations):
@@ -139,7 +137,7 @@ def _projected_newton(features, theta, live, config):
         grad = _gradient_from_eval(features, beta, g, lam)
         grad[~live] = 0.0
         gap = float(np.linalg.norm(theta - np.maximum(theta - grad, 0.0)))
-        if gap <= config.inner_grad_tol or iterations > config.inner_max_iter:
+        if gap <= _GRAD_TOL or iterations > config.inner_max_iter:
             break
         active = live & (theta <= min(_ACTIVE_EPS, gap)) & (grad > 0)
         free = live & ~active
@@ -149,7 +147,8 @@ def _projected_newton(features, theta, live, config):
         if free.any():
             g_free = grad[free]
             ridge = _RIDGE * np.linalg.norm(g_free) / np.linalg.norm(theta)
-            h_free = hess[np.ix_(free, free)] + ridge * np.eye(g_free.size)
+            h_free = hess[np.ix_(free, free)]
+            h_free[np.diag_indices(g_free.size)] += ridge
             direction[free] = -np.linalg.solve(h_free, g_free)
         slope = float(grad[free] @ direction[free])
 
@@ -168,9 +167,9 @@ def _projected_newton(features, theta, live, config):
                 cand_value, cand_g, cand_lam = _eval_features(features, cand[:n], cand[n:], beta)
             except InfeasibleLikelihoodError:  # a nonpositive intensity: +inf
                 cand_value = np.inf
-            if cand_value < value + config.ls_decrease * predicted(cand, step):
+            if cand_value < value + _LS_DECREASE * predicted(cand, step):
                 break
-            step *= config.ls_shrink
+            step *= _LS_SHRINK
             cand = np.maximum(theta + step * direction, 0.0)
         else:
             break
@@ -184,9 +183,15 @@ def fit_user(
     config: FitConfig,
     features: EventFeatures | None = None,
 ) -> tuple[UserParams, UserFitEntry]:
-    """Projected-Newton MLE of one user's packed parameters over theta >= 0."""
+    """Projected-Newton MLE of one user's packed parameters over theta >= 0.
+
+    Raises ValueError when the user has events but the horizon is 0: with no
+    compensator the NLL is unbounded below and has no minimizer.
+    """
     if features is None:
         features = build_all_features(log)[user]
+    if features.horizon == 0 and features.n_events:
+        raise ValueError("a log with events at horizon 0 has no maximum-likelihood estimate")
     start = time.perf_counter()
     n, m = features.n_users, features.n_products
     # a source that fired before none of this user's events enters the NLL

@@ -1,4 +1,10 @@
-"""Exact log-likelihood, its per-user decomposition, and the analytic gradient.
+"""Exact log-likelihood, its per-user decomposition, gradient and Hessian.
+
+The NLL is a compensator minus a sum of event terms log lambda + log f,
+whatever the mark model.  One tie-aware sweep (`model.tie_groups`) yields
+the decayed counts every event sees, and `_event_loglik` scores the
+resulting event-by-product tendency matrix for both mark models, for a
+time window (`window_nll`) and for one user's cached features alike.
 
 The likelihood of a log factorizes over users, so fitting works on one
 user's packed parameter vector [alpha_col | mu_row] at a time.  Per-user
@@ -14,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EventLog
-from .model import (
-    DecayState,
-    LinearMark,
-    ModelParams,
-    SoftMaxMark,
-)
+from .model import DecayState, MarkModel, ModelParams, SoftMaxMark, tie_groups
 
 
 class InfeasibleLikelihoodError(ValueError):
@@ -57,84 +58,67 @@ class UserParams:
 class EventFeatures:
     """Decayed-count snapshots at one user's event times.
 
-    b_mats[i] is the full N x M matrix B(t_i) of decayed counts strictly
-    before t_i (ties at t_i excluded), b_totals its per-source row sums, and
-    excite_integrals[j] = sum over events of source j before T of
-    (1 - exp(-(T - t_i))), the source-j slice of the compensator.
+    snapshots[:, i, :] is the N x M matrix B(t_i) of decayed counts strictly
+    before the user's i-th event time t_i (ties at t_i excluded), and
+    `b_flat` views the snapshots as one N x (K*M) matrix.  b_totals[i] holds
+    the per-source row sums of B(t_i), and excite_integrals[j] = sum over
+    events of source j before T of (1 - exp(-(T - t_i))), the source-j
+    slice of the compensator.  No slot views another, so pickling writes
+    each array once.
     """
 
     __slots__ = (
-        "b_mats",
+        "snapshots",
         "b_totals",
         "products",
         "excite_integrals",
         "horizon",
         "n_users",
         "n_products",
-        "_b_flat",
         "_b_observed",
         "_product_counts",
     )
 
-    def __init__(self, b_mats, b_totals, products, excite_integrals, horizon, n_users, n_products):
-        self.b_mats = b_mats
-        self.b_totals = b_totals
+    def __init__(self, snapshots, products, excite_integrals, horizon):
+        self.snapshots = snapshots
+        self.n_users, k, self.n_products = snapshots.shape
         self.products = products
         self.excite_integrals = excite_integrals
         self.horizon = horizon
-        self.n_users = n_users
-        self.n_products = n_products
         # theta-independent aggregates reused every solver iteration
-        k = products.size
-        self._b_flat = np.ascontiguousarray(b_mats.transpose(1, 0, 2).reshape(n_users, k * n_products))
-        if k:
-            self._b_observed = b_mats[np.arange(k), :, products].sum(axis=0)
-        else:
-            self._b_observed = np.zeros(n_users)
-        self._product_counts = np.bincount(products, minlength=n_products).astype(float)
+        self.b_totals = np.ascontiguousarray(snapshots.sum(axis=2).T)
+        self._b_observed = snapshots[:, np.arange(k), products].sum(axis=1)
+        self._product_counts = np.bincount(products, minlength=self.n_products).astype(float)
 
     @property
     def n_events(self) -> int:
         return self.products.size
 
+    @property
+    def b_flat(self) -> np.ndarray:
+        """The snapshots as an N x (K*M) matrix (a view)."""
+        return self.snapshots.reshape(self.n_users, self.n_events * self.n_products)
+
 
 def build_all_features(log: EventLog) -> dict[int, EventFeatures]:
-    """One pass over the log producing every user's EventFeatures."""
+    """One sweep over the log producing every user's EventFeatures."""
     n, m = log.n_users, log.n_products
+    users = log.users.tolist()
+    snapshots = [np.empty((n, k, m)) for k in np.bincount(log.users, minlength=n).tolist()]
+    filled = [0] * n
     state = DecayState(n, m)
-    snaps: dict[int, list] = {u: [] for u in range(n)}
-    times, users, products = log.times, log.users, log.products
-    k = len(log)
-    i = 0
-    while i < k:
-        t = times[i]
-        j = i
-        while j < k and times[j] == t:
-            j += 1
-        state.advance(float(t))
-        # intensities at t see only history strictly before t, so snapshot
-        # every tied event before absorbing any of them
-        for idx in range(i, j):
-            snaps[int(users[idx])].append((state.b.copy(), int(products[idx])))
-        for idx in range(i, j):
-            state.b[users[idx], products[idx]] += 1.0
-        i = j
+    for lo, hi in tie_groups(log, state):
+        for i in range(lo, hi):
+            u = users[i]
+            snapshots[u][:, filled[u], :] = state.b
+            filled[u] += 1
     excite = np.zeros(n)
-    past = times < log.horizon
-    np.add.at(excite, users[past], 1.0 - np.exp(-(log.horizon - times[past])))
-    out = {}
-    for u in range(n):
-        entries = snaps[u]
-        if entries:
-            b_mats = np.stack([b for b, _ in entries])
-            prods = np.array([p for _, p in entries], dtype=np.int64)
-        else:
-            b_mats = np.zeros((0, n, m))
-            prods = np.empty(0, dtype=np.int64)
-        out[u] = EventFeatures(
-            b_mats, b_mats.sum(axis=2), prods, excite, log.horizon, n, m
-        )
-    return out
+    past = log.times < log.horizon
+    np.add.at(excite, log.users[past], 1.0 - np.exp(-(log.horizon - log.times[past])))
+    return {
+        u: EventFeatures(snapshots[u], log.products[log.users == u], excite, log.horizon)
+        for u in range(n)
+    }
 
 
 def build_features(log: EventLog, user: int) -> EventFeatures:
@@ -154,7 +138,28 @@ def log_sum_exp(values) -> float:
 def _tendency_matrix(features: EventFeatures, alpha_col: np.ndarray, mu_row: np.ndarray) -> np.ndarray:
     """g_u^q(t_i) for every event i (rows) and product q (columns)."""
     k, m = features.n_events, features.n_products
-    return mu_row[None, :] + (alpha_col @ features._b_flat).reshape(k, m)
+    return mu_row[None, :] + (alpha_col @ features.b_flat).reshape(k, m)
+
+
+def _event_loglik(g: np.ndarray, products: np.ndarray, mark: MarkModel) -> tuple[float, np.ndarray]:
+    """Sum over events of log lambda + log f(product), and the intensities.
+
+    Row i of the K x M matrix g holds the tendencies at event i, whose
+    product is products[i].  Under linear marks f = g_p / lambda, so the
+    event term is log g_p.
+    """
+    lam = g.sum(axis=1)
+    if np.any(lam <= 0):
+        raise InfeasibleLikelihoodError("zero intensity at an observed event")
+    g_obs = g[np.arange(products.size), products]
+    if isinstance(mark, SoftMaxMark):
+        z = mark.beta * g
+        zmax = z.max(axis=1)
+        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+        return float(np.log(lam).sum() + mark.beta * g_obs.sum() - lse.sum()), lam
+    if np.any(g_obs <= 0):
+        raise InfeasibleLikelihoodError("zero mark density at an observed event")
+    return float(np.log(g_obs).sum()), lam
 
 
 def _eval_features(features, alpha_col, mu_row, beta):
@@ -163,22 +168,11 @@ def _eval_features(features, alpha_col, mu_row, beta):
     if features.n_events == 0:
         return float(comp), None, None
     g = _tendency_matrix(features, alpha_col, mu_row)
-    lam = g.sum(axis=1)
-    if np.any(lam <= 0):
-        raise InfeasibleLikelihoodError("zero intensity at an observed event")
-    z = beta * g
-    zmax = z.max(axis=1)
-    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    idx = np.arange(features.n_events)
-    ll = (
-        np.log(lam).sum()
-        - comp
-        + beta * g[idx, features.products].sum()
-        - lse.sum()
-    )
-    if not math.isfinite(ll):
+    event_ll, lam = _event_loglik(g, features.products, SoftMaxMark(beta))
+    nll = comp - event_ll
+    if not math.isfinite(nll):
         raise InfeasibleLikelihoodError("nonfinite likelihood")
-    return float(-ll), g, lam
+    return float(nll), g, lam
 
 
 def _mark_probabilities(beta, g):
@@ -202,7 +196,7 @@ def _gradient_from_eval(features, beta, g, lam):
         grad_alpha += (
             -inv_lam @ features.b_totals
             - beta * features._b_observed
-            + beta * (features._b_flat @ f.ravel())
+            + beta * (features.b_flat @ f.ravel())
         )
     return np.concatenate([grad_alpha, grad_mu])
 
@@ -214,27 +208,26 @@ def _hessian_from_eval(features, beta, g, lam):
     Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I] ((N+M) x M), the Hessian is
     sum_i (D_i 1)(D_i 1)^T / lambda_i^2
         + beta^2 sum_i D_i (diag(f_i) - f_i f_i^T) D_i^T,
-    with f_i the soft-max mark probabilities at event i.
+    with f_i the soft-max mark probabilities at event i.  As f_i sums to 1,
+    diag(f_i) - f_i f_i^T = S_i S_i^T with S_i = (I - f_i 1^T) diag(sqrt f_i),
+    so the Hessian is the Gram matrix X X^T of the (N+M) x K(M+1) matrix X
+    whose columns for event i are beta D_i S_i and D_i 1 / lambda_i, and
+    one symmetric product (BLAS syrk) builds it.
     """
     n, m, k = features.n_users, features.n_products, features.n_events
-    hess = np.zeros((n + m, n + m))
     if k == 0:
-        return hess
+        return np.zeros((n + m, n + m))
     f = _mark_probabilities(beta, g)
-    w = 1.0 / lam**2
-    b_tot = features.b_totals
-    # bf[j, i*M + q] = B(t_i)[j, q] f_i[q]
-    bf = features._b_flat * f.ravel()
-    bf_3d = bf.reshape(n, k, m)
-    mean_b = bf_3d.sum(axis=2).T  # (K, N): B(t_i) f_i
-    h_aa = (b_tot.T * w) @ b_tot + beta**2 * (bf @ features._b_flat.T - mean_b.T @ mean_b)
-    h_am = (w @ b_tot)[:, None] + beta**2 * (bf_3d.sum(axis=1) - mean_b.T @ f)
-    h_mm = w.sum() + beta**2 * (np.diag(f.sum(axis=0)) - f.T @ f)
-    hess[:n, :n] = h_aa
-    hess[:n, n:] = h_am
-    hess[n:, :n] = h_am.T
-    hess[n:, n:] = h_mm
-    return hess
+    scale = beta * np.sqrt(f)
+    x = np.empty((n + m, k, m + 1))
+    mean_b = np.einsum("jiq,iq->ji", features.snapshots, f)  # (N, K): B(t_i) f_i
+    np.subtract(features.snapshots, mean_b[:, :, None], out=x[:n, :, :m])
+    x[n:, :, :m] = np.eye(m)[:, None, :] - f.T[:, :, None]
+    x[:, :, :m] *= scale
+    x[:n, :, m] = features.b_totals.T / lam
+    x[n:, :, m] = 1.0 / lam
+    x = x.reshape(n + m, k * (m + 1))
+    return x @ x.T
 
 
 def nll_from_features(
@@ -287,50 +280,25 @@ def window_nll(log: EventLog, params: ModelParams, t_start: float, t_end: float)
     """
     if not 0 <= t_start <= t_end <= log.horizon:
         raise ValueError("window must satisfy 0 <= t_start <= t_end <= horizon")
-    softmax = isinstance(params.mark, SoftMaxMark)
-    beta = params.mark.beta if softmax else None
+    times, users = log.times, log.users
+    first = 0 if t_start == 0.0 else int(np.searchsorted(times, t_start, side="right"))
+    last = int(np.searchsorted(times, t_end, side="right"))
+    # both bounds fall between tie runs, so every run is wholly in or out
+    g = np.empty((last - first, params.n_products))
     state = DecayState(params.n_users, params.n_products)
-    times, users, products = log.times, log.users, log.products
-    k = len(log)
-    event_ll = 0.0
-    i = 0
-    while i < k:
-        t = float(times[i])
-        if t > t_end:
+    for lo, hi in tie_groups(log, state):
+        if lo >= last:
             break
-        j = i
-        while j < k and times[j] == times[i]:
-            j += 1
-        state.advance(t)
-        in_window = t <= t_end and (t > t_start or (t_start == 0.0 and t >= 0.0))
-        if in_window:
-            for idx in range(i, j):
-                u = int(users[idx])
-                p = int(products[idx])
-                g = params.mu[u] + params.alpha[:, u] @ state.b
-                lam = g.sum()
-                if lam <= 0:
-                    raise InfeasibleLikelihoodError("zero intensity at an observed event")
-                if softmax:
-                    z = beta * g
-                    log_f = z[p] - log_sum_exp(z)
-                else:
-                    if g[p] <= 0:
-                        raise InfeasibleLikelihoodError("zero mark density at an observed event")
-                    log_f = math.log(g[p]) - math.log(lam)
-                event_ll += math.log(lam) + log_f
-        for idx in range(i, j):
-            state.b[users[idx], products[idx]] += 1.0
-        i = j
+        if lo >= first:
+            us = users[lo:hi]
+            g[lo - first : hi - first] = params.mu[us] + params.alpha[:, us].T @ state.b
+    event_ll, _ = _event_loglik(g, log.products[first:last], params.mark)
     # compensator over [t_start, t_end], summed over all users
     comp = (t_end - t_start) * params.mu_user.sum()
     mask = times < t_end
-    if np.any(mask):
-        ts = times[mask]
-        row_sums = params.alpha.sum(axis=1)[users[mask]]
-        comp += float(
-            row_sums @ (np.exp(-np.maximum(t_start - ts, 0.0)) - np.exp(-(t_end - ts)))
-        )
+    ts = times[mask]
+    row_sums = params.alpha.sum(axis=1)[users[mask]]
+    comp += float(row_sums @ (np.exp(-np.maximum(t_start - ts, 0.0)) - np.exp(-(t_end - ts))))
     nll = comp - event_ll
     if not math.isfinite(nll):
         raise InfeasibleLikelihoodError("nonfinite likelihood")
@@ -338,12 +306,5 @@ def window_nll(log: EventLog, params: ModelParams, t_start: float, t_end: float)
 
 
 def total_nll(log: EventLog, params: ModelParams) -> float:
-    """NLL of the whole log; sum of the per-user terms under soft-max marks."""
-    if isinstance(params.mark, LinearMark):
-        return window_nll(log, params, 0.0, log.horizon)
-    features = build_all_features(log)
-    beta = params.mark.beta
-    total = 0.0
-    for u in range(params.n_users):
-        total += nll_from_features(features[u], params.alpha[:, u], params.mu[u], beta)
-    return total
+    """NLL of the whole log under either mark model."""
+    return window_nll(log, params, 0.0, log.horizon)

@@ -8,8 +8,8 @@ regardless of how many events have been absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -118,6 +118,23 @@ class DecayState:
         out.b = self.b.copy()
         out.current_time = self.current_time
         return out
+
+
+def tie_groups(log: EventLog, state: DecayState) -> Iterator[tuple[int, int]]:
+    """Sweep `log` in runs of tied events, driving `state` along.
+
+    For each run of events [lo, hi) that share one time, advances `state`
+    to that time and yields (lo, hi) while it holds only strictly earlier
+    events, which is the history every intensity at that time sees; when
+    resumed, absorbs the whole run.  An exhausted sweep has absorbed the log.
+    """
+    times, users, products = log.times.tolist(), log.users.tolist(), log.products.tolist()
+    starts = np.flatnonzero(np.diff(log.times, prepend=-np.inf)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(times)]):
+        state.advance(times[lo])
+        yield lo, hi
+        for i in range(lo, hi):
+            state.b[users[i], products[i]] += 1.0
 
 
 def decay_state_init(n_users: int, n_products: int) -> DecayState:

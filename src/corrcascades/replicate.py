@@ -94,11 +94,8 @@ def run_recovery(
     log = simulate(true_params, SimConfig(horizon=t_total, seed=seed))
     train = log.before(t_train).with_horizon(t_train)
     test_mask = log.times >= t_train
-    test = EventLog(
-        zip(log.times[test_mask], log.users[test_mask], log.products[test_mask]),
-        t_total,
-        n_users,
-        n_products,
+    test = EventLog.from_arrays(
+        log.times[test_mask], log.users[test_mask], log.products[test_mask], t_total, n_users, n_products
     )
     if fit_config is None:
         fit_config = FitConfig(beta=beta)

@@ -21,6 +21,7 @@ from .model import (
     ModelParams,
     branching_column_sums,
     mark_density_from_tendencies,
+    tie_groups,
 )
 
 
@@ -36,8 +37,9 @@ class SimConfig:
     max_events: int = 10_000_000
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        # NaN passes every comparison, so finiteness is checked explicitly
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be positive and finite")
         if self.max_events <= 0:
             raise ValueError("max_events must be positive")
 
@@ -53,10 +55,10 @@ class Scenario:
     post_switch_mark: MarkModel = None
 
     def __post_init__(self):
-        if self.switch_time <= 0:
-            raise ValueError("switch_time must be positive")
-        if self.boost_factor <= 0:
-            raise ValueError("boost_factor must be positive")
+        for name in ("switch_time", "boost_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -135,10 +137,13 @@ def _thinning_schedule(schedule, state: DecayState, rng, events: list, cap: int)
     return False
 
 
-def _absorb_history(state: DecayState, history: EventLog) -> None:
-    for t, u, p in zip(history.times, history.users, history.products):
-        state.advance(float(t))
-        state.b[u, p] += 1.0
+def _initial_state(params: ModelParams, history: EventLog | None) -> DecayState:
+    """Decay state at the end of `history` (time 0 without one)."""
+    state = DecayState(params.n_users, params.n_products)
+    if history is not None:
+        for _ in tie_groups(history, state):
+            pass
+    return state
 
 
 def simulate(params: ModelParams, config: SimConfig) -> EventLog:
@@ -149,10 +154,7 @@ def simulate(params: ModelParams, config: SimConfig) -> EventLog:
     history time.
     """
     _check_subcritical(params)
-    state = DecayState(params.n_users, params.n_products)
-    if config.initial_history is not None:
-        _absorb_history(state, config.initial_history)
-        state.current_time = max(0.0, state.current_time)
+    state = _initial_state(params, config.initial_history)
     rng = np.random.default_rng(config.seed)
     events: list = []
     exhausted = _thinning_schedule(
@@ -185,10 +187,7 @@ def run_scenario(params: ModelParams, scenario: Scenario, config: SimConfig) -> 
     post_params = ModelParams(boosted_mu, params.alpha, post_mark)
     _check_subcritical(post_params)
 
-    state = DecayState(params.n_users, params.n_products)
-    if config.initial_history is not None:
-        _absorb_history(state, config.initial_history)
-        state.current_time = max(0.0, state.current_time)
+    state = _initial_state(params, config.initial_history)
     rng = np.random.default_rng(config.seed)
     events: list = []
     exhausted = _thinning_schedule(
@@ -268,18 +267,18 @@ def rescaled_interevent_times(log: EventLog, params: ModelParams) -> np.ndarray:
     """Integral of the total intensity over each interevent gap of the pooled log.
 
     Under the generating model these are iid Exponential(1) by the random
-    time-change theorem.
+    time-change theorem.  The excitation of the total intensity is one
+    scalar S(t) = sum_i r_{u_i} exp(-(t - t_i)) over past events, where
+    r_u = sum_v alpha[u, v] is the event user's total outgoing influence.
     """
     mu_total = float(params.mu_user.sum())
-    row_sums = params.alpha.sum(axis=1)
-    state = DecayState(params.n_users, params.n_products)
+    jumps = params.alpha.sum(axis=1)[log.users].tolist()
     gaps = []
+    excite = 0.0
     prev = 0.0
-    for t, u, p in zip(log.times, log.users, log.products):
-        delta = float(t) - prev
-        s_excite = float(row_sums @ state.b_total)
-        gaps.append(mu_total * delta + s_excite * (1.0 - math.exp(-delta)))
-        state.advance(float(t))
-        state.b[u, p] += 1.0
-        prev = float(t)
+    for t, r in zip(log.times.tolist(), jumps):
+        decay = math.exp(-(t - prev))
+        gaps.append(mu_total * (t - prev) + excite * (1.0 - decay))
+        excite = excite * decay + r
+        prev = t
     return np.asarray(gaps)

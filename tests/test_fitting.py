@@ -117,6 +117,18 @@ class TestFitUser:
                 FitConfig(init_value=bad)
 
 
+    def test_zero_horizon_with_events_refused(self):
+        # with no compensator the NLL is unbounded below: no MLE exists
+        log = EventLog([(0.0, 0, 0), (0.0, 0, 1)], 0.0, 1, 2)
+        with pytest.raises(ValueError, match="horizon 0"):
+            fit_user(log, 0, FitConfig(beta=1.0))
+        with pytest.raises(ValueError, match="horizon 0"):
+            fit_all(log, FitConfig(beta=1.0))
+        # a user with no events still has the all-zero minimizer
+        theta, entry = fit_user(EventLog([(0.0, 0, 0)], 0.0, 2, 1), 1, FitConfig(beta=1.0))
+        assert entry.converged and not theta.pack().any()
+
+
 class TestFitAll:
     def test_single_user_matches_fit_user(self):
         rng = np.random.default_rng(13)

@@ -25,6 +25,18 @@ from corrcascades.simulate import SimConfig, simulate
 from conftest import random_params
 
 
+def _run_cli(*argv):
+    """Run the CLI in a child process that must finish within 60 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "corrcascades.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestEventLogIO:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -165,6 +177,16 @@ class TestCliSimulate:
         )
         assert code == EXIT_USAGE
 
+    def test_nan_horizon_is_usage_error_not_hang(self, tmp_path):
+        # NaN passes `horizon <= 0`; unchecked, thinning ran to the event cap
+        _, params_path = _write_model(tmp_path)
+        proc = _run_cli(
+            "simulate", "--params", str(params_path), "--horizon", "nan",
+            "--out", str(tmp_path / "events.csv"),
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "finite" in proc.stderr
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -216,20 +238,30 @@ class TestCliFit:
             "nan,1,0\n"
             "2.0,0,0\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]))
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "corrcascades.cli", "fit", "--events", str(events),
-                "--beta", "1.0", "--out-params", str(tmp_path / "fit.json"),
-                "--out-report", str(tmp_path / "report.csv"),
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
+        proc = _run_cli(
+            "fit", "--events", str(events), "--beta", "1.0",
+            "--out-params", str(tmp_path / "fit.json"),
+            "--out-report", str(tmp_path / "report.csv"),
         )
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert "finite" in proc.stderr
+
+    def test_zero_horizon_with_events_is_usage_error(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "# n_users=1 n_products=2 horizon=0.0\n"
+            "time,user,product\n"
+            "0.0,0,0\n"
+            "0.0,0,1\n"
+        )
+        proc = _run_cli(
+            "fit", "--events", str(events), "--beta", "1.0",
+            "--out-params", str(tmp_path / "fit.json"),
+            "--out-report", str(tmp_path / "report.csv"),
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "horizon 0" in proc.stderr
+        assert not (tmp_path / "fit.json").exists()
 
     def test_beta_and_grid_mutually_exclusive(self, tmp_path, capsys):
         code = main(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcascades import (
     EventLog,
@@ -25,7 +27,18 @@ from corrcascades.likelihood import (
     nll_gradient_from_features,
 )
 
-from conftest import brute_total_nll, random_log, random_params
+from conftest import brute_total_nll, random_log, random_params, tied_log
+
+# a log(0) or an overflow in the vectorized scoring fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _sum_user_nll(log, params):
+    """Whole-log NLL through the per-user feature path (soft-max marks)."""
+    return sum(
+        user_nll(log, u, UserParams(params.alpha[:, u], params.mu[u]), params.mark.beta)
+        for u in range(log.n_users)
+    )
 
 
 class TestLogSumExp:
@@ -80,7 +93,7 @@ class TestUserNll:
         for _ in range(20):
             log = random_log(rng, max_events=20)
             params = random_params(rng, log.n_users, log.n_products)
-            total_cached = total_nll(log, params)
+            total_cached = _sum_user_nll(log, params)
             total_brute = brute_total_nll(log, params, use_quad=False)
             assert total_cached == pytest.approx(total_brute, rel=1e-10)
 
@@ -106,10 +119,7 @@ class TestTotalNll:
         for _ in range(10):
             log = random_log(rng)
             params = random_params(rng, log.n_users, log.n_products)
-            per_user = sum(
-                user_nll(log, u, UserParams(params.alpha[:, u], params.mu[u]), params.mark.beta)
-                for u in range(log.n_users)
-            )
+            per_user = _sum_user_nll(log, params)
             assert total_nll(log, params) == pytest.approx(per_user, rel=1e-12)
             # independent path through the windowed evaluator
             assert window_nll(log, params, 0.0, log.horizon) == pytest.approx(
@@ -283,11 +293,53 @@ class TestWindowNll:
         params = random_params(rng, log.n_users, log.n_products, beta=None)
         assert math.isfinite(window_nll(log, params, 0.0, log.horizon))
 
+    def test_linear_mark_matches_rescan(self):
+        rng = np.random.default_rng(79)
+        for _ in range(20):
+            log = random_log(rng, max_events=20)
+            params = random_params(rng, log.n_users, log.n_products, beta=None)
+            assert window_nll(log, params, 0.0, log.horizon) == pytest.approx(
+                brute_total_nll(log, params), rel=1e-10
+            )
+
+    def test_linear_zero_mark_density_infeasible(self):
+        # product 1 has no baseline and no excitation at the first event
+        params = ModelParams(np.array([[0.5, 0.0]]), np.zeros((1, 1)), LinearMark())
+        log = EventLog([(1.0, 0, 1)], 2.0, 1, 2)
+        with pytest.raises(InfeasibleLikelihoodError):
+            window_nll(log, params, 0.0, 2.0)
+
     def test_bad_window_rejected(self):
         log = EventLog([], 2.0, 1, 1)
         params = ModelParams(np.array([[0.5]]), np.zeros((1, 1)), SoftMaxMark(1.0))
         with pytest.raises(ValueError):
             window_nll(log, params, 1.5, 1.0)
+
+
+class TestTiedLogsProperty:
+    """Ties, and gaps long enough that every decayed count underflows to 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_path_matches_rescan(self, seed):
+        rng = np.random.default_rng(seed)
+        log = tied_log(rng)
+        soft = random_params(rng, log.n_users, log.n_products, beta=float(rng.uniform(0.3, 3.0)))
+        linear = ModelParams(soft.mu, soft.alpha, LinearMark())
+        brute_soft = brute_total_nll(log, soft, use_quad=False)
+        assert _sum_user_nll(log, soft) == pytest.approx(brute_soft, rel=1e-10)
+        assert window_nll(log, soft, 0.0, log.horizon) == pytest.approx(brute_soft, rel=1e-10)
+        assert window_nll(log, linear, 0.0, log.horizon) == pytest.approx(
+            brute_total_nll(log, linear, use_quad=False), rel=1e-10
+        )
+        # a window starting at 0 includes the events at 0, so a split there
+        # counts them twice; every later tied time is a clean split
+        tied = log.times[:-1][(np.diff(log.times) == 0) & (log.times[:-1] > 0)]
+        for params in (soft, linear):
+            whole = window_nll(log, params, 0.0, log.horizon)
+            for t in np.unique(tied):
+                split = window_nll(log, params, 0.0, t) + window_nll(log, params, t, log.horizon)
+                assert split == pytest.approx(whole, rel=1e-10)
 
 
 class TestEventFeatures:
@@ -297,13 +349,13 @@ class TestEventFeatures:
         feats = build_all_features(log)
         for u in range(log.n_users):
             f = feats[u]
-            np.testing.assert_allclose(f.b_totals, f.b_mats.sum(axis=2), atol=1e-12)
+            np.testing.assert_allclose(f.b_totals, f.snapshots.sum(axis=2).T, atol=1e-12)
 
     def test_snapshot_excludes_simultaneous_events(self):
         log = EventLog([(1.0, 0, 0), (1.0, 1, 0)], 2.0, 2, 1)
         feats = build_all_features(log)
         # the tied event by user 0 must not appear in user 1's snapshot
-        assert feats[1].b_mats[0].sum() == 0.0
+        assert feats[1].snapshots[:, 0, :].sum() == 0.0
 
     def test_packed_layout(self):
         theta = UserParams(np.array([0.1, 0.2]), np.array([0.3]))

@@ -20,8 +20,9 @@ from corrcascades import (
     tendency_vector,
     total_intensity,
 )
+from corrcascades.model import tie_groups
 
-from conftest import brute_tendency, quad_compensator, random_log, random_params
+from conftest import brute_tendency, quad_compensator, random_log, random_params, tied_log
 
 
 class TestDecayState:
@@ -84,6 +85,35 @@ class TestDecayState:
         before = state.b.copy()
         state.advance(3.5)
         np.testing.assert_allclose(state.b, before * math.exp(-2.5), rtol=1e-14)
+
+
+class TestTieGroups:
+    def test_runs_and_state_match_rescan(self):
+        # at each yield the state holds exactly the events strictly before
+        # the run's time, decayed to it; the exhausted sweep holds them all
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            log = tied_log(rng)
+            state = DecayState(log.n_users, log.n_products)
+            runs = []
+            for lo, hi in tie_groups(log, state):
+                t = log.times[lo]
+                assert np.all(log.times[lo:hi] == t)
+                assert state.current_time == t
+                expected = np.zeros((log.n_users, log.n_products))
+                mask = log.times < t
+                np.add.at(
+                    expected,
+                    (log.users[mask], log.products[mask]),
+                    np.exp(-(t - log.times[mask])),
+                )
+                np.testing.assert_allclose(state.b, expected, rtol=1e-12, atol=1e-300)
+                runs.append((lo, hi))
+            starts = [i for i in range(len(log)) if i == 0 or log.times[i] != log.times[i - 1]]
+            assert runs == list(zip(starts, starts[1:] + [len(log)]))
+            assert state.b.sum() == pytest.approx(
+                np.exp(-(state.current_time - log.times)).sum(), rel=1e-12
+            )
 
 
 class TestTendency:
@@ -289,6 +319,23 @@ class TestDomainTypes:
                 EventLog([(1.0, 0, 0), (bad, 0, 0)], 5.0, 1, 1)
             with pytest.raises(ValueError, match="finite"):
                 EventLog([(1.0, 0, 0)], bad, 1, 1)
+
+    def test_from_arrays_matches_rows(self):
+        rng = np.random.default_rng(31)
+        log = random_log(rng, max_events=20)
+        times = np.array(log.times)
+        built = EventLog.from_arrays(
+            times, log.users, log.products, log.horizon, log.n_users, log.n_products
+        )
+        assert built == log
+        times[:] = 0.0  # the log keeps its own copy
+        assert built == log
+        with pytest.raises(ValueError, match="sorted"):
+            EventLog.from_arrays([2.0, 1.0], [0, 0], [0, 0], 5.0, 1, 1)
+        with pytest.raises(ValueError, match="equal-length"):
+            EventLog.from_arrays([1.0, 2.0], [0], [0, 0], 5.0, 1, 1)
+        with pytest.raises(ValueError, match="finite"):
+            EventLog.from_arrays([1.0, float("nan")], [0, 0], [0, 0], 5.0, 1, 1)
 
     def test_ids_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from corrcascades.simulate import (
     simulate,
 )
 
-from conftest import random_params
+from conftest import random_params, tied_log
 
 
 def poisson_model(rate=2.0):
@@ -115,6 +115,35 @@ class TestSimulate:
         _, p_value = stats.kstest(gaps, "expon")
         assert p_value > 0.01
 
+    def test_rescaled_gaps_match_compensator_rescan(self):
+        # each gap is the rise of the pooled compensator
+        # Lambda(t) = mu_total * t + sum_{t_j < t} r_{u_j} (1 - exp(-(t - t_j)))
+        # with r_u = sum_v alpha[u, v], rescanned over every earlier event
+        rng = np.random.default_rng(83)
+        checked = 0
+        for _ in range(30):
+            log = tied_log(rng, gaps=(0.0, 0.0, 0.5, 1.0))
+            params = random_params(rng, log.n_users, log.n_products)
+            r = params.alpha.sum(axis=1)
+
+            def comp(t):
+                mask = log.times < t
+                return params.mu.sum() * t + float(
+                    r[log.users[mask]] @ (1.0 - np.exp(-(t - log.times[mask])))
+                )
+
+            rises = np.diff([0.0] + [comp(float(t)) for t in log.times])
+            np.testing.assert_allclose(
+                rescaled_interevent_times(log, params), rises, rtol=1e-10, atol=0.0
+            )
+            checked += int(np.any(np.diff(log.times) == 0))
+        assert checked >= 10
+
+    def test_non_finite_horizon_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(horizon=bad, seed=0)
+
     def test_mark_marginal_single_user(self):
         # constant tendencies: products are iid soft-max draws
         mu = np.array([[0.3, 0.1]])
@@ -186,6 +215,13 @@ class TestRunScenario:
                 shares_pre.append((pre == 1).mean())
                 shares_post.append((post == 1).mean())
         assert np.mean(shares_post) > np.mean(shares_pre) + 0.05
+
+    def test_non_finite_scenario_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                Scenario(switch_time=bad, boosted_product=0)
+            with pytest.raises(ValueError, match="finite"):
+                Scenario(switch_time=1.0, boosted_product=0, boost_factor=bad)
 
     def test_switch_time_validated(self):
         params = self._base(4)

@@ -149,6 +149,8 @@ def _shift_to_window(log: EventLog, t_start: float) -> EventLog:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.bins < 1:
+        raise UsageError("--bins must be a positive integer")
     train = read_event_log(args.train)
     test = read_event_log(args.test)
     params = read_params(args.params)

@@ -287,16 +287,17 @@ def cross_validate_beta(
     if len(grid) == 1:
         return float(grid[0]), [(float(grid[0]), np.nan)]
     t_split = log.horizon * (1.0 - holdout_fraction)
-    head_mask = log.times < t_split
-    n_tail = int(len(log) - head_mask.sum())
-    if head_mask.sum() == 0 or n_tail == 0:
+    n_head = int(np.searchsorted(log.times, t_split, side="left"))
+    n_tail = len(log) - n_head
+    if n_head == 0 or n_tail == 0:
         raise ValueError("degenerate split: empty train head or test tail")
     head = log.before(t_split).with_horizon(t_split)
     scores = []
     best_beta, best_score = None, np.inf
     for beta in grid:
         params, _ = fit_all(head, replace(config, beta=float(beta)))
-        score = window_nll(log, params, t_split, log.horizon) / n_tail
+        # the tail starts at event n_head, so tail events at t_split are scored
+        score = window_nll(log, params, t_split, log.horizon, first_event=n_head) / n_tail
         scores.append((float(beta), float(score)))
         if score < best_score:
             best_beta, best_score = float(beta), float(score)

@@ -271,25 +271,41 @@ def user_nll_gradient(
     return nll_gradient_from_features(features, theta_u.alpha_col, theta_u.mu_row, beta)
 
 
-def window_nll(log: EventLog, params: ModelParams, t_start: float, t_end: float) -> float:
+def window_nll(
+    log: EventLog, params: ModelParams, t_start: float, t_end: float, first_event: int | None = None
+) -> float:
     """NLL of the events in (t_start, t_end] with full preceding history.
 
     Events exactly at t_start belong to the earlier window except at
     t_start = 0, so adjacent windows add up exactly to the whole-log NLL.
+    `first_event` instead scores the events from that index on, for a split
+    that falls inside the events at t_start (a train log and a test log
+    both holding events at the train horizon): the events before it must be
+    at or before t_start and those from it on at or after t_start.
     Supports both mark models.
     """
     if not 0 <= t_start <= t_end <= log.horizon:
         raise ValueError("window must satisfy 0 <= t_start <= t_end <= horizon")
     times, users = log.times, log.users
-    first = 0 if t_start == 0.0 else int(np.searchsorted(times, t_start, side="right"))
     last = int(np.searchsorted(times, t_end, side="right"))
-    # both bounds fall between tie runs, so every run is wholly in or out
+    if first_event is None:
+        first = 0 if t_start == 0.0 else int(np.searchsorted(times, t_start, side="right"))
+    else:
+        first = first_event
+        if not (
+            0 <= first <= last
+            and (first == 0 or times[first - 1] <= t_start)
+            and (first == len(times) or times[first] >= t_start)
+        ):
+            raise ValueError("first_event must split the log at t_start")
+    # last falls between tie runs; first may fall inside the run at t_start
     g = np.empty((last - first, params.n_products))
     state = DecayState(params.n_users, params.n_products)
     for lo, hi in tie_groups(log, state):
         if lo >= last:
             break
-        if lo >= first:
+        if hi > first:
+            lo = max(lo, first)
             us = users[lo:hi]
             g[lo - first : hi - first] = params.mu[us] + params.alpha[:, us].T @ state.b
     event_ll, _ = _event_loglik(g, log.products[first:last], params.mark)

@@ -79,13 +79,18 @@ def param_mae(est: ModelParams, true: ModelParams, floor: float = 1e-6) -> float
 
 
 def avg_pred_loglik(train: EventLog, test: EventLog, params: ModelParams) -> float:
-    """Per-event NLL of the test window conditioned on the train history."""
+    """Per-event NLL of the test events conditioned on the train history.
+
+    Scores exactly the test log's events, those at the train horizon
+    included, and the compensator over [train.horizon, test.horizon].
+    """
     if len(test) == 0:
         raise ValueError("test log must be nonempty")
     if test.times.size and test.times[0] < train.horizon:
         raise ValueError("test events must start at the train horizon")
     combined = concat_logs(train, test)
-    return window_nll(combined, params, train.horizon, test.horizon) / len(test)
+    nll = window_nll(combined, params, train.horizon, test.horizon, first_event=len(train))
+    return nll / len(test)
 
 
 def pearson(a: CurveSeries, b: CurveSeries) -> float:

@@ -3,26 +3,24 @@ event-stream summaries (market share, binned intensity).
 
 The dominating rate is refreshed at every proposal from the current total
 intensity, which is a valid bound because every intensity only decays
-between events under the exponential kernel.
+between events under the exponential kernel.  That total is the baseline
+plus one scalar excitation S, decayed by exp(-delta) and raised by the
+event user's outgoing influence (the recursion of
+`rescaled_interevent_times`), so a rejected proposal costs O(1).  Each
+accepted event costs O(N*M): the per-target excitations it draws the user
+and the product from are decayed once and updated in place.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Event, EventLog
-from .model import (
-    DecayState,
-    MarkModel,
-    ModelParams,
-    branching_column_sums,
-    mark_density_from_tendencies,
-    tie_groups,
-)
+from .data import EventLog
+from .model import MarkModel, ModelParams, branching_column_sums, mark_density_from_tendencies
 
 
 class SubcriticalityWarning(UserWarning):
@@ -80,70 +78,83 @@ def _check_subcritical(params: ModelParams) -> None:
         )
 
 
-def _thinning_schedule(schedule, state: DecayState, rng, events: list, cap: int) -> bool:
-    """Run Ogata thinning over consecutive (end_time, params) segments.
+def _thinning_schedule(schedule, alpha, b, start, rng, events: list, cap: int) -> bool:
+    """Run Ogata thinning over consecutive (end_time, mu, mark) segments.
 
-    An in-flight proposal is carried across a segment boundary whenever the
-    refreshed bound under the new parameters does not exceed the bound it
-    was drawn against; a no-op boundary therefore consumes exactly the same
-    random stream as an unsegmented run.  Returns True if the event cap was
-    exhausted before the final horizon.
+    `b` holds the decayed counts B(start) of the history.  Thinning reads
+    them only through G = alpha^T B (G[u, q] is user u's excitation toward
+    product q), E = G 1 and S = 1^T E, the total excitation.  S is a float
+    kept current at every proposal; G and E are decayed lazily, when an
+    event is accepted.  An in-flight proposal is carried across a segment
+    boundary whenever the bound under the new baselines does not exceed the
+    bound it was drawn against; a no-op boundary therefore consumes exactly
+    the same random stream as an unsegmented run.  Returns True if the
+    event cap was exhausted before the final horizon.
     """
-    pending_time = None
-    pending_bound = None
-    for seg_end, params in schedule:
-        mu_user = params.mu.sum(axis=1)
+    row_sums = alpha.sum(axis=1)
+    jumps = row_sums.tolist()  # S rises by sum_v alpha[u, v] at an event of u
+    excite = float(row_sums @ b.sum(axis=1))
+    # rows 0..M-1 hold G^T, row M holds E, so one product decays both
+    ge = np.empty((b.shape[1] + 1, b.shape[0]))
+    ge[:-1] = b.T @ alpha
+    ge[-1] = ge[:-1].sum(axis=0)
+    g, e = ge[:-1], ge[-1]
+    last_user = b.shape[0] - 1
+    uniform = rng.random  # the same doubles as rng.uniform(), drawn faster
+    s = g_time = start
+    pending = None
+    for seg_end, mu, mark in schedule:
+        mu_user = mu.sum(axis=1)
         mu_total = float(mu_user.sum())
-        row_sums = params.alpha.sum(axis=1)
-        if pending_time is not None:
-            bound_here = mu_total + float(row_sums @ state.b_total)
-            if bound_here <= pending_bound:
-                pass  # carried proposal still dominated; keep it
-            else:
-                pending_time = None
+        last_product = mu.shape[1] - 1
+        if pending is not None and mu_total + excite > pending[1]:
+            pending = None
         while True:
-            s = state.current_time
-            if pending_time is None:
-                lam_bar = mu_total + float(row_sums @ state.b_total)
+            if pending is None:
+                lam_bar = mu_total + excite
                 if lam_bar <= 0.0:
-                    state.advance(seg_end)
+                    s = seg_end
                     break
                 t_prop = s + rng.exponential(1.0 / lam_bar)
             else:
-                t_prop, lam_bar = pending_time, pending_bound
-                pending_time = None
+                t_prop, lam_bar = pending
+                pending = None
             if t_prop >= seg_end:
-                state.advance(seg_end)
-                pending_time, pending_bound = t_prop, lam_bar
+                excite *= math.exp(-(seg_end - s))
+                s = seg_end
+                pending = (t_prop, lam_bar)
                 break
-            decay = math.exp(-(t_prop - s))
-            lam_total = mu_total + decay * float(row_sums @ state.b_total)
-            if rng.uniform() * lam_bar <= lam_total:
-                state.advance(t_prop)
-                lam_users = mu_user + params.alpha.T @ state.b_total
-                cum = np.cumsum(lam_users)
-                u = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
-                u = min(u, len(lam_users) - 1)
-                g = params.mu[u] + params.alpha[:, u] @ state.b
-                density = mark_density_from_tendencies(g, params.mark)
-                p = int(np.searchsorted(np.cumsum(density), rng.uniform(), side="right"))
-                p = min(p, params.n_products - 1)
-                state.b[u, p] += 1.0
-                events.append((t_prop, u, p))
+            excite *= math.exp(-(t_prop - s))
+            s = t_prop
+            if uniform() * lam_bar <= mu_total + excite:
+                ge *= math.exp(-(s - g_time))
+                g_time = s
+                cum = (mu_user + e).cumsum()
+                u = min(int(cum.searchsorted(uniform() * cum[-1], side="right")), last_user)
+                density = mark_density_from_tendencies(mu[u] + g[:, u], mark)
+                p = min(int(density.cumsum().searchsorted(uniform(), side="right")), last_product)
+                g[p] += alpha[u]
+                e += alpha[u]
+                excite += jumps[u]
+                events.append((s, u, p))
                 if len(events) >= cap:
                     return True
-            else:
-                state.advance(t_prop)
     return False
 
 
-def _initial_state(params: ModelParams, history: EventLog | None) -> DecayState:
-    """Decay state at the end of `history` (time 0 without one)."""
-    state = DecayState(params.n_users, params.n_products)
-    if history is not None:
-        for _ in tie_groups(history, state):
-            pass
-    return state
+def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.ndarray, float]:
+    """Decayed counts B at the end of `history`, and that time (0 without one).
+
+    B[j, q] = sum over history events (t_i, j, q) of exp(-(t_last - t_i)),
+    one weighted count per (user, product) cell.
+    """
+    n, m = params.n_users, params.n_products
+    if history is None or len(history) == 0:
+        return np.zeros((n, m)), 0.0
+    t_last = float(history.times[-1])
+    weights = np.exp(-(t_last - history.times))
+    b = np.bincount(history.users * m + history.products, weights=weights, minlength=n * m)
+    return b.reshape(n, m), t_last
 
 
 def simulate(params: ModelParams, config: SimConfig) -> EventLog:
@@ -154,11 +165,12 @@ def simulate(params: ModelParams, config: SimConfig) -> EventLog:
     history time.
     """
     _check_subcritical(params)
-    state = _initial_state(params, config.initial_history)
+    b, start = _initial_state(params, config.initial_history)
     rng = np.random.default_rng(config.seed)
     events: list = []
     exhausted = _thinning_schedule(
-        [(config.horizon, params)], state, rng, events, config.max_events
+        [(config.horizon, params.mu, params.mark)],
+        params.alpha, b, start, rng, events, config.max_events,
     )
     if exhausted:
         warnings.warn(
@@ -181,21 +193,16 @@ def run_scenario(params: ModelParams, scenario: Scenario, config: SimConfig) -> 
         raise IndexError("boosted product out of range")
     pre_mark = scenario.pre_switch_mark if scenario.pre_switch_mark is not None else params.mark
     post_mark = scenario.post_switch_mark if scenario.post_switch_mark is not None else params.mark
-    pre_params = ModelParams(params.mu, params.alpha, pre_mark)
     boosted_mu = params.mu.copy()
     boosted_mu[:, scenario.boosted_product] *= scenario.boost_factor
-    post_params = ModelParams(boosted_mu, params.alpha, post_mark)
-    _check_subcritical(post_params)
+    _check_subcritical(params)
 
-    state = _initial_state(params, config.initial_history)
+    b, start = _initial_state(params, config.initial_history)
     rng = np.random.default_rng(config.seed)
     events: list = []
     exhausted = _thinning_schedule(
-        [(scenario.switch_time, pre_params), (config.horizon, post_params)],
-        state,
-        rng,
-        events,
-        config.max_events,
+        [(scenario.switch_time, params.mu, pre_mark), (config.horizon, boosted_mu, post_mark)],
+        params.alpha, b, start, rng, events, config.max_events,
     )
     n_pre = sum(1 for t, _, _ in events if t < scenario.switch_time)
     log = EventLog(events, config.horizon, params.n_users, params.n_products)

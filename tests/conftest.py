@@ -102,3 +102,63 @@ def brute_total_nll(log, params, use_quad=True):
                 (params.alpha[log.users[mask], u] * (1 - np.exp(-(log.horizon - log.times[mask])))).sum()
             )
     return comp - event_ll
+
+
+def brute_simulate(segments, seed, history=None, max_events=10**9):
+    """Ogata thinning over consecutive (end_time, params) segments, rescanning
+    the raw event history at every proposal.
+
+    Generation starts at the last history time (0 without history).  The
+    bound is the total intensity just after the current time, events at it
+    included; the accept test, user draw and mark draw use `brute_intensity`
+    and `brute_mark_density`.  The rng is drawn in the simulator's order
+    (exponential, accept, user, mark), and a proposal that overshoots a
+    segment is carried into the next one when the next segment's bound does
+    not exceed the bound it was drawn against.  Returns (events, exhausted,
+    n_carried).
+    """
+    first = segments[0][1]
+    n, m = first.n_users, first.n_products
+    past = list(zip(history.times, history.users, history.products)) if history is not None else []
+    frame = max(segments[-1][0], history.horizon if history is not None else 0.0)
+    s = float(past[-1][0]) if past else 0.0
+    rng = np.random.default_rng(seed)
+    events, n_carried, pending = [], 0, None
+
+    def bound(log, params, t):
+        mask = log.times <= t
+        jumps = params.alpha.sum(axis=1)[log.users[mask]]
+        return float(params.mu.sum() + (jumps * np.exp(-(t - log.times[mask]))).sum())
+
+    for seg_end, params in segments:
+        log = EventLog(past + events, frame, n, m)
+        if pending is not None:
+            if bound(log, params, s) <= pending[1]:
+                n_carried += 1
+            else:
+                pending = None
+        while True:
+            if pending is None:
+                lam_bar = bound(log, params, s)
+                if lam_bar <= 0.0:
+                    s = seg_end
+                    break
+                t_prop = s + rng.exponential(1.0 / lam_bar)
+            else:
+                t_prop, lam_bar = pending
+                pending = None
+            if t_prop >= seg_end:
+                s, pending = seg_end, (t_prop, lam_bar)
+                break
+            s = t_prop
+            lam = np.array([brute_intensity(log, params, u, s) for u in range(n)])
+            if rng.uniform() * lam_bar <= lam.sum():
+                cum = np.cumsum(lam)
+                u = min(int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right")), n - 1)
+                f = brute_mark_density(log, params, u, s)
+                p = min(int(np.searchsorted(np.cumsum(f), rng.uniform(), side="right")), m - 1)
+                events.append((s, u, p))
+                if len(events) >= max_events:
+                    return events, True, n_carried
+                log = EventLog(past + events, frame, n, m)
+    return events, False, n_carried

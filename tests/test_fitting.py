@@ -8,7 +8,7 @@ from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_us
 from corrcascades.model import SoftMaxMark
 from corrcascades.simulate import SimConfig, simulate
 
-from conftest import random_log, random_params
+from conftest import brute_total_nll, random_log, random_params
 
 # an overflow or a division by zero inside the solver fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -181,6 +181,27 @@ class TestCrossValidateBeta:
         log = EventLog([(1.0, 0, 0)], 2.0, 1, 1)
         with pytest.raises(ValueError):
             cross_validate_beta(log, [1.0, 2.0], 0.0)
+
+    def test_tail_events_at_split_scored(self):
+        # t_split = 5 falls on a run of tied events: they are tail events,
+        # counted in the per-event mean and scored in the tail window
+        rng = np.random.default_rng(31)
+        params = random_params(rng, 2, 2, mu_high=0.6, alpha_high=0.3)
+        sim = simulate(params, SimConfig(horizon=10.0, seed=3))
+        rows = sorted(list(zip(sim.times.tolist(), sim.users.tolist(), sim.products.tolist()))
+                      + [(5.0, 0, 1), (5.0, 1, 0)])
+        log = EventLog(rows, 10.0, 2, 2)
+        config = FitConfig(n_workers=1)
+        _, scores = cross_validate_beta(log, [0.5, 2.0], 0.5, config)
+        head = log.before(5.0).with_horizon(5.0)
+        n_tail = int((log.times >= 5.0).sum())
+        assert np.all(np.bincount(head.users, minlength=2) > 0)
+        for beta, score in scores:
+            fitted, _ = fit_all(head, FitConfig(beta=beta, n_workers=1))
+            tail_nll = brute_total_nll(log, fitted, use_quad=False) - brute_total_nll(
+                head, fitted, use_quad=False
+            )
+            assert score == pytest.approx(tail_nll / n_tail, rel=1e-9)
 
     @staticmethod
     def _cv_picks(gen_beta, trials=5):

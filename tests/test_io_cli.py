@@ -305,6 +305,20 @@ class TestCliEvaluate:
         assert any(l.startswith("avg_pred_loglik,all,") for l in lines)
         assert any(l.startswith("pearson,all,") for l in lines)
 
+    def test_nonpositive_bins_is_usage_error(self, tmp_path, capsys):
+        # rejected before any file is read: none of these paths exists
+        for bins in ("0", "-3"):
+            code = main(
+                [
+                    "evaluate", "--train", str(tmp_path / "train.csv"),
+                    "--test", str(tmp_path / "test.csv"), "--params", str(tmp_path / "p.json"),
+                    "--bins", bins, "--out", str(tmp_path / "metrics.csv"),
+                ]
+            )
+            assert code == EXIT_USAGE
+            assert "--bins" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_zero_model_is_numerical_failure(self, tmp_path):
         params, _ = _write_model(tmp_path, seed=31)
         train_path, test_path = self._train_test_files(tmp_path, params)

@@ -309,6 +309,15 @@ class TestWindowNll:
         with pytest.raises(InfeasibleLikelihoodError):
             window_nll(log, params, 0.0, 2.0)
 
+    def test_first_event_must_split_at_t_start(self):
+        log = EventLog([(1.0, 0, 0), (2.0, 0, 0), (2.0, 0, 0), (3.0, 0, 0)], 4.0, 1, 1)
+        params = ModelParams(np.array([[0.5]]), np.array([[0.3]]), SoftMaxMark(1.0))
+        # the default starts after the run at t_start
+        assert window_nll(log, params, 2.0, 4.0) == window_nll(log, params, 2.0, 4.0, first_event=3)
+        for first in (0, 4, 5):
+            with pytest.raises(ValueError, match="first_event"):
+                window_nll(log, params, 2.0, 4.0, first_event=first)
+
     def test_bad_window_rejected(self):
         log = EventLog([], 2.0, 1, 1)
         params = ModelParams(np.array([[0.5]]), np.zeros((1, 1)), SoftMaxMark(1.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrcascades import EventLog, ModelParams, SoftMaxMark, window_nll
+from corrcascades.data import concat_logs
 from corrcascades.metrics import (
     CurveSeries,
     avg_pred_loglik,
@@ -15,7 +16,7 @@ from corrcascades.metrics import (
 )
 from corrcascades.simulate import SimConfig, simulate
 
-from conftest import random_params
+from conftest import brute_total_nll, random_params, tied_log
 
 
 def single_entry_params(alpha_val, mu_val):
@@ -72,6 +73,59 @@ class TestAvgPredLoglik:
         )
         expected = window_nll(log, params, split, 40.0) / len(test)
         assert avg_pred_loglik(train, test, params) == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def _brute_score(train, test, params):
+        combined = concat_logs(train, test)
+        nll = brute_total_nll(combined, params, use_quad=False)
+        return (nll - brute_total_nll(train, params, use_quad=False)) / len(test)
+
+    def test_event_at_train_horizon_scored(self):
+        params = ModelParams(
+            np.array([[0.3, 0.1], [0.2, 0.4]]), np.array([[0.2, 0.5], [0.1, 0.3]]), SoftMaxMark(1.0)
+        )
+        train = EventLog([(0.5, 0, 0), (1.2, 1, 1)], 2.0, 2, 2)
+        at = EventLog([(2.0, 1, 0), (2.7, 0, 1)], 4.0, 2, 2)
+        later = EventLog([(2.0 + 1e-9, 1, 0), (2.7, 0, 1)], 4.0, 2, 2)
+        score = avg_pred_loglik(train, at, params)
+        assert score == pytest.approx(self._brute_score(train, at, params), rel=1e-9)
+        # the score is continuous as the event moves off the boundary
+        assert score == pytest.approx(avg_pred_loglik(train, later, params), rel=1e-7)
+
+    def test_train_horizon_zero(self):
+        # the train's time-0 events are history, not test events
+        params = ModelParams(np.array([[0.3, 0.1], [0.2, 0.4]]), np.full((2, 2), 0.2), SoftMaxMark(2.0))
+        train = EventLog([(0.0, 0, 0), (0.0, 1, 1)], 0.0, 2, 2)
+        test = EventLog([(0.0, 1, 0), (0.4, 0, 0), (1.5, 1, 1)], 3.0, 2, 2)
+        score = avg_pred_loglik(train, test, params)
+        assert score == pytest.approx(self._brute_score(train, test, params), rel=1e-9)
+
+    def test_split_inside_tied_run_matches_rescan(self):
+        # split every tied log between two events that share a time, and
+        # at time 0: the scores add the test events and nothing else
+        rng = np.random.default_rng(113)
+        checked = at_zero = 0
+        for _ in range(150):
+            log = tied_log(rng, gaps=(0.0, 0.0, 0.5, 1.0))
+            ties = np.flatnonzero(np.diff(log.times) == 0) + 1
+            if ties.size == 0:
+                continue
+            beta = float(rng.uniform(0.3, 3.0)) if rng.uniform() < 0.5 else None
+            params = random_params(rng, log.n_users, log.n_products, beta=beta)
+            k = int(rng.choice(ties))
+            t = float(log.times[k])
+            keep = slice(0, k), slice(k, len(log))
+            train, test = (
+                EventLog.from_arrays(
+                    log.times[w], log.users[w], log.products[w], h, log.n_users, log.n_products
+                )
+                for w, h in zip(keep, (t, log.horizon))
+            )
+            score = avg_pred_loglik(train, test, params)
+            assert score == pytest.approx(self._brute_score(train, test, params), rel=1e-9)
+            checked += 1
+            at_zero += t == 0.0
+        assert checked >= 50 and at_zero >= 5
 
     def test_empty_test_rejected(self):
         train = EventLog([(1.0, 0, 0)], 2.0, 1, 1)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
+from corrcascades import DecayState, EventLog, LinearMark, ModelParams, SoftMaxMark
+from corrcascades.model import tie_groups
 from corrcascades.simulate import (
     Scenario,
     SimConfig,
     SubcriticalityWarning,
+    _initial_state,
     binned_intensity,
     market_share,
     rescaled_interevent_times,
@@ -16,7 +18,9 @@ from corrcascades.simulate import (
     simulate,
 )
 
-from conftest import random_params, tied_log
+from conftest import brute_simulate, random_params, tied_log
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def poisson_model(rate=2.0):
@@ -236,6 +240,113 @@ class TestRunScenario:
             run_scenario(
                 params, Scenario(switch_time=10.0, boosted_product=7), SimConfig(50.0, 0)
             )
+
+
+def oracle_case(rng, with_history):
+    """A random soft-max or linear-mark model, optionally with a tied history
+    whose gaps of 800 decay every earlier count to exactly 0."""
+    history = tied_log(rng) if with_history else None
+    n = history.n_users if with_history else int(rng.integers(1, 5))
+    m = history.n_products if with_history else int(rng.integers(1, 4))
+    beta = float(rng.choice([0.5, 2.0, 8.0])) if rng.uniform() < 0.7 else None
+    params = random_params(rng, n, m, beta=beta, mu_high=0.5, alpha_high=0.25)
+    start = float(history.times[-1]) if with_history and len(history) else 0.0
+    return params, history, start
+
+
+def assert_same_events(log, events):
+    """Users and products exactly, times to rel 1e-12."""
+    assert len(log) == len(events)
+    if events:
+        times, users, products = (np.array(c) for c in zip(*events))
+        np.testing.assert_array_equal(log.users, users)
+        np.testing.assert_array_equal(log.products, products)
+        np.testing.assert_allclose(log.times, times, rtol=1e-12, atol=0.0)
+
+
+class TestThinningOracle:
+    """`simulate` and `run_scenario` against thinning by full history rescans."""
+
+    def test_simulate_matches_rescan(self):
+        rng = np.random.default_rng(101)
+        total = 0
+        for case in range(24):
+            params, history, start = oracle_case(rng, with_history=case % 2 == 1)
+            horizon = start + float(rng.uniform(5.0, 15.0))
+            config = SimConfig(horizon=horizon, seed=case, initial_history=history)
+            events, exhausted, _ = brute_simulate([(horizon, params)], case, history)
+            assert not exhausted
+            assert_same_events(simulate(params, config), events)
+            total += len(events)
+        assert total > 200
+
+    def test_run_scenario_matches_rescan(self):
+        rng = np.random.default_rng(103)
+        carried = 0
+        cases = 24
+        for case in range(cases):
+            params, history, start = oracle_case(rng, with_history=case % 2 == 1)
+            switch = start + float(rng.uniform(2.0, 8.0))
+            horizon = switch + float(rng.uniform(2.0, 8.0))
+            boost = float(rng.choice([0.5, 1.0, 3.0]))
+            post_mark = [SoftMaxMark(0.3), SoftMaxMark(4.0), LinearMark()][case % 3]
+            boosted_mu = params.mu.copy()
+            boosted_mu[:, case % params.n_products] *= boost
+            segments = [
+                (switch, params),
+                (horizon, ModelParams(boosted_mu, params.alpha, post_mark)),
+            ]
+            scenario = Scenario(
+                switch_time=switch,
+                boosted_product=case % params.n_products,
+                boost_factor=boost,
+                post_switch_mark=post_mark,
+            )
+            config = SimConfig(horizon=horizon, seed=case, initial_history=history)
+            events, _, n_carried = brute_simulate(segments, case, history)
+            result = run_scenario(params, scenario, config)
+            assert_same_events(result.log, events)
+            assert result.n_pre_switch_events == sum(t < switch for t, _, _ in events)
+            carried += n_carried
+        # both branches at the switch: proposals kept and proposals redrawn
+        assert 0 < carried < cases
+
+    def test_event_cap_matches_rescan(self):
+        rng = np.random.default_rng(107)
+        for case in range(6):
+            params, history, start = oracle_case(rng, with_history=case % 2 == 1)
+            horizon = start + 2000.0
+            cap = int(rng.integers(1, 40))
+            events, exhausted, _ = brute_simulate([(horizon, params)], case, history, cap)
+            assert exhausted and len(events) == cap
+            config = SimConfig(horizon=horizon, seed=case, initial_history=history, max_events=cap)
+            with pytest.warns(RuntimeWarning, match="cap"):
+                assert_same_events(simulate(params, config), events)
+            switch = start + 1.0
+            segments = [(switch, params), (horizon, params)]
+            events, exhausted, _ = brute_simulate(segments, case, history, cap)
+            result = run_scenario(
+                params, Scenario(switch_time=switch, boosted_product=0, boost_factor=1.0), config
+            )
+            assert result.cap_exhausted and exhausted
+            assert_same_events(result.log, events)
+
+    def test_initial_state_matches_tie_sweep(self):
+        rng = np.random.default_rng(109)
+        zeroed = 0
+        for _ in range(200):
+            log = tied_log(rng)
+            params = random_params(rng, log.n_users, log.n_products)
+            state = DecayState(log.n_users, log.n_products)
+            for _ in tie_groups(log, state):
+                pass
+            b, start = _initial_state(params, log)
+            assert start == state.current_time
+            np.testing.assert_allclose(b, state.b, rtol=1e-12, atol=0.0)
+            zeroed += int(np.any((log.times < start - 700.0)))
+        assert zeroed >= 20
+        b, start = _initial_state(params, None)
+        assert start == 0.0 and not b.any()
 
 
 class TestMarketShare:

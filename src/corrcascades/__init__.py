@@ -2,15 +2,13 @@
 cascades: simulation by thinning, per-user convex MLE by projected Newton on
 theta >= 0 with the exact Hessian, and evaluation metrics."""
 
-from .data import Event, EventLog, concat_logs
+from .data import EventLog, concat_logs
 from .fitting import FitConfig, FitReport, UserFitEntry, cross_validate_beta, fit_all, fit_user
 from .likelihood import (
     EventFeatures,
     InfeasibleLikelihoodError,
     UserParams,
     build_all_features,
-    build_features,
-    log_sum_exp,
     total_nll,
     user_nll,
     user_nll_gradient,
@@ -19,7 +17,6 @@ from .likelihood import (
 from .metrics import (
     CurveScoreRow,
     CurveSeries,
-    MetricsReport,
     avg_pred_loglik,
     compare_models,
     inv_l1,
@@ -28,19 +25,11 @@ from .metrics import (
     pearson,
 )
 from .model import (
-    DecayState,
     LinearMark,
     ModelParams,
     SoftMaxMark,
     UndefinedMarkError,
-    compensator,
-    decay_state_advance_and_absorb,
-    decay_state_init,
-    mark_density,
     mark_density_from_tendencies,
-    tendency,
-    tendency_vector,
-    total_intensity,
 )
 from .replicate import (
     IncentivizationResult,

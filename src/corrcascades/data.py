@@ -1,40 +1,30 @@
-"""Event records and sorted adoption logs."""
+"""Sorted adoption logs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Event:
-    """A single adoption: user picked product at time."""
-
-    time: float
-    user: int
-    product: int
 
 
 class EventLog:
     """Time-sorted sequence of adoption events over a finite horizon.
 
-    Stores the events as parallel numpy arrays (times, users, products) for
-    fast vectorized scans.  Immutable after construction; restriction views
-    return new logs that preserve the original order.
+    Stores the events, (time, user, product) rows, as parallel numpy arrays
+    for fast vectorized scans.  Immutable after construction; `before` and
+    `with_horizon` return new logs that preserve the original order.
     """
 
     __slots__ = ("times", "users", "products", "horizon", "n_users", "n_products")
 
     def __init__(
         self,
-        events: Iterable[Event] | Iterable[tuple],
+        events: Iterable[tuple],
         horizon: float,
         n_users: int,
         n_products: int,
     ):
-        rows = [(e.time, e.user, e.product) if isinstance(e, Event) else tuple(e) for e in events]
+        rows = list(events)
         times, users, products = zip(*rows) if rows else ((), (), ())
         self._assign(times, users, products, horizon, n_users, n_products)
 
@@ -84,10 +74,6 @@ class EventLog:
     def __len__(self) -> int:
         return self.times.size
 
-    def __iter__(self) -> Iterator[Event]:
-        for t, u, p in zip(self.times, self.users, self.products):
-            yield Event(float(t), int(u), int(p))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
@@ -100,22 +86,12 @@ class EventLog:
             and np.array_equal(self.products, other.products)
         )
 
-    def _mask(self, mask: np.ndarray) -> "EventLog":
+    def before(self, s: float) -> "EventLog":
+        """D(s): events strictly before time s (left-limit convention)."""
+        mask = self.times < s
         return EventLog.from_arrays(
             self.times[mask], self.users[mask], self.products[mask], self.horizon, self.n_users, self.n_products
         )
-
-    def restrict_user(self, user: int) -> "EventLog":
-        """D_u: the events of one user, order preserved."""
-        return self._mask(self.users == user)
-
-    def restrict_product(self, product: int) -> "EventLog":
-        """D^q: the events carrying one product, order preserved."""
-        return self._mask(self.products == product)
-
-    def before(self, s: float) -> "EventLog":
-        """D(s): events strictly before time s (left-limit convention)."""
-        return self._mask(self.times < s)
 
     def with_horizon(self, horizon: float) -> "EventLog":
         """Same events re-wrapped with a different horizon."""

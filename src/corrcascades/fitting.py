@@ -27,8 +27,8 @@ from .likelihood import (
     _gradient_from_eval,
     _hessian_from_eval,
     build_all_features,
-    nll_from_features,
-    nll_gradient_from_features,
+    user_nll,
+    user_nll_gradient,
     window_nll,
 )
 from .model import ModelParams, SoftMaxMark
@@ -78,14 +78,6 @@ class UserFitEntry:
 @dataclass
 class FitReport:
     entries: list[UserFitEntry] = field(default_factory=list)
-
-    @property
-    def total_inner_iterations(self) -> int:
-        return sum(e.inner_iterations for e in self.entries)
-
-    @property
-    def total_wall_time(self) -> float:
-        return sum(e.wall_time for e in self.entries)
 
     @property
     def all_converged(self) -> bool:
@@ -177,19 +169,14 @@ def _projected_newton(features, theta, live, config):
     return theta, iterations, evals
 
 
-def fit_user(
-    log: EventLog,
-    user: int,
-    config: FitConfig,
-    features: EventFeatures | None = None,
-) -> tuple[UserParams, UserFitEntry]:
-    """Projected-Newton MLE of one user's packed parameters over theta >= 0.
+def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[UserParams, UserFitEntry]:
+    """Projected-Newton MLE of one user's parameters over theta >= 0.
 
-    Raises ValueError when the user has events but the horizon is 0: with no
-    compensator the NLL is unbounded below and has no minimizer.
+    `features` are the user's (see `build_all_features`) and `user` labels
+    the report entry.  Raises ValueError when the user has events but the
+    horizon is 0: with no compensator the NLL is unbounded below and has no
+    minimizer.
     """
-    if features is None:
-        features = build_all_features(log)[user]
     if features.horizon == 0 and features.n_events:
         raise ValueError("a log with events at horizon 0 has no maximum-likelihood estimate")
     start = time.perf_counter()
@@ -209,10 +196,10 @@ def fit_user(
     theta, iterations, evals = _projected_newton(features, theta, live, config)
 
     params = UserParams(theta[:n], theta[n:])
-    nll = nll_from_features(features, params.alpha_col, params.mu_row, config.beta)
+    nll = user_nll(features, params, config.beta)
     # KKT certificate: at coordinates pinned to the constraint floor only an
     # outward (negative) NLL gradient counts as unfinished business
-    grad = nll_gradient_from_features(features, params.alpha_col, params.mu_row, config.beta)
+    grad = user_nll_gradient(features, params, config.beta)
     pinned = theta <= 1e-6
     grad[pinned] = np.minimum(grad[pinned], 0.0)
     proj_norm = float(np.linalg.norm(grad))
@@ -229,11 +216,6 @@ def fit_user(
     return params, entry
 
 
-def _fit_user_task(args):
-    features, user, config = args
-    return user, fit_user(None, user, config, features=features)
-
-
 def default_worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw:
@@ -245,20 +227,16 @@ def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
     """Fit every user; parallel execution matches sequential bit for bit."""
     features = build_all_features(log)
     n, m = log.n_users, log.n_products
+    tasks = ([features[u] for u in range(n)], range(n), [config] * n)
+    if config.n_workers > 1:
+        with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
+            results = list(pool.map(fit_user, *tasks))
+    else:
+        results = list(map(fit_user, *tasks))
     mu = np.zeros((n, m))
     alpha = np.zeros((n, n))
     report = FitReport()
-    results: dict[int, tuple[UserParams, UserFitEntry]] = {}
-    if config.n_workers > 1:
-        tasks = [(features[u], u, config) for u in range(n)]
-        with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
-            for user, res in pool.map(_fit_user_task, tasks):
-                results[user] = res
-    else:
-        for u in range(n):
-            results[u] = fit_user(log, u, config, features=features[u])
-    for u in range(n):
-        params_u, entry = results[u]
+    for u, (params_u, entry) in enumerate(results):
         alpha[:, u] = params_u.alpha_col
         mu[u] = params_u.mu_row
         report.entries.append(entry)

@@ -84,7 +84,9 @@ def _mark_to_dict(mark: MarkModel) -> dict:
     return {"type": "linear"}
 
 
-def _mark_from_dict(doc: dict) -> MarkModel:
+def _mark_from_dict(doc) -> MarkModel:
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"mark_model must be a JSON object, not {doc!r}")
     kind = doc.get("type")
     if kind == "softmax":
         return SoftMaxMark(beta=float(doc["beta"]))
@@ -110,6 +112,8 @@ def read_params(path) -> ModelParams:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: expected a JSON object at the top level")
     try:
         n = int(doc["n_users"])
         m = int(doc["n_products"])
@@ -117,7 +121,7 @@ def read_params(path) -> ModelParams:
         alpha = np.asarray(doc["alpha"], dtype=float).reshape(n, n)
         mark = _mark_from_dict(doc["mark_model"])
         return ModelParams(mu, alpha, mark)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 
 

@@ -7,9 +7,11 @@ resulting event-by-product tendency matrix for both mark models, for a
 time window (`window_nll`) and for one user's cached features alike.
 
 The likelihood of a log factorizes over users, so fitting works on one
-user's packed parameter vector [alpha_col | mu_row] at a time.  Per-user
-evaluations run off cached decayed-count features so solver iterations never
-rescan the event history.
+user's parameters at a time, packed as [alpha_col | mu_row].  Per-user
+evaluations (`user_nll`, `user_nll_gradient`) run off that user's
+decayed-count features, built for every user in one sweep
+(`build_all_features`), so solver iterations never rescan the event
+history.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EventLog
-from .model import DecayState, MarkModel, ModelParams, SoftMaxMark, tie_groups
+from .model import MarkModel, ModelParams, SoftMaxMark, check_dimensions, tie_groups
 
 
 class InfeasibleLikelihoodError(ValueError):
@@ -43,16 +45,6 @@ class UserParams:
             raise ValueError("parameters must be nonnegative")
         object.__setattr__(self, "alpha_col", a)
         object.__setattr__(self, "mu_row", m)
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.alpha_col, self.mu_row])
-
-    @staticmethod
-    def unpack(vec: np.ndarray, n_users: int, n_products: int) -> "UserParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (n_users + n_products,):
-            raise ValueError("packed vector has wrong length")
-        return UserParams(vec[:n_users], vec[n_users:])
 
 
 class EventFeatures:
@@ -106,11 +98,10 @@ def build_all_features(log: EventLog) -> dict[int, EventFeatures]:
     users = log.users.tolist()
     snapshots = [np.empty((n, k, m)) for k in np.bincount(log.users, minlength=n).tolist()]
     filled = [0] * n
-    state = DecayState(n, m)
-    for lo, hi in tie_groups(log, state):
+    for lo, hi, b in tie_groups(log):
         for i in range(lo, hi):
             u = users[i]
-            snapshots[u][:, filled[u], :] = state.b
+            snapshots[u][:, filled[u], :] = b
             filled[u] += 1
     excite = np.zeros(n)
     past = log.times < log.horizon
@@ -119,20 +110,6 @@ def build_all_features(log: EventLog) -> dict[int, EventFeatures]:
         u: EventFeatures(snapshots[u], log.products[log.users == u], excite, log.horizon)
         for u in range(n)
     }
-
-
-def build_features(log: EventLog, user: int) -> EventFeatures:
-    """EventFeatures for a single user."""
-    return build_all_features(log)[user]
-
-
-def log_sum_exp(values) -> float:
-    """Overflow-safe log of the sum of exponentials of a nonempty vector."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("log_sum_exp of an empty vector")
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
 
 
 def _tendency_matrix(features: EventFeatures, alpha_col: np.ndarray, mu_row: np.ndarray) -> np.ndarray:
@@ -230,45 +207,15 @@ def _hessian_from_eval(features, beta, g, lam):
     return x @ x.T
 
 
-def nll_from_features(
-    features: EventFeatures, alpha_col: np.ndarray, mu_row: np.ndarray, beta: float
-) -> float:
-    """Negative per-user log-likelihood from cached features."""
-    return _eval_features(features, alpha_col, mu_row, beta)[0]
-
-
-def nll_gradient_from_features(
-    features: EventFeatures, alpha_col: np.ndarray, mu_row: np.ndarray, beta: float
-) -> np.ndarray:
-    """Gradient of the per-user NLL in the packed [alpha_col | mu_row] layout."""
-    _, g, lam = _eval_features(features, alpha_col, mu_row, beta)
-    return _gradient_from_eval(features, beta, g, lam)
-
-
-def user_nll(
-    log: EventLog,
-    user: int,
-    theta_u: UserParams,
-    beta: float,
-    features: EventFeatures | None = None,
-) -> float:
+def user_nll(features: EventFeatures, theta_u: UserParams, beta: float) -> float:
     """Negative log-likelihood of one user's events under soft-max marks."""
-    if features is None:
-        features = build_features(log, user)
-    return nll_from_features(features, theta_u.alpha_col, theta_u.mu_row, beta)
+    return _eval_features(features, theta_u.alpha_col, theta_u.mu_row, beta)[0]
 
 
-def user_nll_gradient(
-    log: EventLog,
-    user: int,
-    theta_u: UserParams,
-    beta: float,
-    features: EventFeatures | None = None,
-) -> np.ndarray:
-    """Analytic gradient of `user_nll` in the packed layout."""
-    if features is None:
-        features = build_features(log, user)
-    return nll_gradient_from_features(features, theta_u.alpha_col, theta_u.mu_row, beta)
+def user_nll_gradient(features: EventFeatures, theta_u: UserParams, beta: float) -> np.ndarray:
+    """Analytic gradient of `user_nll` in the packed [alpha_col | mu_row] layout."""
+    _, g, lam = _eval_features(features, theta_u.alpha_col, theta_u.mu_row, beta)
+    return _gradient_from_eval(features, beta, g, lam)
 
 
 def window_nll(
@@ -282,8 +229,10 @@ def window_nll(
     that falls inside the events at t_start (a train log and a test log
     both holding events at the train horizon): the events before it must be
     at or before t_start and those from it on at or after t_start.
-    Supports both mark models.
+    Supports both mark models.  Raises ValueError unless the log has the
+    parameters' users and products.
     """
+    check_dimensions(log, params)
     if not 0 <= t_start <= t_end <= log.horizon:
         raise ValueError("window must satisfy 0 <= t_start <= t_end <= horizon")
     times, users = log.times, log.users
@@ -300,14 +249,13 @@ def window_nll(
             raise ValueError("first_event must split the log at t_start")
     # last falls between tie runs; first may fall inside the run at t_start
     g = np.empty((last - first, params.n_products))
-    state = DecayState(params.n_users, params.n_products)
-    for lo, hi in tie_groups(log, state):
+    for lo, hi, b in tie_groups(log):
         if lo >= last:
             break
         if hi > first:
             lo = max(lo, first)
             us = users[lo:hi]
-            g[lo - first : hi - first] = params.mu[us] + params.alpha[:, us].T @ state.b
+            g[lo - first : hi - first] = params.mu[us] + params.alpha[:, us].T @ b
     event_ll, _ = _event_loglik(g, log.products[first:last], params.mark)
     # compensator over [t_start, t_end], summed over all users
     comp = (t_end - t_start) * params.mu_user.sum()

@@ -4,7 +4,7 @@ likelihood, and curve-agreement scores between event streams."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +42,6 @@ class CurveScoreRow:
     inv_l1: float
     n_events_real: int
     n_events_generated: int
-
-
-@dataclass
-class MetricsReport:
-    mse: float | None = None
-    mae: float | None = None
-    avg_pred_loglik: float | None = None
-    curve_rows: list[CurveScoreRow] = field(default_factory=list)
 
 
 def _check_shapes(est: ModelParams, true: ModelParams) -> None:

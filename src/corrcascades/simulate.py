@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EventLog
-from .model import MarkModel, ModelParams, branching_column_sums, mark_density_from_tendencies
+from .model import MarkModel, ModelParams, branching_column_sums, check_dimensions, mark_density_from_tendencies
 
 
 class SubcriticalityWarning(UserWarning):
@@ -146,9 +146,12 @@ def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.nd
     """Decayed counts B at the end of `history`, and that time (0 without one).
 
     B[j, q] = sum over history events (t_i, j, q) of exp(-(t_last - t_i)),
-    one weighted count per (user, product) cell.
+    one weighted count per (user, product) cell.  Raises ValueError unless
+    the history has the parameters' users and products.
     """
     n, m = params.n_users, params.n_products
+    if history is not None:
+        check_dimensions(history, params)
     if history is None or len(history) == 0:
         return np.zeros((n, m)), 0.0
     t_last = float(history.times[-1])
@@ -162,7 +165,8 @@ def simulate(params: ModelParams, config: SimConfig) -> EventLog:
 
     With `initial_history` set, its events are absorbed at their recorded
     times first and generation starts from the later of 0 and the last
-    history time.
+    history time.  The history must have the parameters' users and
+    products (ValueError otherwise).
     """
     _check_subcritical(params)
     b, start = _initial_state(params, config.initial_history)

@@ -17,6 +17,7 @@ from corrcascades import (
     ModelParams,
     SoftMaxMark,
     UserParams,
+    build_all_features,
     total_nll,
     user_nll,
     user_nll_gradient,
@@ -78,15 +79,16 @@ def test_criterion_2_gradient_matches_finite_differences():
         theta = UserParams(
             rng.uniform(0.05, 0.4, log.n_users), rng.uniform(0.1, 1.0, log.n_products)
         )
-        user = int(rng.integers(log.n_users))
-        analytic = user_nll_gradient(log, user, theta, beta)
-        packed = theta.pack()
+        n = log.n_users
+        features = build_all_features(log)[int(rng.integers(n))]
+        analytic = user_nll_gradient(features, theta, beta)
+        packed = np.concatenate([theta.alpha_col, theta.mu_row])
         for i in range(packed.size):
             hi, lo = packed.copy(), packed.copy()
             hi[i] += step
             lo[i] -= step
-            f_hi = user_nll(log, user, UserParams.unpack(hi, log.n_users, log.n_products), beta)
-            f_lo = user_nll(log, user, UserParams.unpack(lo, log.n_users, log.n_products), beta)
+            f_hi = user_nll(features, UserParams(hi[:n], hi[n:]), beta)
+            f_lo = user_nll(features, UserParams(lo[:n], lo[n:]), beta)
             numeric = (f_hi - f_lo) / (2 * step)
             rel = abs(analytic[i] - numeric) / max(abs(numeric), 1e-4)
             worst = max(worst, rel)
@@ -105,15 +107,15 @@ def test_criterion_3_convexity_chords():
         log = random_log(rng, max_events=25)
         n, m = log.n_users, log.n_products
         beta = float(rng.uniform(0.3, 3.0))
-        user = int(rng.integers(n))
+        features = build_all_features(log)[int(rng.integers(n))]
         for _ in range(200):
             a = rng.uniform(0.01, 1.0, n + m)
             b = rng.uniform(0.01, 1.0, n + m)
             w = float(rng.uniform(0.1, 0.9))
             mid = w * a + (1 - w) * b
-            f_mid = user_nll(log, user, UserParams.unpack(mid, n, m), beta)
-            f_a = user_nll(log, user, UserParams.unpack(a, n, m), beta)
-            f_b = user_nll(log, user, UserParams.unpack(b, n, m), beta)
+            f_mid = user_nll(features, UserParams(mid[:n], mid[n:]), beta)
+            f_a = user_nll(features, UserParams(a[:n], a[n:]), beta)
+            f_b = user_nll(features, UserParams(b[:n], b[n:]), beta)
             total += 1
             if f_mid > w * f_a + (1 - w) * f_b + 1e-9:
                 violations += 1

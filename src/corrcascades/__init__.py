@@ -18,11 +18,14 @@ from .metrics import (
     CurveScoreRow,
     CurveSeries,
     avg_pred_loglik,
+    binned_intensity,
     compare_models,
     inv_l1,
+    market_share,
     param_mae,
     param_mse,
     pearson,
+    rescaled_interevent_times,
 )
 from .model import (
     LinearMark,
@@ -46,9 +49,6 @@ from .simulate import (
     ScenarioResult,
     SimConfig,
     SubcriticalityWarning,
-    binned_intensity,
-    market_share,
-    rescaled_interevent_times,
     run_scenario,
     simulate,
 )

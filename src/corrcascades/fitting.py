@@ -122,24 +122,28 @@ def _projected_newton(features, theta, live, config):
     n = features.n_users
     # the start is feasible by construction; a likelihood that overflows
     # there (an absurd init_value) raises instead of reading as +inf
-    value, g, lam = _eval_features(features, theta[:n], theta[n:], beta)
+    value, f, lam = _eval_features(features, theta[:n], theta[n:], beta)
     iterations, evals = 0, 1
     while True:
         iterations += 1
-        grad = _gradient_from_eval(features, beta, g, lam)
+        grad = _gradient_from_eval(features, beta, f, lam)
         grad[~live] = 0.0
         gap = float(np.linalg.norm(theta - np.maximum(theta - grad, 0.0)))
         if gap <= _GRAD_TOL or iterations > config.inner_max_iter:
             break
         active = live & (theta <= min(_ACTIVE_EPS, gap)) & (grad > 0)
         free = live & ~active
-        hess = _hessian_from_eval(features, beta, g, lam)
+        # the Hessian is x @ x.T: its active diagonal is the squared row
+        # norms of x, and only the free block is formed
+        x = _hessian_from_eval(features, beta, f, lam)
         direction = np.zeros_like(theta)
-        direction[active] = -grad[active] / np.diag(hess)[active]
+        x_active = x[active]
+        direction[active] = -grad[active] / np.einsum("ij,ij->i", x_active, x_active)
         if free.any():
             g_free = grad[free]
             ridge = _RIDGE * np.linalg.norm(g_free) / np.linalg.norm(theta)
-            h_free = hess[np.ix_(free, free)]
+            x_free = x[free]
+            h_free = x_free @ x_free.T
             h_free[np.diag_indices(g_free.size)] += ridge
             direction[free] = -np.linalg.solve(h_free, g_free)
         slope = float(grad[free] @ direction[free])
@@ -156,7 +160,7 @@ def _projected_newton(features, theta, live, config):
         for _ in range(_MAX_BACKTRACKS):
             evals += 1
             try:
-                cand_value, cand_g, cand_lam = _eval_features(features, cand[:n], cand[n:], beta)
+                cand_value, cand_f, cand_lam = _eval_features(features, cand[:n], cand[n:], beta)
             except InfeasibleLikelihoodError:  # a nonpositive intensity: +inf
                 cand_value = np.inf
             if cand_value < value + _LS_DECREASE * predicted(cand, step):
@@ -165,7 +169,7 @@ def _projected_newton(features, theta, live, config):
             cand = np.maximum(theta + step * direction, 0.0)
         else:
             break
-        theta, value, g, lam = cand, cand_value, cand_g, cand_lam
+        theta, value, f, lam = cand, cand_value, cand_f, cand_lam
     return theta, iterations, evals
 
 
@@ -186,13 +190,13 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[Use
     # so its minimizer is exactly 0; with no events at all the same holds
     # for every baseline
     live = np.concatenate(
-        [features.b_totals.sum(axis=0) > 0, np.full(m, features.n_events > 0)]
+        [features.snapshots.reshape(n, -1).any(axis=1), np.full(m, features.n_events > 0)]
     )
     theta = np.where(live, config.init_value, 0.0)
     if features.horizon > 0:
         # baselines start at the per-product event rate, where the
         # intensities and their curvature stay finite for any init_value
-        theta[n:] = features._product_counts / features.horizon
+        theta[n:] = np.bincount(features.products, minlength=m) / features.horizon
     theta, iterations, evals = _projected_newton(features, theta, live, config)
 
     params = UserParams(theta[:n], theta[n:])

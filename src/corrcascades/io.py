@@ -84,12 +84,20 @@ def _mark_to_dict(mark: MarkModel) -> dict:
     return {"type": "linear"}
 
 
+def _json_number(doc: dict, key: str, integer: bool = False):
+    """doc[key] if it is a JSON number (an integer if asked), never a boolean."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise FileFormatError(f"{key} must be a JSON {'integer' if integer else 'number'}, not {value!r}")
+    return value
+
+
 def _mark_from_dict(doc) -> MarkModel:
     if not isinstance(doc, dict):
         raise FileFormatError(f"mark_model must be a JSON object, not {doc!r}")
     kind = doc.get("type")
     if kind == "softmax":
-        return SoftMaxMark(beta=float(doc["beta"]))
+        return SoftMaxMark(beta=float(_json_number(doc, "beta")))
     if kind == "linear":
         return LinearMark()
     raise FileFormatError(f"unknown mark model type {kind!r}")
@@ -115,13 +123,13 @@ def read_params(path) -> ModelParams:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: expected a JSON object at the top level")
     try:
-        n = int(doc["n_users"])
-        m = int(doc["n_products"])
+        n = _json_number(doc, "n_users", integer=True)
+        m = _json_number(doc, "n_products", integer=True)
         mu = np.asarray(doc["mu"], dtype=float).reshape(n, m)
         alpha = np.asarray(doc["alpha"], dtype=float).reshape(n, n)
         mark = _mark_from_dict(doc["mark_model"])
         return ModelParams(mu, alpha, mark)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 
 

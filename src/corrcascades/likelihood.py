@@ -11,7 +11,10 @@ user's parameters at a time, packed as [alpha_col | mu_row].  Per-user
 evaluations (`user_nll`, `user_nll_gradient`) run off that user's
 decayed-count features, built for every user in one sweep
 (`build_all_features`), so solver iterations never rescan the event
-history.
+history.  Both derivatives come from the event Jacobian
+D_i = dg(t_i)/dtheta = [B(t_i); I]: the gradient is one product of the
+snapshots with per-event weights, and the Hessian is returned as a factor
+X with Hessian X X^T, of which the solver forms only the free block.
 """
 
 from __future__ import annotations
@@ -47,49 +50,34 @@ class UserParams:
         object.__setattr__(self, "mu_row", m)
 
 
+@dataclass(slots=True, eq=False)
 class EventFeatures:
     """Decayed-count snapshots at one user's event times.
 
     snapshots[:, i, :] is the N x M matrix B(t_i) of decayed counts strictly
-    before the user's i-th event time t_i (ties at t_i excluded), and
-    `b_flat` views the snapshots as one N x (K*M) matrix.  b_totals[i] holds
-    the per-source row sums of B(t_i), and excite_integrals[j] = sum over
-    events of source j before T of (1 - exp(-(T - t_i))), the source-j
-    slice of the compensator.  No slot views another, so pickling writes
-    each array once.
+    before the user's i-th event time t_i (ties at t_i excluded), products[i]
+    is that event's product, and excite_integrals[j] = sum over events of
+    source j before T of (1 - exp(-(T - t_i))), the source-j slice of the
+    compensator.  With the event Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I],
+    these four fields give the NLL, its gradient and its Hessian factor.
     """
 
-    __slots__ = (
-        "snapshots",
-        "b_totals",
-        "products",
-        "excite_integrals",
-        "horizon",
-        "n_users",
-        "n_products",
-        "_b_observed",
-        "_product_counts",
-    )
+    snapshots: np.ndarray  # (N, K, M)
+    products: np.ndarray  # (K,)
+    excite_integrals: np.ndarray  # (N,)
+    horizon: float
 
-    def __init__(self, snapshots, products, excite_integrals, horizon):
-        self.snapshots = snapshots
-        self.n_users, k, self.n_products = snapshots.shape
-        self.products = products
-        self.excite_integrals = excite_integrals
-        self.horizon = horizon
-        # theta-independent aggregates reused every solver iteration
-        self.b_totals = np.ascontiguousarray(snapshots.sum(axis=2).T)
-        self._b_observed = snapshots[:, np.arange(k), products].sum(axis=1)
-        self._product_counts = np.bincount(products, minlength=self.n_products).astype(float)
+    @property
+    def n_users(self) -> int:
+        return self.snapshots.shape[0]
 
     @property
     def n_events(self) -> int:
         return self.products.size
 
     @property
-    def b_flat(self) -> np.ndarray:
-        """The snapshots as an N x (K*M) matrix (a view)."""
-        return self.snapshots.reshape(self.n_users, self.n_events * self.n_products)
+    def n_products(self) -> int:
+        return self.snapshots.shape[2]
 
 
 def build_all_features(log: EventLog) -> dict[int, EventFeatures]:
@@ -112,14 +100,11 @@ def build_all_features(log: EventLog) -> dict[int, EventFeatures]:
     }
 
 
-def _tendency_matrix(features: EventFeatures, alpha_col: np.ndarray, mu_row: np.ndarray) -> np.ndarray:
-    """g_u^q(t_i) for every event i (rows) and product q (columns)."""
-    k, m = features.n_events, features.n_products
-    return mu_row[None, :] + (alpha_col @ features.b_flat).reshape(k, m)
-
-
-def _event_loglik(g: np.ndarray, products: np.ndarray, mark: MarkModel) -> tuple[float, np.ndarray]:
-    """Sum over events of log lambda + log f(product), and the intensities.
+def _event_loglik(
+    g: np.ndarray, products: np.ndarray, mark: MarkModel
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Sum over events of log lambda + log f(product), the intensities, and
+    the soft-max mark probabilities (None under linear marks).
 
     Row i of the K x M matrix g holds the tendencies at event i, whose
     product is products[i].  Under linear marks f = g_p / lambda, so the
@@ -132,79 +117,65 @@ def _event_loglik(g: np.ndarray, products: np.ndarray, mark: MarkModel) -> tuple
     if isinstance(mark, SoftMaxMark):
         z = mark.beta * g
         zmax = z.max(axis=1)
-        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-        return float(np.log(lam).sum() + mark.beta * g_obs.sum() - lse.sum()), lam
+        expz = np.exp(z - zmax[:, None])
+        norm = expz.sum(axis=1)
+        lse = zmax + np.log(norm)
+        loglik = float(np.log(lam).sum() + mark.beta * g_obs.sum() - lse.sum())
+        return loglik, lam, expz / norm[:, None]
     if np.any(g_obs <= 0):
         raise InfeasibleLikelihoodError("zero mark density at an observed event")
-    return float(np.log(g_obs).sum()), lam
+    return float(np.log(g_obs).sum()), lam, None
 
 
 def _eval_features(features, alpha_col, mu_row, beta):
-    """(nll, tendency matrix g, intensities lam); g/lam are None for empty logs."""
+    """(nll, soft-max mark probabilities f, intensities lam) of one user's events."""
+    n, k, m = features.snapshots.shape
     comp = features.horizon * mu_row.sum() + alpha_col @ features.excite_integrals
-    if features.n_events == 0:
-        return float(comp), None, None
-    g = _tendency_matrix(features, alpha_col, mu_row)
-    event_ll, lam = _event_loglik(g, features.products, SoftMaxMark(beta))
+    g = mu_row + (alpha_col @ features.snapshots.reshape(n, k * m)).reshape(k, m)
+    event_ll, lam, f = _event_loglik(g, features.products, SoftMaxMark(beta))
     nll = comp - event_ll
     if not math.isfinite(nll):
         raise InfeasibleLikelihoodError("nonfinite likelihood")
-    return float(nll), g, lam
+    return float(nll), f, lam
 
 
-def _mark_probabilities(beta, g):
-    """Soft-max mark probabilities f = softmax(beta * g) of every event (rows)."""
-    z = beta * g
-    z = z - z.max(axis=1, keepdims=True)
-    f = np.exp(z)
-    f /= f.sum(axis=1, keepdims=True)
-    return f
+def _gradient_from_eval(features, beta, f, lam):
+    """Gradient of the per-user NLL given the cached evaluation of f and lam.
 
-
-def _gradient_from_eval(features, beta, g, lam):
-    """Gradient of the per-user NLL given the cached evaluation of g and lam."""
-    m = features.n_products
-    grad_alpha = features.excite_integrals.copy()
-    grad_mu = np.full(m, features.horizon)
-    if features.n_events:
-        f = _mark_probabilities(beta, g)
-        inv_lam = 1.0 / lam
-        grad_mu += -inv_lam.sum() - beta * features._product_counts + beta * f.sum(axis=0)
-        grad_alpha += (
-            -inv_lam @ features.b_totals
-            - beta * features._b_observed
-            + beta * (features.b_flat @ f.ravel())
-        )
-    return np.concatenate([grad_alpha, grad_mu])
-
-
-def _hessian_from_eval(features, beta, g, lam):
-    """Exact per-user NLL Hessian given the cached evaluation of g and lam.
-
-    Only the -log lambda and log-sum-exp terms are curved.  With the event
-    Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I] ((N+M) x M), the Hessian is
-    sum_i (D_i 1)(D_i 1)^T / lambda_i^2
-        + beta^2 sum_i D_i (diag(f_i) - f_i f_i^T) D_i^T,
-    with f_i the soft-max mark probabilities at event i.  As f_i sums to 1,
-    diag(f_i) - f_i f_i^T = S_i S_i^T with S_i = (I - f_i 1^T) diag(sqrt f_i),
-    so the Hessian is the Gram matrix X X^T of the (N+M) x K(M+1) matrix X
-    whose columns for event i are beta D_i S_i and D_i 1 / lambda_i, and
-    one symmetric product (BLAS syrk) builds it.
+    The event terms of the NLL have gradient -sum_i D_i w_i, with event
+    weights w_i = 1/lambda_i 1 + beta (e_{p_i} - f_i), so the gradient is
+    the compensator slope minus one product of the snapshots with w (and
+    minus w summed over events for the baselines).
     """
-    n, m, k = features.n_users, features.n_products, features.n_events
-    if k == 0:
-        return np.zeros((n + m, n + m))
-    f = _mark_probabilities(beta, g)
-    scale = beta * np.sqrt(f)
+    n, k, m = features.snapshots.shape
+    w = -beta * f
+    w[np.arange(k), features.products] += beta
+    w += (1.0 / lam)[:, None]
+    grad_alpha = features.excite_integrals - features.snapshots.reshape(n, k * m) @ w.ravel()
+    return np.concatenate([grad_alpha, features.horizon - w.sum(axis=0)])
+
+
+def _hessian_from_eval(features, beta, f, lam):
+    """Factor X of the exact per-user NLL Hessian X X^T, given f and lam.
+
+    Only the -log lambda and log-sum-exp terms are curved, so the Hessian is
+    sum_i (D_i 1)(D_i 1)^T / lambda_i^2
+        + beta^2 sum_i D_i (diag(f_i) - f_i f_i^T) D_i^T.
+    As f_i sums to 1, diag(f_i) - f_i f_i^T = S_i S_i^T with
+    S_i = (I - f_i 1^T) diag(sqrt f_i), so the Hessian is X X^T for the
+    (N+M) x K(M+1) matrix X whose columns for event i are beta D_i S_i and
+    D_i 1 / lambda_i.  The solver forms only the block of X X^T it needs.
+    """
+    snapshots = features.snapshots
+    n, k, m = snapshots.shape
     x = np.empty((n + m, k, m + 1))
-    mean_b = np.einsum("jiq,iq->ji", features.snapshots, f)  # (N, K): B(t_i) f_i
-    np.subtract(features.snapshots, mean_b[:, :, None], out=x[:n, :, :m])
+    mean_b = np.einsum("jiq,iq->ji", snapshots, f)  # (N, K): B(t_i) f_i
+    np.subtract(snapshots, mean_b[:, :, None], out=x[:n, :, :m])
     x[n:, :, :m] = np.eye(m)[:, None, :] - f.T[:, :, None]
-    x[:, :, :m] *= scale
-    x[:n, :, m] = features.b_totals.T / lam
+    x[:, :, :m] *= beta * np.sqrt(f)
+    x[:n, :, m] = snapshots.sum(axis=2) / lam
     x[n:, :, m] = 1.0 / lam
-    x = x.reshape(n + m, k * (m + 1))
-    return x @ x.T
+    return x.reshape(n + m, k * (m + 1))
 
 
 def user_nll(features: EventFeatures, theta_u: UserParams, beta: float) -> float:
@@ -223,12 +194,13 @@ def window_nll(
 ) -> float:
     """NLL of the events in (t_start, t_end] with full preceding history.
 
-    Events exactly at t_start belong to the earlier window except at
-    t_start = 0, so adjacent windows add up exactly to the whole-log NLL.
-    `first_event` instead scores the events from that index on, for a split
-    that falls inside the events at t_start (a train log and a test log
-    both holding events at the train horizon): the events before it must be
-    at or before t_start and those from it on at or after t_start.
+    Events exactly at t_start belong to the earlier window, at t_start = 0
+    too, so adjacent windows add up exactly to the whole-log NLL.
+    `first_event` instead scores the events from that index on: 0 for the
+    whole log with its time-0 events, or a split that falls inside the
+    events at t_start (a train log and a test log both holding events at
+    the train horizon).  The events before it must be at or before t_start
+    and those from it on at or after t_start.
     Supports both mark models.  Raises ValueError unless the log has the
     parameters' users and products.
     """
@@ -238,7 +210,7 @@ def window_nll(
     times, users = log.times, log.users
     last = int(np.searchsorted(times, t_end, side="right"))
     if first_event is None:
-        first = 0 if t_start == 0.0 else int(np.searchsorted(times, t_start, side="right"))
+        first = int(np.searchsorted(times, t_start, side="right"))
     else:
         first = first_event
         if not (
@@ -256,7 +228,7 @@ def window_nll(
             lo = max(lo, first)
             us = users[lo:hi]
             g[lo - first : hi - first] = params.mu[us] + params.alpha[:, us].T @ b
-    event_ll, _ = _event_loglik(g, log.products[first:last], params.mark)
+    event_ll = _event_loglik(g, log.products[first:last], params.mark)[0]
     # compensator over [t_start, t_end], summed over all users
     comp = (t_end - t_start) * params.mu_user.sum()
     mask = times < t_end
@@ -271,4 +243,4 @@ def window_nll(
 
 def total_nll(log: EventLog, params: ModelParams) -> float:
     """NLL of the whole log under either mark model."""
-    return window_nll(log, params, 0.0, log.horizon)
+    return window_nll(log, params, 0.0, log.horizon, first_event=0)

@@ -11,9 +11,9 @@ import numpy as np
 
 from .data import EventLog
 from .fitting import FitConfig, fit_all
-from .metrics import avg_pred_loglik, param_mae, param_mse
+from .metrics import avg_pred_loglik, binned_intensity, market_share, param_mae, param_mse
 from .model import LinearMark, ModelParams, SoftMaxMark
-from .simulate import Scenario, ScenarioResult, SimConfig, binned_intensity, market_share, run_scenario, simulate
+from .simulate import Scenario, ScenarioResult, SimConfig, run_scenario, simulate
 
 
 def make_recovery_model(

@@ -1,12 +1,11 @@
-"""Exact sampling by Ogata thinning, the incentivization scenario, and
-event-stream summaries (market share, binned intensity).
+"""Exact sampling by Ogata thinning and the incentivization scenario.
 
 The dominating rate is refreshed at every proposal from the current total
 intensity, which is a valid bound because every intensity only decays
 between events under the exponential kernel.  That total is the baseline
 plus one scalar excitation S, decayed by exp(-delta) and raised by the
 event user's outgoing influence (the recursion of
-`rescaled_interevent_times`), so a rejected proposal costs O(1).  Each
+`metrics.rescaled_interevent_times`), so a rejected proposal costs O(1).  Each
 accepted event costs O(N*M): the per-target excitations it draws the user
 and the product from are decayed once and updated in place.
 """
@@ -217,79 +216,3 @@ def run_scenario(params: ModelParams, scenario: Scenario, config: SimConfig) -> 
         n_pre_switch_events=n_pre,
         cap_exhausted=exhausted,
     )
-
-
-def market_share(log: EventLog, grid) -> list:
-    """Cumulative per-product share N^p(0, t] / sum_q N^q(0, t] on a time grid.
-
-    NaN wherever no event has happened yet.  Returns one CurveSeries per
-    product.
-    """
-    from .metrics import CurveSeries
-
-    grid = np.asarray(grid, dtype=float)
-    total = np.searchsorted(log.times, grid, side="right").astype(float)
-    out = []
-    for p in range(log.n_products):
-        t_p = log.times[log.products == p]
-        counts = np.searchsorted(t_p, grid, side="right").astype(float)
-        values = np.where(total > 0, counts / np.maximum(total, 1.0), np.nan)
-        out.append(CurveSeries(grid=grid, values=values, label=f"product_{p}"))
-    return out
-
-
-def _bin_edges(horizon: float, bin_width: float) -> np.ndarray:
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    n_full = int(math.floor(horizon / bin_width + 1e-12))
-    edges = [i * bin_width for i in range(n_full + 1)]
-    if edges[-1] < horizon:
-        edges.append(horizon)
-    if len(edges) < 2:
-        edges = [0.0, horizon]
-    return np.asarray(edges)
-
-
-def binned_intensity(log: EventLog, bin_width: float, by_product: bool = False):
-    """Event counts per bin divided by bin width (the empirical intensity).
-
-    The last partial bin is normalized by its true width.  With
-    `by_product`, returns one CurveSeries per product whose values sum to
-    the pooled series exactly.
-    """
-    from .metrics import CurveSeries
-
-    edges = _bin_edges(log.horizon, bin_width)
-    widths = np.diff(edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    per_product = []
-    for p in range(log.n_products):
-        counts, _ = np.histogram(log.times[log.products == p], bins=edges)
-        per_product.append(
-            CurveSeries(grid=centers, values=counts / widths, label=f"product_{p}")
-        )
-    if by_product:
-        return per_product
-    total = np.sum([s.values for s in per_product], axis=0)
-    return CurveSeries(grid=centers, values=total, label="all_products")
-
-
-def rescaled_interevent_times(log: EventLog, params: ModelParams) -> np.ndarray:
-    """Integral of the total intensity over each interevent gap of the pooled log.
-
-    Under the generating model these are iid Exponential(1) by the random
-    time-change theorem.  The excitation of the total intensity is one
-    scalar S(t) = sum_i r_{u_i} exp(-(t - t_i)) over past events, where
-    r_u = sum_v alpha[u, v] is the event user's total outgoing influence.
-    """
-    mu_total = float(params.mu_user.sum())
-    jumps = params.alpha.sum(axis=1)[log.users].tolist()
-    gaps = []
-    excite = 0.0
-    prev = 0.0
-    for t, r in zip(log.times.tolist(), jumps):
-        decay = math.exp(-(t - prev))
-        gaps.append(mu_total * (t - prev) + excite * (1.0 - decay))
-        excite = excite * decay + r
-        prev = t
-    return np.asarray(gaps)

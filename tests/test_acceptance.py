@@ -24,20 +24,13 @@ from corrcascades import (
 )
 from corrcascades.fitting import FitConfig, fit_all
 from corrcascades.io import write_event_log, write_params
-from corrcascades.metrics import avg_pred_loglik, pearson
+from corrcascades.metrics import avg_pred_loglik, binned_intensity, pearson, rescaled_interevent_times
 from corrcascades.replicate import (
     make_incentivization_model,
     run_incentivization,
     run_recovery,
 )
-from corrcascades.simulate import (
-    Scenario,
-    SimConfig,
-    binned_intensity,
-    rescaled_interevent_times,
-    run_scenario,
-    simulate,
-)
+from corrcascades.simulate import Scenario, SimConfig, run_scenario, simulate
 
 from conftest import brute_total_nll, random_log, random_params
 

@@ -151,6 +151,13 @@ def _write_model(tmp_path, n=3, m=2, seed=7, beta=1.0):
     return params, path
 
 
+# a valid 1 x 1 soft-max model document
+_UNIT_DOC = {
+    "n_users": 1, "n_products": 1, "mark_model": {"type": "softmax", "beta": 1.0},
+    "mu": [0.5], "alpha": [0.1],
+}
+
+
 class TestCliSimulate:
     def test_writes_log_and_exits_zero(self, tmp_path, capsys):
         _, params_path = _write_model(tmp_path)
@@ -196,8 +203,21 @@ class TestCliSimulate:
             lambda doc: [doc],
             lambda doc: dict(doc, mark_model="softmax"),
             lambda doc: dict(doc, mark_model={"type": "softmax", "beta": None}),
+            # each document below used to read as a valid model or exit 2
+            lambda doc: dict(doc, n_users=doc["n_users"] + 0.9),
+            lambda doc: dict(_UNIT_DOC, n_products=True),
+            lambda doc: dict(doc, mark_model={"type": "softmax", "beta": True}),
+            lambda doc: dict(doc, mark_model={"type": "softmax", "beta": "1.0"}),
+            lambda doc: dict(doc, mark_model={"type": "softmax", "beta": 10**400}),
+            lambda doc: dict(
+                _UNIT_DOC, n_users=1.9, n_products=True, mark_model={"type": "softmax", "beta": True}
+            ),
         ],
-        ids=["top_level_array", "mark_model_string", "null_beta"],
+        ids=[
+            "top_level_array", "mark_model_string", "null_beta", "fractional_n_users",
+            "boolean_n_products", "boolean_beta", "string_beta", "oversized_beta",
+            "fractional_and_boolean",
+        ],
     )
     def test_malformed_params_is_usage_error(self, tmp_path, malformed):
         _, params_path = _write_model(tmp_path)
@@ -411,3 +431,11 @@ class TestCliReplicate:
             assert (outdir / f"intensity_{label}.csv").exists()
             assert (outdir / f"market_share_{label}.csv").exists()
             assert (outdir / f"events_{label}.csv").exists()
+
+
+def test_cli_imports_without_scipy():
+    # scipy is a test-only dependency: no module the CLI loads may import it
+    env = dict(os.environ, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]))
+    code = "import sys; sys.modules['scipy'] = None; import corrcascades.cli"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

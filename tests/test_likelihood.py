@@ -44,20 +44,20 @@ class TestLogSumExp:
 
     def test_singleton(self):
         # one product: the mark term vanishes and only log lambda is left
-        ll, _ = _event_loglik(np.array([[0.7]]), np.array([0]), SoftMaxMark(3.0))
+        ll = _event_loglik(np.array([[0.7]]), np.array([0]), SoftMaxMark(3.0))[0]
         assert ll == pytest.approx(math.log(0.7), rel=1e-14)
 
     def test_pair_no_overflow(self):
-        ll, _ = _event_loglik(np.array([[1000.0, 1000.0]]), np.array([1]), SoftMaxMark(1.0))
+        ll = _event_loglik(np.array([[1000.0, 1000.0]]), np.array([1]), SoftMaxMark(1.0))[0]
         assert ll == pytest.approx(math.log(2000.0) - math.log(2), rel=1e-14)
 
     def test_hand_value(self):
         # log(1 + 2 + 3) + 3 - log(e + e^2 + e^3)
-        ll, _ = _event_loglik(np.array([[1.0, 2.0, 3.0]]), np.array([2]), SoftMaxMark(1.0))
+        ll = _event_loglik(np.array([[1.0, 2.0, 3.0]]), np.array([2]), SoftMaxMark(1.0))[0]
         assert ll == pytest.approx(math.log(6.0) + 3.0 - 3.407606, abs=1e-6)
 
     def test_huge_inputs(self):
-        ll, _ = _event_loglik(np.array([[1e300, 1e300]]), np.array([0]), SoftMaxMark(1.0))
+        ll = _event_loglik(np.array([[1e300, 1e300]]), np.array([0]), SoftMaxMark(1.0))[0]
         assert math.isfinite(ll)
 
     def test_large_baselines_match_rescan(self):
@@ -210,7 +210,7 @@ class TestGradient:
         features = build_all_features(log)[0]
         grad = user_nll_gradient(features, theta, beta=1.0)
         # d/d mu = -sum 1/lambda + T regardless of beta
-        g = features.b_totals @ theta.alpha_col + theta.mu_row.sum()
+        g = np.einsum("j,jiq->i", theta.alpha_col, features.snapshots) + theta.mu_row.sum()
         expected_mu = -np.sum(1.0 / g) + log.horizon if len(g) else log.horizon
         assert grad[-1] == pytest.approx(expected_mu, rel=1e-10)
         grad2 = user_nll_gradient(features, theta, beta=7.0)
@@ -248,8 +248,10 @@ class TestHessian:
             theta = np.concatenate(
                 [rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)]
             )
-            _, g, lam = _eval_features(features, theta[:n], theta[n:], beta)
-            hess = _hessian_from_eval(features, beta, g, lam)
+            _, f, lam = _eval_features(features, theta[:n], theta[n:], beta)
+            x = _hessian_from_eval(features, beta, f, lam)
+            assert x.shape == (n + m, features.n_events * (m + 1))
+            hess = x @ x.T
             numeric = np.zeros_like(hess)
             for i in range(n + m):
                 hi, lo = theta.copy(), theta.copy()
@@ -269,7 +271,9 @@ class TestHessian:
     def test_silent_user_has_zero_curvature(self):
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
         features = build_all_features(log)[1]
-        assert not _hessian_from_eval(features, 1.0, None, None).any()
+        _, f, lam = _eval_features(features, np.array([0.1, 0.2]), np.array([0.3, 0.4]), 1.0)
+        x = _hessian_from_eval(features, 1.0, f, lam)
+        assert not (x @ x.T).any()
 
 
 class TestConvexity:
@@ -358,28 +362,39 @@ class TestTiedLogsProperty:
         linear = ModelParams(soft.mu, soft.alpha, LinearMark())
         brute_soft = brute_total_nll(log, soft, use_quad=False)
         assert _sum_user_nll(log, soft) == pytest.approx(brute_soft, rel=1e-10)
-        assert window_nll(log, soft, 0.0, log.horizon) == pytest.approx(brute_soft, rel=1e-10)
-        assert window_nll(log, linear, 0.0, log.horizon) == pytest.approx(
+        assert total_nll(log, soft) == pytest.approx(brute_soft, rel=1e-10)
+        assert total_nll(log, linear) == pytest.approx(
             brute_total_nll(log, linear, use_quad=False), rel=1e-10
         )
-        # a window starting at 0 includes the events at 0, so a split there
-        # counts them twice; every later tied time is a clean split
-        tied = log.times[:-1][(np.diff(log.times) == 0) & (log.times[:-1] > 0)]
+        # events at a split time belong to the earlier window, at t = 0 too,
+        # so every tied time and 0 are clean splits
+        tied = log.times[:-1][np.diff(log.times) == 0]
         for params in (soft, linear):
-            whole = window_nll(log, params, 0.0, log.horizon)
-            for t in np.unique(tied):
-                split = window_nll(log, params, 0.0, t) + window_nll(log, params, t, log.horizon)
+            whole = total_nll(log, params)
+            for t in np.unique(np.append(tied, 0.0)):
+                split = window_nll(log, params, 0.0, t, first_event=0) + window_nll(
+                    log, params, t, log.horizon
+                )
                 assert split == pytest.approx(whole, rel=1e-10)
 
 
 class TestEventFeatures:
-    def test_totals_match_row_sums(self):
+    def test_snapshots_match_rescan(self):
+        # B(t_i)[j, q] = sum over events (t, j, q) with t < t_i of exp(-(t_i - t))
         rng = np.random.default_rng(73)
-        log = random_log(rng, max_events=20)
-        feats = build_all_features(log)
-        for u in range(log.n_users):
-            f = feats[u]
-            np.testing.assert_allclose(f.b_totals, f.snapshots.sum(axis=2).T, atol=1e-12)
+        for _ in range(10):
+            log = tied_log(rng)
+            feats = build_all_features(log)
+            for u in range(log.n_users):
+                f = feats[u]
+                assert f.snapshots.shape == (log.n_users, f.n_events, log.n_products)
+                np.testing.assert_array_equal(f.products, log.products[log.users == u])
+                for i, t_i in enumerate(log.times[log.users == u]):
+                    expected = np.zeros((log.n_users, log.n_products))
+                    for t, j, q in zip(log.times, log.users, log.products):
+                        if t < t_i:
+                            expected[j, q] += math.exp(-(t_i - t))
+                    np.testing.assert_allclose(f.snapshots[:, i, :], expected, rtol=1e-10, atol=1e-12)
 
     def test_snapshot_excludes_simultaneous_events(self):
         log = EventLog([(1.0, 0, 0), (1.0, 1, 0)], 2.0, 2, 1)

@@ -13,7 +13,7 @@ from corrcascades import (
     mark_density_from_tendencies,
     window_nll,
 )
-from corrcascades.likelihood import _eval_features, _tendency_matrix
+from corrcascades.likelihood import _eval_features
 from corrcascades.model import tie_groups
 
 from conftest import brute_intensity, brute_tendency, brute_total_nll, random_log, random_params, tied_log
@@ -29,8 +29,10 @@ def _sweep(log):
 
 
 def _tendencies(log, params, user):
-    """The K x M tendency matrix g_u(t_i) at user u's events, off its features."""
-    return _tendency_matrix(build_all_features(log)[user], params.alpha[:, user], params.mu[user])
+    """The K x M tendency matrix g_u(t_i) at user u's events, off its snapshots."""
+    snapshots = build_all_features(log)[user].snapshots
+    n, k, m = snapshots.shape
+    return params.mu[user] + (params.alpha[:, user] @ snapshots.reshape(n, k * m)).reshape(k, m)
 
 
 class TestDecayState:

@@ -5,15 +5,13 @@ import pytest
 from scipy import stats
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
+from corrcascades.metrics import binned_intensity, market_share, rescaled_interevent_times
 from corrcascades.model import tie_groups
 from corrcascades.simulate import (
     Scenario,
     SimConfig,
     SubcriticalityWarning,
     _initial_state,
-    binned_intensity,
-    market_share,
-    rescaled_interevent_times,
     run_scenario,
     simulate,
 )

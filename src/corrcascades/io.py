@@ -18,19 +18,62 @@ class FileFormatError(ValueError):
     """Malformed event-log or parameter file."""
 
 
+_HEADER = "time,user,product"
+_ROW = np.dtype([("time", float), ("user", np.int64), ("product", np.int64)])
+
+
 def write_event_log(log: EventLog, path) -> None:
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write(
             f"# n_users={log.n_users} n_products={log.n_products} horizon={log.horizon!r}\n"
         )
-        fh.write("time,user,product\n")
+        fh.write(f"{_HEADER}\n")
         for t, u, p in zip(log.times, log.users, log.products):
             fh.write(f"{float(t)!r},{u},{p}\n")
 
 
+def _parse_sidecar(line: str, meta: dict[str, str]) -> None:
+    for token in line[1:].split():
+        if "=" in token:
+            key, _, val = token.partition("=")
+            meta[key] = val
+
+
 def read_event_log(path) -> EventLog:
+    """Read a log written by `write_event_log`.
+
+    A file laid out as written (the `#` sidecar on line 1, the header
+    `time,user,product` on line 2, one row per event after them) is parsed
+    in one `np.loadtxt` call.  Any other file, and any file that call or
+    `EventLog` rejects, goes through the line-by-line reader, which also
+    takes blank and extra `#` lines and names the line of a malformed row
+    in its FileFormatError.
+    """
     path = Path(path)
+    with path.open() as fh:
+        sidecar, header = fh.readline(), fh.readline()
+        has_rows = any(not line.isspace() for line in fh)  # stops at the first row
+    # a log with no rows goes to the line reader, as loadtxt warns on it
+    if sidecar.startswith("#") and header.rstrip("\n") == _HEADER and has_rows:
+        meta: dict[str, str] = {}
+        _parse_sidecar(sidecar, meta)
+        try:
+            rows = np.loadtxt(path, dtype=_ROW, delimiter=",", skiprows=2, comments=None, ndmin=1)
+            return EventLog.from_arrays(
+                rows["time"],
+                rows["user"],
+                rows["product"],
+                horizon=float(meta["horizon"]),
+                n_users=int(meta["n_users"]),
+                n_products=int(meta["n_products"]),
+            )
+        except (KeyError, ValueError):
+            pass
+    return _read_event_log_lines(path)
+
+
+def _read_event_log_lines(path: Path) -> EventLog:
     meta: dict[str, str] = {}
     rows = []
     with path.open() as fh:
@@ -43,13 +86,10 @@ def read_event_log(path) -> EventLog:
             if not line:
                 continue
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, _, val = token.partition("=")
-                        meta[key] = val
+                _parse_sidecar(line, meta)
                 continue
             if not header_seen:
-                if line != "time,user,product":
+                if line != _HEADER:
                     raise FileFormatError(f"{path}: line {lineno}: expected header 'time,user,product'")
                 header_seen = True
                 continue
@@ -74,7 +114,7 @@ def read_event_log(path) -> EventLog:
             n_users=int(meta["n_users"]),
             n_products=int(meta["n_products"]),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an id beyond int64 overflows
         raise FileFormatError(f"{path}: {exc}") from None
 
 

@@ -1,10 +1,14 @@
 """Exact log-likelihood, its per-user decomposition, gradient and Hessian.
 
 The NLL is a compensator minus a sum of event terms log lambda + log f,
-whatever the mark model.  One tie-aware sweep (`model.tie_groups`) yields
-the decayed counts every event sees, and `_event_loglik` scores the
-resulting event-by-product tendency matrix for both mark models, for a
-time window (`window_nll`) and for one user's cached features alike.
+whatever the mark model.  `_event_loglik` scores an event-by-product
+tendency matrix for both mark models, for a time window (`window_nll`)
+and for one user's cached features alike.  A window's tendencies come in
+blocks of events (`_window_tendencies`): the history before the window
+is absorbed in closed form (`model.decayed_counts`), and within a block
+the events see each other through one kernel matrix.  The features come
+from the tie-aware sweep (`model.tie_groups`), which yields the decayed
+counts every event sees.
 
 The likelihood of a log factorizes over users, so fitting works on one
 user's parameters at a time, packed as [alpha_col | mu_row].  Per-user
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EventLog
-from .model import MarkModel, ModelParams, SoftMaxMark, check_dimensions, tie_groups
+from .model import MarkModel, ModelParams, SoftMaxMark, check_dimensions, decayed_counts, tie_groups
 
 
 class InfeasibleLikelihoodError(ValueError):
@@ -189,6 +193,56 @@ def user_nll_gradient(features: EventFeatures, theta_u: UserParams, beta: float)
     return _gradient_from_eval(features, beta, g, lam)
 
 
+BLOCK = 64  # events per block of `_window_tendencies`
+
+
+def _block_starts(times: np.ndarray, lo: int, last: int) -> list[int]:
+    """Starts of the scoring blocks of the events [lo, last), each a tie-run start.
+
+    `lo` and `last` must fall between tie runs.  A block starts on the tie
+    run of every BLOCK-th event, and a run longer than BLOCK also ends its
+    block, so every block holds fewer than 2 * BLOCK events or one tie run.
+    """
+    grid = times[lo:last:BLOCK]
+    left = np.searchsorted(times, grid, side="left")
+    right = np.searchsorted(times, grid, side="right")
+    long_run_ends = right[(right - left > BLOCK) & (right < last)]
+    return sorted({*left.tolist(), *long_run_ends.tolist()})  # np.unique would import numpy.ma
+
+
+def _window_tendencies(log: EventLog, params: ModelParams, first: int, last: int) -> np.ndarray:
+    """Tendencies g (last - first, M) at the events [first, last), whole history seen.
+
+    `last` must fall between tie runs.  The history before the tie run of
+    event `first` is absorbed in closed form, then the events from that
+    run's start on are scored in the blocks of `_block_starts`.  An event
+    sees the block's start counts B_b decayed to its time, plus the earlier
+    events of its own block through the kernel exp(-(t_i - t_k)) on
+    t_k < t_i only, so tied events never see each other.  B_b is then
+    carried to the next block's start.
+    """
+    m = params.n_products
+    if first == last:
+        return np.empty((0, m))
+    times, users, products = log.times, log.users, log.products
+    lo = int(np.searchsorted(times, times[first], side="left"))
+    starts = _block_starts(times, lo, last)
+    b = decayed_counts(log, times[lo], 0, lo)
+    onehot = np.eye(m)
+    g = np.empty((last - lo, m))
+    for s, e in zip(starts, starts[1:] + [last]):
+        t, u = times[s:e], users[s:e]
+        g[s - lo : e - lo] = params.mu[u] + np.exp(-(t - t[0]))[:, None] * (params.alpha[:, u].T @ b)
+        if t[-1] > t[0]:  # not one tie run, whose events see none of each other
+            dt = t[:, None] - t
+            # kernel[i, k] = alpha[u_k, u_i] exp(-(t_i - t_k)) for t_k < t_i, else 0
+            kernel = np.exp(-dt, out=np.zeros_like(dt), where=dt > 0) * params.alpha[u, u[:, None]]
+            g[s - lo : e - lo] += kernel @ onehot[products[s:e]]
+        if e < last:
+            b = b * math.exp(-(times[e] - t[0])) + decayed_counts(log, times[e], s, e)
+    return g[first - lo :]
+
+
 def window_nll(
     log: EventLog, params: ModelParams, t_start: float, t_end: float, first_event: int | None = None
 ) -> float:
@@ -202,7 +256,8 @@ def window_nll(
     the train horizon).  The events before it must be at or before t_start
     and those from it on at or after t_start.
     Supports both mark models.  Raises ValueError unless the log has the
-    parameters' users and products.
+    parameters' users and products.  The history before the window costs
+    one vectorized pass, and each scored event O(BLOCK * (N + M)).
     """
     check_dimensions(log, params)
     if not 0 <= t_start <= t_end <= log.horizon:
@@ -219,15 +274,7 @@ def window_nll(
             and (first == len(times) or times[first] >= t_start)
         ):
             raise ValueError("first_event must split the log at t_start")
-    # last falls between tie runs; first may fall inside the run at t_start
-    g = np.empty((last - first, params.n_products))
-    for lo, hi, b in tie_groups(log):
-        if lo >= last:
-            break
-        if hi > first:
-            lo = max(lo, first)
-            us = users[lo:hi]
-            g[lo - first : hi - first] = params.mu[us] + params.alpha[:, us].T @ b
+    g = _window_tendencies(log, params, first, last)
     event_ll = _event_loglik(g, log.products[first:last], params.mark)[0]
     # compensator over [t_start, t_end], summed over all users
     comp = (t_end - t_start) * params.mu_user.sum()

@@ -1,9 +1,10 @@
 """Model parameters, mark models and the tie-aware event sweep.
 
 All history dependence flows through the exponentially decayed event counts
-B(t) (`tie_groups`), the sufficient statistics of the likelihood: any
-tendency g_u^p(t) = mu_u^p + sum_j alpha[j, u] B_j^p(t) costs O(N) given
-them, however many events came before.
+B(t), the sufficient statistics of the likelihood: any tendency
+g_u^p(t) = mu_u^p + sum_j alpha[j, u] B_j^p(t) costs O(N) given them,
+however many events came before.  `tie_groups` sweeps them event run by
+event run; `decayed_counts` gives them at one time in closed form.
 """
 
 from __future__ import annotations
@@ -103,6 +104,19 @@ def tie_groups(log: EventLog) -> Iterator[tuple[int, int, np.ndarray]]:
         yield lo, hi, b
         for i in range(lo, hi):
             b[users[i], products[i]] += 1.0
+
+
+def decayed_counts(log: EventLog, t: float, lo: int, hi: int) -> np.ndarray:
+    """Decayed counts at time t of the events [lo, hi) of `log`, in closed form.
+
+    Returns the N x M array B with B[j, q] = sum over those events
+    (t_i, j, q) of exp(-(t - t_i)), one weighted count per cell.  None of
+    the events may be later than t.
+    """
+    n, m = log.n_users, log.n_products
+    cells = log.users[lo:hi] * m + log.products[lo:hi]
+    weights = np.exp(-(t - log.times[lo:hi]))
+    return np.bincount(cells, weights=weights, minlength=n * m).reshape(n, m)
 
 
 def check_dimensions(log: EventLog, params: ModelParams) -> None:

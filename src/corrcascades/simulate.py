@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EventLog
-from .model import MarkModel, ModelParams, branching_column_sums, check_dimensions, mark_density_from_tendencies
+from .model import (
+    MarkModel,
+    ModelParams,
+    SoftMaxMark,
+    branching_column_sums,
+    check_dimensions,
+    decayed_counts,
+)
 
 
 class SubcriticalityWarning(UserWarning):
@@ -106,6 +113,7 @@ def _thinning_schedule(schedule, alpha, b, start, rng, events: list, cap: int) -
         mu_user = mu.sum(axis=1)
         mu_total = float(mu_user.sum())
         last_product = mu.shape[1] - 1
+        beta = mark.beta if isinstance(mark, SoftMaxMark) else None
         if pending is not None and mu_total + excite > pending[1]:
             pending = None
         while True:
@@ -130,8 +138,13 @@ def _thinning_schedule(schedule, alpha, b, start, rng, events: list, cap: int) -
                 g_time = s
                 cum = (mu_user + e).cumsum()
                 u = min(int(cum.searchsorted(uniform() * cum[-1], side="right")), last_user)
-                density = mark_density_from_tendencies(mu[u] + g[:, u], mark)
-                p = min(int(density.cumsum().searchsorted(uniform(), side="right")), last_product)
+                # the mark weights: exp(beta * tendency) rescaled, or the tendencies
+                row = mu[u] + g[:, u]
+                if beta is not None:
+                    row = beta * row
+                    row = np.exp(row - row.max())
+                cum = row.cumsum()
+                p = min(int(cum.searchsorted(uniform() * cum[-1], side="right")), last_product)
                 g[p] += alpha[u]
                 e += alpha[u]
                 excite += jumps[u]
@@ -145,7 +158,7 @@ def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.nd
     """Decayed counts B at the end of `history`, and that time (0 without one).
 
     B[j, q] = sum over history events (t_i, j, q) of exp(-(t_last - t_i)),
-    one weighted count per (user, product) cell.  Raises ValueError unless
+    from `model.decayed_counts`.  Raises ValueError unless
     the history has the parameters' users and products.
     """
     n, m = params.n_users, params.n_products
@@ -154,9 +167,7 @@ def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.nd
     if history is None or len(history) == 0:
         return np.zeros((n, m)), 0.0
     t_last = float(history.times[-1])
-    weights = np.exp(-(t_last - history.times))
-    b = np.bincount(history.users * m + history.products, weights=weights, minlength=n * m)
-    return b.reshape(n, m), t_last
+    return decayed_counts(history, t_last, 0, len(history)), t_last
 
 
 def simulate(params: ModelParams, config: SimConfig) -> EventLog:

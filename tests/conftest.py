@@ -24,12 +24,12 @@ def random_log(rng, n_users=None, n_products=None, max_events=30, horizon=None):
     return EventLog(zip(times, users, products), t, n, m)
 
 
-def tied_log(rng, max_events=25, gaps=(0.0, 0.0, 0.5, 1.0, 800.0)):
+def tied_log(rng, max_events=25, gaps=(0.0, 0.0, 0.5, 1.0, 800.0), min_events=0):
     """Random log whose times step through `gaps`: a zero step ties two
     events, and a step of 800 decays every earlier count to exactly 0."""
     n = int(rng.integers(1, 5))
     m = int(rng.integers(1, 4))
-    k = int(rng.integers(0, max_events + 1))
+    k = int(rng.integers(min_events, max_events + 1))
     times = np.cumsum(rng.choice(gaps, size=k))
     horizon = float(times[-1] if k else 0.0) + float(rng.choice([0.0, 0.5, 800.0]))
     return EventLog(zip(times, rng.integers(0, n, k), rng.integers(0, m, k)), horizon, n, m)

@@ -2,17 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from corrcascades import io as io_module
 from corrcascades.io import (
     FileFormatError,
+    _read_event_log_lines,
     read_event_log,
     read_params,
     write_curves_csv,
@@ -86,6 +91,83 @@ class TestEventLogIO:
         )
         with pytest.raises(FileFormatError):
             read_event_log(path)
+
+
+_SIDECAR = "# n_users=3 n_products=2 horizon=19.5\n"
+_HEADER = "time,user,product\n"
+# name, file text, whether the line reader accepts it
+_PARSER_CORPUS = [
+    ("bad_header", _SIDECAR + "time,user,prod\n1.0,0,1\n", False),
+    ("two_fields", _SIDECAR + _HEADER + "1.0,0,1\n2.0,1\n", False),
+    ("non_numeric", _SIDECAR + _HEADER + "1.0,0,1\nabc,1,1\n", False),
+    ("float_user_id", _SIDECAR + _HEADER + "1.0,1.0,1\n", False),
+    ("underscore_time", _SIDECAR + _HEADER + "1.0,0,1\n1_0,2,0\n", True),
+    ("nan_time", _SIDECAR + _HEADER + "1.0,0,1\nnan,1,0\n2.0,0,0\n", False),
+    ("unsorted", _SIDECAR + _HEADER + "2.0,0,1\n1.0,1,0\n", False),
+    ("user_out_of_range", _SIDECAR + _HEADER + "1.0,3,0\n", False),
+    ("user_beyond_int64", _SIDECAR + _HEADER + "1.0,99999999999999999999,0\n", False),
+    ("blank_lines", _SIDECAR + _HEADER + "1.0,0,1\n\n   \n2.0,1,0\n\n", True),
+    ("mid_file_comment", _SIDECAR + _HEADER + "1.0,0,1\n# a note\n2.0,1,0\n", True),
+    ("missing_sidecar", _HEADER + "1.0,0,1\n", False),
+    ("empty", _SIDECAR + _HEADER, True),
+    ("empty_with_blank_lines", _SIDECAR + _HEADER + "\n  \n", True),
+]
+
+
+class TestEventLogParser:
+    """The one-call parse gives the line reader's log or its error, exactly."""
+
+    @pytest.mark.parametrize("name,text,ok", _PARSER_CORPUS, ids=[c[0] for c in _PARSER_CORPUS])
+    def test_same_log_or_error_as_line_reader(self, tmp_path, capsys, name, text, ok):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if ok:
+                assert read_event_log(path) == _read_event_log_lines(path)
+                return
+            with pytest.raises(FileFormatError) as expected:
+                _read_event_log_lines(path)
+            with pytest.raises(FileFormatError) as got:
+                read_event_log(path)
+        assert str(got.value) == str(expected.value)
+        code = main([
+            "fit", "--events", str(path), "--beta", "1.0",
+            "--out-params", str(tmp_path / "fit.json"), "--out-report", str(tmp_path / "report.csv"),
+        ])  # fmt: skip
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    def test_written_log_takes_one_call(self, tmp_path, monkeypatch):
+        log = EventLog([(0.5, 0, 1), (0.5, 2, 0), (3.25, 1, 1)], 9.5, 3, 2)
+        path = tmp_path / "events.csv"
+        write_event_log(log, path)
+
+        def refuse(path):
+            raise AssertionError("fell back to the line reader")
+
+        monkeypatch.setattr(io_module, "_read_event_log_lines", refuse)
+        assert read_event_log(path) == log
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        times=st.lists(st.floats(0.0, 1e300, allow_subnormal=True), max_size=40),
+        n_users=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_round_trip_bit_exact_property(self, tmp_path_factory, times, n_users, data):
+        times = np.sort(np.array(times, dtype=float))
+        k = times.size
+        users = data.draw(st.lists(st.integers(0, n_users - 1), min_size=k, max_size=k))
+        products = data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        horizon = data.draw(st.floats(float(times[-1]) if k else 0.0, 1e300))
+        log = EventLog.from_arrays(times, users, products, horizon, n_users, 3)
+        path = tmp_path_factory.mktemp("round_trip") / "events.csv"
+        write_event_log(log, path)
+        back = read_event_log(path)
+        assert back == log
+        np.testing.assert_array_equal(back.times.view(np.uint64), log.times.view(np.uint64))
+        assert back.horizon.hex() == log.horizon.hex()
 
 
 class TestParamsIO:

@@ -19,9 +19,16 @@ from corrcascades import (
     window_nll,
 )
 
-from corrcascades.likelihood import _eval_features, _event_loglik, _hessian_from_eval
+from corrcascades.likelihood import (
+    BLOCK,
+    _block_starts,
+    _eval_features,
+    _event_loglik,
+    _hessian_from_eval,
+    _window_tendencies,
+)
 
-from conftest import brute_total_nll, random_log, random_params, tied_log
+from conftest import brute_tendency, brute_total_nll, random_log, random_params, tied_log
 
 
 def _theta(vec, n):
@@ -376,6 +383,87 @@ class TestTiedLogsProperty:
                     log, params, t, log.horizon
                 )
                 assert split == pytest.approx(whole, rel=1e-10)
+
+
+class TestBlockedWindowProperty:
+    """Logs long enough that scoring crosses several blocks, with tie runs
+    that straddle block boundaries, checked against rescans of the prefix."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_windows_match_rescan_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        log = tied_log(rng, max_events=400, min_events=150)
+        assert len(log) > 2 * BLOCK
+        soft = random_params(rng, log.n_users, log.n_products, beta=float(rng.uniform(0.3, 3.0)))
+        linear = ModelParams(soft.mu, soft.alpha, LinearMark())
+        times = log.times
+        # a split inside a tie run, and a window inside a gap of 800
+        inside = np.flatnonzero(np.diff(times) == 0) + 1
+        gap = np.flatnonzero(np.diff(times) == 800.0)
+        assert inside.size and gap.size
+        split = int(rng.choice(inside))
+        t_gap = float(times[int(rng.choice(gap))])
+
+        def brute_prefix(stop, t, params):
+            """NLL of the first `stop` events on [0, t], by rescanning."""
+            prefix = EventLog.from_arrays(
+                times[:stop], log.users[:stop], log.products[:stop], t, log.n_users, log.n_products
+            )
+            return brute_total_nll(prefix, params, use_quad=False)
+
+        for params in (soft, linear):
+            whole = brute_prefix(len(log), log.horizon, params)
+            assert total_nll(log, params) == pytest.approx(whole, rel=1e-10)
+            t_split = float(times[split])
+            expected = whole - brute_prefix(split, t_split, params)
+            got = window_nll(log, params, t_split, log.horizon, first_event=split)
+            assert got == pytest.approx(expected, rel=1e-10)
+            g = _window_tendencies(log, params, split, len(log))
+            for i in rng.choice(np.arange(split, len(log)), size=20):
+                u = log.users[i]
+                brute = [brute_tendency(log, params, u, q, times[i]) for q in range(log.n_products)]
+                np.testing.assert_allclose(g[i - split], brute, rtol=1e-10)
+            # no event falls in (t_a, t_b]; the history before it still counts
+            t_a, t_b = t_gap + 0.5, t_gap + 300.0
+            stop = int(np.searchsorted(times, t_a, side="right"))
+            expected = brute_prefix(stop, t_b, params) - brute_prefix(stop, t_a, params)
+            assert window_nll(log, params, t_a, t_b) == pytest.approx(expected, rel=1e-10)
+
+
+    def test_blocks_bounded_and_on_run_starts(self):
+        rng = np.random.default_rng(113)
+        for _ in range(200):
+            # short tie runs and a few of up to 3 * BLOCK events, in random order
+            sizes = np.concatenate([
+                rng.integers(1, 4, size=int(rng.integers(1, 300))),
+                rng.integers(BLOCK - 2, 3 * BLOCK, size=int(rng.integers(0, 4))),
+            ])  # fmt: skip
+            rng.shuffle(sizes)
+            times = np.repeat(np.arange(float(sizes.size)), sizes)
+            lo = int(np.searchsorted(times, times[int(rng.integers(0, times.size))], side="left"))
+            starts = _block_starts(times, lo, times.size)
+            assert starts[0] == lo
+            for s, e in zip(starts, starts[1:] + [times.size]):
+                assert s < e and (s == 0 or times[s - 1] < times[s])
+                assert e - s < 2 * BLOCK or times[s] == times[e - 1]
+
+    def test_long_tie_run_matches_rescan(self):
+        # a run of 5 * BLOCK tied events, scored whole and from inside it
+        rng = np.random.default_rng(127)
+        before, after = np.sort(rng.uniform(0.0, 3.0, 40)), np.sort(rng.uniform(3.5, 5.5, 90))
+        times = np.concatenate([before, np.full(5 * BLOCK, 3.5), after])
+        n, m = 3, 2
+        users, products = rng.integers(0, n, times.size), rng.integers(0, m, times.size)
+        log = EventLog.from_arrays(times, users, products, 6.0, n, m)
+        soft = random_params(rng, n, m, beta=1.5)
+        for params in (soft, ModelParams(soft.mu, soft.alpha, LinearMark())):
+            whole = brute_total_nll(log, params, use_quad=False)
+            assert total_nll(log, params) == pytest.approx(whole, rel=1e-10)
+            split = 40 + 2 * BLOCK + 7
+            head = EventLog.from_arrays(times[:split], log.users[:split], log.products[:split], 3.5, n, m)
+            expected = whole - brute_total_nll(head, params, use_quad=False)
+            assert window_nll(log, params, 3.5, 6.0, first_event=split) == pytest.approx(expected, rel=1e-10)
 
 
 class TestEventFeatures:

@@ -6,7 +6,7 @@ from scipy import stats
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.metrics import binned_intensity, market_share, rescaled_interevent_times
-from corrcascades.model import tie_groups
+from corrcascades.model import decayed_counts, tie_groups
 from corrcascades.simulate import (
     Scenario,
     SimConfig,
@@ -347,8 +347,15 @@ class TestThinningOracle:
             log = tied_log(rng)
             params = random_params(rng, log.n_users, log.n_products)
             swept = np.zeros((log.n_users, log.n_products))
-            for _, _, swept in tie_groups(log):
-                pass
+            prev = 0
+            for lo, _, swept in tie_groups(log):
+                # the closed form, whole and carried from the previous run's start
+                t = log.times[lo]
+                np.testing.assert_allclose(decayed_counts(log, t, 0, lo), swept, rtol=1e-12, atol=0.0)
+                carried = decayed_counts(log, log.times[prev], 0, prev) * math.exp(-(t - log.times[prev]))
+                carried += decayed_counts(log, t, prev, lo)
+                np.testing.assert_allclose(carried, swept, rtol=1e-12, atol=0.0)
+                prev = lo
             b, start = _initial_state(params, log)
             assert start == (log.times[-1] if len(log) else 0.0)
             np.testing.assert_allclose(b, swept, rtol=1e-12, atol=0.0)

@@ -33,10 +33,13 @@ def write_event_log(log: EventLog, path) -> None:
             fh.write(f"{float(t)!r},{u},{p}\n")
 
 
-def _parse_sidecar(line: str, meta: dict[str, str]) -> None:
+def _parse_sidecar(line: str, meta: dict[str, str], where: str) -> None:
+    """Add the `key=value` tokens of a `#` line to `meta`; a key may be set once."""
     for token in line[1:].split():
         if "=" in token:
             key, _, val = token.partition("=")
+            if key in meta:
+                raise FileFormatError(f"{where}: sidecar key '{key}' set a second time")
             meta[key] = val
 
 
@@ -48,7 +51,8 @@ def read_event_log(path) -> EventLog:
     in one `np.loadtxt` call.  Any other file, and any file that call or
     `EventLog` rejects, goes through the line-by-line reader, which also
     takes blank and extra `#` lines and names the line of a malformed row
-    in its FileFormatError.
+    in its FileFormatError.  A sidecar key set a second time, on any `#`
+    line, is such an error.
     """
     path = Path(path)
     with path.open() as fh:
@@ -57,7 +61,7 @@ def read_event_log(path) -> EventLog:
     # a log with no rows goes to the line reader, as loadtxt warns on it
     if sidecar.startswith("#") and header.rstrip("\n") == _HEADER and has_rows:
         meta: dict[str, str] = {}
-        _parse_sidecar(sidecar, meta)
+        _parse_sidecar(sidecar, meta, f"{path}: line 1")
         try:
             rows = np.loadtxt(path, dtype=_ROW, delimiter=",", skiprows=2, comments=None, ndmin=1)
             return EventLog.from_arrays(
@@ -86,7 +90,7 @@ def _read_event_log_lines(path: Path) -> EventLog:
             if not line:
                 continue
             if line.startswith("#"):
-                _parse_sidecar(line, meta)
+                _parse_sidecar(line, meta, f"{path}: line {lineno}")
                 continue
             if not header_seen:
                 if line != _HEADER:

@@ -1,13 +1,22 @@
-"""Exact sampling by Ogata thinning and the incentivization scenario.
+"""Exact sampling by the branching representation, and the incentivization scenario.
 
-The dominating rate is refreshed at every proposal from the current total
-intensity, which is a valid bound because every intensity only decays
-between events under the exponential kernel.  That total is the baseline
-plus one scalar excitation S, decayed by exp(-delta) and raised by the
-event user's outgoing influence (the recursion of
-`metrics.rescaled_interevent_times`), so a rejected proposal costs O(1).  Each
-accepted event costs O(N*M): the per-target excitations it draws the user
-and the product from are decayed once and updated in place.
+Under the unit-rate exponential kernel the process is a forest of clusters
+(Hawkes & Oakes 1974; Møller & Rasmussen 2005).  Immigrants arrive at the
+baseline rates mu_u = sum_p mu_u^p.  An event of user u at time t has
+Poisson(r_u) children, r_u = sum_v alpha[u, v], each at t + Exp(1) and of
+user v with probability alpha[u, v] / r_u.  The absorbed history acts
+through its decayed counts B: its children arrive at the rate
+sum_j r_j B_j exp(-(t - start)).  `_cluster` draws the times and users of
+one whole generation at a time, truncated to the horizon, in a few numpy
+calls.
+
+The intensity lambda_u = sum_p g_u^p does not depend on past products, so
+`_products` draws them afterwards.  A linear mark picks p with probability
+g_u^p / lambda_u, the chance that the event's cause carries p: an offspring
+takes its parent's product and an immigrant draws from mu[u].  A soft-max
+mark needs the tendencies mu[u] + G[:, u], G = B^T alpha, at every event;
+one time-ordered pass keeps G relative to a reference time and rescales it
+lazily.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from .model import (
     check_dimensions,
     decayed_counts,
 )
+
+RESCALE_AFTER = 30.0  # time units between rescalings of the lazily decayed G
 
 
 class SubcriticalityWarning(UserWarning):
@@ -84,74 +95,163 @@ def _check_subcritical(params: ModelParams) -> None:
         )
 
 
-def _thinning_schedule(schedule, alpha, b, start, rng, events: list, cap: int) -> bool:
-    """Run Ogata thinning over consecutive (end_time, mu, mark) segments.
+def _row_picker(weights: np.ndarray):
+    """Vectorized categorical draws from the rows of a nonnegative matrix.
 
-    `b` holds the decayed counts B(start) of the history.  Thinning reads
-    them only through G = alpha^T B (G[u, q] is user u's excitation toward
-    product q), E = G 1 and S = 1^T E, the total excitation.  S is a float
-    kept current at every proposal; G and E are decayed lazily, when an
-    event is accepted.  An in-flight proposal is carried across a segment
-    boundary whenever the bound under the new baselines does not exceed the
-    bound it was drawn against; a no-op boundary therefore consumes exactly
-    the same random stream as an unsegmented run.  Returns True if the
-    event cap was exhausted before the final horizon.
+    `pick(rows, v)` returns, for each row index and uniform v in [0, 1), a
+    column with probability weights[row, col] / row sum.  The normalized
+    cumulative rows, each offset by its row index, form one nondecreasing
+    array, so all draws are one `searchsorted`; a draw that rounding pushes
+    past its row's end is clamped to the row's last positive column.
     """
-    row_sums = alpha.sum(axis=1)
-    jumps = row_sums.tolist()  # S rises by sum_v alpha[u, v] at an event of u
-    excite = float(row_sums @ b.sum(axis=1))
-    # rows 0..M-1 hold G^T, row M holds E, so one product decays both
-    ge = np.empty((b.shape[1] + 1, b.shape[0]))
-    ge[:-1] = b.T @ alpha
-    ge[-1] = ge[:-1].sum(axis=0)
-    g, e = ge[:-1], ge[-1]
-    last_user = b.shape[0] - 1
-    uniform = rng.random  # the same doubles as rng.uniform(), drawn faster
-    s = g_time = start
-    pending = None
-    for seg_end, mu, mark in schedule:
-        mu_user = mu.sum(axis=1)
-        mu_total = float(mu_user.sum())
-        last_product = mu.shape[1] - 1
-        beta = mark.beta if isinstance(mark, SoftMaxMark) else None
-        if pending is not None and mu_total + excite > pending[1]:
-            pending = None
-        while True:
-            if pending is None:
-                lam_bar = mu_total + excite
-                if lam_bar <= 0.0:
-                    s = seg_end
-                    break
-                t_prop = s + rng.exponential(1.0 / lam_bar)
-            else:
-                t_prop, lam_bar = pending
-                pending = None
-            if t_prop >= seg_end:
-                excite *= math.exp(-(seg_end - s))
-                s = seg_end
-                pending = (t_prop, lam_bar)
-                break
-            excite *= math.exp(-(t_prop - s))
-            s = t_prop
-            if uniform() * lam_bar <= mu_total + excite:
-                ge *= math.exp(-(s - g_time))
-                g_time = s
-                cum = (mu_user + e).cumsum()
-                u = min(int(cum.searchsorted(uniform() * cum[-1], side="right")), last_user)
-                # the mark weights: exp(beta * tendency) rescaled, or the tendencies
-                row = mu[u] + g[:, u]
-                if beta is not None:
-                    row = beta * row
-                    row = np.exp(row - row.max())
-                cum = row.cumsum()
-                p = min(int(cum.searchsorted(uniform() * cum[-1], side="right")), last_product)
-                g[p] += alpha[u]
-                e += alpha[u]
-                excite += jumps[u]
-                events.append((s, u, p))
-                if len(events) >= cap:
-                    return True
-    return False
+    n, m = weights.shape
+    cum = weights.cumsum(axis=1)
+    total = cum[:, -1:]
+    cum = np.divide(cum, total, out=np.ones_like(cum), where=total > 0)
+    flat = (cum + np.arange(n)[:, None]).ravel()
+    last = m - 1 - np.argmax(weights[:, ::-1] > 0, axis=1)
+
+    def pick(rows, v):
+        cols = np.searchsorted(flat, rows + v, side="right") - rows * m
+        return np.minimum(cols, last[rows])
+
+    return pick
+
+
+def _keep_earliest(times, users, cause, lo, cap):
+    """The `cap` earliest events, in their order, with parent indices remapped.
+
+    A descendant is never earlier than its ancestors, and a stable sort
+    ranks a tied parent first, so every kept event keeps its parent.
+    """
+    keep = np.zeros(times.size, dtype=bool)
+    keep[np.argsort(times, kind="stable")[:cap]] = True
+    index = np.cumsum(keep) - 1
+    cause = np.where(cause >= 0, index[np.maximum(cause, 0)], cause)
+    return times[keep], users[keep], cause[keep], int(keep[:lo].sum())
+
+
+def _cluster(pieces, alpha, b, start, horizon, rng, cap: int):
+    """Times, users and causes of the events on (start, horizon], by generation.
+
+    `pieces` are consecutive (end_time, mu_user) baselines.  Returns the
+    events sorted by time, with cause[i] the index of event i's parent, -1
+    for an immigrant, or -2 - q for a child of a history event of product
+    q; and whether events beyond the `cap` earliest were dropped.
+    """
+    m = b.shape[1]
+    r = alpha.sum(axis=1)
+    target = _row_picker(alpha)
+
+    # immigrants: a Poisson count in integrated-baseline time, of which
+    # only the first `cap` order statistics are drawn
+    ends = np.array([end for end, _ in pieces])
+    rates = np.array([mu_user.sum() for _, mu_user in pieces])
+    begins = np.maximum(np.concatenate([[start], ends[:-1]]), start)
+    mass = np.cumsum(rates * np.maximum(ends - begins, 0.0))
+    n_imm = int(rng.poisson(mass[-1]))
+    k = min(n_imm, cap)
+    head = rng.standard_exponential(k).cumsum()
+    x = head * (mass[-1] / ((head[-1] if k else 0.0) + rng.standard_gamma(n_imm + 1 - k)))
+    np.minimum(x, np.nextafter(mass[-1], 0.0), out=x)  # rounding must not reach the end
+    piece = np.searchsorted(mass, x, side="right")
+    below = np.concatenate([[0.0], mass[:-1]])
+    imm_times = begins[piece] + (x - below[piece]) / rates[piece]
+    imm_users = _row_picker(np.array([mu_user for _, mu_user in pieces]))(piece, rng.random(k))
+
+    # children of the history, sourced by cell (j, q) with weight r_j B_j^q
+    w = (r[:, None] * b).ravel()
+    reach = -math.expm1(-max(horizon - start, 0.0))
+    n_hist = int(rng.poisson(w.sum() * reach))
+    cells = _row_picker(w[None, :])(np.zeros(n_hist, dtype=np.int64), rng.random(n_hist))
+    hist_times = start - np.log1p(-rng.random(n_hist) * reach)
+    hist_users = target(cells // m, rng.random(n_hist))
+
+    times = np.clip(
+        np.concatenate([imm_times, hist_times]), np.nextafter(start, np.inf), horizon
+    )
+    users = np.concatenate([imm_users, hist_users])
+    cause = np.concatenate([np.full(k, -1), -2 - cells % m])
+    exhausted = n_imm > cap
+    lo = 0  # the newest generation is [lo, times.size)
+    while True:
+        if times.size > cap:
+            times, users, cause, lo = _keep_earliest(times, users, cause, lo, cap)
+            exhausted = True
+        reach = -np.expm1(times[lo:] - horizon)
+        parents = np.repeat(np.arange(lo, times.size), rng.poisson(r[users[lo:]] * reach))
+        if parents.size == 0:
+            break
+        delays = -np.log1p(-rng.random(parents.size) * reach[parents - lo])
+        child_times = np.minimum(times[parents] + delays, horizon)
+        child_users = target(users[parents], rng.random(parents.size))
+        lo = times.size
+        times = np.concatenate([times, child_times])
+        users = np.concatenate([users, child_users])
+        cause = np.concatenate([cause, parents])
+
+    order = np.argsort(times, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    cause = np.where(cause >= 0, rank[np.maximum(cause, 0)], cause)
+    return times[order], users[order], cause[order], exhausted
+
+
+def _pick(weights: list, x: float) -> int:
+    """Index i with cumsum(weights)[i-1] <= x * sum(weights) < cumsum(weights)[i]."""
+    x *= sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if x < acc:
+            return i
+    return max(i for i, w in enumerate(weights) if w > 0)
+
+
+def _products(schedule, alpha, b, start, times, users, cause, rng) -> np.ndarray:
+    """Products of the events from `_cluster` under each segment's mark model.
+
+    One uniform per event, in time order, decides its product wherever the
+    mark draws one, so the products before a time never depend on the
+    segments after it.
+    """
+    n = alpha.shape[0]
+    seg = np.searchsorted([end for end, _, _ in schedule][:-1], times, side="right")
+    betas = [mark.beta if isinstance(mark, SoftMaxMark) else None for _, _, mark in schedule]
+    linear = np.array([beta is None for beta in betas])
+    v = rng.random(times.size)
+    products = np.where(cause <= -2, -2 - cause, 0)
+    drawn = (cause == -1) & linear[seg]
+    pick = _row_picker(np.concatenate([mu for _, mu, _ in schedule]))
+    products[drawn] = pick(seg[drawn] * n + users[drawn], v[drawn])
+    if linear.all():
+        # every offspring carries its root's product: jump pointers to the roots
+        root = np.where(cause >= 0, cause, np.arange(times.size))
+        while np.any(root[root] != root):
+            root = root[root]
+        return products[root]
+
+    mu_rows = [mu.tolist() for _, mu, _ in schedule]
+    g = b.T @ alpha  # g[q, u] = sum_j alpha[j, u] B_j^q(t) * exp(t - t_ref)
+    g_rows, alpha_rows = list(g), list(alpha)
+    t_ref = start
+    out = products.tolist()
+    exp = math.exp
+    rows = zip(times.tolist(), users.tolist(), seg.tolist(), cause.tolist(), v.tolist())
+    for i, (t, u, k, c, x) in enumerate(rows):
+        if t - t_ref > RESCALE_AFTER:
+            g *= exp(t_ref - t)
+            t_ref = t
+        grow = exp(t - t_ref)
+        beta = betas[k]
+        if beta is not None:
+            z = [a + e / grow for a, e in zip(mu_rows[k][u], g[:, u].tolist())]
+            top = max(z)
+            out[i] = _pick([exp(beta * (y - top)) for y in z], x)
+        elif c >= 0:
+            out[i] = out[c]
+        g_rows[out[i]] += alpha_rows[u] * grow
+    return np.array(out, dtype=np.int64)
 
 
 def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.ndarray, float]:
@@ -170,36 +270,59 @@ def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.nd
     return decayed_counts(history, t_last, 0, len(history)), t_last
 
 
+def _sample(params: ModelParams, schedule, config: SimConfig) -> tuple[EventLog, bool]:
+    """The events on consecutive (end_time, mu, mark) segments over one alpha.
+
+    Adjacent segments with equal baselines share one immigrant draw, so a
+    boundary that changes nothing consumes the random stream of an
+    unsegmented run.  Returns the log and whether the event cap dropped
+    events.
+    """
+    b, start = _initial_state(params, config.initial_history)
+    rng = np.random.default_rng(config.seed)
+    pieces: list = []
+    for end, mu, _ in schedule:
+        if pieces and np.array_equal(pieces[-1][1], mu):
+            pieces[-1] = (end, mu)
+        else:
+            pieces.append((end, mu))
+    times, users, cause, exhausted = _cluster(
+        [(end, mu.sum(axis=1)) for end, mu in pieces],
+        params.alpha, b, start, config.horizon, rng, config.max_events,
+    )
+    products = _products(schedule, params.alpha, b, start, times, users, cause, rng)
+    log = EventLog.from_arrays(times, users, products, config.horizon, params.n_users, params.n_products)
+    return log, exhausted
+
+
 def simulate(params: ModelParams, config: SimConfig) -> EventLog:
     """Sample the process on [0, horizon]; returns only newly generated events.
 
     With `initial_history` set, its events are absorbed at their recorded
     times first and generation starts from the later of 0 and the last
     history time.  The history must have the parameters' users and
-    products (ValueError otherwise).
+    products (ValueError otherwise).  When the process has more than
+    `max_events` events, the earliest `max_events` are kept, with a
+    RuntimeWarning.
     """
     _check_subcritical(params)
-    b, start = _initial_state(params, config.initial_history)
-    rng = np.random.default_rng(config.seed)
-    events: list = []
-    exhausted = _thinning_schedule(
-        [(config.horizon, params.mu, params.mark)],
-        params.alpha, b, start, rng, events, config.max_events,
-    )
+    log, exhausted = _sample(params, [(config.horizon, params.mu, params.mark)], config)
     if exhausted:
         warnings.warn(
-            f"event cap {config.max_events} exhausted at t={events[-1][0]:.3f}; log is partial",
+            f"event cap {config.max_events} exhausted at t={log.times[-1]:.3f}; log is partial",
             RuntimeWarning,
             stacklevel=2,
         )
-    return EventLog(events, config.horizon, params.n_users, params.n_products)
+    return log
 
 
 def run_scenario(params: ModelParams, scenario: Scenario, config: SimConfig) -> ScenarioResult:
     """Simulate with a mid-run baseline boost and mark-model switch.
 
-    The decay state and the random stream both carry across the switch, so a
-    no-op scenario (boost 1, identical marks) reproduces `simulate` exactly.
+    The history's decayed counts and the clusters carry across the switch.
+    A no-op scenario (boost 1, identical marks) reproduces `simulate`
+    exactly, and the events before the switch do not depend on the
+    post-switch mark.
     """
     if not 0 < scenario.switch_time < config.horizon:
         raise ValueError("switch_time must fall inside (0, horizon)")
@@ -211,19 +334,15 @@ def run_scenario(params: ModelParams, scenario: Scenario, config: SimConfig) -> 
     boosted_mu[:, scenario.boosted_product] *= scenario.boost_factor
     _check_subcritical(params)
 
-    b, start = _initial_state(params, config.initial_history)
-    rng = np.random.default_rng(config.seed)
-    events: list = []
-    exhausted = _thinning_schedule(
+    log, exhausted = _sample(
+        params,
         [(scenario.switch_time, params.mu, pre_mark), (config.horizon, boosted_mu, post_mark)],
-        params.alpha, b, start, rng, events, config.max_events,
+        config,
     )
-    n_pre = sum(1 for t, _, _ in events if t < scenario.switch_time)
-    log = EventLog(events, config.horizon, params.n_users, params.n_products)
     return ScenarioResult(
         log=log,
         switch_time=scenario.switch_time,
         boosted_product=scenario.boosted_product,
-        n_pre_switch_events=n_pre,
+        n_pre_switch_events=int((log.times < scenario.switch_time).sum()),
         cap_exhausted=exhausted,
     )

@@ -111,11 +111,12 @@ def brute_simulate(segments, seed, history=None, max_events=10**9):
     Generation starts at the last history time (0 without history).  The
     bound is the total intensity just after the current time, events at it
     included; the accept test, user draw and mark draw use `brute_intensity`
-    and `brute_mark_density`.  The rng is drawn in the simulator's order
-    (exponential, accept, user, mark), and a proposal that overshoots a
-    segment is carried into the next one when the next segment's bound does
-    not exceed the bound it was drawn against.  Returns (events, exhausted,
-    n_carried).
+    and `brute_mark_density`.  The rng is drawn per proposal (exponential,
+    accept, user, mark), and a proposal that overshoots a segment is
+    carried into the next one when the next segment's bound does not exceed
+    the bound it was drawn against.  This shares no code and no random
+    stream with `simulate`, so the two agree in law only.  Returns (events,
+    exhausted, n_carried).
     """
     first = segments[0][1]
     n, m = first.n_users, first.n_products

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from corrcascades import EventLog, UserParams, build_all_features, user_nll, user_nll_gradient
 from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_user
 from corrcascades.model import SoftMaxMark
-from corrcascades.simulate import SimConfig, simulate
 
-from conftest import brute_total_nll, random_log, random_params
+from conftest import brute_simulate, brute_total_nll, random_log, random_params
 
 
 
@@ -175,6 +174,14 @@ class TestFitAll:
             assert isinstance(e.converged, bool)
 
 
+def reference_log(params, horizon, seed):
+    """A log drawn by `brute_simulate`, whose random stream is frozen, so the
+    fitter's tests keep their data whatever stream the library's sampler
+    draws."""
+    events, _, _ = brute_simulate([(horizon, params)], seed)
+    return EventLog(events, horizon, params.n_users, params.n_products)
+
+
 class TestCrossValidateBeta:
     def test_singleton_grid_short_circuits(self):
         log = EventLog([(1.0, 0, 0)], 2.0, 1, 1)
@@ -196,7 +203,7 @@ class TestCrossValidateBeta:
         # counted in the per-event mean and scored in the tail window
         rng = np.random.default_rng(31)
         params = random_params(rng, 2, 2, mu_high=0.6, alpha_high=0.3)
-        sim = simulate(params, SimConfig(horizon=10.0, seed=3))
+        sim = reference_log(params, 10.0, seed=3)
         rows = sorted(list(zip(sim.times.tolist(), sim.users.tolist(), sim.products.tolist()))
                       + [(5.0, 0, 1), (5.0, 1, 0)])
         log = EventLog(rows, 10.0, 2, 2)
@@ -218,7 +225,7 @@ class TestCrossValidateBeta:
         picks = []
         for trial in range(trials):
             params = random_params(rng, 3, 2, beta=gen_beta, mu_high=0.25, alpha_high=0.28)
-            log = simulate(params, SimConfig(horizon=150.0, seed=100 + trial))
+            log = reference_log(params, 150.0, seed=100 + trial)
             if len(log) < 30:
                 continue
             beta, _ = cross_validate_beta(log, [0.05, 1.0, 20.0], 0.2)

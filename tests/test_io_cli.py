@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,6 +109,7 @@ _PARSER_CORPUS = [
     ("user_beyond_int64", _SIDECAR + _HEADER + "1.0,99999999999999999999,0\n", False),
     ("blank_lines", _SIDECAR + _HEADER + "1.0,0,1\n\n   \n2.0,1,0\n\n", True),
     ("mid_file_comment", _SIDECAR + _HEADER + "1.0,0,1\n# a note\n2.0,1,0\n", True),
+    ("late_sidecar_override", _SIDECAR + _HEADER + "1.0,0,1\n# horizon=0.5 n_users=7\n", False),
     ("missing_sidecar", _HEADER + "1.0,0,1\n", False),
     ("empty", _SIDECAR + _HEADER, True),
     ("empty_with_blank_lines", _SIDECAR + _HEADER + "\n  \n", True),
@@ -137,6 +139,12 @@ class TestEventLogParser:
         ])  # fmt: skip
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    def test_sidecar_key_set_twice_names_line_and_key(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text(_SIDECAR + _HEADER + "1.0,0,1\n# horizon=0.5 n_users=7\n")
+        with pytest.raises(FileFormatError, match=r"line 4: sidecar key 'horizon' set a second time"):
+            read_event_log(path)
 
     def test_written_log_takes_one_call(self, tmp_path, monkeypatch):
         log = EventLog([(0.5, 0, 1), (0.5, 2, 0), (3.25, 1, 1)], 9.5, 3, 2)
@@ -267,7 +275,7 @@ class TestCliSimulate:
         assert code == EXIT_USAGE
 
     def test_nan_horizon_is_usage_error_not_hang(self, tmp_path):
-        # NaN passes `horizon <= 0`; unchecked, thinning ran to the event cap
+        # NaN passes `horizon <= 0`; unchecked, the sampler ran to the event cap
         _, params_path = _write_model(tmp_path)
         proc = _run_cli(
             "simulate", "--params", str(params_path), "--horizon", "nan",
@@ -497,6 +505,28 @@ class TestCliReplicate:
         lines = (outdir / "recovery.csv").read_text().splitlines()
         assert lines[0].startswith("fraction,")
         assert len(lines) == 11  # header + ten training fractions
+
+    def test_recovery_survives_zero_intensity_test_events(self, tmp_path, monkeypatch):
+        # a short train prefix can leave a user without events, whose fitted
+        # intensity is then exactly 0 at its test events: that row scores inf
+        monkeypatch.setenv("CORRCASCADES_WORKERS", "1")
+        infeasible = 0
+        for seed in range(20):
+            outdir = tmp_path / f"rec{seed}"
+            code = main(
+                [
+                    "replicate-synthetic", "recovery", "--seed", str(seed), "--outdir", str(outdir),
+                    "--n-users", "3", "--n-products", "2",
+                    "--train-events", "60", "--test-events", "12",
+                ]
+            )
+            assert code == EXIT_OK, f"seed {seed}"
+            lines = (outdir / "recovery.csv").read_text().splitlines()
+            assert len(lines) == 11
+            scores = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
+            assert all(s == math.inf or math.isfinite(s) for s in scores)
+            infeasible += math.inf in scores
+        assert infeasible > 0
 
     def test_incentivization_writes_curves(self, tmp_path):
         outdir = tmp_path / "inc"

@@ -1,8 +1,14 @@
 import math
+import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.integrate import quad
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.metrics import binned_intensity, market_share, rescaled_interevent_times
@@ -16,9 +22,14 @@ from corrcascades.simulate import (
     simulate,
 )
 
-from conftest import brute_simulate, random_params, tied_log
-
-
+from conftest import (
+    brute_intensity,
+    brute_mark_density,
+    brute_simulate,
+    brute_tendency,
+    random_params,
+    tied_log,
+)
 
 def poisson_model(rate=2.0):
     return ModelParams(np.array([[rate]]), np.zeros((1, 1)), SoftMaxMark(1.0))
@@ -263,82 +274,201 @@ def oracle_case(rng, with_history):
     return params, history, start
 
 
-def assert_same_events(log, events):
-    """Users and products exactly, times to rel 1e-12."""
-    assert len(log) == len(events)
-    if events:
-        times, users, products = (np.array(c) for c in zip(*events))
-        np.testing.assert_array_equal(log.users, users)
-        np.testing.assert_array_equal(log.products, products)
-        np.testing.assert_allclose(log.times, times, rtol=1e-12, atol=0.0)
+def law_cases(seed, n_cases, span):
+    """`oracle_case` models sampled over `span` time units after their start.
+
+    Even cases run `simulate`; odd cases run `run_scenario` with a boost and
+    a post-switch mark at mid-window, of the other mark family in every
+    other scenario.  Cases 2 and 3 of every four absorb a tied history.
+    Yields (log, record, segments, start): the record is the history
+    followed by the log, and segments are the (end_time, params) the log
+    was drawn under.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(n_cases):
+        params, history, start = oracle_case(rng, with_history=case % 4 >= 2)
+        horizon = start + span
+        config = SimConfig(horizon=horizon, seed=case, initial_history=history)
+        if case % 2 == 0:
+            segments = [(horizon, params)]
+            log = simulate(params, config)
+        else:
+            switch = start + span / 2
+            boosted = case % params.n_products
+            boost = float(rng.choice([0.5, 1.0, 3.0]))
+            other = LinearMark() if isinstance(params.mark, SoftMaxMark) else SoftMaxMark(4.0)
+            post = [other, SoftMaxMark(0.3), other, LinearMark()][case // 2 % 4]
+            mu = params.mu.copy()
+            mu[:, boosted] *= boost
+            segments = [(switch, params), (horizon, ModelParams(mu, params.alpha, post))]
+            scenario = Scenario(switch, boosted, boost, post_switch_mark=post)
+            log = run_scenario(params, scenario, config).log
+        # ties and events on the horizon have probability 0
+        assert np.all(np.diff(log.times) > 0) and np.all(log.times < horizon)
+        yield log, whole_record(history, log), segments, start
+
+
+def whole_record(history, log):
+    """The history's events followed by the generated ones, for rescans."""
+    if history is None:
+        return log
+    return EventLog.from_arrays(
+        np.concatenate([history.times, log.times]),
+        np.concatenate([history.users, log.users]),
+        np.concatenate([history.products, log.products]),
+        max(log.horizon, history.horizon),
+        log.n_users,
+        log.n_products,
+    )
+
+
+def params_at(segments, t):
+    """The parameters of the segment that time t falls in."""
+    return next((params for end, params in segments if t < end), segments[-1][1])
+
+
+def assert_count_means_agree(segments, history, sample, runs):
+    """Per-(user, product) event counts of `sample(seed)` and of
+    `brute_simulate` on the same segments, over `runs` seeds each, agree
+    within 4 standard errors in every cell and in total.  Returns the mean
+    event count per run."""
+    params = segments[0][1]
+    n, m = params.n_users, params.n_products
+
+    def cells(users, products):
+        flat = np.asarray(users, dtype=int) * m + np.asarray(products, dtype=int)
+        return np.bincount(flat, minlength=n * m)
+
+    ours = np.array([cells(log.users, log.products) for log in map(sample, range(runs))])
+    theirs = []
+    for seed in range(runs):
+        events, _, _ = brute_simulate(segments, 10_000 + seed, history)
+        theirs.append(cells([u for _, u, _ in events], [p for _, _, p in events]))
+    theirs = np.array(theirs)
+    ours, theirs = np.column_stack([ours, ours.sum(axis=1)]), np.column_stack([theirs, theirs.sum(axis=1)])
+    se = np.sqrt((ours.var(axis=0, ddof=1) + theirs.var(axis=0, ddof=1)) / runs)
+    assert np.all(np.abs(ours.mean(axis=0) - theirs.mean(axis=0)) <= 4 * se)
+    return float(ours[:, -1].mean())
 
 
 class TestThinningOracle:
-    """`simulate` and `run_scenario` against thinning by full history rescans."""
+    """The law of `simulate` and `run_scenario` against full history rescans
+    and against `brute_simulate`, which thins by rescanning."""
 
-    def test_simulate_matches_rescan(self):
-        rng = np.random.default_rng(101)
-        total = 0
-        for case in range(24):
+    def test_compensator_gaps_are_unit_exponential(self):
+        # time rescaling: each user's compensator increments between its
+        # events are iid Exp(1), the compensator integrating `brute_intensity`
+        gaps, families, histories = [], set(), 0
+        for log, record, segments, start in law_cases(113, 32, 40.0):
+            knots = np.unique(np.concatenate([[start], log.times, [end for end, _ in segments]]))
+            knots = knots[knots <= log.horizon]
+            for u in range(log.n_users):
+                pieces = [
+                    quad(
+                        lambda s: brute_intensity(record, params_at(segments, 0.5 * (a + b)), u, s),
+                        a, b, epsabs=1e-10, epsrel=1e-10,
+                    )[0]
+                    for a, b in zip(knots[:-1], knots[1:])
+                ]
+                comp = np.concatenate([[0.0], np.cumsum(pieces)])
+                at = np.searchsorted(knots, np.append(start, log.times[log.users == u]))
+                gaps.extend(np.diff(comp[at]))
+            families.add(type(segments[0][1].mark))
+            histories += record.times.size > log.times.size
+        assert families == {SoftMaxMark, LinearMark} and histories >= 6
+        assert len(gaps) > 1500
+        assert stats.kstest(gaps, "expon").pvalue > 0.01
+
+    def test_mark_pit_is_uniform(self):
+        # randomized PIT of each product under the rescanned mark density,
+        # one KS test per mark family
+        pit_rng = np.random.default_rng(127)
+        pits = {SoftMaxMark: [], LinearMark: []}
+        for log, record, segments, _ in law_cases(131, 96, 40.0):
+            for t, u, p in zip(log.times.tolist(), log.users.tolist(), log.products.tolist()):
+                params = params_at(segments, t)
+                f = brute_mark_density(record, params, u, t)
+                pits[type(params.mark)].append(f[:p].sum() + pit_rng.uniform() * f[p])
+        for family in pits.values():
+            assert len(family) > 2000
+            assert stats.kstest(family, "uniform").pvalue > 0.01
+
+    def test_sharp_softmax_picks_rescanned_argmax(self):
+        # at beta = 1000 a tendency lead of 0.04 leaves the other products
+        # under exp(-40): the product must be the argmax of the rescanned
+        # tendencies, history and earlier draws included
+        rng = np.random.default_rng(151)
+        checked = 0
+        for case in range(16):
             params, history, start = oracle_case(rng, with_history=case % 2 == 1)
-            horizon = start + float(rng.uniform(5.0, 15.0))
+            sharp = ModelParams(params.mu, params.alpha, SoftMaxMark(1000.0))
+            horizon = start + 60.0
             config = SimConfig(horizon=horizon, seed=case, initial_history=history)
-            events, exhausted, _ = brute_simulate([(horizon, params)], case, history)
-            assert not exhausted
-            assert_same_events(simulate(params, config), events)
-            total += len(events)
-        assert total > 200
+            if case % 4 < 2:
+                segments = [(horizon, sharp)]
+                log = simulate(sharp, config)
+            else:
+                mu = params.mu.copy()
+                mu[:, 0] *= 2.0
+                segments = [(start + 30.0, sharp), (horizon, ModelParams(mu, params.alpha, sharp.mark))]
+                log = run_scenario(sharp, Scenario(start + 30.0, 0, 2.0), config).log
+            record = whole_record(history, log)
+            for t, u, p in zip(log.times.tolist(), log.users.tolist(), log.products.tolist()):
+                seg = params_at(segments, t)
+                g = np.array([brute_tendency(record, seg, u, q, t) for q in range(log.n_products)])
+                top = np.sort(g)[-2:] if g.size > 1 else np.array([-np.inf, g[0]])
+                if top[1] - top[0] > 0.04:
+                    assert p == int(np.argmax(g))
+                    checked += 1
+        assert checked > 1000
 
-    def test_run_scenario_matches_rescan(self):
-        rng = np.random.default_rng(103)
-        carried = 0
-        cases = 24
-        for case in range(cases):
-            params, history, start = oracle_case(rng, with_history=case % 2 == 1)
-            switch = start + float(rng.uniform(2.0, 8.0))
-            horizon = switch + float(rng.uniform(2.0, 8.0))
-            boost = float(rng.choice([0.5, 1.0, 3.0]))
-            post_mark = [SoftMaxMark(0.3), SoftMaxMark(4.0), LinearMark()][case % 3]
-            boosted_mu = params.mu.copy()
-            boosted_mu[:, case % params.n_products] *= boost
-            segments = [
-                (switch, params),
-                (horizon, ModelParams(boosted_mu, params.alpha, post_mark)),
-            ]
-            scenario = Scenario(
-                switch_time=switch,
-                boosted_product=case % params.n_products,
-                boost_factor=boost,
-                post_switch_mark=post_mark,
-            )
-            config = SimConfig(horizon=horizon, seed=case, initial_history=history)
-            events, _, n_carried = brute_simulate(segments, case, history)
-            result = run_scenario(params, scenario, config)
-            assert_same_events(result.log, events)
-            assert result.n_pre_switch_events == sum(t < switch for t, _, _ in events)
-            carried += n_carried
-        # both branches at the switch: proposals kept and proposals redrawn
-        assert 0 < carried < cases
+    def test_count_means_match_rescan(self):
+        rng = np.random.default_rng(137)
+        families = set()
+        for case in range(4):
+            params, history, start = oracle_case(rng, with_history=case >= 2)
+            while params.n_products < 2:
+                params, history, start = oracle_case(rng, with_history=case >= 2)
+            horizon = start + 6.0
+            config = SimConfig(horizon=horizon, seed=0, initial_history=history)
+            if case % 2 == 0:
+                segments = [(horizon, params)]
 
-    def test_event_cap_matches_rescan(self):
-        rng = np.random.default_rng(107)
-        for case in range(6):
-            params, history, start = oracle_case(rng, with_history=case % 2 == 1)
-            horizon = start + 2000.0
-            cap = int(rng.integers(1, 40))
-            events, exhausted, _ = brute_simulate([(horizon, params)], case, history, cap)
-            assert exhausted and len(events) == cap
-            config = SimConfig(horizon=horizon, seed=case, initial_history=history, max_events=cap)
-            with pytest.warns(RuntimeWarning, match="cap"):
-                assert_same_events(simulate(params, config), events)
-            switch = start + 1.0
-            segments = [(switch, params), (horizon, params)]
-            events, exhausted, _ = brute_simulate(segments, case, history, cap)
-            result = run_scenario(
-                params, Scenario(switch_time=switch, boosted_product=0, boost_factor=1.0), config
-            )
-            assert result.cap_exhausted and exhausted
-            assert_same_events(result.log, events)
+                def sample(seed):
+                    return simulate(params, replace(config, seed=seed))
+            else:
+                # soft-max then linear marks, and the reverse after a history
+                pre, post = [(SoftMaxMark(4.0), LinearMark()), (LinearMark(), SoftMaxMark(4.0))][case // 2]
+                mu = params.mu.copy()
+                mu[:, 0] *= 3.0
+                segments = [
+                    (start + 3.0, ModelParams(params.mu, params.alpha, pre)),
+                    (horizon, ModelParams(mu, params.alpha, post)),
+                ]
+                scenario = Scenario(start + 3.0, 0, 3.0, pre_switch_mark=pre, post_switch_mark=post)
+
+                def sample(seed):
+                    return run_scenario(params, scenario, replace(config, seed=seed)).log
+            assert assert_count_means_agree(segments, history, sample, 200) > 3
+            families.update(type(p.mark) for _, p in segments)
+        assert families == {SoftMaxMark, LinearMark}
+
+    def test_history_children_match_rescan(self):
+        # a quiet baseline and a window of one time unit after the history,
+        # so most events descend from the absorbed history
+        rng = np.random.default_rng(149)
+        for _ in range(2):
+            params, history, start = oracle_case(rng, with_history=True)
+            while len(history) < 5:
+                params, history, start = oracle_case(rng, with_history=True)
+            for mark in (SoftMaxMark(8.0), LinearMark()):
+                quiet = ModelParams(0.05 * params.mu, params.alpha, mark)
+                config = SimConfig(horizon=start + 1.0, seed=0, initial_history=history)
+                events = assert_count_means_agree(
+                    [(config.horizon, quiet)], history,
+                    lambda seed: simulate(quiet, replace(config, seed=seed)), 1000,
+                )
+                assert events > 0.25
 
     def test_initial_state_matches_tie_sweep(self):
         rng = np.random.default_rng(109)
@@ -363,6 +493,57 @@ class TestThinningOracle:
         assert zeroed >= 20
         b, start = _initial_state(params, None)
         assert start == 0.0 and not b.any()
+
+
+class TestSamplerEdges:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_long_windows_after_tied_histories(self, seed):
+        # histories whose gaps of 800 underflow every earlier count, then
+        # windows long enough to rescale the soft-max excitation many times
+        rng = np.random.default_rng(seed)
+        history = tied_log(rng)
+        beta = float(rng.choice([0.5, 8.0])) if rng.uniform() < 0.7 else None
+        params = random_params(
+            rng, history.n_users, history.n_products, beta=beta, mu_high=0.1, alpha_high=0.2
+        )
+        start = float(history.times[-1]) if len(history) else 0.0
+        horizon = start + float(rng.uniform(1000.0, 1500.0))
+        config = SimConfig(horizon=horizon, seed=seed, initial_history=history)
+        scenario = Scenario(start + 500.0, 0, 2.0, post_switch_mark=SoftMaxMark(2.0))
+        for log in (simulate(params, config), run_scenario(params, scenario, config).log):
+            assert len(log) > 0
+            assert np.all(np.diff(log.times) >= 0)
+            assert log.times[0] > start and log.times[-1] <= horizon
+
+    def test_supercritical_cap_ends_quickly(self):
+        params = ModelParams(np.full((2, 2), 0.5), np.full((2, 2), 3.0), SoftMaxMark(1.0))
+        config = SimConfig(horizon=1000.0, seed=3, max_events=20)
+        began = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            log = simulate(params, config)
+            result = run_scenario(params, Scenario(500.0, 1), config)
+        assert time.perf_counter() - began < 5.0
+        assert len(log) == 20 and len(result.log) == 20 and result.cap_exhausted
+        assert {type(w.message) for w in caught} == {SubcriticalityWarning, RuntimeWarning}
+        assert any("cap 20 exhausted" in str(w.message) for w in caught)
+
+    def test_cap_at_or_above_count_keeps_log(self):
+        # an unused cap changes nothing, and does not warn
+        rng = np.random.default_rng(139)
+        for case in range(8):
+            params, history, start = oracle_case(rng, with_history=case % 2 == 1)
+            config = SimConfig(horizon=start + 20.0, seed=case, initial_history=history)
+            scenario = Scenario(start + 10.0, 0, 2.0, post_switch_mark=LinearMark())
+            full = simulate(params, config)
+            full_scenario = run_scenario(params, scenario, config).log
+            assert len(full) > 0
+            for cap in (len(full), len(full) + 1):
+                assert simulate(params, replace(config, max_events=cap)) == full
+            for cap in (len(full_scenario), len(full_scenario) + 1):
+                result = run_scenario(params, scenario, replace(config, max_events=cap))
+                assert result.log == full_scenario and not result.cap_exhausted
 
 
 class TestMarketShare:

@@ -27,10 +27,8 @@ from .likelihood import (
     _gradient_from_eval,
     _hessian_from_eval,
     build_all_features,
-    user_nll,
-    user_nll_gradient,
-    window_nll,
 )
+from .metrics import held_out_score
 from .model import ModelParams, SoftMaxMark
 
 WORKERS_ENV_VAR = "CORRCASCADES_WORKERS"
@@ -115,8 +113,10 @@ def _projected_newton(features, theta, live, config):
     Stops when the projected gradient norm reaches `_GRAD_TOL`, when
     the predicted decrease falls below the objective's floating-point
     resolution, when the line search finds no decrease, or after
-    `inner_max_iter` steps.  Returns (theta, iterations, evaluations):
-    iterations counts gradient evaluations, the final check included.
+    `inner_max_iter` steps.  Returns (theta, nll, grad, iterations,
+    evaluations): the NLL at theta and its gradient there, zero on the
+    coordinates that are not live; iterations counts gradient
+    evaluations, the final check included.
     """
     beta = config.beta
     n = features.n_users
@@ -170,7 +170,7 @@ def _projected_newton(features, theta, live, config):
         else:
             break
         theta, value, f, lam = cand, cand_value, cand_f, cand_lam
-    return theta, iterations, evals
+    return theta, value, grad, iterations, evals
 
 
 def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[UserParams, UserFitEntry]:
@@ -197,27 +197,24 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[Use
         # baselines start at the per-product event rate, where the
         # intensities and their curvature stay finite for any init_value
         theta[n:] = np.bincount(features.products, minlength=m) / features.horizon
-    theta, iterations, evals = _projected_newton(features, theta, live, config)
-
-    params = UserParams(theta[:n], theta[n:])
-    nll = user_nll(features, params, config.beta)
+    theta, nll, grad, iterations, evals = _projected_newton(features, theta, live, config)
     # KKT certificate: at coordinates pinned to the constraint floor only an
-    # outward (negative) NLL gradient counts as unfinished business
-    grad = user_nll_gradient(features, params, config.beta)
+    # outward (negative) NLL gradient counts as unfinished business; the
+    # solver zeroes the gradient of dead coordinates, pinned at 0 anyway
     pinned = theta <= 1e-6
     grad[pinned] = np.minimum(grad[pinned], 0.0)
     proj_norm = float(np.linalg.norm(grad))
-    converged = proj_norm <= 1e-4 * max(1.0, abs(float(nll)))
+    converged = proj_norm <= 1e-4 * max(1.0, abs(nll))
     entry = UserFitEntry(
         user=user,
-        nll=float(nll),
+        nll=nll,
         outer_iterations=iterations,
         inner_iterations=evals,
         converged=converged,
         grad_norm=proj_norm,
         wall_time=time.perf_counter() - start,
     )
-    return params, entry
+    return UserParams(theta[:n], theta[n:]), entry
 
 
 def default_worker_count() -> int:
@@ -256,8 +253,9 @@ def cross_validate_beta(
     """Pick beta by held-out predictive likelihood on the trailing time window.
 
     Fits on [0, (1 - holdout) * T) and scores the per-event NLL of the tail
-    conditioned on the full head history.  Lowest score wins; ties go to the
-    earlier grid entry.
+    conditioned on the full head history (`metrics.held_out_score`), inf
+    when a fit gives a tail event zero likelihood.  Lowest score wins; ties,
+    and a grid that scores inf throughout, go to the earlier grid entry.
     """
     grid = list(grid)
     if not grid:
@@ -270,17 +268,16 @@ def cross_validate_beta(
         return float(grid[0]), [(float(grid[0]), np.nan)]
     t_split = log.horizon * (1.0 - holdout_fraction)
     n_head = int(np.searchsorted(log.times, t_split, side="left"))
-    n_tail = len(log) - n_head
-    if n_head == 0 or n_tail == 0:
+    if n_head == 0 or n_head == len(log):
         raise ValueError("degenerate split: empty train head or test tail")
     head = log.before(t_split).with_horizon(t_split)
+    # the tail starts at event n_head, so tail events at t_split are scored
+    tail = EventLog.from_arrays(
+        log.times[n_head:], log.users[n_head:], log.products[n_head:],
+        log.horizon, log.n_users, log.n_products,
+    )
     scores = []
-    best_beta, best_score = None, np.inf
     for beta in grid:
         params, _ = fit_all(head, replace(config, beta=float(beta)))
-        # the tail starts at event n_head, so tail events at t_split are scored
-        score = window_nll(log, params, t_split, log.horizon, first_event=n_head) / n_tail
-        scores.append((float(beta), float(score)))
-        if score < best_score:
-            best_beta, best_score = float(beta), float(score)
-    return best_beta, scores
+        scores.append((float(beta), held_out_score(head, tail, params)))
+    return min(scores, key=lambda entry: entry[1])[0], scores

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EventLog, concat_logs
-from .likelihood import window_nll
+from .likelihood import InfeasibleLikelihoodError, window_nll
 from .model import ModelParams
 
 
@@ -84,6 +84,20 @@ def avg_pred_loglik(train: EventLog, test: EventLog, params: ModelParams) -> flo
     combined = concat_logs(train, test)
     nll = window_nll(combined, params, train.horizon, test.horizon, first_event=len(train))
     return nll / len(test)
+
+
+def held_out_score(train: EventLog, test: EventLog, params: ModelParams) -> float:
+    """`avg_pred_loglik`, a per-event NLL, or inf when `params` give a test
+    event zero intensity or zero mark probability.
+
+    A train log can leave a user without events; the fit then sets that
+    user's baselines and influence to exactly 0, and the held-out
+    likelihood of any later event of that user is 0.
+    """
+    try:
+        return avg_pred_loglik(train, test, params)
+    except InfeasibleLikelihoodError:
+        return float("inf")
 
 
 def pearson(a: CurveSeries, b: CurveSeries) -> float:

@@ -1,17 +1,18 @@
-"""Model parameters, mark models and the tie-aware event sweep.
+"""Model parameters, mark models and the decayed event counts.
 
 All history dependence flows through the exponentially decayed event counts
 B(t), the sufficient statistics of the likelihood: any tendency
 g_u^p(t) = mu_u^p + sum_j alpha[j, u] B_j^p(t) costs O(N) given them,
-however many events came before.  `tie_groups` sweeps them event run by
-event run; `decayed_counts` gives them at one time in closed form.
+however many events came before.  `decayed_counts` gives them at one time
+in closed form; `likelihood.build_all_features` gives them at every event
+time of a user.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -81,31 +82,6 @@ class ModelParams:
         return self.mu.sum(axis=1)
 
 
-def tie_groups(log: EventLog) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Sweep `log` in runs of tied events with their decayed counts.
-
-    For each run of events [lo, hi) that share one time t, yields
-    (lo, hi, b), where b[j, q] = sum over events (t_i, j, q) strictly
-    before t of exp(-(t - t_i)) is the history every intensity at t sees.
-    b is one N x M array that the sweep owns and updates in place when
-    resumed (decayed only when time advances, then one count per event of
-    the run), so a caller that keeps it copies it.  After an exhausted
-    sweep, b holds the whole log decayed to its last event time.
-    """
-    b = np.zeros((log.n_users, log.n_products))
-    times, users, products = log.times.tolist(), log.users.tolist(), log.products.tolist()
-    starts = np.flatnonzero(np.diff(log.times, prepend=-np.inf)).tolist()
-    t_prev = 0.0
-    for lo, hi in zip(starts, starts[1:] + [len(times)]):
-        t = times[lo]
-        if t > t_prev:
-            b *= math.exp(-(t - t_prev))
-            t_prev = t
-        yield lo, hi, b
-        for i in range(lo, hi):
-            b[users[i], products[i]] += 1.0
-
-
 def decayed_counts(log: EventLog, t: float, lo: int, hi: int) -> np.ndarray:
     """Decayed counts at time t of the events [lo, hi) of `log`, in closed form.
 
@@ -116,7 +92,8 @@ def decayed_counts(log: EventLog, t: float, lo: int, hi: int) -> np.ndarray:
     n, m = log.n_users, log.n_products
     cells = log.users[lo:hi] * m + log.products[lo:hi]
     weights = np.exp(-(t - log.times[lo:hi]))
-    return np.bincount(cells, weights=weights, minlength=n * m).reshape(n, m)
+    counts = np.bincount(cells, weights=weights, minlength=n * m)  # integers when lo == hi
+    return counts.astype(float, copy=False).reshape(n, m)
 
 
 def check_dimensions(log: EventLog, params: ModelParams) -> None:

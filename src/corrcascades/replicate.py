@@ -11,8 +11,7 @@ import numpy as np
 
 from .data import EventLog
 from .fitting import FitConfig, fit_all
-from .likelihood import InfeasibleLikelihoodError
-from .metrics import avg_pred_loglik, binned_intensity, market_share, param_mae, param_mse
+from .metrics import binned_intensity, held_out_score, market_share, param_mae, param_mse
 from .model import LinearMark, ModelParams, SoftMaxMark
 from .simulate import Scenario, ScenarioResult, SimConfig, run_scenario, simulate
 
@@ -123,24 +122,10 @@ def run_recovery(
                         / np.maximum(true_params.alpha, 1e-6)
                     ).mean()
                 ),
-                avg_pred_loglik=_held_out_score(train, test, est),
+                avg_pred_loglik=held_out_score(train, test, est),
             )
         )
     return RecoveryResult(true_params=true_params, rows=rows, train=train, test=test)
-
-
-def _held_out_score(train: EventLog, test: EventLog, est: ModelParams) -> float:
-    """`avg_pred_loglik`, a per-event NLL, or inf when the fit gives a test
-    event zero intensity or zero mark probability.
-
-    A train prefix can leave a user without events; the fit then sets that
-    user's baselines and influence to exactly 0, and the held-out
-    likelihood of any later event of that user is 0.
-    """
-    try:
-        return avg_pred_loglik(train, test, est)
-    except InfeasibleLikelihoodError:
-        return float("inf")
 
 
 def make_incentivization_model(

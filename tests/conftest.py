@@ -42,6 +42,17 @@ def random_params(rng, n_users, n_products, beta=1.0, mu_high=0.8, alpha_high=0.
     return ModelParams(mu, alpha, mark)
 
 
+def brute_counts(log, t, inclusive=False):
+    """The N x M decayed counts at t by a full rescan: sum over events
+    (t_i, j, q) strictly before t (at or before t if `inclusive`) of
+    exp(-(t - t_i)) in cell (j, q)."""
+    counts = np.zeros((log.n_users, log.n_products))
+    for t_i, j, q in zip(log.times.tolist(), log.users.tolist(), log.products.tolist()):
+        if t_i < t or (inclusive and t_i == t):
+            counts[j, q] += np.exp(-(t - t_i))
+    return counts
+
+
 def brute_tendency(log, params, user, product, t):
     """g_u^p(t) by a full rescan over events strictly before t."""
     mask = (log.times < t) & (log.products == product)

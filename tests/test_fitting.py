@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcascades import EventLog, UserParams, build_all_features, user_nll, user_nll_gradient
+from corrcascades import EventLog, UserParams, build_all_features, user_nll, user_nll_gradient, window_nll
 from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_user
 from corrcascades.model import SoftMaxMark
 
@@ -88,7 +88,12 @@ class TestFitUser:
             pinned = packed <= 1e-6
             projected = grad.copy()
             projected[pinned] = np.minimum(grad[pinned], 0.0)
-            assert np.linalg.norm(projected) <= 1e-4 or np.linalg.norm(projected) <= 1e-3
+            norm = float(np.linalg.norm(projected))
+            # the certificate is the returned point's, recomputed here
+            assert entry.converged
+            assert entry.nll == user_nll(features, theta, 1.0)
+            assert entry.grad_norm == norm
+            assert norm <= 1e-4
 
     def test_beats_random_feasible_points(self):
         rng = np.random.default_rng(11)
@@ -218,6 +223,16 @@ class TestCrossValidateBeta:
                 head, fitted, use_quad=False
             )
             assert score == pytest.approx(tail_nll / n_tail, rel=1e-9)
+            # the window score of the tail from its first event, bit for bit
+            assert score == window_nll(log, fitted, 5.0, 10.0, first_event=len(head)) / n_tail
+
+    def test_user_without_head_events_scores_inf(self):
+        # the head holds no event of user 1, whose fit is then exactly 0, so
+        # its tail events have zero likelihood under every beta
+        log = EventLog([(1.0, 0, 0), (2.0, 0, 1), (3.0, 0, 0), (8.0, 1, 1), (9.0, 1, 0)], 10.0, 2, 2)
+        beta, scores = cross_validate_beta(log, [0.5, 2.0], 0.3, FitConfig(n_workers=1))
+        assert scores == [(0.5, np.inf), (2.0, np.inf)]
+        assert beta == 0.5
 
     @staticmethod
     def _cv_picks(gen_beta, trials=5):

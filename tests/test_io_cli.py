@@ -358,6 +358,25 @@ class TestCliFit:
         assert code == EXIT_OK
         assert "# chosen_beta=" in out_report.read_text()
 
+    def test_beta_grid_survives_user_without_head_events(self, tmp_path, monkeypatch):
+        # the default hold-out leaves user 1 without head events: its fit is
+        # exactly 0 and every beta scores inf, so the first grid entry stays
+        monkeypatch.setenv("CORRCASCADES_WORKERS", "1")
+        log = EventLog([(1.0, 0, 0), (2.0, 0, 1), (3.0, 0, 0), (8.0, 1, 1), (9.0, 1, 0)], 10.0, 2, 2)
+        events = tmp_path / "events.csv"
+        write_event_log(log, events)
+        out_report = tmp_path / "report.csv"
+        code = main(
+            [
+                "fit", "--events", str(events), "--beta-grid", "0.5,2",
+                "--out-params", str(tmp_path / "fit.json"), "--out-report", str(out_report),
+            ]
+        )
+        assert code == EXIT_OK
+        lines = out_report.read_text().splitlines()
+        assert "# beta=0.5 score=inf" in lines and "# beta=2.0 score=inf" in lines
+        assert "# chosen_beta=0.5" in lines
+
     def test_nan_time_is_usage_error_not_hang(self, tmp_path):
         events = tmp_path / "events.csv"
         events.write_text(
@@ -543,6 +562,39 @@ class TestCliReplicate:
             assert (outdir / f"intensity_{label}.csv").exists()
             assert (outdir / f"market_share_{label}.csv").exists()
             assert (outdir / f"events_{label}.csv").exists()
+
+
+def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 13 ms and 1.35 MB to import, and np.unique pulls it in
+    params, params_path = _write_model(tmp_path, seed=41)
+    log = simulate(params, SimConfig(horizon=30.0, seed=43))
+    train = log.before(20.0).with_horizon(20.0)
+    mask = log.times >= 20.0
+    test = EventLog.from_arrays(
+        log.times[mask], log.users[mask], log.products[mask], 30.0, log.n_users, log.n_products
+    )
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("events", "train", "test")}
+    for name, part in (("events", log), ("train", train), ("test", test)):
+        write_event_log(part, paths[name])
+    fit = [
+        "fit", "--events", paths["events"], "--beta", "1.0",
+        "--out-params", str(tmp_path / "fit.json"), "--out-report", str(tmp_path / "report.csv"),
+    ]
+    evaluate = [
+        "evaluate", "--train", paths["train"], "--test", paths["test"],
+        "--params", str(params_path), "--bins", "10", "--out", str(tmp_path / "metrics.csv"),
+    ]
+    code = (
+        "import sys; from corrcascades.cli import main; "
+        f"codes = [main({fit!r}), main({evaluate!r})]; "
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]), CORRCASCADES_WORKERS="1"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_cli_imports_without_scipy():

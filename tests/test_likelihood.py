@@ -21,6 +21,7 @@ from corrcascades import (
 
 from corrcascades.likelihood import (
     BLOCK,
+    _TINY,
     _block_starts,
     _eval_features,
     _event_loglik,
@@ -28,7 +29,7 @@ from corrcascades.likelihood import (
     _window_tendencies,
 )
 
-from conftest import brute_tendency, brute_total_nll, random_log, random_params, tied_log
+from conftest import brute_counts, brute_tendency, brute_total_nll, random_log, random_params, tied_log
 
 
 def _theta(vec, n):
@@ -483,6 +484,65 @@ class TestEventFeatures:
                         if t < t_i:
                             expected[j, q] += math.exp(-(t_i - t))
                     np.testing.assert_allclose(f.snapshots[:, i, :], expected, rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_long_users_match_rescan(self, seed):
+        # user 0 has more than 2 * BLOCK events, tied across every block
+        # boundary; gaps of 800 decay every count to 0, the first event is
+        # at t = 0 and user n - 1 has no events
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        own = int(rng.integers(2 * BLOCK + 1, 3 * BLOCK))
+        users = rng.permutation(np.concatenate([np.zeros(own, int), rng.integers(0, n - 1, BLOCK)]))
+        gaps = rng.choice([0.0, 0.0, 0.5, 1.0, 800.0], size=users.size)
+        gaps[0] = 0.0
+        first = np.flatnonzero(users == 0)
+        for r in range(BLOCK, first.size, BLOCK):
+            gaps[first[r - 1] + 1 : first[r] + 1] = 0.0
+        times = np.cumsum(gaps)
+        log = EventLog.from_arrays(times, users, rng.integers(0, m, users.size), times[-1] + 1.0, n, m)
+        feats = build_all_features(log)
+        assert feats[n - 1].snapshots.shape == (n, 0, m)
+        for u in range(n):
+            for i, t_i in enumerate(times[users == u]):
+                expected = brute_counts(log, t_i)
+                np.testing.assert_allclose(feats[u].snapshots[:, i, :], expected, rtol=1e-10, atol=0.0)
+
+    def test_block_of_tied_events_carries(self):
+        # user 0's second block holds only events tied with the first
+        # block's last, so it sees no log event and only carries its counts
+        times = np.concatenate([[0.0], np.arange(1.0, BLOCK + 1.0), [BLOCK, BLOCK]])
+        users = np.concatenate([[1], np.zeros(BLOCK + 2, int)])
+        log = EventLog.from_arrays(times, users, np.zeros(times.size, int), BLOCK + 1.0, 2, 1)
+        snapshots = build_all_features(log)[0].snapshots
+        for i, t_i in enumerate(times[1:]):
+            np.testing.assert_allclose(snapshots[:, i, :], brute_counts(log, t_i), rtol=1e-10, atol=0.0)
+
+    def test_counts_below_tiny_dropped(self):
+        # gaps of a few hundred put counts between 1e-313 and 1e-87: those
+        # below _TINY are dropped, so no snapshot entry is subnormal.  The
+        # first log carries a count of exp(-400) into user 0's second
+        # block, whose event comes 330 later
+        carried = [(0.0, 1, 0)] + [(200.0, 0, 0)] * (BLOCK - 1) + [(400.0, 0, 0), (730.0, 0, 0)]
+        logs = [EventLog(carried, 731.0, 2, 1)]
+        rng = np.random.default_rng(83)
+        gaps = (0.0, 1.0, 200.0, 360.0, 500.0, 720.0)
+        logs += [tied_log(rng, max_events=2 * BLOCK, gaps=gaps, min_events=BLOCK + 10) for _ in range(20)]
+        dropped = 0
+        for log in logs:
+            feats = build_all_features(log)
+            for u in range(log.n_users):
+                snapshots = feats[u].snapshots
+                assert np.all((snapshots == 0) | (snapshots >= np.finfo(float).tiny))
+                for i, t_i in enumerate(log.times[log.users == u]):
+                    expected = brute_counts(log, t_i)
+                    got = snapshots[:, i, :]
+                    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=len(log) * _TINY)
+                    large = expected >= 1e-140
+                    np.testing.assert_allclose(got[large], expected[large], rtol=1e-10)
+                    dropped += int(np.any((got == 0) & (expected > 0)))
+        assert dropped >= 5
 
     def test_snapshot_excludes_simultaneous_events(self):
         log = EventLog([(1.0, 0, 0), (1.0, 1, 0)], 2.0, 2, 1)

@@ -14,18 +14,17 @@ from corrcascades import (
     window_nll,
 )
 from corrcascades.likelihood import _eval_features
-from corrcascades.model import tie_groups
+from corrcascades.model import decayed_counts
 
-from conftest import brute_intensity, brute_tendency, brute_total_nll, random_log, random_params, tied_log
-
-
-def _sweep(log):
-    """(run time, copy of the decayed counts) at every run, and the counts
-    once the sweep has absorbed the whole log."""
-    seen, b = [], None
-    for lo, _, b in tie_groups(log):
-        seen.append((float(log.times[lo]), b.copy()))
-    return seen, b
+from conftest import (
+    brute_counts,
+    brute_intensity,
+    brute_tendency,
+    brute_total_nll,
+    random_log,
+    random_params,
+    tied_log,
+)
 
 
 def _tendencies(log, params, user):
@@ -36,19 +35,23 @@ def _tendencies(log, params, user):
 
 
 class TestDecayState:
-    """The decayed counts B(t) that `tie_groups` yields, one N x M array."""
+    """The decayed counts B(t), one N x M array: in closed form at one time
+    (`decayed_counts`) and at a user's event times (the feature snapshots)."""
 
     def test_init_zero(self):
-        seen, _ = _sweep(EventLog([(1.0, 0, 0)], 2.0, 2, 3))
-        b = seen[0][1]
-        assert b.shape == (2, 3)
+        log = EventLog([(1.0, 0, 0)], 2.0, 2, 3)
+        b = decayed_counts(log, 1.0, 0, 0)
+        assert b.shape == (2, 3) and b.dtype == float
         assert np.all(b == 0)
+        np.testing.assert_array_equal(build_all_features(log)[0].snapshots[:, 0, :], b)
 
     def test_init_single_cell(self):
-        assert _sweep(EventLog([(0.0, 0, 0)], 1.0, 1, 1))[1].shape == (1, 1)
+        assert decayed_counts(EventLog([(0.0, 0, 0)], 1.0, 1, 1), 0.0, 0, 1).shape == (1, 1)
 
     def test_init_paper_dimensions(self):
-        assert _sweep(EventLog([(0.5, 7, 4)], 1.0, 50, 5))[1].shape == (50, 5)
+        log = EventLog([(0.5, 7, 4)], 1.0, 50, 5)
+        assert decayed_counts(log, 0.5, 0, 1).shape == (50, 5)
+        assert build_all_features(log)[7].snapshots.shape == (50, 1, 5)
 
     def test_init_rejects_zero_dims(self):
         with pytest.raises(ValueError):
@@ -57,52 +60,52 @@ class TestDecayState:
             EventLog([], 1.0, 3, 0)
 
     def test_absorb_first_event(self):
-        _, b = _sweep(EventLog([(1.0, 0, 0)], 2.0, 2, 2))
+        b = decayed_counts(EventLog([(1.0, 0, 0)], 2.0, 2, 2), 1.0, 0, 1)
         assert b[0, 0] == 1.0
         assert b.sum() == 1.0
 
     def test_advance_decays_exponentially(self):
-        _, b = _sweep(EventLog([(1.0, 0, 0), (2.0, 1, 0)], 3.0, 2, 2))
+        log = EventLog([(1.0, 0, 0), (2.0, 1, 0)], 3.0, 2, 2)
+        b = decayed_counts(log, 2.0, 0, 2)
         assert b[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert b[1, 0] == 1.0
 
     def test_simultaneous_events_no_decay(self):
-        _, b = _sweep(EventLog([(1.0, 0, 0), (1.0, 0, 0)], 2.0, 1, 1))
-        assert b[0, 0] == 2.0
+        assert decayed_counts(EventLog([(1.0, 0, 0), (1.0, 0, 0)], 2.0, 1, 1), 1.0, 0, 2)[0, 0] == 2.0
 
     def test_advance_scales_all_entries(self):
-        seen, _ = _sweep(EventLog([(1.0, 0, 1), (1.0, 1, 0), (3.5, 0, 0)], 4.0, 2, 2))
+        # the snapshot at user 0's second event holds the first two events
+        # and not the third, tied with the second
+        log = EventLog([(1.0, 0, 1), (1.0, 1, 0), (3.5, 0, 0), (3.5, 1, 1)], 4.0, 2, 2)
         before = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert seen[1][0] == 3.5
-        np.testing.assert_allclose(seen[1][1], before * math.exp(-2.5), rtol=1e-14)
+        np.testing.assert_allclose(
+            build_all_features(log)[0].snapshots[:, 1, :], before * math.exp(-2.5), rtol=1e-14
+        )
 
-
-class TestTieGroups:
-    def test_runs_and_state_match_rescan(self):
-        # at each yield the counts hold exactly the events strictly before
-        # the run's time, decayed to it; the exhausted sweep holds them all
+    def test_closed_form_matches_rescan(self):
+        # at each tie-run start the counts hold exactly the events strictly
+        # before it, whole or carried from the previous run start; at the
+        # last event they hold the whole log
         rng = np.random.default_rng(29)
-        for _ in range(30):
+        for _ in range(200):
             log = tied_log(rng)
-            runs = []
-            b = None
-            for lo, hi, b in tie_groups(log):
-                t = log.times[lo]
-                assert np.all(log.times[lo:hi] == t)
-                expected = np.zeros((log.n_users, log.n_products))
-                mask = log.times < t
-                np.add.at(
-                    expected,
-                    (log.users[mask], log.products[mask]),
-                    np.exp(-(t - log.times[mask])),
-                )
-                np.testing.assert_allclose(b, expected, rtol=1e-12, atol=1e-300)
-                runs.append((lo, hi))
-            starts = [i for i in range(len(log)) if i == 0 or log.times[i] != log.times[i - 1]]
-            assert runs == list(zip(starts, starts[1:] + [len(log)]))
+            times = log.times
+            starts = [i for i in range(len(log)) if i == 0 or times[i] != times[i - 1]]
+            prev = 0
+            for lo in starts:
+                t = times[lo]
+                expected = brute_counts(log, t)
+                np.testing.assert_allclose(decayed_counts(log, t, 0, lo), expected, rtol=1e-12, atol=0.0)
+                carried = decayed_counts(log, times[prev], 0, prev) * math.exp(-(t - times[prev]))
+                carried += decayed_counts(log, t, prev, lo)
+                np.testing.assert_allclose(carried, expected, rtol=1e-12, atol=0.0)
+                prev = lo
             if len(log):
-                assert b.sum() == pytest.approx(
-                    np.exp(-(log.times[-1] - log.times)).sum(), rel=1e-12
+                np.testing.assert_allclose(
+                    decayed_counts(log, times[-1], 0, len(log)),
+                    brute_counts(log, times[-1], inclusive=True),
+                    rtol=1e-12,
+                    atol=0.0,
                 )
 
 

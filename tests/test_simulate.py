@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.metrics import binned_intensity, market_share, rescaled_interevent_times
-from corrcascades.model import decayed_counts, tie_groups
 from corrcascades.simulate import (
     Scenario,
     SimConfig,
@@ -23,6 +22,7 @@ from corrcascades.simulate import (
 )
 
 from conftest import (
+    brute_counts,
     brute_intensity,
     brute_mark_density,
     brute_simulate,
@@ -470,25 +470,16 @@ class TestThinningOracle:
                 )
                 assert events > 0.25
 
-    def test_initial_state_matches_tie_sweep(self):
+    def test_initial_state_matches_rescan(self):
+        # the history decayed to its last event, that event and its ties included
         rng = np.random.default_rng(109)
         zeroed = 0
         for _ in range(200):
             log = tied_log(rng)
             params = random_params(rng, log.n_users, log.n_products)
-            swept = np.zeros((log.n_users, log.n_products))
-            prev = 0
-            for lo, _, swept in tie_groups(log):
-                # the closed form, whole and carried from the previous run's start
-                t = log.times[lo]
-                np.testing.assert_allclose(decayed_counts(log, t, 0, lo), swept, rtol=1e-12, atol=0.0)
-                carried = decayed_counts(log, log.times[prev], 0, prev) * math.exp(-(t - log.times[prev]))
-                carried += decayed_counts(log, t, prev, lo)
-                np.testing.assert_allclose(carried, swept, rtol=1e-12, atol=0.0)
-                prev = lo
             b, start = _initial_state(params, log)
             assert start == (log.times[-1] if len(log) else 0.0)
-            np.testing.assert_allclose(b, swept, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(b, brute_counts(log, start, inclusive=True), rtol=1e-12, atol=0.0)
             zeroed += int(np.any((log.times < start - 700.0)))
         assert zeroed >= 20
         b, start = _initial_state(params, None)

@@ -6,7 +6,9 @@ tendency matrix for both mark models, for a time window (`window_nll`)
 and for one user's cached features alike.  A window's tendencies come in
 blocks of events (`_window_tendencies`): the history before the window
 is absorbed in closed form (`model.decayed_counts`), and within a block
-the events see each other through one kernel matrix.  A user's features
+the events see each other through one kernel matrix.  That block step
+(`_block_sweep`) is shared with the sampler's soft-max draw, so scoring
+and sampling follow one tie rule.  A user's features
 come in blocks of its events in the same way (`_user_snapshots`): each
 event's share of the log is absorbed in closed form and one decay matrix
 sums the shares.
@@ -254,36 +256,58 @@ def _block_starts(times: np.ndarray, lo: int, last: int) -> list[int]:
     return sorted({*left.tolist(), *long_run_ends.tolist()})  # np.unique would import numpy.ma
 
 
+def _block_sweep(alpha, b, t_b, times, users, products, lo, last):
+    """The blocks of `_block_starts` over the events [lo, last), each with
+    the excitation of every event before it.
+
+    `b` holds the decayed counts at time t_b <= times[lo] of the events
+    before `lo`.  Yields (s, e, excite, kernel) for each block [s, e):
+    excite[i] = exp(-(t_i - t_b)) alpha[:, u_i]^T B_b, with B_b the counts
+    of every event before the block at t_b, the given time for the first
+    block and the block's first time after it; and kernel[i, k] =
+    alpha[u_k, u_i] exp(-(t_i - t_k)) for t_k < t_i, else 0, so tied events
+    never see each other (None for a block of one tie run).  The block's
+    tendencies are mu[u] + excite + kernel @ onehot(products[s:e]).  B_b is
+    carried on with products[s:e] as they stand when the generator resumes,
+    so a caller may draw them in between.
+    """
+    m = b.shape[1]
+    starts = _block_starts(times, lo, last)
+    for s, e in zip(starts, starts[1:] + [last]):
+        t, u = times[s:e], users[s:e]
+        excite = np.exp(-(t - t_b))[:, None] * (alpha[:, u].T @ b)
+        kernel = None
+        if t[-1] > t[0]:
+            dt = t[:, None] - t
+            # alpha[u][:, u] is alpha[u_k, u_i] at [k, i], half the cost of one 2-d gather
+            kernel = np.exp(-dt, out=np.zeros_like(dt), where=dt > 0) * alpha[u][:, u].T
+        yield s, e, excite, kernel
+        if e < last:
+            carried = np.bincount(u * m + products[s:e], np.exp(-(times[e] - t)), minlength=b.size)
+            b = b * math.exp(-(times[e] - t_b)) + carried.reshape(b.shape)
+            t_b = times[e]
+
+
 def _window_tendencies(log: EventLog, params: ModelParams, first: int, last: int) -> np.ndarray:
     """Tendencies g (last - first, M) at the events [first, last), whole history seen.
 
     `last` must fall between tie runs.  The history before the tie run of
     event `first` is absorbed in closed form, then the events from that
-    run's start on are scored in the blocks of `_block_starts`.  An event
-    sees the block's start counts B_b decayed to its time, plus the earlier
-    events of its own block through the kernel exp(-(t_i - t_k)) on
-    t_k < t_i only, so tied events never see each other.  B_b is then
-    carried to the next block's start.
+    run's start on are scored in the blocks of `_block_sweep`, which the
+    sampler's soft-max draw shares.
     """
     m = params.n_products
     if first == last:
         return np.empty((0, m))
     times, users, products = log.times, log.users, log.products
     lo = int(np.searchsorted(times, times[first], side="left"))
-    starts = _block_starts(times, lo, last)
     b = decayed_counts(log, times[lo], 0, lo)
     onehot = np.eye(m)
     g = np.empty((last - lo, m))
-    for s, e in zip(starts, starts[1:] + [last]):
-        t, u = times[s:e], users[s:e]
-        g[s - lo : e - lo] = params.mu[u] + np.exp(-(t - t[0]))[:, None] * (params.alpha[:, u].T @ b)
-        if t[-1] > t[0]:  # not one tie run, whose events see none of each other
-            dt = t[:, None] - t
-            # kernel[i, k] = alpha[u_k, u_i] exp(-(t_i - t_k)) for t_k < t_i, else 0
-            kernel = np.exp(-dt, out=np.zeros_like(dt), where=dt > 0) * params.alpha[u, u[:, None]]
+    for s, e, excite, kernel in _block_sweep(params.alpha, b, times[lo], times, users, products, lo, last):
+        g[s - lo : e - lo] = params.mu[users[s:e]] + excite
+        if kernel is not None:
             g[s - lo : e - lo] += kernel @ onehot[products[s:e]]
-        if e < last:
-            b = b * math.exp(-(times[e] - t[0])) + decayed_counts(log, times[e], s, e)
     return g[first - lo :]
 
 

@@ -14,9 +14,9 @@ The intensity lambda_u = sum_p g_u^p does not depend on past products, so
 `_products` draws them afterwards.  A linear mark picks p with probability
 g_u^p / lambda_u, the chance that the event's cause carries p: an offspring
 takes its parent's product and an immigrant draws from mu[u].  A soft-max
-mark needs the tendencies mu[u] + G[:, u], G = B^T alpha, at every event;
-one time-ordered pass keeps G relative to a reference time and rescales it
-lazily.
+mark needs the tendencies g_u(t) at every event, which come in the window
+scorer's blocks (`likelihood._block_sweep`); each block's products are the
+fixed point of a few vectorized draws with fixed uniforms.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EventLog
+from .likelihood import _block_sweep
 from .model import (
     MarkModel,
     ModelParams,
@@ -36,8 +37,6 @@ from .model import (
     check_dimensions,
     decayed_counts,
 )
-
-RESCALE_AFTER = 30.0  # time units between rescalings of the lazily decayed G
 
 
 class SubcriticalityWarning(UserWarning):
@@ -197,61 +196,70 @@ def _cluster(pieces, alpha, b, start, horizon, rng, cap: int):
     return times[order], users[order], cause[order], exhausted
 
 
-def _pick(weights: list, x: float) -> int:
-    """Index i with cumsum(weights)[i-1] <= x * sum(weights) < cumsum(weights)[i]."""
-    x *= sum(weights)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if x < acc:
-            return i
-    return max(i for i, w in enumerate(weights) if w > 0)
+def _softmax_draw(g: np.ndarray, beta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inverse-CDF soft-max draws, one per column of the M x L tendencies g.
+
+    Column i draws the least p with v_i * sum(w) < cumsum(w)[p] for the
+    weights w = exp(beta_i (g_i - max g_i)); a draw that rounding pushes
+    past the total is clamped to the last positive weight, as in
+    `_row_picker`.  Products run down the columns because reductions over
+    a few long rows cost a fraction of those over many short ones.
+    """
+    m = g.shape[0]
+    w = np.exp(beta * (g - g.max(axis=0)))
+    cum = w.cumsum(axis=0)
+    picks = (cum <= v * cum[-1]).sum(axis=0)
+    if picks.max() == m:
+        picks = np.minimum(picks, m - 1 - np.argmax(w[::-1] > 0, axis=0))
+    return picks
 
 
-def _products(schedule, alpha, b, start, times, users, cause, rng) -> np.ndarray:
+def _products(schedule, alpha, b, start, times, users, cause, v) -> np.ndarray:
     """Products of the events from `_cluster` under each segment's mark model.
 
-    One uniform per event, in time order, decides its product wherever the
-    mark draws one, so the products before a time never depend on the
-    segments after it.
+    The uniform v[i] decides event i's product wherever the mark draws one,
+    so the products before a time never depend on the segments after it.
+    Unless every segment is linear, the events go in the blocks of
+    `likelihood._block_sweep`, the window scorer's own, and each block's
+    products are found by fixed-point passes: the first draws from the
+    baselines and the carried counts alone, and each later one adds the
+    kernel term of the current guess, until no product changes.  An event
+    depends only on earlier events of its block, so the fixed point is the
+    sequential draw, reached in at most block length + 1 passes.
     """
-    n = alpha.shape[0]
+    n, m = b.shape
     seg = np.searchsorted([end for end, _, _ in schedule][:-1], times, side="right")
-    betas = [mark.beta if isinstance(mark, SoftMaxMark) else None for _, _, mark in schedule]
-    linear = np.array([beta is None for beta in betas])
-    v = rng.random(times.size)
+    betas = np.array([mark.beta if isinstance(mark, SoftMaxMark) else 0.0 for _, _, mark in schedule])
+    beta = betas[seg]
+    mus = np.concatenate([mu for _, mu, _ in schedule])
     products = np.where(cause <= -2, -2 - cause, 0)
-    drawn = (cause == -1) & linear[seg]
-    pick = _row_picker(np.concatenate([mu for _, mu, _ in schedule]))
-    products[drawn] = pick(seg[drawn] * n + users[drawn], v[drawn])
-    if linear.all():
+    drawn = (cause == -1) & (beta == 0.0)
+    products[drawn] = _row_picker(mus)(seg[drawn] * n + users[drawn], v[drawn])
+    if not betas.any():
         # every offspring carries its root's product: jump pointers to the roots
         root = np.where(cause >= 0, cause, np.arange(times.size))
         while np.any(root[root] != root):
             root = root[root]
         return products[root]
 
-    mu_rows = [mu.tolist() for _, mu, _ in schedule]
-    g = b.T @ alpha  # g[q, u] = sum_j alpha[j, u] B_j^q(t) * exp(t - t_ref)
-    g_rows, alpha_rows = list(g), list(alpha)
-    t_ref = start
-    out = products.tolist()
-    exp = math.exp
-    rows = zip(times.tolist(), users.tolist(), seg.tolist(), cause.tolist(), v.tolist())
-    for i, (t, u, k, c, x) in enumerate(rows):
-        if t - t_ref > RESCALE_AFTER:
-            g *= exp(t_ref - t)
-            t_ref = t
-        grow = exp(t - t_ref)
-        beta = betas[k]
-        if beta is not None:
-            z = [a + e / grow for a, e in zip(mu_rows[k][u], g[:, u].tolist())]
-            top = max(z)
-            out[i] = _pick([exp(beta * (y - top)) for y in z], x)
-        elif c >= 0:
-            out[i] = out[c]
-        g_rows[out[i]] += alpha_rows[u] * grow
-    return np.array(out, dtype=np.int64)
+    soft = beta > 0
+    # a linear offspring takes its parent's product; other rows keep their own
+    parent = np.where((cause >= 0) & ~soft, cause, np.arange(times.size))
+    onehot = np.eye(m)
+    for s, e, excite, kernel in _block_sweep(alpha, b, start, times, users, products, 0, times.size):
+        block = products[s:e]
+        g = (mus[seg[s:e] * n + users[s:e]] + excite).T.copy()
+
+        def draw(tendencies):
+            return np.where(soft[s:e], _softmax_draw(tendencies, beta[s:e], v[s:e]), products[parent[s:e]])
+
+        block[:] = draw(g)
+        for _ in range(e - s):
+            guess = draw(g if kernel is None else g + onehot[:, block] @ kernel.T)
+            if np.array_equal(guess, block):
+                break
+            block[:] = guess
+    return products
 
 
 def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.ndarray, float]:
@@ -290,7 +298,8 @@ def _sample(params: ModelParams, schedule, config: SimConfig) -> tuple[EventLog,
         [(end, mu.sum(axis=1)) for end, mu in pieces],
         params.alpha, b, start, config.horizon, rng, config.max_events,
     )
-    products = _products(schedule, params.alpha, b, start, times, users, cause, rng)
+    v = rng.random(times.size)
+    products = _products(schedule, params.alpha, b, start, times, users, cause, v)
     log = EventLog.from_arrays(times, users, products, config.horizon, params.n_users, params.n_products)
     return log, exhausted
 

@@ -255,6 +255,9 @@ class TestCrossValidateBeta:
         assert sum(p == 20.0 for p in picks) >= 4
 
     def test_rejects_sharp_marks_when_generated_flat(self):
-        picks = self._cv_picks(0.05)
-        assert len(picks) == 5
-        assert sum(p != 20.0 for p in picks) >= 4
+        # beta 20 wins on about 20% of flat-generated logs (81 of 400 trials
+        # of this kind on other seeds); at that rate more than 23 of 60 such
+        # picks has probability 3.8e-4
+        picks = self._cv_picks(0.05, trials=60)
+        assert len(picks) == 60
+        assert sum(p == 20.0 for p in picks) <= 23

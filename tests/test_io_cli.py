@@ -565,7 +565,9 @@ class TestCliReplicate:
 
 
 def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
-    # numpy.ma costs about 13 ms and 1.35 MB to import, and np.unique pulls it in
+    # numpy.ma costs about 13 ms and 1.35 MB to import, and np.unique pulls it
+    # in; simulate and the mixed-mark incentivization run share the scorer's
+    # blocks (`_block_starts`) through the soft-max draw
     params, params_path = _write_model(tmp_path, seed=41)
     log = simulate(params, SimConfig(horizon=30.0, seed=43))
     train = log.before(20.0).with_horizon(20.0)
@@ -584,9 +586,17 @@ def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
         "evaluate", "--train", paths["train"], "--test", paths["test"],
         "--params", str(params_path), "--bins", "10", "--out", str(tmp_path / "metrics.csv"),
     ]
+    sim = [
+        "simulate", "--params", str(params_path), "--horizon", "60", "--seed", "3",
+        "--out", str(tmp_path / "sim.csv"),
+    ]
+    incentivization = [
+        "replicate-synthetic", "incentivization", "--seed", "2", "--outdir", str(tmp_path / "inc"),
+        "--n-users", "5", "--horizon", "30", "--switch-time", "15", "--bins", "3",
+    ]
     code = (
         "import sys; from corrcascades.cli import main; "
-        f"codes = [main({fit!r}), main({evaluate!r})]; "
+        f"codes = [main(cmd) for cmd in {[fit, evaluate, sim, incentivization]!r}]; "
         "print(codes, 'numpy.ma' in sys.modules)"
     )
     env = dict(
@@ -594,7 +604,7 @@ def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 def test_cli_imports_without_scipy():

@@ -11,12 +11,14 @@ from scipy import stats
 from scipy.integrate import quad
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
+from corrcascades.likelihood import BLOCK
 from corrcascades.metrics import binned_intensity, market_share, rescaled_interevent_times
 from corrcascades.simulate import (
     Scenario,
     SimConfig,
     SubcriticalityWarning,
     _initial_state,
+    _products,
     run_scenario,
     simulate,
 )
@@ -486,12 +488,88 @@ class TestThinningOracle:
         assert start == 0.0 and not b.any()
 
 
+def inverse_cdf(weights, v):
+    """The least p with v * sum(weights) < cumsum(weights)[p], else the last
+    positive weight; and whether v lies within 1e-12 (relative to the
+    total) of a boundary of the cumulative weights."""
+    cum = np.cumsum(weights)
+    x = v * cum[-1]
+    above = np.flatnonzero(x < cum)
+    p = int(above[0]) if above.size else int(np.flatnonzero(weights > 0)[-1])
+    return p, bool(np.any(np.abs(cum - x) <= 1e-12 * cum[-1]))
+
+
+class TestProductDraw:
+    """`_products` with fixed uniforms against the sequential inverse-CDF
+    draw on rescanned tendencies (`brute_tendency`), event by event."""
+
+    @pytest.mark.parametrize("beta", [1.0, 1000.0])
+    @pytest.mark.parametrize("marks", ["softmax", "softmax-linear", "linear-softmax"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_sequential_draw(self, marks, beta, seed):
+        rng = np.random.default_rng(seed)
+        history = tied_log(rng) if rng.uniform() < 0.6 else None
+        n = history.n_users if history is not None else int(rng.integers(1, 5))
+        m = history.n_products if history is not None else int(rng.integers(1, 4))
+        params = random_params(rng, n, m, beta=beta, mu_high=0.2, alpha_high=0.4)
+        b, start = _initial_state(params, history)
+
+        # more than two blocks; zero gaps tie events, and one constructed run
+        # of tied events sits inside a block (sometimes a run longer than one)
+        k = int(rng.integers(2 * BLOCK + 1, 4 * BLOCK))
+        times = start + 0.01 + np.cumsum(rng.choice([0.0, 0.0, 0.01, 0.05, 0.2, 1.0], size=k))
+        run = int(rng.integers(3, BLOCK // 2)) if rng.uniform() < 0.7 else BLOCK + 5
+        at = int(rng.integers(0, k - run))
+        times[at : at + run] = times[at]
+        users = rng.integers(0, n, size=k)
+        back = np.array([int(rng.integers(1, min(i, 8) + 1)) if i else 0 for i in range(k)])
+        cause = np.select(
+            [(back > 0) & (rng.uniform(size=k) < 0.6), rng.uniform(size=k) < 0.5],
+            [np.arange(k) - back, -2 - rng.integers(0, m, size=k)],
+            -1,
+        )
+        v = rng.random(k)
+
+        linear = ModelParams(params.mu, params.alpha, LinearMark())
+        boosted = params.mu.copy()
+        boosted[:, 0] *= 2.0
+        first, second = {
+            "softmax": (params, params),
+            "softmax-linear": (params, linear),
+            "linear-softmax": (linear, params),
+        }[marks]
+        switch, horizon = float(times[k // 2]), float(times[-1]) + 1.0
+        segments = [(switch, first), (horizon, ModelParams(boosted, params.alpha, second.mark))]
+        schedule = [(end, seg.mu, seg.mark) for end, seg in segments]
+        got = _products(schedule, params.alpha, b, start, times, users, cause, v)
+
+        record = whole_record(history, EventLog.from_arrays(times, users, got, horizon, n, m))
+        mismatches = 0
+        for i, (t, u) in enumerate(zip(times.tolist(), users.tolist())):
+            seg = params_at(segments, t)
+            near = False
+            if isinstance(seg.mark, SoftMaxMark):
+                g = np.array([brute_tendency(record, seg, u, q, t) for q in range(m)])
+                expected, near = inverse_cdf(np.exp(beta * (g - g.max())), v[i])
+            elif cause[i] >= 0:
+                expected = got[cause[i]]
+            elif cause[i] == -1:
+                expected, near = inverse_cdf(seg.mu[u], v[i])
+            else:
+                expected = -2 - cause[i]
+            if got[i] != expected:
+                assert near, f"event {i}: drew {got[i]}, sequential draw {expected}"
+                mismatches += 1
+        assert mismatches <= 0.01 * k
+
+
 class TestSamplerEdges:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_long_windows_after_tied_histories(self, seed):
         # histories whose gaps of 800 underflow every earlier count, then
-        # windows long enough to rescale the soft-max excitation many times
+        # windows whose soft-max draws span many blocks
         rng = np.random.default_rng(seed)
         history = tied_log(rng)
         beta = float(rng.choice([0.5, 8.0])) if rng.uniform() < 0.7 else None

@@ -231,18 +231,18 @@ def _products(schedule, alpha, b, start, times, users, cause, v) -> np.ndarray:
     seg = np.searchsorted([end for end, _, _ in schedule][:-1], times, side="right")
     betas = np.array([mark.beta if isinstance(mark, SoftMaxMark) else 0.0 for _, _, mark in schedule])
     beta = betas[seg]
+    soft = beta > 0
     mus = np.concatenate([mu for _, mu, _ in schedule])
     products = np.where(cause <= -2, -2 - cause, 0)
-    drawn = (cause == -1) & (beta == 0.0)
+    drawn = (cause == -1) & ~soft
     products[drawn] = _row_picker(mus)(seg[drawn] * n + users[drawn], v[drawn])
-    if not betas.any():
+    if not soft.any():
         # every offspring carries its root's product: jump pointers to the roots
         root = np.where(cause >= 0, cause, np.arange(times.size))
         while np.any(root[root] != root):
             root = root[root]
         return products[root]
 
-    soft = beta > 0
     # a linear offspring takes its parent's product; other rows keep their own
     parent = np.where((cause >= 0) & ~soft, cause, np.arange(times.size))
     onehot = np.eye(m)

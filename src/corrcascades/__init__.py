@@ -28,13 +28,7 @@ from .metrics import (
     pearson,
     rescaled_interevent_times,
 )
-from .model import (
-    LinearMark,
-    ModelParams,
-    SoftMaxMark,
-    UndefinedMarkError,
-    mark_density_from_tendencies,
-)
+from .model import LinearMark, ModelParams, SoftMaxMark
 from .replicate import (
     IncentivizationResult,
     IncentivizationRun,

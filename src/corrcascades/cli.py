@@ -154,8 +154,6 @@ def _cmd_evaluate(args) -> int:
     train = read_event_log(args.train)
     test = read_event_log(args.test)
     params = read_params(args.params)
-    if test.times.size and test.times[0] < train.horizon:
-        raise UsageError("test window must start at the train horizon")
     score = avg_pred_loglik(train, test, params)
     generated = simulate(
         params,
@@ -180,6 +178,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_replicate(args) -> int:
+    if args.figure == "incentivization" and args.n_products not in (None, 3):
+        # the experiment's baselines sit at three fixed product centres
+        raise UsageError("incentivization has three products; --n-products must be 3")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.figure == "recovery":
@@ -204,11 +205,9 @@ def _cmd_replicate(args) -> int:
                 )
         print(f"wrote {path}")
     else:
-        n_products = args.n_products if args.n_products is not None else 3
         result = run_incentivization(
             seed=args.seed,
             n_users=args.n_users,
-            n_products=n_products,
             horizon=args.horizon,
             switch_time=args.switch_time,
             bin_width=args.bins,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -230,6 +229,8 @@ def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
     n, m = log.n_users, log.n_products
     tasks = ([features[u] for u in range(n)], range(n), [config] * n)
     if config.n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # about 15 ms of import, paid only here
+
         with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
             results = list(pool.map(fit_user, *tasks))
     else:

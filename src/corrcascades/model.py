@@ -19,10 +19,6 @@ import numpy as np
 from .data import EventLog
 
 
-class UndefinedMarkError(ValueError):
-    """Linear mark requested for a user whose every tendency is zero."""
-
-
 @dataclass(frozen=True)
 class SoftMaxMark:
     """Soft-max mark: product probability proportional to exp(beta * tendency)."""
@@ -103,20 +99,6 @@ def check_dimensions(log: EventLog, params: ModelParams) -> None:
             f"log has {log.n_users} users and {log.n_products} products, parameters have "
             f"{params.n_users} and {params.n_products}"
         )
-
-
-def mark_density_from_tendencies(g: np.ndarray, mark: MarkModel) -> np.ndarray:
-    """Mark probabilities for a given tendency vector."""
-    g = np.asarray(g, dtype=float)
-    if isinstance(mark, SoftMaxMark):
-        z = mark.beta * g
-        z = z - z.max()
-        w = np.exp(z)
-        return w / w.sum()
-    total = g.sum()
-    if total <= 0:
-        raise UndefinedMarkError("linear mark undefined: all tendencies are zero")
-    return g / total
 
 
 def branching_column_sums(params: ModelParams) -> np.ndarray:

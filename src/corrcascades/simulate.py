@@ -17,6 +17,11 @@ takes its parent's product and an immigrant draws from mu[u].  A soft-max
 mark needs the tendencies g_u(t) at every event, which come in the window
 scorer's blocks (`likelihood._block_sweep`); each block's products are the
 fixed point of a few vectorized draws with fixed uniforms.
+
+One pass (`_sample`) covers one regime: one baseline matrix and one mark
+model.  The counts B at a time summarize everything before it, so the
+incentivization scenario is two passes on one random stream, the second
+absorbing the first's events through B at the switch.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EventLog
+from .data import EventLog, concat_logs
 from .likelihood import _block_sweep
 from .model import (
     MarkModel,
@@ -60,7 +65,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Mid-run incentivization: boost one product's baselines, swap marks."""
+    """Mid-run incentivization: boost one product's baselines, swap marks.
+
+    From `switch_time` on, `boosted_product`'s baselines are multiplied by
+    `boost_factor` and the mark is `post_switch_mark` (None: the
+    parameters' own).  After a history that ends past `switch_time`, every
+    generated event is post-switch.
+    """
 
     switch_time: float
     boosted_product: int
@@ -130,13 +141,13 @@ def _keep_earliest(times, users, cause, lo, cap):
     return times[keep], users[keep], cause[keep], int(keep[:lo].sum())
 
 
-def _cluster(pieces, alpha, b, start, horizon, rng, cap: int):
+def _cluster(mu_user, alpha, b, start, horizon, rng, cap: int):
     """Times, users and causes of the events on (start, horizon], by generation.
 
-    `pieces` are consecutive (end_time, mu_user) baselines.  Returns the
-    events sorted by time, with cause[i] the index of event i's parent, -1
-    for an immigrant, or -2 - q for a child of a history event of product
-    q; and whether events beyond the `cap` earliest were dropped.
+    `mu_user` holds the per-user baselines.  Returns the events sorted by
+    time, with cause[i] the index of event i's parent, -1 for an immigrant,
+    or -2 - q for a child of a history event of product q; and whether
+    events beyond the `cap` earliest were dropped.
     """
     m = b.shape[1]
     r = alpha.sum(axis=1)
@@ -144,19 +155,15 @@ def _cluster(pieces, alpha, b, start, horizon, rng, cap: int):
 
     # immigrants: a Poisson count in integrated-baseline time, of which
     # only the first `cap` order statistics are drawn
-    ends = np.array([end for end, _ in pieces])
-    rates = np.array([mu_user.sum() for _, mu_user in pieces])
-    begins = np.maximum(np.concatenate([[start], ends[:-1]]), start)
-    mass = np.cumsum(rates * np.maximum(ends - begins, 0.0))
-    n_imm = int(rng.poisson(mass[-1]))
+    rate = mu_user.sum()
+    mass = rate * max(horizon - start, 0.0)
+    n_imm = int(rng.poisson(mass))
     k = min(n_imm, cap)
     head = rng.standard_exponential(k).cumsum()
-    x = head * (mass[-1] / ((head[-1] if k else 0.0) + rng.standard_gamma(n_imm + 1 - k)))
-    np.minimum(x, np.nextafter(mass[-1], 0.0), out=x)  # rounding must not reach the end
-    piece = np.searchsorted(mass, x, side="right")
-    below = np.concatenate([[0.0], mass[:-1]])
-    imm_times = begins[piece] + (x - below[piece]) / rates[piece]
-    imm_users = _row_picker(np.array([mu_user for _, mu_user in pieces]))(piece, rng.random(k))
+    x = head * (mass / ((head[-1] if k else 0.0) + rng.standard_gamma(n_imm + 1 - k)))
+    np.minimum(x, np.nextafter(mass, 0.0), out=x)  # rounding must not reach the end
+    imm_times = start + x / rate
+    imm_users = _row_picker(mu_user[None, :])(np.zeros(k, dtype=np.int64), rng.random(k))
 
     # children of the history, sourced by cell (j, q) with weight r_j B_j^q
     w = (r[:, None] * b).ravel()
@@ -196,11 +203,11 @@ def _cluster(pieces, alpha, b, start, horizon, rng, cap: int):
     return times[order], users[order], cause[order], exhausted
 
 
-def _softmax_draw(g: np.ndarray, beta: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _softmax_draw(g: np.ndarray, beta: float, v: np.ndarray) -> np.ndarray:
     """Inverse-CDF soft-max draws, one per column of the M x L tendencies g.
 
     Column i draws the least p with v_i * sum(w) < cumsum(w)[p] for the
-    weights w = exp(beta_i (g_i - max g_i)); a draw that rounding pushes
+    weights w = exp(beta (g_i - max g_i)); a draw that rounding pushes
     past the total is clamped to the last positive weight, as in
     `_row_picker`.  Products run down the columns because reductions over
     a few long rows cost a fraction of those over many short ones.
@@ -214,12 +221,13 @@ def _softmax_draw(g: np.ndarray, beta: np.ndarray, v: np.ndarray) -> np.ndarray:
     return picks
 
 
-def _products(schedule, alpha, b, start, times, users, cause, v) -> np.ndarray:
-    """Products of the events from `_cluster` under each segment's mark model.
+def _products(mark, mu, alpha, b, start, times, users, cause, v) -> np.ndarray:
+    """Products of the events from `_cluster` under baselines mu and one mark model.
 
-    The uniform v[i] decides event i's product wherever the mark draws one,
-    so the products before a time never depend on the segments after it.
-    Unless every segment is linear, the events go in the blocks of
+    The uniform v[i] decides event i's product wherever the mark draws one.
+    Under a linear mark every event carries its cluster root's product: a
+    history child the product of its history cell, an immigrant a draw from
+    mu[u].  Under a soft-max mark the events go in the blocks of
     `likelihood._block_sweep`, the window scorer's own, and each block's
     products are found by fixed-point passes: the first draws from the
     baselines and the carried counts alone, and each later one adds the
@@ -227,35 +235,26 @@ def _products(schedule, alpha, b, start, times, users, cause, v) -> np.ndarray:
     depends only on earlier events of its block, so the fixed point is the
     sequential draw, reached in at most block length + 1 passes.
     """
-    n, m = b.shape
-    seg = np.searchsorted([end for end, _, _ in schedule][:-1], times, side="right")
-    betas = np.array([mark.beta if isinstance(mark, SoftMaxMark) else 0.0 for _, _, mark in schedule])
-    beta = betas[seg]
-    soft = beta > 0
-    mus = np.concatenate([mu for _, mu, _ in schedule])
-    products = np.where(cause <= -2, -2 - cause, 0)
-    drawn = (cause == -1) & ~soft
-    products[drawn] = _row_picker(mus)(seg[drawn] * n + users[drawn], v[drawn])
-    if not soft.any():
+    if not isinstance(mark, SoftMaxMark):
+        products = np.where(cause <= -2, -2 - cause, 0)
+        drawn = cause == -1
+        products[drawn] = _row_picker(mu)(users[drawn], v[drawn])
         # every offspring carries its root's product: jump pointers to the roots
         root = np.where(cause >= 0, cause, np.arange(times.size))
         while np.any(root[root] != root):
             root = root[root]
         return products[root]
 
-    # a linear offspring takes its parent's product; other rows keep their own
-    parent = np.where((cause >= 0) & ~soft, cause, np.arange(times.size))
-    onehot = np.eye(m)
+    products = np.zeros(times.size, dtype=np.int64)
+    onehot = np.eye(mu.shape[1])
     for s, e, excite, kernel in _block_sweep(alpha, b, start, times, users, products, 0, times.size):
         block = products[s:e]
-        g = (mus[seg[s:e] * n + users[s:e]] + excite).T.copy()
-
-        def draw(tendencies):
-            return np.where(soft[s:e], _softmax_draw(tendencies, beta[s:e], v[s:e]), products[parent[s:e]])
-
-        block[:] = draw(g)
+        g = (mu[users[s:e]] + excite).T.copy()
+        block[:] = _softmax_draw(g, mark.beta, v[s:e])
+        if kernel is None:
+            continue  # one tie run: no event of the block sees another
         for _ in range(e - s):
-            guess = draw(g if kernel is None else g + onehot[:, block] @ kernel.T)
+            guess = _softmax_draw(g + onehot[:, block] @ kernel.T, mark.beta, v[s:e])
             if np.array_equal(guess, block):
                 break
             block[:] = guess
@@ -278,29 +277,15 @@ def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.nd
     return decayed_counts(history, t_last, 0, len(history)), t_last
 
 
-def _sample(params: ModelParams, schedule, config: SimConfig) -> tuple[EventLog, bool]:
-    """The events on consecutive (end_time, mu, mark) segments over one alpha.
+def _sample(params: ModelParams, b, start, horizon, rng, cap: int) -> tuple[EventLog, bool]:
+    """One pass: the events on (start, horizon] after counts `b` at `start`.
 
-    Adjacent segments with equal baselines share one immigrant draw, so a
-    boundary that changes nothing consumes the random stream of an
-    unsegmented run.  Returns the log and whether the event cap dropped
-    events.
+    Returns the log and whether the event cap dropped events.
     """
-    b, start = _initial_state(params, config.initial_history)
-    rng = np.random.default_rng(config.seed)
-    pieces: list = []
-    for end, mu, _ in schedule:
-        if pieces and np.array_equal(pieces[-1][1], mu):
-            pieces[-1] = (end, mu)
-        else:
-            pieces.append((end, mu))
-    times, users, cause, exhausted = _cluster(
-        [(end, mu.sum(axis=1)) for end, mu in pieces],
-        params.alpha, b, start, config.horizon, rng, config.max_events,
-    )
+    times, users, cause, exhausted = _cluster(params.mu_user, params.alpha, b, start, horizon, rng, cap)
     v = rng.random(times.size)
-    products = _products(schedule, params.alpha, b, start, times, users, cause, v)
-    log = EventLog.from_arrays(times, users, products, config.horizon, params.n_users, params.n_products)
+    products = _products(params.mark, params.mu, params.alpha, b, start, times, users, cause, v)
+    log = EventLog.from_arrays(times, users, products, horizon, params.n_users, params.n_products)
     return log, exhausted
 
 
@@ -315,7 +300,9 @@ def simulate(params: ModelParams, config: SimConfig) -> EventLog:
     RuntimeWarning.
     """
     _check_subcritical(params)
-    log, exhausted = _sample(params, [(config.horizon, params.mu, params.mark)], config)
+    b, start = _initial_state(params, config.initial_history)
+    rng = np.random.default_rng(config.seed)
+    log, exhausted = _sample(params, b, start, config.horizon, rng, config.max_events)
     if exhausted:
         warnings.warn(
             f"event cap {config.max_events} exhausted at t={log.times[-1]:.3f}; log is partial",
@@ -328,10 +315,15 @@ def simulate(params: ModelParams, config: SimConfig) -> EventLog:
 def run_scenario(params: ModelParams, scenario: Scenario, config: SimConfig) -> ScenarioResult:
     """Simulate with a mid-run baseline boost and mark-model switch.
 
-    The history's decayed counts and the clusters carry across the switch.
-    A no-op scenario (boost 1, identical marks) reproduces `simulate`
-    exactly, and the events before the switch do not depend on the
-    post-switch mark.
+    Two passes share one random stream.  The first covers (start, s] under
+    `params.mu` and the pre-switch mark, where start is as in `simulate`
+    and s is the later of `switch_time` and start; it draws exactly what
+    `simulate` draws under the pre-switch mark with `horizon=switch_time`
+    and the same seed.  The second covers (s, horizon] under the boosted
+    baselines and the post-switch mark, starting from the decayed counts of
+    the history and the first pass at s, with what is left of the event
+    cap.  A history that ends after `switch_time` leaves the whole window
+    to the second pass.
     """
     if not 0 < scenario.switch_time < config.horizon:
         raise ValueError("switch_time must fall inside (0, horizon)")
@@ -343,15 +335,23 @@ def run_scenario(params: ModelParams, scenario: Scenario, config: SimConfig) -> 
     boosted_mu[:, scenario.boosted_product] *= scenario.boost_factor
     _check_subcritical(params)
 
-    log, exhausted = _sample(
-        params,
-        [(scenario.switch_time, params.mu, pre_mark), (config.horizon, boosted_mu, post_mark)],
-        config,
+    b, start = _initial_state(params, config.initial_history)
+    switch = max(scenario.switch_time, start)
+    rng = np.random.default_rng(config.seed)
+    pre, pre_exhausted = _sample(
+        ModelParams(params.mu, params.alpha, pre_mark), b, start, switch, rng, config.max_events
     )
+    b = b * math.exp(-(switch - start)) + decayed_counts(pre, switch, 0, len(pre))
+    post, post_exhausted = _sample(
+        ModelParams(boosted_mu, params.alpha, post_mark), b, switch, config.horizon, rng,
+        config.max_events - len(pre),
+    )
+    # a history that ends after the horizon puts s, and the first log's horizon, beyond it
+    log = concat_logs(pre, post).with_horizon(config.horizon)
     return ScenarioResult(
         log=log,
         switch_time=scenario.switch_time,
         boosted_product=scenario.boosted_product,
         n_pre_switch_events=int((log.times < scenario.switch_time).sum()),
-        cap_exhausted=exhausted,
+        cap_exhausted=pre_exhausted or post_exhausted,
     )

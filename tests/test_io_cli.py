@@ -491,6 +491,23 @@ class TestCliEvaluate:
             assert "products" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_test_window_before_train_horizon_is_usage_error(self, tmp_path, capsys):
+        # the test log's first event falls inside the training window
+        params, params_path = _write_model(tmp_path, seed=33)
+        train_path, _ = self._train_test_files(tmp_path, params)
+        (tmp_path / "early").mkdir()
+        _, early_path = self._train_test_files(tmp_path / "early", params, split=10.0)
+        out = tmp_path / "metrics.csv"
+        code = main(
+            [
+                "evaluate", "--train", str(train_path), "--test", str(early_path),
+                "--params", str(params_path), "--out", str(out),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "train horizon" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_model_is_numerical_failure(self, tmp_path):
         params, _ = _write_model(tmp_path, seed=31)
         train_path, test_path = self._train_test_files(tmp_path, params)
@@ -564,10 +581,45 @@ class TestCliReplicate:
             assert (outdir / f"events_{label}.csv").exists()
 
 
+    def test_incentivization_files_repeat_byte_for_byte(self, tmp_path):
+        argv = [
+            "replicate-synthetic", "incentivization", "--seed", "4", "--n-users", "8",
+            "--horizon", "30", "--switch-time", "15", "--bins", "3",
+        ]
+        for name in ("a", "b"):
+            assert main(argv + ["--outdir", str(tmp_path / name)]) == EXIT_OK
+        files = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert len(files) == 12 and files == sorted(path.name for path in (tmp_path / "b").iterdir())
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_incentivization_rejects_other_product_counts(self, tmp_path, capsys):
+        # the experiment's baselines sit at three fixed product centres
+        for count in ("2", "4"):
+            outdir = tmp_path / f"inc{count}"
+            code = main(
+                [
+                    "replicate-synthetic", "incentivization", "--outdir", str(outdir),
+                    "--n-products", count, "--n-users", "5", "--horizon", "30", "--switch-time", "15",
+                ]
+            )
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == "error: incentivization has three products; --n-products must be 3\n"
+            assert not outdir.exists()
+        code = main(
+            [
+                "replicate-synthetic", "incentivization", "--outdir", str(tmp_path / "inc3"),
+                "--n-products", "3", "--n-users", "5", "--horizon", "30", "--switch-time", "15",
+            ]
+        )
+        assert code == EXIT_OK
+
 def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
     # numpy.ma costs about 13 ms and 1.35 MB to import, and np.unique pulls it
-    # in; simulate and the mixed-mark incentivization run share the scorer's
-    # blocks (`_block_starts`) through the soft-max draw
+    # in; simulate and the incentivization run (a linear-mark pass, then a
+    # soft-max one) share the scorer's blocks (`_block_starts`) through the
+    # soft-max draw.  The process pool costs about 15 ms to import, and a
+    # one-worker fit must not load it
     params, params_path = _write_model(tmp_path, seed=41)
     log = simulate(params, SimConfig(horizon=30.0, seed=43))
     train = log.before(20.0).with_horizon(20.0)
@@ -597,14 +649,14 @@ def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
     code = (
         "import sys; from corrcascades.cli import main; "
         f"codes = [main(cmd) for cmd in {[fit, evaluate, sim, incentivization]!r}]; "
-        "print(codes, 'numpy.ma' in sys.modules)"
+        "print(codes, 'numpy.ma' in sys.modules, 'concurrent.futures.process' in sys.modules)"
     )
     env = dict(
         os.environ, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]), CORRCASCADES_WORKERS="1"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False"
 
 
 def test_cli_imports_without_scipy():

@@ -8,12 +8,10 @@ from corrcascades import (
     LinearMark,
     ModelParams,
     SoftMaxMark,
-    UndefinedMarkError,
     build_all_features,
-    mark_density_from_tendencies,
     window_nll,
 )
-from corrcascades.likelihood import _eval_features
+from corrcascades.likelihood import InfeasibleLikelihoodError, _eval_features, _event_loglik
 from corrcascades.model import decayed_counts
 
 from conftest import (
@@ -198,46 +196,69 @@ class TestTotalIntensity:
                 np.testing.assert_allclose(lam, brute, rtol=1e-10)
 
 
+def _mark_density(g, mark):
+    """The mark probabilities f(p) at one tendency vector g, read off the
+    likelihood: scored with product p, an event's term in `_event_loglik`
+    is log lambda + log f(p)."""
+    g = np.asarray(g, dtype=float)[None, :]
+    terms = [_event_loglik(g, np.array([p]), mark) for p in range(g.shape[1])]
+    return np.array([math.exp(loglik - math.log(lam[0])) for loglik, lam, _ in terms])
+
+
 class TestMarkDensity:
+    """Mark probabilities as the likelihood scores them (`_event_loglik`)."""
+
     def test_equal_tendencies_uniform(self):
-        for beta in [0.01, 1.0, 50.0]:
-            d = mark_density_from_tendencies(np.array([0.4, 0.4, 0.4]), SoftMaxMark(beta))
-            np.testing.assert_allclose(d, 1 / 3, atol=1e-12)
+        for mark in (SoftMaxMark(0.01), SoftMaxMark(1.0), SoftMaxMark(50.0), LinearMark()):
+            np.testing.assert_allclose(_mark_density([0.4, 0.4, 0.4], mark), 1 / 3, rtol=1e-12)
 
     def test_softmax_hand_value(self):
-        d = mark_density_from_tendencies(np.array([1.0, 2.0]), SoftMaxMark(1.0))
+        d = _mark_density([1.0, 2.0], SoftMaxMark(1.0))
         np.testing.assert_allclose(d, [0.268941, 0.731059], atol=1e-6)
 
     def test_linear_hand_value(self):
-        d = mark_density_from_tendencies(np.array([1.0, 3.0]), LinearMark())
-        np.testing.assert_allclose(d, [0.25, 0.75], atol=1e-14)
+        np.testing.assert_allclose(_mark_density([1.0, 3.0], LinearMark()), [0.25, 0.75], rtol=1e-14)
 
     def test_linear_all_zero_raises(self):
-        with pytest.raises(UndefinedMarkError):
-            mark_density_from_tendencies(np.zeros(3), LinearMark())
+        # a linear mark gives a product of zero tendency zero probability
+        with pytest.raises(InfeasibleLikelihoodError, match="mark density"):
+            _event_loglik(np.array([[1.0, 0.0, 2.0]]), np.array([1]), LinearMark())
+        with pytest.raises(InfeasibleLikelihoodError, match="intensity"):
+            _event_loglik(np.zeros((1, 3)), np.array([0]), LinearMark())
 
     def test_normalization(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             g = rng.uniform(0, 5, size=rng.integers(1, 6))
             beta = float(rng.uniform(0.01, 100))
-            assert mark_density_from_tendencies(g, SoftMaxMark(beta)).sum() == pytest.approx(1.0, abs=1e-12)
-            if g.sum() > 0:
-                assert mark_density_from_tendencies(g, LinearMark()).sum() == pytest.approx(1.0, abs=1e-12)
+            assert _mark_density(g, SoftMaxMark(beta)).sum() == pytest.approx(1.0, abs=1e-12)
+            assert _mark_density(g, LinearMark()).sum() == pytest.approx(1.0, abs=1e-12)
+            f = _event_loglik(g[None, :], np.array([0]), SoftMaxMark(beta))[2]
+            assert f.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_softmax_shift_invariant(self):
+        # adding a constant to every tendency leaves the soft-max probabilities
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            g = rng.uniform(0, 5, size=rng.integers(1, 6))
+            mark = SoftMaxMark(float(rng.uniform(0.01, 100)))
+            base = _mark_density(g, mark)
+            for shift in (0.5, 3.0, 250.0):
+                np.testing.assert_allclose(_mark_density(g + shift, mark), base, rtol=1e-9)
 
     def test_large_beta_concentrates_on_argmax(self):
-        g = np.array([0.3, 0.9, 0.5])
-        d = mark_density_from_tendencies(g, SoftMaxMark(1e3))
-        assert d[1] > 1 - 1e-6
+        d = _mark_density([0.3, 0.9, 0.5], SoftMaxMark(1e3))
+        assert np.all(np.isfinite(d)) and d[1] > 1 - 1e-6
 
     def test_small_beta_approaches_uniform(self):
-        g = np.array([0.3, 0.9, 0.5])
-        d = mark_density_from_tendencies(g, SoftMaxMark(1e-6))
+        d = _mark_density([0.3, 0.9, 0.5], SoftMaxMark(1e-6))
+        assert np.all(np.isfinite(d))
         np.testing.assert_allclose(d, 1 / 3, atol=1e-6)
 
     def test_no_overflow_huge_tendencies(self):
-        d = mark_density_from_tendencies(np.array([1000.0, 1001.0]), SoftMaxMark(1.0))
+        d = _mark_density([1000.0, 1001.0], SoftMaxMark(1.0))
         assert np.all(np.isfinite(d))
+        np.testing.assert_allclose(d, [1 / (1 + math.e), math.e / (1 + math.e)], rtol=1e-12)
 
     def test_linear_mark_intensity_identity(self):
         # under the linear mark, per-product intensity equals the tendency
@@ -247,8 +268,7 @@ class TestMarkDensity:
             params = random_params(rng, log.n_users, log.n_products, beta=None)
             for u in range(log.n_users):
                 for g in _tendencies(log, params, u):
-                    d = mark_density_from_tendencies(g, params.mark)
-                    np.testing.assert_allclose(g.sum() * d, g, rtol=1e-12)
+                    np.testing.assert_allclose(g.sum() * _mark_density(g, params.mark), g, rtol=1e-12)
 
 
 class TestCompensator:

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.likelihood import BLOCK
+from corrcascades.model import decayed_counts
 from corrcascades.metrics import binned_intensity, market_share, rescaled_interevent_times
 from corrcascades.simulate import (
     Scenario,
@@ -194,18 +195,31 @@ class TestRunScenario:
         rng = np.random.default_rng(seed)
         return random_params(rng, 3, 3, mu_high=0.4, alpha_high=0.2)
 
-    def test_noop_reproduces_simulate(self):
-        params = self._base()
-        scenario = Scenario(
-            switch_time=10.0,
-            boosted_product=1,
-            boost_factor=1.0,
-            pre_switch_mark=params.mark,
-            post_switch_mark=params.mark,
-        )
-        config = SimConfig(horizon=30.0, seed=21)
-        result = run_scenario(params, scenario, config)
-        assert result.log == simulate(params, config)
+    def test_pre_switch_events_match_simulate(self):
+        # the events at or before the switch are exactly those of `simulate`
+        # under the pre-switch mark up to the switch, also when the cap binds
+        rng = np.random.default_rng(0)
+        for case in range(8):
+            params, history, start = oracle_case(rng, with_history=case % 2 == 1)
+            pre, post = [(LinearMark(), SoftMaxMark(2.0)), (SoftMaxMark(2.0), LinearMark())][case // 2 % 2]
+            switch = start + 10.0
+            scenario = Scenario(switch, 0, 3.0, pre_switch_mark=pre, post_switch_mark=post)
+            cap = 10_000_000 if case < 4 else 4  # binding in the first pass or the second
+            config = SimConfig(horizon=switch + 10.0, seed=case, initial_history=history, max_events=cap)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = simulate(ModelParams(params.mu, params.alpha, pre), replace(config, horizon=switch))
+            result = run_scenario(params, scenario, config)
+            log = result.log
+            head = log.times <= switch
+            assert len(expected) > 0
+            if case < 4:
+                assert head.sum() < len(log)
+            else:
+                assert len(log) == cap and result.cap_exhausted
+            np.testing.assert_array_equal(log.times[head], expected.times)
+            np.testing.assert_array_equal(log.users[head], expected.users)
+            np.testing.assert_array_equal(log.products[head], expected.products)
 
     def test_pre_switch_events_identical_across_post_marks(self):
         params = self._base(1)
@@ -455,6 +469,32 @@ class TestThinningOracle:
             families.update(type(p.mark) for _, p in segments)
         assert families == {SoftMaxMark, LinearMark}
 
+    def test_history_after_switch_is_all_post_switch(self):
+        # a history that ends after `switch_time` leaves the whole window to
+        # the boosted baselines and the post-switch mark
+        rng = np.random.default_rng(157)
+        families = set()
+        for case in range(2):
+            params, history, start = oracle_case(rng, with_history=True)
+            while start <= 0.0 or params.n_products < 2:
+                params, history, start = oracle_case(rng, with_history=True)
+            pre, post = [(SoftMaxMark(4.0), LinearMark()), (LinearMark(), SoftMaxMark(4.0))][case]
+            mu = params.mu.copy()
+            mu[:, 0] *= 3.0
+            horizon = start + 6.0
+            scenario = Scenario(start / 2, 0, 3.0, pre_switch_mark=pre, post_switch_mark=post)
+            config = SimConfig(horizon=horizon, seed=0, initial_history=history)
+
+            def sample(seed):
+                result = run_scenario(params, scenario, replace(config, seed=seed))
+                assert result.n_pre_switch_events == 0
+                return result.log
+
+            segments = [(horizon, ModelParams(mu, params.alpha, post))]
+            assert assert_count_means_agree(segments, history, sample, 200) > 3
+            families.add(type(post))
+        assert families == {SoftMaxMark, LinearMark}
+
     def test_history_children_match_rescan(self):
         # a quiet baseline and a window of one time unit after the history,
         # so most events descend from the absorbed history
@@ -531,23 +571,38 @@ class TestProductDraw:
         )
         v = rng.random(k)
 
-        linear = ModelParams(params.mu, params.alpha, LinearMark())
+        # one `_products` call per mark: a second regime, with boosted
+        # baselines, starts after the tie run of the middle event and absorbs
+        # the first through the decayed counts there, as `run_scenario` does;
+        # a parent before the switch makes its child a history child
+        first, *rest = [params.mark if name == "softmax" else LinearMark() for name in marks.split("-")]
         boosted = params.mu.copy()
         boosted[:, 0] *= 2.0
-        first, second = {
-            "softmax": (params, params),
-            "softmax-linear": (params, linear),
-            "linear-softmax": (linear, params),
-        }[marks]
-        switch, horizon = float(times[k // 2]), float(times[-1]) + 1.0
-        segments = [(switch, first), (horizon, ModelParams(boosted, params.alpha, second.mark))]
-        schedule = [(end, seg.mu, seg.mark) for end, seg in segments]
-        got = _products(schedule, params.alpha, b, start, times, users, cause, v)
+        regimes = [ModelParams(params.mu, params.alpha, first)]
+        regimes += [ModelParams(boosted, params.alpha, mark) for mark in rest]
+        split = int(np.searchsorted(times, times[k // 2], side="right")) if rest else k
 
-        record = whole_record(history, EventLog.from_arrays(times, users, got, horizon, n, m))
+        def draw(regime, counts, t0, lo, hi, causes):
+            return _products(
+                regime.mark, regime.mu, params.alpha, counts, t0,
+                times[lo:hi], users[lo:hi], causes, v[lo:hi],
+            )
+
+        got = draw(regimes[0], b, start, 0, split, cause[:split])
+        if rest:
+            switch = float(times[split - 1])
+            head = EventLog.from_arrays(times[:split], users[:split], got, switch, n, m)
+            carried = b * math.exp(-(switch - start)) + decayed_counts(head, switch, 0, split)
+            tail = cause[split:].copy()
+            crossing = (tail >= 0) & (tail < split)
+            tail[crossing] = -2 - got[tail[crossing]]
+            tail[tail >= split] -= split
+            got = np.concatenate([got, draw(regimes[1], carried, switch, split, k, tail)])
+
+        record = whole_record(history, EventLog.from_arrays(times, users, got, float(times[-1]) + 1.0, n, m))
         mismatches = 0
         for i, (t, u) in enumerate(zip(times.tolist(), users.tolist())):
-            seg = params_at(segments, t)
+            seg = regimes[int(i >= split)]
             near = False
             if isinstance(seg.mark, SoftMaxMark):
                 g = np.array([brute_tendency(record, seg, u, q, t) for q in range(m)])

@@ -3,9 +3,13 @@
 Each user's problem (minimize the per-user NLL over theta >= 0) is convex
 and independent of every other user's, so the full fit is a map over users
 that may run in parallel with bit-identical results to a sequential run.
-A user's problem has only N + M dimensions, so every iteration builds and
-solves with the exact Hessian (Bertsekas 1982, "Projected Newton methods
-for optimization problems with simple constraints").
+The map streams the users: each task gets the event log and builds one
+user's features at a time from it, fits that user and drops them, so no
+feature array is pickled to a worker and no process holds more than one
+user's features.  A user's problem has only N + M dimensions, so every
+iteration builds and solves with the exact Hessian (Bertsekas 1982,
+"Projected Newton methods for optimization problems with simple
+constraints"), whose constant event Jacobian is built once per user.
 """
 
 from __future__ import annotations
@@ -19,14 +23,18 @@ import numpy as np
 
 from .data import EventLog
 from .likelihood import (
+    BLOCK,
     EventFeatures,
     InfeasibleLikelihoodError,
     UserParams,
+    _compensator_slices,
+    _event_jacobian,
     _eval_features,
     _gradient_from_eval,
     _hessian_from_eval,
-    build_all_features,
+    _user_features,
 )
+from .likelihood import build_all_features  # noqa: F401  bench/traced.py wraps fitting.build_all_features
 from .metrics import held_out_score
 from .model import ModelParams, SoftMaxMark
 
@@ -119,6 +127,7 @@ def _projected_newton(features, theta, live, config):
     """
     beta = config.beta
     n = features.n_users
+    jac, jac_sum = _event_jacobian(features)
     # the start is feasible by construction; a likelihood that overflows
     # there (an absurd init_value) raises instead of reading as +inf
     value, f, lam = _eval_features(features, theta[:n], theta[n:], beta)
@@ -134,7 +143,7 @@ def _projected_newton(features, theta, live, config):
         free = live & ~active
         # the Hessian is x @ x.T: its active diagonal is the squared row
         # norms of x, and only the free block is formed
-        x = _hessian_from_eval(features, beta, f, lam)
+        x = _hessian_from_eval(jac, jac_sum, beta, f, lam)
         direction = np.zeros_like(theta)
         x_active = x[active]
         direction[active] = -grad[active] / np.einsum("ij,ij->i", x_active, x_active)
@@ -218,23 +227,42 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[Use
 
 def default_worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw:
+    if not raw:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(raw))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
+
+
+def _fit_users(log: EventLog, users: range, config: FitConfig) -> list[tuple[UserParams, UserFitEntry]]:
+    """`fit_user` over `users`, each user's features built from the log just
+    before its fit and dropped after it; the compensator slices and the
+    snapshot work buffer are built once."""
+    excite = _compensator_slices(log)
+    work = np.empty(BLOCK * log.n_users * log.n_products)
+    return [fit_user(_user_features(log, u, excite, work), u, config) for u in users]
 
 
 def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
-    """Fit every user; parallel execution matches sequential bit for bit."""
-    features = build_all_features(log)
+    """Fit every user; parallel execution matches sequential bit for bit.
+
+    Features are built per user inside the map and never pickled: each of
+    W = min(n_workers, N) tasks gets the log and every W-th user.
+    """
     n, m = log.n_users, log.n_products
-    tasks = ([features[u] for u in range(n)], range(n), [config] * n)
-    if config.n_workers > 1:
+    workers = min(config.n_workers, n)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # about 15 ms of import, paid only here
 
-        with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
-            results = list(pool.map(fit_user, *tasks))
+        strides = [range(w, n, workers) for w in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_fit_users, [log] * workers, strides, [config] * workers))
+        results = [None] * n
+        for w, chunk in enumerate(chunks):
+            results[w::workers] = chunk
     else:
-        results = list(map(fit_user, *tasks))
+        results = _fit_users(log, range(n), config)
     mu = np.zeros((n, m))
     alpha = np.zeros((n, n))
     report = FitReport()

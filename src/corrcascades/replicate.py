@@ -131,7 +131,6 @@ def run_recovery(
 def make_incentivization_model(
     rng: np.random.Generator,
     n_users: int = 50,
-    n_products: int = 3,
     edge_prob: float = 0.1,
     alpha_high: float = 0.1,
     mu_centers=(0.2, 0.5, 0.3),
@@ -141,15 +140,13 @@ def make_incentivization_model(
 
     Influence weights are U(0, 0.1) on Bernoulli(edge_prob) edges; a dense
     U(0, 0.1) network at this size would be supercritical under the
-    unit-rate kernel.
+    unit-rate kernel.  There is one product per entry of `mu_centers`.
     """
     edges = rng.uniform(size=(n_users, n_users)) < edge_prob
     alpha = rng.uniform(0.0, alpha_high, size=(n_users, n_users)) * edges
     centers = np.asarray(mu_centers, dtype=float)
-    if centers.size != n_products:
-        raise ValueError("mu_centers must have one entry per product")
     mu = np.clip(
-        centers[None, :] + rng.uniform(-mu_noise, mu_noise, size=(n_users, n_products)),
+        centers[None, :] + rng.uniform(-mu_noise, mu_noise, size=(n_users, centers.size)),
         0.0,
         None,
     )
@@ -175,7 +172,6 @@ class IncentivizationResult:
 def run_incentivization(
     seed: int = 0,
     n_users: int = 50,
-    n_products: int = 3,
     horizon: float = 200.0,
     switch_time: float = 100.0,
     boosted_product: int = 2,
@@ -190,7 +186,7 @@ def run_incentivization(
     identical event for event.
     """
     rng = np.random.default_rng(seed)
-    params = make_incentivization_model(rng, n_users, n_products)
+    params = make_incentivization_model(rng, n_users)
     marks = [("independent", LinearMark())] + [
         (f"correlated_beta{beta:g}", SoftMaxMark(beta)) for beta in betas
     ]

@@ -246,7 +246,7 @@ def test_criterion_8_self_consistency_beats_shuffled_controls():
     n, m = 30, 3
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        params = make_incentivization_model(rng, n_users=n, n_products=m)
+        params = make_incentivization_model(rng, n_users=n)
         scenario = Scenario(
             switch_time=30.0,
             boosted_product=2,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,12 +154,45 @@ class TestFitAll:
         np.testing.assert_array_equal(params.alpha[:, 0], theta.alpha_col)
 
     def test_parallel_equals_sequential(self):
+        # worker counts that do not divide N, a user with no events, and
+        # more workers than users: every strided task lands in user order
         rng = np.random.default_rng(17)
-        log = random_log(rng, n_users=3, n_products=2, max_events=30)
-        seq, _ = fit_all(log, FitConfig(beta=1.0, n_workers=1))
-        par, _ = fit_all(log, FitConfig(beta=1.0, n_workers=2))
-        np.testing.assert_array_equal(seq.mu, par.mu)
-        np.testing.assert_array_equal(seq.alpha, par.alpha)
+        base = random_log(rng, n_users=5, n_products=2, max_events=40)
+        users = np.where(base.users == 2, 0, base.users)  # user 2 stays silent
+        silent = EventLog.from_arrays(base.times, users, base.products, base.horizon, 5, 2)
+        assert len(silent) > 5
+        small = random_log(rng, n_users=2, n_products=2, max_events=20)
+        for log, counts in ((silent, (2, 3, 4)), (small, (4,))):
+            seq, seq_report = fit_all(log, FitConfig(beta=1.0, n_workers=1))
+            for workers in counts:
+                par, par_report = fit_all(log, FitConfig(beta=1.0, n_workers=workers))
+                np.testing.assert_array_equal(seq.mu, par.mu)
+                np.testing.assert_array_equal(seq.alpha, par.alpha)
+                assert [(e.user, e.nll) for e in par_report.entries] == [
+                    (e.user, e.nll) for e in seq_report.entries
+                ]
+
+    def test_sequential_fit_holds_one_users_features(self):
+        # users are streamed through the map, so the traced peak is one
+        # user's working set (features, event Jacobian, Hessian factor and
+        # its free block), not every user's features at once; measured:
+        # peak 1.16 MB, 9.9 times the largest user's 117 kB of snapshots,
+        # against 5.18 MB for all 60 users (6.0 MB peak before streaming)
+        rng = np.random.default_rng(3)
+        n, m, k = 60, 3, 3600
+        log = EventLog.from_arrays(
+            np.sort(rng.uniform(0.0, 40.0, k)), rng.integers(0, n, k), rng.integers(0, m, k), 40.0, n, m
+        )
+        sizes = [f.snapshots.nbytes for f in build_all_features(log).values()]
+        tracemalloc.start()
+        try:
+            fit_all(log, FitConfig(beta=1.0, n_workers=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 12 * max(sizes)
+        assert bound < sum(sizes) / 3
+        assert peak < bound, (peak, max(sizes), sum(sizes))
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(19)

@@ -377,6 +377,21 @@ class TestCliFit:
         assert "# beta=0.5 score=inf" in lines and "# beta=2.0 score=inf" in lines
         assert "# chosen_beta=0.5" in lines
 
+    @pytest.mark.parametrize("raw", ["abc", "1.5"])
+    def test_bad_worker_count_names_the_variable(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.setenv("CORRCASCADES_WORKERS", raw)
+        events = tmp_path / "events.csv"
+        write_event_log(EventLog([(1.0, 0, 0)], 2.0, 1, 1), events)
+        code = main(
+            [
+                "fit", "--events", str(events), "--beta", "1.0",
+                "--out-params", str(tmp_path / "fit.json"), "--out-report", str(tmp_path / "report.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: CORRCASCADES_WORKERS must be an integer, got {raw!r}\n"
+        assert not (tmp_path / "fit.json").exists()
+
     def test_nan_time_is_usage_error_not_hang(self, tmp_path):
         events = tmp_path / "events.csv"
         events.write_text(

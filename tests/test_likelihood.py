@@ -24,6 +24,7 @@ from corrcascades.likelihood import (
     _TINY,
     _block_starts,
     _eval_features,
+    _event_jacobian,
     _event_loglik,
     _hessian_from_eval,
     _window_tendencies,
@@ -257,7 +258,7 @@ class TestHessian:
                 [rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)]
             )
             _, f, lam = _eval_features(features, theta[:n], theta[n:], beta)
-            x = _hessian_from_eval(features, beta, f, lam)
+            x = _hessian_from_eval(*_event_jacobian(features), beta, f, lam)
             assert x.shape == (n + m, features.n_events * (m + 1))
             hess = x @ x.T
             numeric = np.zeros_like(hess)
@@ -280,7 +281,7 @@ class TestHessian:
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
         features = build_all_features(log)[1]
         _, f, lam = _eval_features(features, np.array([0.1, 0.2]), np.array([0.3, 0.4]), 1.0)
-        x = _hessian_from_eval(features, 1.0, f, lam)
+        x = _hessian_from_eval(*_event_jacobian(features), 1.0, f, lam)
         assert not (x @ x.T).any()
 
 

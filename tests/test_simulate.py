@@ -469,6 +469,29 @@ class TestThinningOracle:
             families.update(type(p.mark) for _, p in segments)
         assert families == {SoftMaxMark, LinearMark}
 
+    def test_post_switch_counts_carry_the_first_pass(self):
+        # a near-critical model (branching ratio 0.9) and a post-switch
+        # window of one time unit: most post-switch events descend from
+        # first-pass events, so the count over (s, horizon] matches the
+        # compensator rescanned over the whole record only if the second
+        # pass absorbed the first pass's events
+        n, m, switch, horizon = 2, 2, 30.0, 31.0
+        params = ModelParams(np.full((n, m), 0.1), np.full((n, n), 0.45), SoftMaxMark(2.0))
+        scenario = Scenario(switch, 0, 1.5, pre_switch_mark=LinearMark(), post_switch_mark=SoftMaxMark(2.0))
+        boosted_total = params.mu.sum() + (scenario.boost_factor - 1.0) * params.mu[:, 0].sum()
+        row_sums = params.alpha.sum(axis=1)
+        count = carried = comp = 0.0
+        for seed in range(300):
+            log = run_scenario(params, scenario, SimConfig(horizon=horizon, seed=seed)).log
+            reach = row_sums[log.users] * (
+                np.exp(-np.maximum(switch - log.times, 0.0)) - np.exp(-(horizon - log.times))
+            )
+            count += np.count_nonzero(log.times > switch)
+            carried += reach[log.times <= switch].sum()
+            comp += (horizon - switch) * boosted_total + reach.sum()
+        assert carried > 0.5 * comp
+        assert abs(count - comp) <= 4.0 * math.sqrt(comp), (count, comp)
+
     def test_history_after_switch_is_all_post_switch(self):
         # a history that ends after `switch_time` leaves the whole window to
         # the boosted baselines and the post-switch mark

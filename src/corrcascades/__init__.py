@@ -8,7 +8,6 @@ from .fitting import FitConfig, FitReport, UserFitEntry, cross_validate_beta, fi
 from .likelihood import (
     EventFeatures,
     InfeasibleLikelihoodError,
-    UserParams,
     build_all_features,
     total_nll,
     user_nll,

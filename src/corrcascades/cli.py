@@ -111,11 +111,10 @@ def _cmd_fit(args) -> int:
         beta = args.beta
         scores = None
     else:
-        grid = (
-            [float(x) for x in args.beta_grid.split(",")]
-            if args.beta_grid
-            else _default_beta_grid()
-        )
+        if args.beta_grid is None:
+            grid = _default_beta_grid()
+        else:  # "" is the empty grid, which cross_validate_beta refuses
+            grid = [float(x) for x in args.beta_grid.split(",")] if args.beta_grid else []
         beta, scores = cross_validate_beta(log, grid, args.holdout, config)
         print(f"cross-validation selected beta={beta:g}")
     from dataclasses import replace

@@ -6,10 +6,12 @@ that may run in parallel with bit-identical results to a sequential run.
 The map streams the users: each task gets the event log and builds one
 user's features at a time from it, fits that user and drops them, so no
 feature array is pickled to a worker and no process holds more than one
-user's features.  A user's problem has only N + M dimensions, so every
-iteration builds and solves with the exact Hessian (Bertsekas 1982,
-"Projected Newton methods for optimization problems with simple
-constraints"), whose constant event Jacobian is built once per user.
+user's features.  A user's parameters are the packed vector
+theta = [alpha_col | mu_row], and its features are the stacked event
+Jacobian that the objective, the gradient and the Hessian all read.  The
+problem has only N + M dimensions, so every iteration builds and solves
+with the exact Hessian (Bertsekas 1982, "Projected Newton methods for
+optimization problems with simple constraints").
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from .likelihood import (
     BLOCK,
     EventFeatures,
     InfeasibleLikelihoodError,
-    UserParams,
-    _compensator_slices,
-    _event_jacobian,
+    _compensator_slope,
     _eval_features,
     _gradient_from_eval,
     _hessian_from_eval,
@@ -46,9 +46,9 @@ class FitConfig:
     """Projected-Newton solver controls.
 
     `beta` is the soft-max mark sharpness, `inner_max_iter` caps each
-    user's Newton steps, and `n_workers` sets the processes `fit_all` maps
-    users over.  Influence coordinates start at `init_value`; baselines
-    start at the user's per-product event rate.
+    user's Newton steps (0 returns the start), and `n_workers` sets the
+    processes `fit_all` maps users over.  Influence coordinates start at
+    `init_value`; baselines start at the user's per-product event rate.
     """
 
     beta: float = 1.0
@@ -62,6 +62,10 @@ class FitConfig:
                 raise ValueError(f"{name} must be finite")
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.inner_max_iter < 0:
+            raise ValueError("inner_max_iter must be nonnegative")
+        if self.n_workers < 1:
+            raise ValueError("n_workers must be at least 1")
 
 
 @dataclass
@@ -126,11 +130,10 @@ def _projected_newton(features, theta, live, config):
     evaluations, the final check included.
     """
     beta = config.beta
-    n = features.n_users
-    jac, jac_sum = _event_jacobian(features)
+    jac_sum = features.jac.sum(axis=2)
     # the start is feasible by construction; a likelihood that overflows
     # there (an absurd init_value) raises instead of reading as +inf
-    value, f, lam = _eval_features(features, theta[:n], theta[n:], beta)
+    value, f, lam = _eval_features(features, theta, beta)
     iterations, evals = 0, 1
     while True:
         iterations += 1
@@ -143,7 +146,7 @@ def _projected_newton(features, theta, live, config):
         free = live & ~active
         # the Hessian is x @ x.T: its active diagonal is the squared row
         # norms of x, and only the free block is formed
-        x = _hessian_from_eval(jac, jac_sum, beta, f, lam)
+        x = _hessian_from_eval(features.jac, jac_sum, beta, f, lam)
         direction = np.zeros_like(theta)
         x_active = x[active]
         direction[active] = -grad[active] / np.einsum("ij,ij->i", x_active, x_active)
@@ -168,7 +171,7 @@ def _projected_newton(features, theta, live, config):
         for _ in range(_MAX_BACKTRACKS):
             evals += 1
             try:
-                cand_value, cand_f, cand_lam = _eval_features(features, cand[:n], cand[n:], beta)
+                cand_value, cand_f, cand_lam = _eval_features(features, cand, beta)
             except InfeasibleLikelihoodError:  # a nonpositive intensity: +inf
                 cand_value = np.inf
             if cand_value < value + _LS_DECREASE * predicted(cand, step):
@@ -181,25 +184,24 @@ def _projected_newton(features, theta, live, config):
     return theta, value, grad, iterations, evals
 
 
-def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[UserParams, UserFitEntry]:
-    """Projected-Newton MLE of one user's parameters over theta >= 0.
+def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.ndarray, UserFitEntry]:
+    """Projected-Newton MLE of one user's packed parameters over theta >= 0.
 
     `features` are the user's (see `build_all_features`) and `user` labels
-    the report entry.  Raises ValueError when the user has events but the
-    horizon is 0: with no compensator the NLL is unbounded below and has no
-    minimizer.
+    the report entry.  Returns theta = [alpha_col | mu_row], of length
+    N + M, and the entry.  Raises ValueError when the user has events but
+    the horizon is 0: with no compensator the NLL is unbounded below and
+    has no minimizer.
     """
     if features.horizon == 0 and features.n_events:
         raise ValueError("a log with events at horizon 0 has no maximum-likelihood estimate")
     start = time.perf_counter()
     n, m = features.n_users, features.n_products
-    # a source that fired before none of this user's events enters the NLL
-    # only through its compensator slice, linearly with a nonnegative slope,
-    # so its minimizer is exactly 0; with no events at all the same holds
-    # for every baseline
-    live = np.concatenate(
-        [features.snapshots.reshape(n, -1).any(axis=1), np.full(m, features.n_events > 0)]
-    )
+    # a coordinate whose Jacobian row is 0 at every event (a source that
+    # fired before none of this user's events, or a baseline of a user with
+    # no events) enters the NLL only through the compensator, linearly with
+    # a nonnegative slope, so its minimizer is exactly 0
+    live = features.jac.reshape(n + m, -1).any(axis=1)
     theta = np.where(live, config.init_value, 0.0)
     if features.horizon > 0:
         # baselines start at the per-product event rate, where the
@@ -222,7 +224,7 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[Use
         grad_norm=proj_norm,
         wall_time=time.perf_counter() - start,
     )
-    return UserParams(theta[:n], theta[n:]), entry
+    return theta, entry
 
 
 def default_worker_count() -> int:
@@ -235,13 +237,13 @@ def default_worker_count() -> int:
         raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _fit_users(log: EventLog, users: range, config: FitConfig) -> list[tuple[UserParams, UserFitEntry]]:
+def _fit_users(log: EventLog, users: range, config: FitConfig) -> list[tuple[np.ndarray, UserFitEntry]]:
     """`fit_user` over `users`, each user's features built from the log just
-    before its fit and dropped after it; the compensator slices and the
+    before its fit and dropped after it; the compensator slope and the
     snapshot work buffer are built once."""
-    excite = _compensator_slices(log)
+    slope = _compensator_slope(log)
     work = np.empty(BLOCK * log.n_users * log.n_products)
-    return [fit_user(_user_features(log, u, excite, work), u, config) for u in users]
+    return [fit_user(_user_features(log, u, slope, work), u, config) for u in users]
 
 
 def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
@@ -250,7 +252,7 @@ def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
     Features are built per user inside the map and never pickled: each of
     W = min(n_workers, N) tasks gets the log and every W-th user.
     """
-    n, m = log.n_users, log.n_products
+    n = log.n_users
     workers = min(config.n_workers, n)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # about 15 ms of import, paid only here
@@ -263,14 +265,9 @@ def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
             results[w::workers] = chunk
     else:
         results = _fit_users(log, range(n), config)
-    mu = np.zeros((n, m))
-    alpha = np.zeros((n, n))
-    report = FitReport()
-    for u, (params_u, entry) in enumerate(results):
-        alpha[:, u] = params_u.alpha_col
-        mu[u] = params_u.mu_row
-        report.entries.append(entry)
-    return ModelParams(mu, alpha, SoftMaxMark(config.beta)), report
+    theta = np.array([theta_u for theta_u, _ in results])  # row u: [alpha[:, u] | mu[u]]
+    report = FitReport([entry for _, entry in results])
+    return ModelParams(theta[:, n:].copy(), theta[:, :n].T.copy(), SoftMaxMark(config.beta)), report
 
 
 def cross_validate_beta(

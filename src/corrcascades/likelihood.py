@@ -14,17 +14,18 @@ event's share of the log is absorbed in closed form and one decay matrix
 sums the shares.
 
 The likelihood of a log factorizes over users, so fitting works on one
-user's parameters at a time, packed as [alpha_col | mu_row].  Per-user
-evaluations (`user_nll`, `user_nll_gradient`) run off that user's
-decayed-count features, built from the log alone (`_user_features`), so
-solver iterations never rescan the event history.  The fit builds them
-per user inside its map and never pickles them; `build_all_features`
-gives every user's at once.  Both derivatives come from the event
-Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I]: the gradient is one product
-of the snapshots with per-event weights, and the Hessian is returned as a
-factor X with Hessian X X^T, of which the solver forms only the free
-block.  The stacked Jacobian and its sum over products do not depend on
-the parameters and are built once per user (`_event_jacobian`).
+user's parameters at a time, the packed vector theta = [alpha_col | mu_row]
+of length N + M.  A user's features are one array, the stacked event
+Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I], with the decayed-count
+snapshots B written into its first N rows (`_user_features`), plus the
+compensator slope.  The NLL is theta . slope minus the event terms of the
+tendencies g_i = D_i^T theta, so per-user evaluations (`user_nll`,
+`user_nll_gradient`) never rescan the event history.  The fit builds the
+features per user inside its map and never pickles them;
+`build_all_features` gives every user's at once.  The gradient is the
+slope minus one product of the Jacobian with per-event weights, and the
+Hessian is returned as a factor X with Hessian X X^T, of which the solver
+forms only the free block.
 """
 
 from __future__ import annotations
@@ -42,44 +43,27 @@ class InfeasibleLikelihoodError(ValueError):
     """Zero (or negative) intensity / mark density at an observed event."""
 
 
-@dataclass(frozen=True)
-class UserParams:
-    """One user's parameters: incoming influence column and baseline row."""
-
-    alpha_col: np.ndarray  # (N,) influence of every source on this user
-    mu_row: np.ndarray  # (M,) per-product baseline
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha_col, dtype=float)
-        m = np.asarray(self.mu_row, dtype=float)
-        if a.ndim != 1 or m.ndim != 1:
-            raise ValueError("alpha_col and mu_row must be vectors")
-        if np.any(a < 0) or np.any(m < 0):
-            raise ValueError("parameters must be nonnegative")
-        object.__setattr__(self, "alpha_col", a)
-        object.__setattr__(self, "mu_row", m)
-
-
 @dataclass(slots=True, eq=False)
 class EventFeatures:
-    """Decayed-count snapshots at one user's event times.
+    """One user's stacked event Jacobian and compensator slope.
 
-    snapshots[:, i, :] is the N x M matrix B(t_i) of decayed counts strictly
-    before the user's i-th event time t_i (ties at t_i excluded), products[i]
-    is that event's product, and excite_integrals[j] = sum over events of
-    source j before T of (1 - exp(-(T - t_i))), the source-j slice of the
-    compensator.  With the event Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I],
-    these four fields give the NLL, its gradient and its Hessian factor.
+    jac[:, i, :] is the event Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I]
+    of the user's i-th event, for theta = [alpha_col | mu_row]: jac[:N] holds
+    the N x M decayed counts B(t_i) strictly before t_i (ties at t_i
+    excluded) and jac[N:] the M x M identity.  products[i] is that event's
+    product.  slope = [excite; T 1] is the compensator's gradient, where
+    excite[j] = sum over events of source j before T of 1 - exp(-(T - t)).
+    The NLL is theta . slope minus the event terms of g_i = D_i^T theta.
     """
 
-    snapshots: np.ndarray  # (N, K, M)
+    jac: np.ndarray  # (N+M, K, M)
     products: np.ndarray  # (K,)
-    excite_integrals: np.ndarray  # (N,)
+    slope: np.ndarray  # (N+M,)
     horizon: float
 
     @property
     def n_users(self) -> int:
-        return self.snapshots.shape[0]
+        return self.jac.shape[0] - self.jac.shape[2]
 
     @property
     def n_events(self) -> int:
@@ -87,7 +71,7 @@ class EventFeatures:
 
     @property
     def n_products(self) -> int:
-        return self.snapshots.shape[2]
+        return self.jac.shape[2]
 
 
 BLOCK = 64  # events per block of `_window_tendencies` and `_user_snapshots`
@@ -102,31 +86,35 @@ def build_all_features(log: EventLog) -> dict[int, EventFeatures]:
     `fitting.fit_all` does not call this: it builds one user's features at
     a time inside its map and drops them after the user's fit.
     """
-    excite = _compensator_slices(log)
+    slope = _compensator_slope(log)
     work = np.empty(BLOCK * log.n_users * log.n_products)
-    return {u: _user_features(log, u, excite, work) for u in range(log.n_users)}
+    return {u: _user_features(log, u, slope, work) for u in range(log.n_users)}
 
 
-def _compensator_slices(log: EventLog) -> np.ndarray:
-    """excite[j] = sum over events of source j before T of 1 - exp(-(T - t_i)),
-    the (N,) compensator slices every user's features share."""
-    excite = np.zeros(log.n_users)
+def _compensator_slope(log: EventLog) -> np.ndarray:
+    """The (N+M,) compensator slope [excite; T 1] every user's features share,
+    excite[j] = sum over events of source j before T of 1 - exp(-(T - t_i))."""
+    slope = np.full(log.n_users + log.n_products, log.horizon)
+    slope[: log.n_users] = 0.0
     past = log.times < log.horizon
-    np.add.at(excite, log.users[past], 1.0 - np.exp(-(log.horizon - log.times[past])))
-    return excite
+    np.add.at(slope, log.users[past], 1.0 - np.exp(-(log.horizon - log.times[past])))
+    return slope
 
 
-def _user_features(log: EventLog, user: int, excite: np.ndarray, work: np.ndarray) -> EventFeatures:
-    """One user's EventFeatures from the log, the shared compensator slices
-    `excite` and a work buffer of BLOCK N M floats (see `_user_snapshots`).
+def _user_features(log: EventLog, user: int, slope: np.ndarray, work: np.ndarray) -> EventFeatures:
+    """One user's EventFeatures from the log, the shared compensator slope
+    and a work buffer of BLOCK N M floats (see `_user_snapshots`).
 
+    The snapshots are written straight into the Jacobian's first N rows.
     Callers reuse one buffer for every user: a fresh one per block is above
     malloc's mmap threshold on fit-wide, and its page faults cost 15 ms.
     """
+    n, m = log.n_users, log.n_products
     own = np.flatnonzero(log.users == user)
-    snapshots = np.empty((log.n_users, own.size, log.n_products))
-    _user_snapshots(log, log.times[own], snapshots, work)
-    return EventFeatures(snapshots, log.products[own], excite, log.horizon)
+    jac = np.empty((n + m, own.size, m))
+    _user_snapshots(log, log.times[own], jac[:n], work)
+    jac[n:] = np.eye(m)[:, None, :]
+    return EventFeatures(jac, log.products[own], slope, log.horizon)
 
 
 def _user_snapshots(log: EventLog, s: np.ndarray, snapshots: np.ndarray, work: np.ndarray) -> None:
@@ -192,13 +180,13 @@ def _event_loglik(
     return float(np.log(g_obs).sum()), lam, None
 
 
-def _eval_features(features, alpha_col, mu_row, beta):
-    """(nll, soft-max mark probabilities f, intensities lam) of one user's events."""
-    n, k, m = features.snapshots.shape
-    comp = features.horizon * mu_row.sum() + alpha_col @ features.excite_integrals
-    g = mu_row + (alpha_col @ features.snapshots.reshape(n, k * m)).reshape(k, m)
+def _eval_features(features, theta, beta):
+    """(nll, soft-max mark probabilities f, intensities lam) of one user's
+    events at the packed parameters theta."""
+    nm, k, m = features.jac.shape
+    g = (theta @ features.jac.reshape(nm, k * m)).reshape(k, m)
     event_ll, lam, f = _event_loglik(g, features.products, SoftMaxMark(beta))
-    nll = comp - event_ll
+    nll = theta @ features.slope - event_ll
     if not math.isfinite(nll):
         raise InfeasibleLikelihoodError("nonfinite likelihood")
     return float(nll), f, lam
@@ -209,26 +197,13 @@ def _gradient_from_eval(features, beta, f, lam):
 
     The event terms of the NLL have gradient -sum_i D_i w_i, with event
     weights w_i = 1/lambda_i 1 + beta (e_{p_i} - f_i), so the gradient is
-    the compensator slope minus one product of the snapshots with w (and
-    minus w summed over events for the baselines).
+    the compensator slope minus one product of the Jacobian with w.
     """
-    n, k, m = features.snapshots.shape
+    nm, k, m = features.jac.shape
     w = -beta * f
     w[np.arange(k), features.products] += beta
     w += (1.0 / lam)[:, None]
-    grad_alpha = features.excite_integrals - features.snapshots.reshape(n, k * m) @ w.ravel()
-    return np.concatenate([grad_alpha, features.horizon - w.sum(axis=0)])
-
-
-def _event_jacobian(features: EventFeatures) -> tuple[np.ndarray, np.ndarray]:
-    """The (N+M, K, M) stacked event Jacobian, jac[:, i, :] = D_i = [B(t_i); I],
-    and its (N+M, K) sum over products D_i 1.  Neither depends on theta, so
-    the solver builds them once per user."""
-    n, k, m = features.snapshots.shape
-    jac = np.empty((n + m, k, m))
-    jac[:n] = features.snapshots
-    jac[n:] = np.eye(m)[:, None, :]
-    return jac, jac.sum(axis=2)
+    return features.slope - features.jac.reshape(nm, k * m) @ w.ravel()
 
 
 def _hessian_from_eval(jac, jac_sum, beta, f, lam):
@@ -241,7 +216,9 @@ def _hessian_from_eval(jac, jac_sum, beta, f, lam):
     S_i = (I - f_i 1^T) diag(sqrt f_i), so the Hessian is X X^T for the
     (N+M) x K(M+1) matrix X whose columns for event i are
     beta D_i S_i = beta (D_i - D_i f_i 1^T) diag(sqrt f_i) and
-    D_i 1 / lambda_i.  `jac` and `jac_sum` come from `_event_jacobian`.
+    D_i 1 / lambda_i.  `jac` is the features' stacked Jacobian and `jac_sum`
+    its (N+M, K) sum over products, D_i 1, which the solver forms once per
+    user.
     The subtract and multiply run on a contiguous array copied into X: on
     X's strided columns numpy buffers them, at 1.6 times the time.  The
     solver forms only the block of X X^T it needs.
@@ -255,15 +232,25 @@ def _hessian_from_eval(jac, jac_sum, beta, f, lam):
     return x.reshape(nm, k * (m + 1))
 
 
-def user_nll(features: EventFeatures, theta_u: UserParams, beta: float) -> float:
-    """Negative log-likelihood of one user's events under soft-max marks."""
-    return _eval_features(features, theta_u.alpha_col, theta_u.mu_row, beta)[0]
+def _checked_theta(features: EventFeatures, theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != features.slope.shape:
+        raise ValueError(f"theta must be a vector of length N + M = {features.slope.size}")
+    if np.any(theta < 0):
+        raise ValueError("parameters must be nonnegative")
+    return theta
 
 
-def user_nll_gradient(features: EventFeatures, theta_u: UserParams, beta: float) -> np.ndarray:
+def user_nll(features: EventFeatures, theta, beta: float) -> float:
+    """Negative log-likelihood of one user's events under soft-max marks, at
+    the packed parameters theta = [alpha_col | mu_row]."""
+    return _eval_features(features, _checked_theta(features, theta), beta)[0]
+
+
+def user_nll_gradient(features: EventFeatures, theta, beta: float) -> np.ndarray:
     """Analytic gradient of `user_nll` in the packed [alpha_col | mu_row] layout."""
-    _, g, lam = _eval_features(features, theta_u.alpha_col, theta_u.mu_row, beta)
-    return _gradient_from_eval(features, beta, g, lam)
+    _, f, lam = _eval_features(features, _checked_theta(features, theta), beta)
+    return _gradient_from_eval(features, beta, f, lam)
 
 
 def _block_starts(times: np.ndarray, lo: int, last: int) -> list[int]:

@@ -16,7 +16,6 @@ from corrcascades import (
     LinearMark,
     ModelParams,
     SoftMaxMark,
-    UserParams,
     build_all_features,
     total_nll,
     user_nll,
@@ -69,19 +68,17 @@ def test_criterion_2_gradient_matches_finite_differences():
         if len(log) == 0:
             continue
         beta = float(rng.uniform(0.3, 3.0))
-        theta = UserParams(
-            rng.uniform(0.05, 0.4, log.n_users), rng.uniform(0.1, 1.0, log.n_products)
+        theta = np.concatenate(
+            [rng.uniform(0.05, 0.4, log.n_users), rng.uniform(0.1, 1.0, log.n_products)]
         )
-        n = log.n_users
-        features = build_all_features(log)[int(rng.integers(n))]
+        features = build_all_features(log)[int(rng.integers(log.n_users))]
         analytic = user_nll_gradient(features, theta, beta)
-        packed = np.concatenate([theta.alpha_col, theta.mu_row])
-        for i in range(packed.size):
-            hi, lo = packed.copy(), packed.copy()
+        for i in range(theta.size):
+            hi, lo = theta.copy(), theta.copy()
             hi[i] += step
             lo[i] -= step
-            f_hi = user_nll(features, UserParams(hi[:n], hi[n:]), beta)
-            f_lo = user_nll(features, UserParams(lo[:n], lo[n:]), beta)
+            f_hi = user_nll(features, hi, beta)
+            f_lo = user_nll(features, lo, beta)
             numeric = (f_hi - f_lo) / (2 * step)
             rel = abs(analytic[i] - numeric) / max(abs(numeric), 1e-4)
             worst = max(worst, rel)
@@ -106,9 +103,9 @@ def test_criterion_3_convexity_chords():
             b = rng.uniform(0.01, 1.0, n + m)
             w = float(rng.uniform(0.1, 0.9))
             mid = w * a + (1 - w) * b
-            f_mid = user_nll(features, UserParams(mid[:n], mid[n:]), beta)
-            f_a = user_nll(features, UserParams(a[:n], a[n:]), beta)
-            f_b = user_nll(features, UserParams(b[:n], b[n:]), beta)
+            f_mid = user_nll(features, mid, beta)
+            f_a = user_nll(features, a, beta)
+            f_b = user_nll(features, b, beta)
             total += 1
             if f_mid > w * f_a + (1 - w) * f_b + 1e-9:
                 violations += 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcascades import EventLog, UserParams, build_all_features, user_nll, user_nll_gradient, window_nll
+from corrcascades import EventLog, build_all_features, user_nll, user_nll_gradient, window_nll
 from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_user
 from corrcascades.model import SoftMaxMark
 
@@ -15,10 +15,6 @@ from conftest import brute_simulate, brute_total_nll, random_log, random_params
 
 def _features(log, user):
     return build_all_features(log)[user]
-
-
-def _packed(theta):
-    return np.concatenate([theta.alpha_col, theta.mu_row])
 
 
 def poisson_log(rng, rate, horizon):
@@ -32,13 +28,13 @@ class TestFitUser:
         rng = np.random.default_rng(0)
         log = poisson_log(rng, rate=2.0, horizon=100.0)
         theta, entry = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
-        assert theta.mu_row[0] == pytest.approx(len(log) / 100.0, rel=0.05)
+        assert theta[1] == pytest.approx(len(log) / 100.0, rel=0.05)
         assert entry.nll > 0
 
     def test_empty_user_driven_to_floor(self):
         log = EventLog([], 5.0, 2, 2)
         theta, _ = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
-        assert np.all(_packed(theta) == 0.0)
+        assert np.all(theta == 0.0)
 
     def test_infeasible_init_reinitializes(self):
         # extreme starts (an intensity near underflow, a compensator in the
@@ -58,7 +54,7 @@ class TestFitUser:
         for _ in range(5):
             log = random_log(rng, max_events=20)
             theta, entry = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
-            assert np.all(_packed(theta) >= 0)
+            assert np.all(theta >= 0)
             assert np.isfinite(user_nll(_features(log, 0), theta, 1.0))
             assert np.isfinite(entry.nll)
 
@@ -85,9 +81,8 @@ class TestFitUser:
             features = _features(log, user)
             theta, entry = fit_user(features, user, FitConfig(beta=1.0))
             grad = user_nll_gradient(features, theta, 1.0)
-            packed = _packed(theta)
             # components pinned near zero only count if they push outward
-            pinned = packed <= 1e-6
+            pinned = theta <= 1e-6
             projected = grad.copy()
             projected[pinned] = np.minimum(grad[pinned], 0.0)
             norm = float(np.linalg.norm(projected))
@@ -104,9 +99,7 @@ class TestFitUser:
         theta, entry = fit_user(features, 0, FitConfig(beta=1.0))
         best = user_nll(features, theta, 1.0)
         for _ in range(50):
-            cand = UserParams(
-                rng.uniform(1e-4, 0.5, log.n_users), rng.uniform(1e-4, 1.0, log.n_products)
-            )
+            cand = np.concatenate([rng.uniform(1e-4, 0.5, log.n_users), rng.uniform(1e-4, 1.0, log.n_products)])
             assert best <= user_nll(features, cand, 1.0) + 1e-6
 
     @settings(max_examples=25, deadline=None)
@@ -121,8 +114,17 @@ class TestFitUser:
         assert entry.converged
         best = user_nll(features, theta, beta)
         for _ in range(200):
-            cand = UserParams(rng.uniform(1e-4, 1.0, n), rng.uniform(1e-4, 1.0, m))
+            cand = np.concatenate([rng.uniform(1e-4, 1.0, n), rng.uniform(1e-4, 1.0, m)])
             assert best <= user_nll(features, cand, beta) + 1e-9
+
+    def test_rejects_bad_counts_in_config(self):
+        # a negative step cap would hand back the start as the fit
+        with pytest.raises(ValueError, match="inner_max_iter"):
+            FitConfig(inner_max_iter=-3)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="n_workers"):
+                FitConfig(n_workers=workers)
+        assert FitConfig(inner_max_iter=0, n_workers=1).inner_max_iter == 0
 
     def test_rejects_non_finite_config(self):
         for bad in (float("nan"), float("inf")):
@@ -141,7 +143,7 @@ class TestFitUser:
             fit_all(log, FitConfig(beta=1.0))
         # a user with no events still has the all-zero minimizer
         theta, entry = fit_user(_features(EventLog([(0.0, 0, 0)], 0.0, 2, 1), 1), 1, FitConfig(beta=1.0))
-        assert entry.converged and not _packed(theta).any()
+        assert entry.converged and not theta.any()
 
 
 class TestFitAll:
@@ -150,8 +152,8 @@ class TestFitAll:
         log = random_log(rng, n_users=1, n_products=2, max_events=20)
         params, report = fit_all(log, FitConfig(beta=1.0))
         theta, _ = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
-        np.testing.assert_array_equal(params.mu[0], theta.mu_row)
-        np.testing.assert_array_equal(params.alpha[:, 0], theta.alpha_col)
+        np.testing.assert_array_equal(params.mu[0], theta[1:])
+        np.testing.assert_array_equal(params.alpha[:, 0], theta[:1])
 
     def test_parallel_equals_sequential(self):
         # worker counts that do not divide N, a user with no events, and
@@ -174,23 +176,24 @@ class TestFitAll:
 
     def test_sequential_fit_holds_one_users_features(self):
         # users are streamed through the map, so the traced peak is one
-        # user's working set (features, event Jacobian, Hessian factor and
-        # its free block), not every user's features at once; measured:
-        # peak 1.16 MB, 9.9 times the largest user's 117 kB of snapshots,
-        # against 5.18 MB for all 60 users (6.0 MB peak before streaming)
+        # user's working set (its stacked event Jacobian, Hessian factor and
+        # free block), not every user's features at once.  Measured: peak
+        # 1.03 MB, 8.9 times the largest user's 117 kB of snapshots, against
+        # 5.18 MB for all 60 users (6.0 MB peak before streaming, 9.9 times
+        # with a second per-user copy of the Jacobian in the solver)
         rng = np.random.default_rng(3)
         n, m, k = 60, 3, 3600
         log = EventLog.from_arrays(
             np.sort(rng.uniform(0.0, 40.0, k)), rng.integers(0, n, k), rng.integers(0, m, k), 40.0, n, m
         )
-        sizes = [f.snapshots.nbytes for f in build_all_features(log).values()]
+        sizes = [f.jac[:n].nbytes for f in build_all_features(log).values()]
         tracemalloc.start()
         try:
             fit_all(log, FitConfig(beta=1.0, n_workers=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 12 * max(sizes)
+        bound = 9.5 * max(sizes)
         assert bound < sum(sizes) / 3
         assert peak < bound, (peak, max(sizes), sum(sizes))
 

@@ -392,6 +392,29 @@ class TestCliFit:
         assert capsys.readouterr().err == f"error: CORRCASCADES_WORKERS must be an integer, got {raw!r}\n"
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            # a negative step cap wrote the start as the fit and exited 0
+            (["--beta", "1.0", "--inner-max-iter", "-3"], "inner_max_iter must be nonnegative"),
+            # an empty grid was cross-validated as the default grid
+            (["--beta-grid", ""], "beta grid must be nonempty"),
+        ],
+    )
+    def test_bad_solver_option_is_usage_error(self, tmp_path, monkeypatch, capsys, option, message):
+        monkeypatch.setenv("CORRCASCADES_WORKERS", "1")
+        events = tmp_path / "events.csv"
+        write_event_log(EventLog([(1.0, 0, 0), (3.0, 0, 0)], 4.0, 1, 1), events)
+        code = main(
+            [
+                "fit", "--events", str(events), *option,
+                "--out-params", str(tmp_path / "fit.json"), "--out-report", str(tmp_path / "report.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "fit.json").exists()
+
     def test_nan_time_is_usage_error_not_hang(self, tmp_path):
         events = tmp_path / "events.csv"
         events.write_text(

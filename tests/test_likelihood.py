@@ -11,7 +11,6 @@ from corrcascades import (
     LinearMark,
     ModelParams,
     SoftMaxMark,
-    UserParams,
     build_all_features,
     total_nll,
     user_nll,
@@ -24,7 +23,6 @@ from corrcascades.likelihood import (
     _TINY,
     _block_starts,
     _eval_features,
-    _event_jacobian,
     _event_loglik,
     _hessian_from_eval,
     _window_tendencies,
@@ -33,16 +31,11 @@ from corrcascades.likelihood import (
 from conftest import brute_counts, brute_tendency, brute_total_nll, random_log, random_params, tied_log
 
 
-def _theta(vec, n):
-    """UserParams from a packed [alpha_col | mu_row] vector."""
-    return UserParams(vec[:n], vec[n:])
-
-
 def _sum_user_nll(log, params):
     """Whole-log NLL through the per-user feature path (soft-max marks)."""
     features = build_all_features(log)
     return sum(
-        user_nll(features[u], UserParams(params.alpha[:, u], params.mu[u]), params.mark.beta)
+        user_nll(features[u], np.concatenate([params.alpha[:, u], params.mu[u]]), params.mark.beta)
         for u in range(log.n_users)
     )
 
@@ -83,8 +76,7 @@ class TestLogSumExp:
 
 def _single_event_setup():
     log = EventLog([(1.0, 0, 0)], 2.0, 1, 1)
-    theta = UserParams(np.array([0.1]), np.array([0.5]))
-    return build_all_features(log)[0], theta
+    return build_all_features(log)[0], np.array([0.1, 0.5])
 
 
 class TestUserNll:
@@ -97,7 +89,7 @@ class TestUserNll:
         # with M = 1 the value is the plain unmarked Hawkes NLL for any beta
         rng = np.random.default_rng(31)
         log = random_log(rng, n_users=2, n_products=1, max_events=15)
-        theta = UserParams(rng.uniform(0.01, 0.3, 2), rng.uniform(0.2, 1.0, 1))
+        theta = np.concatenate([rng.uniform(0.01, 0.3, 2), rng.uniform(0.2, 1.0, 1)])
         features = build_all_features(log)[0]
         values = {beta: user_nll(features, theta, beta) for beta in (0.1, 1.0, 50.0)}
         base = values[1.0]
@@ -106,9 +98,18 @@ class TestUserNll:
 
     def test_zero_params_with_events_infeasible(self):
         features, _ = _single_event_setup()
-        theta = UserParams(np.array([0.0]), np.array([0.0]))
         with pytest.raises(InfeasibleLikelihoodError):
-            user_nll(features, theta, beta=1.0)
+            user_nll(features, np.zeros(2), beta=1.0)
+
+    def test_rejects_negative_or_misshapen_theta(self):
+        features, theta = _single_event_setup()
+        bad = [np.array([0.1, -1e-12]), np.array([0.1, 0.5, 0.2]), np.array([0.1]), np.array([[0.1, 0.5]])]
+        for evaluate in (user_nll, user_nll_gradient):
+            for vec in bad:
+                with pytest.raises(ValueError, match="nonnegative|length N"):
+                    evaluate(features, vec, 1.0)
+            # a plain list of the right length is a packed theta too
+            np.testing.assert_array_equal(evaluate(features, [0.1, 0.5], 1.0), evaluate(features, theta, 1.0))
 
     def test_features_cache_matches_rescan(self):
         # oracle equivalence: cached features vs from-scratch rescans
@@ -182,15 +183,13 @@ class TestTotalNll:
 class TestGradient:
     @staticmethod
     def _fd_gradient(features, theta, beta, step=1e-6):
-        packed = np.concatenate([theta.alpha_col, theta.mu_row])
-        n = features.n_users
-        grad = np.zeros_like(packed)
-        for i in range(packed.size):
-            hi, lo = packed.copy(), packed.copy()
+        grad = np.zeros_like(theta)
+        for i in range(theta.size):
+            hi, lo = theta.copy(), theta.copy()
             hi[i] += step
             lo[i] = max(lo[i] - step, 1e-12)
-            f_hi = user_nll(features, _theta(hi, n), beta)
-            f_lo = user_nll(features, _theta(lo, n), beta)
+            f_hi = user_nll(features, hi, beta)
+            f_lo = user_nll(features, lo, beta)
             grad[i] = (f_hi - f_lo) / (hi[i] - lo[i])
         return grad
 
@@ -202,8 +201,8 @@ class TestGradient:
             if len(log) == 0:
                 continue
             beta = float(rng.uniform(0.3, 3.0))
-            theta = UserParams(
-                rng.uniform(0.05, 0.4, log.n_users), rng.uniform(0.1, 1.0, log.n_products)
+            theta = np.concatenate(
+                [rng.uniform(0.05, 0.4, log.n_users), rng.uniform(0.1, 1.0, log.n_products)]
             )
             features = build_all_features(log)[int(rng.integers(log.n_users))]
             analytic = user_nll_gradient(features, theta, beta)
@@ -215,11 +214,11 @@ class TestGradient:
     def test_single_product_mark_terms_cancel(self):
         rng = np.random.default_rng(59)
         log = random_log(rng, n_users=2, n_products=1, max_events=10)
-        theta = UserParams(rng.uniform(0.05, 0.2, 2), np.array([0.5]))
+        theta = np.concatenate([rng.uniform(0.05, 0.2, 2), [0.5]])
         features = build_all_features(log)[0]
         grad = user_nll_gradient(features, theta, beta=1.0)
         # d/d mu = -sum 1/lambda + T regardless of beta
-        g = np.einsum("j,jiq->i", theta.alpha_col, features.snapshots) + theta.mu_row.sum()
+        g = np.einsum("j,jiq->i", theta[:2], features.jac[:2]) + theta[2]
         expected_mu = -np.sum(1.0 / g) + log.horizon if len(g) else log.horizon
         assert grad[-1] == pytest.approx(expected_mu, rel=1e-10)
         grad2 = user_nll_gradient(features, theta, beta=7.0)
@@ -227,7 +226,7 @@ class TestGradient:
 
     def test_silent_user_zero_alpha_pure_compensator(self):
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
-        theta = UserParams(np.zeros(2) + 1e-9, np.array([0.2, 0.3]))
+        theta = np.array([1e-9, 1e-9, 0.2, 0.3])
         grad = user_nll_gradient(build_all_features(log)[1], theta, beta=1.0)
         np.testing.assert_allclose(grad[2:], 3.0, rtol=1e-12)
 
@@ -257,8 +256,8 @@ class TestHessian:
             theta = np.concatenate(
                 [rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)]
             )
-            _, f, lam = _eval_features(features, theta[:n], theta[n:], beta)
-            x = _hessian_from_eval(*_event_jacobian(features), beta, f, lam)
+            _, f, lam = _eval_features(features, theta, beta)
+            x = _hessian_from_eval(features.jac, features.jac.sum(axis=2), beta, f, lam)
             assert x.shape == (n + m, features.n_events * (m + 1))
             hess = x @ x.T
             numeric = np.zeros_like(hess)
@@ -267,8 +266,8 @@ class TestHessian:
                 hi[i] += step
                 lo[i] -= step
                 numeric[:, i] = (
-                    user_nll_gradient(features, _theta(hi, n), beta)
-                    - user_nll_gradient(features, _theta(lo, n), beta)
+                    user_nll_gradient(features, hi, beta)
+                    - user_nll_gradient(features, lo, beta)
                 ) / (2 * step)
             scale = np.abs(numeric).max()
             assert np.abs(hess - numeric).max() <= 1e-6 * scale
@@ -280,8 +279,8 @@ class TestHessian:
     def test_silent_user_has_zero_curvature(self):
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
         features = build_all_features(log)[1]
-        _, f, lam = _eval_features(features, np.array([0.1, 0.2]), np.array([0.3, 0.4]), 1.0)
-        x = _hessian_from_eval(*_event_jacobian(features), 1.0, f, lam)
+        _, f, lam = _eval_features(features, np.array([0.1, 0.2, 0.3, 0.4]), 1.0)
+        x = _hessian_from_eval(features.jac, features.jac.sum(axis=2), 1.0, f, lam)
         assert not (x @ x.T).any()
 
 
@@ -297,9 +296,9 @@ class TestConvexity:
             b = rng.uniform(0.01, 1.0, n + m)
             for w in (0.25, 0.5, 0.75):
                 mid = w * a + (1 - w) * b
-                f_mid = user_nll(features, _theta(mid, n), beta)
-                f_a = user_nll(features, _theta(a, n), beta)
-                f_b = user_nll(features, _theta(b, n), beta)
+                f_mid = user_nll(features, mid, beta)
+                f_a = user_nll(features, a, beta)
+                f_b = user_nll(features, b, beta)
                 assert f_mid <= w * f_a + (1 - w) * f_b + 1e-9
 
 
@@ -477,14 +476,14 @@ class TestEventFeatures:
             feats = build_all_features(log)
             for u in range(log.n_users):
                 f = feats[u]
-                assert f.snapshots.shape == (log.n_users, f.n_events, log.n_products)
+                assert f.jac.shape == (log.n_users + log.n_products, f.n_events, log.n_products)
                 np.testing.assert_array_equal(f.products, log.products[log.users == u])
                 for i, t_i in enumerate(log.times[log.users == u]):
                     expected = np.zeros((log.n_users, log.n_products))
                     for t, j, q in zip(log.times, log.users, log.products):
                         if t < t_i:
                             expected[j, q] += math.exp(-(t_i - t))
-                    np.testing.assert_allclose(f.snapshots[:, i, :], expected, rtol=1e-10, atol=1e-12)
+                    np.testing.assert_allclose(f.jac[: log.n_users, i], expected, rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -504,11 +503,11 @@ class TestEventFeatures:
         times = np.cumsum(gaps)
         log = EventLog.from_arrays(times, users, rng.integers(0, m, users.size), times[-1] + 1.0, n, m)
         feats = build_all_features(log)
-        assert feats[n - 1].snapshots.shape == (n, 0, m)
+        assert feats[n - 1].jac.shape == (n + m, 0, m)
         for u in range(n):
             for i, t_i in enumerate(times[users == u]):
                 expected = brute_counts(log, t_i)
-                np.testing.assert_allclose(feats[u].snapshots[:, i, :], expected, rtol=1e-10, atol=0.0)
+                np.testing.assert_allclose(feats[u].jac[:n, i], expected, rtol=1e-10, atol=0.0)
 
     def test_block_of_tied_events_carries(self):
         # user 0's second block holds only events tied with the first
@@ -516,7 +515,7 @@ class TestEventFeatures:
         times = np.concatenate([[0.0], np.arange(1.0, BLOCK + 1.0), [BLOCK, BLOCK]])
         users = np.concatenate([[1], np.zeros(BLOCK + 2, int)])
         log = EventLog.from_arrays(times, users, np.zeros(times.size, int), BLOCK + 1.0, 2, 1)
-        snapshots = build_all_features(log)[0].snapshots
+        snapshots = build_all_features(log)[0].jac[:2]
         for i, t_i in enumerate(times[1:]):
             np.testing.assert_allclose(snapshots[:, i, :], brute_counts(log, t_i), rtol=1e-10, atol=0.0)
 
@@ -534,7 +533,7 @@ class TestEventFeatures:
         for log in logs:
             feats = build_all_features(log)
             for u in range(log.n_users):
-                snapshots = feats[u].snapshots
+                snapshots = feats[u].jac[: log.n_users]
                 assert np.all((snapshots == 0) | (snapshots >= np.finfo(float).tiny))
                 for i, t_i in enumerate(log.times[log.users == u]):
                     expected = brute_counts(log, t_i)
@@ -549,12 +548,29 @@ class TestEventFeatures:
         log = EventLog([(1.0, 0, 0), (1.0, 1, 0)], 2.0, 2, 1)
         feats = build_all_features(log)
         # the tied event by user 0 must not appear in user 1's snapshot
-        assert feats[1].snapshots[:, 0, :].sum() == 0.0
+        assert feats[1].jac[:2, 0].sum() == 0.0
 
     def test_packed_layout(self):
         # a silent user's gradient is its compensator slope: the sources'
         # excitation integrals, then the horizon once per product
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
-        theta = UserParams(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+        theta = np.array([0.1, 0.2, 0.3, 0.4])
         grad = user_nll_gradient(build_all_features(log)[1], theta, beta=1.0)
         np.testing.assert_allclose(grad, [1.0 - math.exp(-2.0), 0.0, 3.0, 3.0], rtol=1e-15)
+
+    def test_identity_rows_and_compensator_slope(self):
+        # jac[N:, i, :] is the identity for every event, and the slope is
+        # [excite; T 1] with excite[j] summed over source j's events before T
+        rng = np.random.default_rng(131)
+        for _ in range(10):
+            log = tied_log(rng)
+            n, m = log.n_users, log.n_products
+            excite = np.zeros(n)
+            for t, j in zip(log.times, log.users):
+                if t < log.horizon:
+                    excite[j] += 1.0 - math.exp(-(log.horizon - t))
+            slope = np.concatenate([excite, np.full(m, log.horizon)])
+            for f in build_all_features(log).values():
+                for i in range(f.n_events):
+                    np.testing.assert_array_equal(f.jac[n:, i], np.eye(m))
+                np.testing.assert_allclose(f.slope, slope, rtol=1e-12, atol=0.0)

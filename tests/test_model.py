@@ -25,11 +25,17 @@ from conftest import (
 )
 
 
+def _theta(params, user):
+    """User u's packed parameters [alpha[:, u] | mu[u]]."""
+    return np.concatenate([params.alpha[:, user], params.mu[user]])
+
+
 def _tendencies(log, params, user):
-    """The K x M tendency matrix g_u(t_i) at user u's events, off its snapshots."""
-    snapshots = build_all_features(log)[user].snapshots
-    n, k, m = snapshots.shape
-    return params.mu[user] + (params.alpha[:, user] @ snapshots.reshape(n, k * m)).reshape(k, m)
+    """The K x M tendency matrix g_u(t_i) = D_i^T theta at user u's events,
+    off its stacked event Jacobian as the likelihood computes it."""
+    jac = build_all_features(log)[user].jac
+    nm, k, m = jac.shape
+    return (_theta(params, user) @ jac.reshape(nm, k * m)).reshape(k, m)
 
 
 class TestDecayState:
@@ -41,7 +47,7 @@ class TestDecayState:
         b = decayed_counts(log, 1.0, 0, 0)
         assert b.shape == (2, 3) and b.dtype == float
         assert np.all(b == 0)
-        np.testing.assert_array_equal(build_all_features(log)[0].snapshots[:, 0, :], b)
+        np.testing.assert_array_equal(build_all_features(log)[0].jac[:2, 0], b)
 
     def test_init_single_cell(self):
         assert decayed_counts(EventLog([(0.0, 0, 0)], 1.0, 1, 1), 0.0, 0, 1).shape == (1, 1)
@@ -49,7 +55,7 @@ class TestDecayState:
     def test_init_paper_dimensions(self):
         log = EventLog([(0.5, 7, 4)], 1.0, 50, 5)
         assert decayed_counts(log, 0.5, 0, 1).shape == (50, 5)
-        assert build_all_features(log)[7].snapshots.shape == (50, 1, 5)
+        assert build_all_features(log)[7].jac.shape == (55, 1, 5)
 
     def test_init_rejects_zero_dims(self):
         with pytest.raises(ValueError):
@@ -77,7 +83,7 @@ class TestDecayState:
         log = EventLog([(1.0, 0, 1), (1.0, 1, 0), (3.5, 0, 0), (3.5, 1, 1)], 4.0, 2, 2)
         before = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(
-            build_all_features(log)[0].snapshots[:, 1, :], before * math.exp(-2.5), rtol=1e-14
+            build_all_features(log)[0].jac[:2, 1], before * math.exp(-2.5), rtol=1e-14
         )
 
     def test_closed_form_matches_rescan(self):
@@ -159,9 +165,7 @@ class TestTotalIntensity:
 
     @staticmethod
     def _intensities(log, params, user):
-        return _eval_features(
-            build_all_features(log)[user], params.alpha[:, user], params.mu[user], params.mark.beta
-        )[2]
+        return _eval_features(build_all_features(log)[user], _theta(params, user), params.mark.beta)[2]
 
     def test_empty_history(self):
         params = random_params(np.random.default_rng(1), 3, 2)

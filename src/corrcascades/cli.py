@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -180,6 +181,14 @@ def _cmd_replicate(args) -> int:
     if args.figure == "incentivization" and args.n_products not in (None, 3):
         # the experiment's baselines sit at three fixed product centres
         raise UsageError("incentivization has three products; --n-products must be 3")
+    counts = {"--n-users": args.n_users, "--n-products": args.n_products}
+    if args.figure == "recovery":
+        counts.update({"--train-events": args.train_events, "--test-events": args.test_events})
+    for flag, value in counts.items():
+        if value is not None and value < 1:
+            raise UsageError(f"{flag} must be a positive integer")
+    if args.figure == "incentivization" and not (math.isfinite(args.bins) and args.bins > 0):
+        raise UsageError("--bins must be a positive bin width")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.figure == "recovery":

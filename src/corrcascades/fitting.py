@@ -8,10 +8,12 @@ user's features at a time from it, fits that user and drops them, so no
 feature array is pickled to a worker and no process holds more than one
 user's features.  A user's parameters are the packed vector
 theta = [alpha_col | mu_row], and its features are the stacked event
-Jacobian that the objective, the gradient and the Hessian all read.  The
-problem has only N + M dimensions, so every iteration builds and solves
-with the exact Hessian (Bertsekas 1982, "Projected Newton methods for
-optimization problems with simple constraints").
+Jacobian that the objective, the gradient and the Hessian all read.  Every
+iteration steps with the exact Hessian (Bertsekas 1982, "Projected Newton
+methods for optimization problems with simple constraints"), of which it
+forms only what its step reads: the diagonal of the active coordinates in
+closed form, and the Hessian factor of the free rows, solved in whichever
+of coordinate space and event space is smaller.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .likelihood import (
     _compensator_slope,
     _eval_features,
     _gradient_from_eval,
+    _hessian_diagonal,
     _hessian_from_eval,
     _user_features,
 )
@@ -106,18 +109,41 @@ _RIDGE = 0.3
 _MAX_BACKTRACKS = 60
 
 
+def _ridge_step(x, grad, ridge):
+    """The ridge Newton step d = -(X X^T + ridge I)^{-1} grad for a Hessian
+    block with factor X (rows x columns), ridge > 0.
+
+    With more rows than columns the step is taken in the column (event)
+    space by Woodbury, d = -(grad - X (ridge I + X^T X)^{-1} X^T grad) / ridge,
+    so no rows x rows array is formed; otherwise the block is solved
+    directly.
+    """
+    rows, cols = x.shape
+    if rows > cols:
+        gram = x.T @ x
+        gram[np.diag_indices(cols)] += ridge
+        return -(grad - x @ np.linalg.solve(gram, x.T @ grad)) / ridge
+    hess = x @ x.T
+    hess[np.diag_indices(rows)] += ridge
+    return -np.linalg.solve(hess, grad)
+
+
 def _projected_newton(features, theta, live, config):
     """Projected Newton (Bertsekas 1982) on theta >= 0 over the `live` coordinates.
 
     Each iteration splits the live coordinates into Bertsekas's
     epsilon-active set (within epsilon of the bound, gradient pushing
-    outward), which takes a diagonally scaled gradient step, and the free
-    set, which takes a Newton step on the exact Hessian block.  With fewer
-    events than dimensions that block is singular and the NLL is linear
-    along its null space.  A ridge proportional to the gradient norm (Li,
-    Fukushima, Qi and Yamashita 2004), divided by |theta| to carry Hessian
-    units, keeps such steps near the size of theta and vanishes at the
-    optimum, where Newton's fast local convergence returns.  The step
+    outward), which takes a gradient step scaled by the Hessian diagonal
+    (`_hessian_diagonal`, in closed form), and the free set F, which takes a
+    Newton step on the exact Hessian block X_F X_F^T, with the factor X_F
+    built for the free rows alone.  With fewer events than dimensions that
+    block is singular and the NLL is linear along its null space.  A ridge
+    proportional to the gradient norm (Li, Fukushima, Qi and Yamashita
+    2004), divided by |theta| to carry Hessian units, keeps such steps near
+    the size of theta and vanishes at the optimum, where Newton's fast local
+    convergence returns.  When |F| exceeds the K(M+1) columns of X_F the
+    ridge step is solved in event space by Woodbury (`_ridge_step`), so no
+    |F| x |F| array is formed.  The step
     backtracks along the projection arc max(theta + s * d, 0) under
     Bertsekas's Armijo rule, so the objective never rises.
 
@@ -144,20 +170,16 @@ def _projected_newton(features, theta, live, config):
             break
         active = live & (theta <= min(_ACTIVE_EPS, gap)) & (grad > 0)
         free = live & ~active
-        # the Hessian is x @ x.T: its active diagonal is the squared row
-        # norms of x, and only the free block is formed
-        x = _hessian_from_eval(features.jac, jac_sum, beta, f, lam)
         direction = np.zeros_like(theta)
-        x_active = x[active]
-        direction[active] = -grad[active] / np.einsum("ij,ij->i", x_active, x_active)
-        if free.any():
-            g_free = grad[free]
+        if active.any():
+            diagonal = _hessian_diagonal(features.jac, jac_sum, beta, f, lam)
+            direction[active] = -grad[active] / diagonal[active]
+        g_free = grad[free]
+        if g_free.any():  # a zero free gradient takes no step, and a zero ridge no Woodbury
             ridge = _RIDGE * np.linalg.norm(g_free) / np.linalg.norm(theta)
-            x_free = x[free]
-            h_free = x_free @ x_free.T
-            h_free[np.diag_indices(g_free.size)] += ridge
-            direction[free] = -np.linalg.solve(h_free, g_free)
-        slope = float(grad[free] @ direction[free])
+            x_free = _hessian_from_eval(features.jac[free], jac_sum[free], beta, f, lam)
+            direction[free] = _ridge_step(x_free, g_free, ridge)
+        slope = float(g_free @ direction[free])
 
         def predicted(cand, step):
             # Armijo's reference decrease: linear on the free set, the

@@ -23,9 +23,10 @@ tendencies g_i = D_i^T theta, so per-user evaluations (`user_nll`,
 `user_nll_gradient`) never rescan the event history.  The fit builds the
 features per user inside its map and never pickles them;
 `build_all_features` gives every user's at once.  The gradient is the
-slope minus one product of the Jacobian with per-event weights, and the
-Hessian is returned as a factor X with Hessian X X^T, of which the solver
-forms only the free block.
+slope minus one product of the Jacobian with per-event weights.  The
+Hessian comes as a factor X with Hessian X X^T, built for the rows the
+solver asks for (`_hessian_from_eval`), and as its diagonal in closed form
+(`_hessian_diagonal`).
 """
 
 from __future__ import annotations
@@ -218,10 +219,10 @@ def _hessian_from_eval(jac, jac_sum, beta, f, lam):
     beta D_i S_i = beta (D_i - D_i f_i 1^T) diag(sqrt f_i) and
     D_i 1 / lambda_i.  `jac` is the features' stacked Jacobian and `jac_sum`
     its (N+M, K) sum over products, D_i 1, which the solver forms once per
-    user.
+    user; any subset of their rows gives the matching rows of X, and the
+    solver passes only its free rows.
     The subtract and multiply run on a contiguous array copied into X: on
-    X's strided columns numpy buffers them, at 1.6 times the time.  The
-    solver forms only the block of X X^T it needs.
+    X's strided columns numpy buffers them, at 1.6 times the time.
     """
     nm, k, m = jac.shape
     x = np.empty((nm, k, m + 1))
@@ -230,6 +231,21 @@ def _hessian_from_eval(jac, jac_sum, beta, f, lam):
     x[:, :, :m] = scaled
     np.divide(jac_sum, lam, out=x[:, :, m])
     return x.reshape(nm, k * (m + 1))
+
+
+def _hessian_diagonal(jac, jac_sum, beta, f, lam):
+    """Diagonal of the Hessian X X^T of `_hessian_from_eval`, in closed form
+    without X: H_jj = sum_i (D_i 1)_j^2 / lambda_i^2
+        + beta^2 sum_i (sum_q f_iq D_ijq^2 - (D_i f_i)_j^2).
+
+    The beta^2 part is a sum of soft-max variances, so it is >= 0 but can
+    cancel to a negative rounding error; it is clamped at 0.  The first term
+    is > 0 on every row the events see.
+    """
+    jac_f = np.einsum("jiq,iq->ji", jac, f)
+    spread = np.einsum("jiq,jiq,iq->j", jac, jac, f) - np.einsum("ji,ji->j", jac_f, jac_f)
+    curve = jac_sum / lam
+    return np.einsum("ji,ji->j", curve, curve) + beta**2 * np.maximum(spread, 0.0)
 
 
 def _checked_theta(features: EventFeatures, theta) -> np.ndarray:

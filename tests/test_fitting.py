@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcascades import EventLog, build_all_features, user_nll, user_nll_gradient, window_nll
+from corrcascades import (
+    EventLog,
+    InfeasibleLikelihoodError,
+    build_all_features,
+    user_nll,
+    user_nll_gradient,
+    window_nll,
+)
+from corrcascades import fitting
 from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_user
 from corrcascades.model import SoftMaxMark
 
@@ -176,11 +184,13 @@ class TestFitAll:
 
     def test_sequential_fit_holds_one_users_features(self):
         # users are streamed through the map, so the traced peak is one
-        # user's working set (its stacked event Jacobian, Hessian factor and
-        # free block), not every user's features at once.  Measured: peak
-        # 1.03 MB, 8.9 times the largest user's 117 kB of snapshots, against
-        # 5.18 MB for all 60 users (6.0 MB peak before streaming, 9.9 times
-        # with a second per-user copy of the Jacobian in the solver)
+        # user's working set (its stacked event Jacobian and the Hessian
+        # factor of the free rows), not every user's features at once.
+        # Measured: peak 0.84 MB, 7.2 times the largest user's 117 kB of
+        # snapshots, against 5.18 MB for all 60 users (6.0 MB peak before
+        # streaming, 9.9 times with a second per-user copy of the Jacobian in
+        # the solver, 8.85 times with the factor built for every row and its
+        # free rows copied out)
         rng = np.random.default_rng(3)
         n, m, k = 60, 3, 3600
         log = EventLog.from_arrays(
@@ -193,9 +203,48 @@ class TestFitAll:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 9.5 * max(sizes)
+        bound = 8.5 * max(sizes)
         assert bound < sum(sizes) / 3
         assert peak < bound, (peak, max(sizes), sum(sizes))
+
+    def test_few_events_per_user_match_lbfgsb(self, monkeypatch):
+        # N >> K: a user's free block can hold more coordinates than its
+        # Hessian factor has columns, K(M+1), and then the step is taken in
+        # event space; every fit must still reach L-BFGS-B's optimum
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(41)
+        n, m, horizon = 120, 2, 10.0
+        users = np.repeat(np.arange(n), rng.integers(2, 7, n))
+        times = rng.uniform(0.0, horizon, users.size)
+        order = np.argsort(times)
+        log = EventLog.from_arrays(times[order], users[order], rng.integers(0, m, users.size), horizon, n, m)
+        shapes = []
+
+        def spy(x, grad, ridge, step=fitting._ridge_step):
+            shapes.append(x.shape)
+            return step(x, grad, ridge)
+
+        monkeypatch.setattr(fitting, "_ridge_step", spy)
+        _, report = fit_all(log, FitConfig(beta=1.0, n_workers=1))
+        assert sum(rows > cols for rows, cols in shapes) >= n
+        features = build_all_features(log)
+
+        def objective(theta, f):
+            try:
+                return user_nll(f, theta, 1.0), user_nll_gradient(f, theta, 1.0)
+            except InfeasibleLikelihoodError:  # a zero intensity, which L-BFGS-B may try
+                return np.inf, np.zeros_like(theta)
+
+        for entry in report.entries:
+            f = features[entry.user]
+            start = np.concatenate([np.full(n, 0.01), np.bincount(f.products, minlength=m) / horizon])
+            best = minimize(
+                objective, start, args=(f,), jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * (n + m),
+                options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 2000},
+            )
+            assert entry.converged
+            assert entry.nll <= best.fun + 1e-9 * abs(entry.nll), entry
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(19)

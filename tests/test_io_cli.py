@@ -652,6 +652,36 @@ class TestCliReplicate:
         )
         assert code == EXIT_OK
 
+    @staticmethod
+    def _refused(tmp_path, capsys, figure, *flags):
+        outdir = tmp_path / "out"
+        code = main(["replicate-synthetic", figure, "--outdir", str(outdir), *flags])
+        assert not outdir.exists()
+        return code, capsys.readouterr().err
+
+    def test_recovery_refuses_zero_users_or_products(self, tmp_path, capsys):
+        # each was a division by zero (the model's alpha scale, the event
+        # rate), exit 2
+        for flag in ("--n-users", "--n-products"):
+            code, err = self._refused(tmp_path, capsys, "recovery", flag, "0")
+            assert (code, err) == (EXIT_USAGE, f"error: {flag} must be a positive integer\n")
+
+    def test_incentivization_refuses_zero_bin_width(self, tmp_path, capsys):
+        # was a division by zero in the binned curves, exit 2
+        code, err = self._refused(
+            tmp_path, capsys, "incentivization", "--bins", "0", "--n-users", "5",
+            "--horizon", "30", "--switch-time", "15",
+        )
+        assert (code, err) == (EXIT_USAGE, "error: --bins must be a positive bin width\n")
+
+    def test_recovery_refuses_zero_train_events(self, tmp_path, capsys):
+        # was exit 0 with ten rows of zero-event fits scored inf
+        code, err = self._refused(
+            tmp_path, capsys, "recovery", "--train-events", "0", "--n-users", "3", "--n-products", "2",
+            "--test-events", "12",
+        )
+        assert (code, err) == (EXIT_USAGE, "error: --train-events must be a positive integer\n")
+
 def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
     # numpy.ma costs about 13 ms and 1.35 MB to import, and np.unique pulls it
     # in; simulate and the incentivization run (a linear-mark pass, then a

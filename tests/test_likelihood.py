@@ -24,9 +24,11 @@ from corrcascades.likelihood import (
     _block_starts,
     _eval_features,
     _event_loglik,
+    _hessian_diagonal,
     _hessian_from_eval,
     _window_tendencies,
 )
+from corrcascades.fitting import _ridge_step
 
 from conftest import brute_counts, brute_tendency, brute_total_nll, random_log, random_params, tied_log
 
@@ -275,6 +277,59 @@ class TestHessian:
             assert np.linalg.eigvalsh(hess).min() >= -1e-12 * scale
             checked += 1
         assert checked >= 25
+
+    def test_closed_form_diagonal_matches_factor(self):
+        # every user of each log, silent ones included; the factor of a row
+        # subset is those rows of the full factor, as the solver relies on
+        rng = np.random.default_rng(71)
+        checked = silent = 0
+        for _ in range(40):
+            log = self._tied_log(rng)
+            n, m = log.n_users, log.n_products
+            theta = np.concatenate([rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)])
+            beta = float(rng.uniform(0.3, 3.0))
+            for features in build_all_features(log).values():
+                _, f, lam = _eval_features(features, theta, beta)
+                jac_sum = features.jac.sum(axis=2)
+                x = _hessian_from_eval(features.jac, jac_sum, beta, f, lam)
+                diagonal = _hessian_diagonal(features.jac, jac_sum, beta, f, lam)
+                np.testing.assert_allclose(diagonal, np.diag(x @ x.T), rtol=1e-12, atol=0)
+                live = features.jac.reshape(n + m, -1).any(axis=1)
+                assert np.all(diagonal[live] > 0) and not diagonal[~live].any()
+                rows = rng.random(n + m) < 0.5
+                np.testing.assert_array_equal(
+                    _hessian_from_eval(features.jac[rows], jac_sum[rows], beta, f, lam), x[rows]
+                )
+                checked += 1
+                silent += features.n_events == 0
+        assert checked >= 100 and silent >= 5
+
+    def test_event_space_step_matches_direct_solve(self):
+        # free blocks with more rows than factor columns, |F| > K(M+1), take
+        # the Woodbury step; it must equal the direct ridge solve
+        rng = np.random.default_rng(73)
+        checked = silent = 0
+        for _ in range(300):
+            log = self._tied_log(rng)
+            n, m = log.n_users, log.n_products
+            theta = np.concatenate([rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)])
+            beta = float(rng.uniform(0.3, 3.0))
+            for features in build_all_features(log).values():
+                cols = features.n_events * (m + 1)
+                if cols >= n + m:
+                    continue
+                _, f, lam = _eval_features(features, theta, beta)
+                free = np.zeros(n + m, dtype=bool)
+                free[rng.choice(n + m, int(rng.integers(cols + 1, n + m + 1)), replace=False)] = True
+                x = _hessian_from_eval(features.jac[free], features.jac.sum(axis=2)[free], beta, f, lam)
+                grad = rng.normal(size=free.sum())
+                ridge = 0.3 * np.linalg.norm(grad) / np.linalg.norm(theta)
+                step = _ridge_step(x, grad, ridge)
+                direct = np.linalg.solve(x @ x.T + ridge * np.eye(free.sum()), -grad)
+                assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
+                checked += 1
+                silent += features.n_events == 0
+        assert checked - silent >= 80 and silent >= 20
 
     def test_silent_user_has_zero_curvature(self):
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)

@@ -51,7 +51,12 @@ def _build_parser() -> _Parser:
     group.add_argument("--beta", type=float)
     group.add_argument("--beta-grid", type=str, help="comma-separated betas for cross-validation")
     p_fit.add_argument("--holdout", type=float, default=0.2)
-    p_fit.add_argument("--init-value", type=float, default=0.01)
+    p_fit.add_argument(
+        "--init-value",
+        type=float,
+        help=f"start of every influence coordinate (default {FitConfig.init_value:g}, "
+        "the edge of the solver's active band)",
+    )
     p_fit.add_argument(
         "--inner-max-iter",
         type=int,
@@ -102,11 +107,12 @@ def _default_beta_grid() -> list[float]:
 
 def _cmd_fit(args) -> int:
     log = read_event_log(args.events)
+    start = {} if args.init_value is None else {"init_value": args.init_value}
     config = FitConfig(
         beta=1.0,
-        init_value=args.init_value,
         inner_max_iter=args.inner_max_iter,
         n_workers=default_worker_count(),
+        **start,
     )
     if args.beta is not None:
         beta = args.beta
@@ -187,8 +193,13 @@ def _cmd_replicate(args) -> int:
     for flag, value in counts.items():
         if value is not None and value < 1:
             raise UsageError(f"{flag} must be a positive integer")
-    if args.figure == "incentivization" and not (math.isfinite(args.bins) and args.bins > 0):
-        raise UsageError("--bins must be a positive bin width")
+    if args.figure == "incentivization":
+        if not (math.isfinite(args.bins) and args.bins > 0):
+            raise UsageError("--bins must be a positive bin width")
+        if not (math.isfinite(args.horizon) and args.horizon > 0):
+            raise UsageError("--horizon must be positive and finite")
+        if not 0 < args.switch_time < args.horizon:
+            raise UsageError("--switch-time must fall inside (0, --horizon)")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.figure == "recovery":

@@ -11,9 +11,12 @@ theta = [alpha_col | mu_row], and its features are the stacked event
 Jacobian that the objective, the gradient and the Hessian all read.  Every
 iteration steps with the exact Hessian (Bertsekas 1982, "Projected Newton
 methods for optimization problems with simple constraints"), of which it
-forms only what its step reads: the diagonal of the active coordinates in
-closed form, and the Hessian factor of the free rows, solved in whichever
-of coordinate space and event space is smaller.
+forms only what its step reads: the diagonal, in closed form, of the active
+coordinates that are off the bound, and the Hessian factor of the free
+rows, solved in whichever of coordinate space and event space is smaller.
+Influence starts at the edge of the active band, so a source whose
+gradient points to the bound can be pinned from the first iteration
+instead of widening the early free blocks.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ from .model import ModelParams, SoftMaxMark
 
 WORKERS_ENV_VAR = "CORRCASCADES_WORKERS"
 
+# Bertsekas's epsilon: coordinates within this distance of the bound whose
+# gradient pushes outward take a diagonal step instead of a Newton step
+_ACTIVE_EPS = 1e-3
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -51,12 +58,14 @@ class FitConfig:
     `beta` is the soft-max mark sharpness, `inner_max_iter` caps each
     user's Newton steps (0 returns the start), and `n_workers` sets the
     processes `fit_all` maps users over.  Influence coordinates start at
-    `init_value`; baselines start at the user's per-product event rate.
+    `init_value`, by default the edge of the epsilon-active band, so a
+    source whose gradient points to the bound can be pinned from the first
+    iteration; baselines start at the user's per-product event rate.
     """
 
     beta: float = 1.0
     inner_max_iter: int = 500
-    init_value: float = 0.01
+    init_value: float = _ACTIVE_EPS
     n_workers: int = 1
 
     def __post_init__(self):
@@ -96,9 +105,6 @@ class FitReport:
         return all(e.converged for e in self.entries)
 
 
-# Bertsekas's epsilon: coordinates within this distance of the bound whose
-# gradient pushes outward take a diagonal step instead of a Newton step
-_ACTIVE_EPS = 1e-3
 # a user's solve stops once its projected gradient norm is this small
 _GRAD_TOL = 1e-7
 # backtracking factor and Armijo fraction of the line search
@@ -135,16 +141,19 @@ def _projected_newton(features, theta, live, config):
     epsilon-active set (within epsilon of the bound, gradient pushing
     outward), which takes a gradient step scaled by the Hessian diagonal
     (`_hessian_diagonal`, in closed form), and the free set F, which takes a
-    Newton step on the exact Hessian block X_F X_F^T, with the factor X_F
-    built for the free rows alone.  With fewer events than dimensions that
-    block is singular and the NLL is linear along its null space.  A ridge
-    proportional to the gradient norm (Li, Fukushima, Qi and Yamashita
-    2004), divided by |theta| to carry Hessian units, keeps such steps near
-    the size of theta and vanishes at the optimum, where Newton's fast local
-    convergence returns.  When |F| exceeds the K(M+1) columns of X_F the
-    ridge step is solved in event space by Woodbury (`_ridge_step`), so no
-    |F| x |F| array is formed.  The step
-    backtracks along the projection arc max(theta + s * d, 0) under
+    Newton step.  The diagonal is formed only for the active coordinates
+    above 0: the projection sends an active coordinate at 0 back to 0
+    whatever its step, so it takes none, and neither the candidate nor
+    Armijo's predicted decrease changes.  F steps on the exact Hessian block
+    X_F X_F^T, with the factor X_F built for the free rows alone.  With
+    fewer events than dimensions that block is singular and the NLL is
+    linear along its null space.  A ridge proportional to the gradient norm
+    (Li, Fukushima, Qi and Yamashita 2004), divided by |theta| to carry
+    Hessian units, keeps such steps near the size of theta and vanishes at
+    the optimum, where Newton's fast local convergence returns.  When |F|
+    exceeds the K(M+1) columns of X_F the ridge step is solved in event
+    space by Woodbury (`_ridge_step`), so no |F| x |F| array is formed.  The
+    step backtracks along the projection arc max(theta + s * d, 0) under
     Bertsekas's Armijo rule, so the objective never rises.
 
     Stops when the projected gradient norm reaches `_GRAD_TOL`, when
@@ -171,9 +180,11 @@ def _projected_newton(features, theta, live, config):
         active = live & (theta <= min(_ACTIVE_EPS, gap)) & (grad > 0)
         free = live & ~active
         direction = np.zeros_like(theta)
-        if active.any():
-            diagonal = _hessian_diagonal(features.jac, jac_sum, beta, f, lam)
-            direction[active] = -grad[active] / diagonal[active]
+        # an active coordinate at 0 stays there whatever its diagonal step
+        moving = active & (theta > 0)
+        if moving.any():
+            diagonal = _hessian_diagonal(features.jac[moving], jac_sum[moving], beta, f, lam)
+            direction[moving] = -grad[moving] / diagonal
         g_free = grad[free]
         if g_free.any():  # a zero free gradient takes no step, and a zero ridge no Woodbury
             ridge = _RIDGE * np.linalg.norm(g_free) / np.linalg.norm(theta)
@@ -254,9 +265,12 @@ def default_worker_count() -> int:
     if not raw:
         return os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
+    if count < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be at least 1, got {raw!r}")
+    return count
 
 
 def _fit_users(log: EventLog, users: range, config: FitConfig) -> list[tuple[np.ndarray, UserFitEntry]]:

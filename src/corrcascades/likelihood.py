@@ -26,7 +26,7 @@ features per user inside its map and never pickles them;
 slope minus one product of the Jacobian with per-event weights.  The
 Hessian comes as a factor X with Hessian X X^T, built for the rows the
 solver asks for (`_hessian_from_eval`), and as its diagonal in closed form
-(`_hessian_diagonal`).
+for the same kind of row subset (`_hessian_diagonal`).
 """
 
 from __future__ import annotations
@@ -235,7 +235,8 @@ def _hessian_from_eval(jac, jac_sum, beta, f, lam):
 
 def _hessian_diagonal(jac, jac_sum, beta, f, lam):
     """Diagonal of the Hessian X X^T of `_hessian_from_eval`, in closed form
-    without X: H_jj = sum_i (D_i 1)_j^2 / lambda_i^2
+    without X, for the rows j of `jac` and `jac_sum` (any subset):
+    H_jj = sum_i (D_i 1)_j^2 / lambda_i^2
         + beta^2 sum_i (sum_q f_iq D_ijq^2 - (D_i f_i)_j^2).
 
     The beta^2 part is a sum of soft-max variances, so it is >= 0 but can

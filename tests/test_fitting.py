@@ -125,6 +125,20 @@ class TestFitUser:
             cand = np.concatenate([rng.uniform(1e-4, 1.0, n), rng.uniform(1e-4, 1.0, m)])
             assert best <= user_nll(features, cand, beta) + 1e-9
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), beta=st.sampled_from([0.3, 1.0, 5.0]))
+    def test_property_start_at_active_band_reaches_same_optimum(self, seed, beta):
+        # the default start sits on the edge of the active band, where a
+        # source can be pinned from the first iteration; it must reach the
+        # optimum that the older start above the band reaches
+        rng = np.random.default_rng(seed)
+        log = random_log(rng, max_events=40)
+        _, band = fit_all(log, FitConfig(beta=beta))
+        _, above = fit_all(log, FitConfig(beta=beta, init_value=0.01))
+        assert band.all_converged and above.all_converged
+        for a, b in zip(band.entries, above.entries):
+            assert abs(a.nll - b.nll) <= 1e-9 * max(1.0, abs(b.nll)), (a, b)
+
     def test_rejects_bad_counts_in_config(self):
         # a negative step cap would hand back the start as the fit
         with pytest.raises(ValueError, match="inner_max_iter"):

@@ -15,6 +15,7 @@ import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from corrcascades.fitting import FitConfig, fit_all
 from corrcascades import io as io_module
 from corrcascades.io import (
     FileFormatError,
@@ -377,8 +378,10 @@ class TestCliFit:
         assert "# beta=0.5 score=inf" in lines and "# beta=2.0 score=inf" in lines
         assert "# chosen_beta=0.5" in lines
 
-    @pytest.mark.parametrize("raw", ["abc", "1.5"])
+    # "0" and "-2" were read as one worker without a word
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2"])
     def test_bad_worker_count_names_the_variable(self, tmp_path, monkeypatch, capsys, raw):
+        message = "must be an integer" if raw in ("abc", "1.5") else "must be at least 1"
         monkeypatch.setenv("CORRCASCADES_WORKERS", raw)
         events = tmp_path / "events.csv"
         write_event_log(EventLog([(1.0, 0, 0)], 2.0, 1, 1), events)
@@ -389,8 +392,27 @@ class TestCliFit:
             ]
         )
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: CORRCASCADES_WORKERS must be an integer, got {raw!r}\n"
+        assert capsys.readouterr().err == f"error: CORRCASCADES_WORKERS {message}, got {raw!r}\n"
         assert not (tmp_path / "fit.json").exists()
+
+    def test_default_start_is_the_library_default(self, tmp_path, monkeypatch):
+        # without --init-value the CLI fits from FitConfig's own start
+        monkeypatch.setenv("CORRCASCADES_WORKERS", "1")
+        params, _ = _write_model(tmp_path, seed=23)
+        log = simulate(params, SimConfig(horizon=40.0, seed=29))
+        events = tmp_path / "events.csv"
+        write_event_log(log, events)
+        out_params = tmp_path / "fit.json"
+        code = main(
+            [
+                "fit", "--events", str(events), "--beta", "1.5",
+                "--out-params", str(out_params), "--out-report", str(tmp_path / "report.csv"),
+            ]
+        )
+        assert code == EXIT_OK
+        fitted, _ = fit_all(read_event_log(events), FitConfig(beta=1.5))
+        write_params(fitted, tmp_path / "library.json")
+        assert out_params.read_bytes() == (tmp_path / "library.json").read_bytes()
 
     @pytest.mark.parametrize(
         "option, message",
@@ -673,6 +695,27 @@ class TestCliReplicate:
             "--horizon", "30", "--switch-time", "15",
         )
         assert (code, err) == (EXIT_USAGE, "error: --bins must be a positive bin width\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # inf was "Maximum allowed size exceeded" from the curve grid
+            (["--horizon", "inf"], "--horizon must be positive and finite"),
+            # nan was "arange: cannot compute length"
+            (["--horizon", "nan"], "--horizon must be positive and finite"),
+            (["--horizon", "-5"], "--horizon must be positive and finite"),
+            (["--horizon", "0"], "--horizon must be positive and finite"),
+            (["--horizon", "30", "--switch-time", "30"], "--switch-time must fall inside (0, --horizon)"),
+            (["--horizon", "30", "--switch-time", "0"], "--switch-time must fall inside (0, --horizon)"),
+            (["--horizon", "30", "--switch-time", "-5"], "--switch-time must fall inside (0, --horizon)"),
+            (["--horizon", "30", "--switch-time", "nan"], "--switch-time must fall inside (0, --horizon)"),
+            (["--horizon", "30", "--switch-time", "inf"], "--switch-time must fall inside (0, --horizon)"),
+        ],
+    )
+    def test_incentivization_refuses_bad_horizon_or_switch(self, tmp_path, capsys, flags, message):
+        # refused before the output directory is made
+        code, err = self._refused(tmp_path, capsys, "incentivization", "--n-users", "5", *flags)
+        assert (code, err) == (EXIT_USAGE, f"error: {message}\n")
 
     def test_recovery_refuses_zero_train_events(self, tmp_path, capsys):
         # was exit 0 with ten rows of zero-event fits scored inf

@@ -279,8 +279,9 @@ class TestHessian:
         assert checked >= 25
 
     def test_closed_form_diagonal_matches_factor(self):
-        # every user of each log, silent ones included; the factor of a row
-        # subset is those rows of the full factor, as the solver relies on
+        # every user of each log, silent ones included; the factor and the
+        # diagonal of a row subset (the solver asks for the free rows and for
+        # the active rows off the bound) are those rows of the full ones
         rng = np.random.default_rng(71)
         checked = silent = 0
         for _ in range(40):
@@ -300,6 +301,11 @@ class TestHessian:
                 np.testing.assert_array_equal(
                     _hessian_from_eval(features.jac[rows], jac_sum[rows], beta, f, lam), x[rows]
                 )
+                one = np.arange(n + m) == rng.integers(n + m)
+                for rows in (np.zeros(n + m, dtype=bool), one, np.ones(n + m, dtype=bool)):
+                    part = _hessian_diagonal(features.jac[rows], jac_sum[rows], beta, f, lam)
+                    assert part.shape == (rows.sum(),)
+                    np.testing.assert_allclose(part, diagonal[rows], rtol=1e-15, atol=0)
                 checked += 1
                 silent += features.n_events == 0
         assert checked >= 100 and silent >= 5

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +53,6 @@ def _build_parser() -> _Parser:
     group.add_argument("--beta-grid", type=str, help="comma-separated betas for cross-validation")
     p_fit.add_argument("--holdout", type=float, default=0.2)
     p_fit.add_argument(
-        "--init-value",
-        type=float,
-        help=f"start of every influence coordinate (default {FitConfig.init_value:g}, "
-        "the edge of the solver's active band)",
-    )
-    p_fit.add_argument(
         "--inner-max-iter",
         type=int,
         default=500,
@@ -101,31 +96,22 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _default_beta_grid() -> list[float]:
-    return [0.01, 0.1, 1.0, 10.0, 100.0]
+_DEFAULT_BETA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 def _cmd_fit(args) -> int:
     log = read_event_log(args.events)
-    start = {} if args.init_value is None else {"init_value": args.init_value}
-    config = FitConfig(
-        beta=1.0,
-        inner_max_iter=args.inner_max_iter,
-        n_workers=default_worker_count(),
-        **start,
-    )
+    config = FitConfig(beta=1.0, inner_max_iter=args.inner_max_iter, n_workers=default_worker_count())
     if args.beta is not None:
         beta = args.beta
         scores = None
     else:
         if args.beta_grid is None:
-            grid = _default_beta_grid()
+            grid = _DEFAULT_BETA_GRID
         else:  # "" is the empty grid, which cross_validate_beta refuses
             grid = [float(x) for x in args.beta_grid.split(",")] if args.beta_grid else []
         beta, scores = cross_validate_beta(log, grid, args.holdout, config)
         print(f"cross-validation selected beta={beta:g}")
-    from dataclasses import replace
-
     params, report = fit_all(log, replace(config, beta=beta))
     write_params(params, args.out_params)
     with Path(args.out_report).open("w", newline="") as fh:

@@ -58,22 +58,17 @@ class FitConfig:
     `beta` is the soft-max mark sharpness, `inner_max_iter` caps each
     user's Newton steps (0 returns the start), and `n_workers` sets the
     processes `fit_all` maps users over.  Influence coordinates start at
-    `init_value`, by default the edge of the epsilon-active band, so a
-    source whose gradient points to the bound can be pinned from the first
-    iteration; baselines start at the user's per-product event rate.
+    `_ACTIVE_EPS`, the edge of the epsilon-active band, so a source whose
+    gradient points to the bound can be pinned from the first iteration;
+    baselines start at the user's per-product event rate.
     """
 
     beta: float = 1.0
     inner_max_iter: int = 500
-    init_value: float = _ACTIVE_EPS
     n_workers: int = 1
 
     def __post_init__(self):
-        for name in ("beta", "init_value"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        SoftMaxMark(self.beta)  # raises unless beta is positive and finite
         if self.inner_max_iter < 0:
             raise ValueError("inner_max_iter must be nonnegative")
         if self.n_workers < 1:
@@ -166,8 +161,6 @@ def _projected_newton(features, theta, live, config):
     """
     beta = config.beta
     jac_sum = features.jac.sum(axis=2)
-    # the start is feasible by construction; a likelihood that overflows
-    # there (an absurd init_value) raises instead of reading as +inf
     value, f, lam = _eval_features(features, theta, beta)
     iterations, evals = 0, 1
     while True:
@@ -235,10 +228,9 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
     # no events) enters the NLL only through the compensator, linearly with
     # a nonnegative slope, so its minimizer is exactly 0
     live = features.jac.reshape(n + m, -1).any(axis=1)
-    theta = np.where(live, config.init_value, 0.0)
+    theta = np.where(live, _ACTIVE_EPS, 0.0)
     if features.horizon > 0:
-        # baselines start at the per-product event rate, where the
-        # intensities and their curvature stay finite for any init_value
+        # baselines start at the per-product event rate
         theta[n:] = np.bincount(features.products, minlength=m) / features.horizon
     theta, nll, grad, iterations, evals = _projected_newton(features, theta, live, config)
     # KKT certificate: at coordinates pinned to the constraint floor only an
@@ -314,10 +306,11 @@ def cross_validate_beta(
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick beta by held-out predictive likelihood on the trailing time window.
 
-    Fits on [0, (1 - holdout) * T) and scores the per-event NLL of the tail
-    conditioned on the full head history (`metrics.held_out_score`), inf
-    when a fit gives a tail event zero likelihood.  Lowest score wins; ties,
-    and a grid that scores inf throughout, go to the earlier grid entry.
+    Fits on [0, (1 - holdout) * T) and scores, on the whole log, the
+    per-event NLL of the events from the split on given every event before
+    them (`metrics.held_out_score`), inf when a fit gives a tail event zero
+    likelihood.  Lowest score wins; ties, and a grid that scores inf
+    throughout, go to the earlier grid entry.
     """
     grid = list(grid)
     if not grid:
@@ -333,13 +326,8 @@ def cross_validate_beta(
     if n_head == 0 or n_head == len(log):
         raise ValueError("degenerate split: empty train head or test tail")
     head = log.before(t_split).with_horizon(t_split)
-    # the tail starts at event n_head, so tail events at t_split are scored
-    tail = EventLog.from_arrays(
-        log.times[n_head:], log.users[n_head:], log.products[n_head:],
-        log.horizon, log.n_users, log.n_products,
-    )
     scores = []
     for beta in grid:
         params, _ = fit_all(head, replace(config, beta=float(beta)))
-        scores.append((float(beta), held_out_score(head, tail, params)))
+        scores.append((float(beta), held_out_score(log, t_split, params)))
     return min(scores, key=lambda entry: entry[1])[0], scores

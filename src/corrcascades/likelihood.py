@@ -92,13 +92,19 @@ def build_all_features(log: EventLog) -> dict[int, EventFeatures]:
     return {u: _user_features(log, u, slope, work) for u in range(log.n_users)}
 
 
+def _kernel_mass(log: EventLog, t_start: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """The source of every event before t_end and its kernel mass in the
+    window [t_start, t_end], exp(-max(t_start - t, 0)) - exp(-(t_end - t))."""
+    past = log.times < t_end
+    ts = log.times[past]
+    return log.users[past], np.exp(-np.maximum(t_start - ts, 0.0)) - np.exp(-(t_end - ts))
+
+
 def _compensator_slope(log: EventLog) -> np.ndarray:
-    """The (N+M,) compensator slope [excite; T 1] every user's features share,
-    excite[j] = sum over events of source j before T of 1 - exp(-(T - t_i))."""
+    """The (N+M,) compensator slope [excite; T 1] every user's features share:
+    excite[j] is the kernel mass over [0, T] of source j's events (`_kernel_mass`)."""
     slope = np.full(log.n_users + log.n_products, log.horizon)
-    slope[: log.n_users] = 0.0
-    past = log.times < log.horizon
-    np.add.at(slope, log.users[past], 1.0 - np.exp(-(log.horizon - log.times[past])))
+    slope[: log.n_users] = np.bincount(*_kernel_mass(log, 0.0, log.horizon), minlength=log.n_users)
     return slope
 
 
@@ -358,7 +364,7 @@ def window_nll(
     check_dimensions(log, params)
     if not 0 <= t_start <= t_end <= log.horizon:
         raise ValueError("window must satisfy 0 <= t_start <= t_end <= horizon")
-    times, users = log.times, log.users
+    times = log.times
     last = int(np.searchsorted(times, t_end, side="right"))
     if first_event is None:
         first = int(np.searchsorted(times, t_start, side="right"))
@@ -374,10 +380,8 @@ def window_nll(
     event_ll = _event_loglik(g, log.products[first:last], params.mark)[0]
     # compensator over [t_start, t_end], summed over all users
     comp = (t_end - t_start) * params.mu_user.sum()
-    mask = times < t_end
-    ts = times[mask]
-    row_sums = params.alpha.sum(axis=1)[users[mask]]
-    comp += float(row_sums @ (np.exp(-np.maximum(t_start - ts, 0.0)) - np.exp(-(t_end - ts))))
+    sources, mass = _kernel_mass(log, t_start, t_end)
+    comp += float(params.alpha.sum(axis=1)[sources] @ mass)
     nll = comp - event_ll
     if not math.isfinite(nll):
         raise InfeasibleLikelihoodError("nonfinite likelihood")

@@ -57,18 +57,18 @@ def param_mse(est: ModelParams, true: ModelParams) -> float:
     return float(sq.mean())
 
 
-def param_mae(est: ModelParams, true: ModelParams, floor: float = 1e-6) -> float:
-    """Mean relative error, denominators floored to guard near-zero truths."""
+def _relative_error(est: np.ndarray, true: np.ndarray) -> float:
+    """Mean of |est - true| / max(true, 1e-6): the floor guards near-zero truths."""
+    return float((np.abs(est - true) / np.maximum(true, 1e-6)).mean())
+
+
+def param_mae(est: ModelParams, true: ModelParams) -> float:
+    """Mean relative error over all N*N + N*M parameter entries (`_relative_error`)."""
     _check_shapes(est, true)
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    diff = np.abs(
-        np.concatenate([(est.alpha - true.alpha).ravel(), (est.mu - true.mu).ravel()])
+    return _relative_error(
+        np.concatenate([est.alpha.ravel(), est.mu.ravel()]),
+        np.concatenate([true.alpha.ravel(), true.mu.ravel()]),
     )
-    denom = np.maximum(
-        np.concatenate([true.alpha.ravel(), true.mu.ravel()]), floor
-    )
-    return float((diff / denom).mean())
 
 
 def avg_pred_loglik(train: EventLog, test: EventLog, params: ModelParams) -> float:
@@ -86,16 +86,22 @@ def avg_pred_loglik(train: EventLog, test: EventLog, params: ModelParams) -> flo
     return nll / len(test)
 
 
-def held_out_score(train: EventLog, test: EventLog, params: ModelParams) -> float:
-    """`avg_pred_loglik`, a per-event NLL, or inf when `params` give a test
-    event zero intensity or zero mark probability.
+def held_out_score(log: EventLog, t_split: float, params: ModelParams) -> float:
+    """Per-event NLL of the events of `log` from t_split on, those at t_split
+    included, given every event before them; inf when `params` give one of
+    them zero intensity or zero mark probability.
 
-    A train log can leave a user without events; the fit then sets that
-    user's baselines and influence to exactly 0, and the held-out
-    likelihood of any later event of that user is 0.
+    This is `avg_pred_loglik` of the log split at t_split, computed on the
+    log as it stands.  A fit of the events before t_split can leave a user
+    without events; it then sets that user's baselines and influence to
+    exactly 0, and the held-out likelihood of any later event of that user
+    is 0.  Raises ValueError when no event falls at or after t_split.
     """
+    first = int(np.searchsorted(log.times, t_split, side="left"))
+    if first == len(log):
+        raise ValueError("no held-out events at or after t_split")
     try:
-        return avg_pred_loglik(train, test, params)
+        return window_nll(log, params, t_split, log.horizon, first_event=first) / (len(log) - first)
     except InfeasibleLikelihoodError:
         return float("inf")
 

@@ -105,6 +105,9 @@ def branching_column_sums(params: ModelParams) -> np.ndarray:
     """Per-target total incoming influence sum_j alpha[j, u].
 
     The unit-rate exponential kernel integrates to 1, so these are the
-    column sums of the branching matrix; max >= 1 means supercritical.
+    column sums of the branching matrix.  Their maximum bounds its spectral
+    radius from above, so a maximum below 1 is sufficient for a stationary
+    process but not necessary: alpha = [[0, 1.5], [0, 0]] has a column sum
+    of 1.5 and spectral radius 0.
     """
     return params.alpha.sum(axis=0)

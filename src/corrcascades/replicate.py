@@ -5,13 +5,12 @@ competitiveness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EventLog
 from .fitting import FitConfig, fit_all
-from .metrics import binned_intensity, held_out_score, market_share, param_mae, param_mse
+from .metrics import _relative_error, binned_intensity, held_out_score, market_share, param_mae, param_mse
 from .model import LinearMark, ModelParams, SoftMaxMark
 from .simulate import Scenario, ScenarioResult, SimConfig, run_scenario, simulate
 
@@ -67,46 +66,36 @@ class RecoveryRow:
 class RecoveryResult:
     true_params: ModelParams
     rows: list[RecoveryRow]
-    train: EventLog
-    test: EventLog
 
 
 def run_recovery(
     seed: int = 0,
     n_users: int = 50,
     n_products: int = 5,
-    beta: float = 1.0,
     train_events: int = 20_000,
     test_events: int = 2_000,
     n_fractions: int = 10,
-    fit_config: FitConfig | None = None,
+    fit_config: FitConfig = FitConfig(),
 ) -> RecoveryResult:
     """Simulate one dataset, then fit on growing prefixes of the train window.
 
-    The horizon is tuned from the stationary rate so the train window holds
-    about `train_events` events and the tail about `test_events`.
+    The log is generated and fitted at `fit_config.beta`.  The horizon is
+    tuned from the stationary rate so the train window holds about
+    `train_events` events and the tail about `test_events`; every fit is
+    scored on that tail (`held_out_score`).
     """
     rng = np.random.default_rng(seed)
-    true_params = make_recovery_model(rng, n_users, n_products, beta)
+    true_params = make_recovery_model(rng, n_users, n_products, fit_config.beta)
     rate = expected_event_rate(true_params)
     t_train = train_events / rate
     t_total = (train_events + test_events) / rate
     log = simulate(true_params, SimConfig(horizon=t_total, seed=seed))
-    train = log.before(t_train).with_horizon(t_train)
-    test_mask = log.times >= t_train
-    test = EventLog.from_arrays(
-        log.times[test_mask], log.users[test_mask], log.products[test_mask], t_total, n_users, n_products
-    )
-    if fit_config is None:
-        fit_config = FitConfig(beta=beta)
-    else:
-        fit_config = replace(fit_config, beta=beta)
 
     rows = []
     for k in range(1, n_fractions + 1):
         frac = k / n_fractions
         t_frac = frac * t_train
-        train_f = train.before(t_frac).with_horizon(t_frac)
+        train_f = log.before(t_frac).with_horizon(t_frac)
         est, _ = fit_all(train_f, fit_config)
         rows.append(
             RecoveryRow(
@@ -116,16 +105,11 @@ def run_recovery(
                 mse=param_mse(est, true_params),
                 mae=param_mae(est, true_params),
                 mse_alpha=float(((est.alpha - true_params.alpha) ** 2).mean()),
-                mae_alpha=float(
-                    (
-                        np.abs(est.alpha - true_params.alpha)
-                        / np.maximum(true_params.alpha, 1e-6)
-                    ).mean()
-                ),
-                avg_pred_loglik=held_out_score(train, test, est),
+                mae_alpha=_relative_error(est.alpha, true_params.alpha),
+                avg_pred_loglik=held_out_score(log, t_train, est),
             )
         )
-    return RecoveryResult(true_params=true_params, rows=rows, train=train, test=test)
+    return RecoveryResult(true_params=true_params, rows=rows)
 
 
 def make_incentivization_model(
@@ -174,21 +158,20 @@ def run_incentivization(
     n_users: int = 50,
     horizon: float = 200.0,
     switch_time: float = 100.0,
-    boosted_product: int = 2,
-    boost_factor: float = 2.0,
-    betas=(0.1, 1.0, 100.0),
     bin_width: float = 2.0,
 ) -> IncentivizationResult:
-    """Run the 4-model scenario: Linear plus SoftMax at each beta.
+    """Run the 4-model scenario: Linear plus SoftMax at beta 0.1, 1 and 100.
 
-    All models share the same parameters and seed; the pre-switch phase is
-    always the linear-mark model, so their histories before the switch are
-    identical event for event.
+    At `switch_time` product 2's baselines double.  All models share the
+    same parameters and seed; the pre-switch phase is always the
+    linear-mark model, so their histories before the switch are identical
+    event for event.
     """
+    boosted_product = 2
     rng = np.random.default_rng(seed)
     params = make_incentivization_model(rng, n_users)
     marks = [("independent", LinearMark())] + [
-        (f"correlated_beta{beta:g}", SoftMaxMark(beta)) for beta in betas
+        (f"correlated_beta{beta:g}", SoftMaxMark(beta)) for beta in (0.1, 1.0, 100.0)
     ]
     grid = np.arange(bin_width, horizon + bin_width / 2, bin_width)
     runs = []
@@ -196,7 +179,7 @@ def run_incentivization(
         scenario = Scenario(
             switch_time=switch_time,
             boosted_product=boosted_product,
-            boost_factor=boost_factor,
+            boost_factor=2.0,
             pre_switch_mark=LinearMark(),
             post_switch_mark=mark,
         )

@@ -45,7 +45,9 @@ from .model import (
 
 
 class SubcriticalityWarning(UserWarning):
-    """Some user's total incoming influence is >= 1: the cascade may explode."""
+    """Some user's total incoming influence is >= 1, so the cheap sufficient
+    check for stationarity fails: the cascade may explode, or may not (the
+    spectral radius of alpha decides)."""
 
 
 @dataclass(frozen=True)

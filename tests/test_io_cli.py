@@ -396,7 +396,7 @@ class TestCliFit:
         assert not (tmp_path / "fit.json").exists()
 
     def test_default_start_is_the_library_default(self, tmp_path, monkeypatch):
-        # without --init-value the CLI fits from FitConfig's own start
+        # the CLI fits from FitConfig's own start
         monkeypatch.setenv("CORRCASCADES_WORKERS", "1")
         params, _ = _write_model(tmp_path, seed=23)
         log = simulate(params, SimConfig(horizon=40.0, seed=29))
@@ -421,6 +421,8 @@ class TestCliFit:
             (["--beta", "1.0", "--inner-max-iter", "-3"], "inner_max_iter must be nonnegative"),
             # an empty grid was cross-validated as the default grid
             (["--beta-grid", ""], "beta grid must be nonempty"),
+            # the start of the influence coordinates is not an option
+            (["--beta", "1.0", "--init-value", "0.01"], "unrecognized arguments: --init-value 0.01"),
         ],
     )
     def test_bad_solver_option_is_usage_error(self, tmp_path, monkeypatch, capsys, option, message):

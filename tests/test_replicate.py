@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrcascades import ModelParams, SoftMaxMark, make_recovery_model
+from corrcascades import FitConfig, ModelParams, SoftMaxMark, make_recovery_model, run_recovery
 from corrcascades.replicate import expected_event_rate
 
 
@@ -34,3 +34,15 @@ class TestExpectedEventRate:
             expected_event_rate(
                 ModelParams(np.full((1, 1), 0.1), np.full((1, 1), 1.0), SoftMaxMark(1.0))
             )
+
+
+class TestRunRecovery:
+    def test_generates_and_fits_at_the_configured_beta(self):
+        # the log is generated and fitted at the config's beta, not at a default of its own
+        result = run_recovery(
+            seed=1, n_users=3, n_products=2, train_events=60, test_events=20, n_fractions=2,
+            fit_config=FitConfig(beta=2.0, n_workers=1),
+        )
+        assert result.true_params.mark == SoftMaxMark(2.0)
+        assert [r.fraction for r in result.rows] == [0.5, 1.0]
+        assert all(np.isfinite(r.mse) for r in result.rows)

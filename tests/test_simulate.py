@@ -94,6 +94,19 @@ class TestSimulate:
         with pytest.warns(SubcriticalityWarning):
             simulate(params, SimConfig(horizon=0.1, seed=0))
 
+    def test_warning_is_sufficient_not_necessary(self):
+        # a column sum of 1.5 fails the cheap check, but alpha is nilpotent
+        # (spectral radius 0), so the process is stationary at rate 0.7:
+        # 0.2 per user from baselines plus 1.5 children of each user-0 event
+        from corrcascades.replicate import expected_event_rate
+
+        params = ModelParams(np.full((2, 2), 0.1), np.array([[0.0, 1.5], [0.0, 0.0]]), SoftMaxMark(1.0))
+        assert expected_event_rate(params) == pytest.approx(0.7, rel=1e-12)
+        with pytest.warns(SubcriticalityWarning, match="1.500 >= 1"):
+            log = simulate(params, SimConfig(horizon=1000.0, seed=0))
+        # the count's variance is 1.75 T: 0.2 T (1.5 + 2.5^2) + 0.2 T; 4 sd is 167
+        assert abs(len(log) - 700.0) <= 4 * math.sqrt(1.75 * 1000.0)
+
     def test_event_cap_truncates_with_warning(self):
         params = poisson_model(rate=10.0)
         with pytest.warns(RuntimeWarning, match="cap"):

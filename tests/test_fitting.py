@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,23 @@ def lbfgsb_nll(features, beta):
     return best.fun
 
 
+@contextlib.contextmanager
+def _start_influence_at(value):
+    """Start the fit's live influence coordinates at `value` instead of the
+    edge of the active band; baselines keep their per-product rates."""
+    newton = fitting._projected_newton
+
+    def start_elsewhere(features, theta, live, config):
+        n = features.n_users
+        theta = theta.copy()
+        theta[:n] = np.where(live[:n], value, 0.0)
+        return newton(features, theta, live, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_projected_newton", start_elsewhere)
+        yield
+
+
 def poisson_log(rng, rate, horizon):
     n = rng.poisson(rate * horizon)
     times = np.sort(rng.uniform(0, horizon, n))
@@ -64,6 +82,20 @@ class TestFitUser:
         log = EventLog([], 5.0, 2, 2)
         theta, _ = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
         assert np.all(theta == 0.0)
+
+    def test_infeasible_init_reinitializes(self):
+        # extreme starts (an intensity near underflow, a compensator in the
+        # thousands) must reach the same optimum as the default start
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            log = random_log(rng, n_users=3, n_products=2, max_events=25)
+            user = int(rng.integers(log.n_users))
+            _, ref = fit_user(_features(log, user), user, FitConfig(beta=1.0))
+            for init in (1e-300, 1e3):
+                with _start_influence_at(init):
+                    _, entry = fit_user(_features(log, user), user, FitConfig(beta=1.0))
+                assert entry.converged
+                assert entry.nll == pytest.approx(ref.nll, abs=1e-8)
 
     def test_feasibility_of_returned_point(self):
         rng = np.random.default_rng(3)
@@ -148,6 +180,21 @@ class TestFitUser:
                 if entry.converged:
                     best = lbfgsb_nll(features[entry.user], beta)
                     assert entry.nll <= best + 1e-9 * max(1.0, abs(entry.nll)), (entry, best)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), beta=st.sampled_from([0.3, 1.0, 5.0]))
+    def test_property_start_at_active_band_reaches_same_optimum(self, seed, beta):
+        # the default start sits on the edge of the active band, where a
+        # source can be pinned from the first iteration; it must reach the
+        # optimum that the older start above the band reaches
+        rng = np.random.default_rng(seed)
+        log = random_log(rng, max_events=40)
+        _, band = fit_all(log, FitConfig(beta=beta))
+        with _start_influence_at(0.01):
+            _, above = fit_all(log, FitConfig(beta=beta))
+        assert band.all_converged and above.all_converged
+        for a, b in zip(band.entries, above.entries):
+            assert abs(a.nll - b.nll) <= 1e-9 * max(1.0, abs(b.nll)), (a, b)
 
     def test_rejects_bad_counts_in_config(self):
         # a negative step cap would hand back the start as the fit

@@ -38,13 +38,6 @@ from .replicate import (
     run_incentivization,
     run_recovery,
 )
-from .simulate import (
-    Scenario,
-    ScenarioResult,
-    SimConfig,
-    SubcriticalityWarning,
-    run_scenario,
-    simulate,
-)
+from .simulate import SimConfig, SubcriticalityWarning, run_scenario, simulate
 
 __version__ = "0.1.0"

@@ -35,6 +35,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take nonnegative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _holdout(text: str) -> float:
+    """A --holdout value: the tail's share of the log, inside (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must fall inside (0, 1), got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="corrcascades")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -42,7 +60,7 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="sample an event log from a parameter file")
     p_sim.add_argument("--params", required=True)
     p_sim.add_argument("--horizon", type=float, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--max-events", type=int, default=10_000_000)
     p_sim.add_argument("--out", required=True)
 
@@ -51,7 +69,7 @@ def _build_parser() -> _Parser:
     group = p_fit.add_mutually_exclusive_group()
     group.add_argument("--beta", type=float)
     group.add_argument("--beta-grid", type=str, help="comma-separated betas for cross-validation")
-    p_fit.add_argument("--holdout", type=float, default=0.2)
+    p_fit.add_argument("--holdout", type=_holdout, default=0.2)
     p_fit.add_argument(
         "--inner-max-iter",
         type=int,
@@ -66,20 +84,23 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--params", required=True)
     p_eval.add_argument("--bins", type=int, default=100)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.add_argument("--out", required=True)
 
     p_rep = sub.add_parser("replicate-synthetic", help="run a synthetic experiment pipeline")
-    p_rep.add_argument("figure", choices=["recovery", "incentivization"])
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--outdir", required=True)
-    p_rep.add_argument("--n-users", type=int, default=50)
-    p_rep.add_argument("--n-products", type=int, default=None)
-    p_rep.add_argument("--train-events", type=int, default=20_000)
-    p_rep.add_argument("--test-events", type=int, default=2_000)
-    p_rep.add_argument("--horizon", type=float, default=200.0)
-    p_rep.add_argument("--switch-time", type=float, default=100.0)
-    p_rep.add_argument("--bins", type=float, default=2.0, help="bin width for scenario curves")
+    figures = p_rep.add_subparsers(dest="figure", required=True)
+    p_recovery = figures.add_parser("recovery", help="parameter recovery over growing training fractions")
+    p_inc = figures.add_parser("incentivization", help="market shares after a mid-run baseline boost")
+    for p_figure in (p_recovery, p_inc):
+        p_figure.add_argument("--seed", type=_seed, default=0)
+        p_figure.add_argument("--outdir", required=True)
+        p_figure.add_argument("--n-users", type=int, default=50)
+    p_recovery.add_argument("--n-products", type=int, default=5)
+    p_recovery.add_argument("--train-events", type=int, default=20_000)
+    p_recovery.add_argument("--test-events", type=int, default=2_000)
+    p_inc.add_argument("--horizon", type=float, default=200.0)
+    p_inc.add_argument("--switch-time", type=float, default=100.0)
+    p_inc.add_argument("--bins", type=float, default=2.0, help="bin width for the curves")
     return parser
 
 
@@ -170,14 +191,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_replicate(args) -> int:
-    if args.figure == "incentivization" and args.n_products not in (None, 3):
-        # the experiment's baselines sit at three fixed product centres
-        raise UsageError("incentivization has three products; --n-products must be 3")
-    counts = {"--n-users": args.n_users, "--n-products": args.n_products}
+    counts = {"--n-users": args.n_users}
     if args.figure == "recovery":
-        counts.update({"--train-events": args.train_events, "--test-events": args.test_events})
+        counts.update(
+            {"--n-products": args.n_products, "--train-events": args.train_events, "--test-events": args.test_events}
+        )
     for flag, value in counts.items():
-        if value is not None and value < 1:
+        if value < 1:
             raise UsageError(f"{flag} must be a positive integer")
     if args.figure == "incentivization":
         if not (math.isfinite(args.bins) and args.bins > 0):
@@ -189,11 +209,10 @@ def _cmd_replicate(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.figure == "recovery":
-        n_products = args.n_products if args.n_products is not None else 5
         result = run_recovery(
             seed=args.seed,
             n_users=args.n_users,
-            n_products=n_products,
+            n_products=args.n_products,
             train_events=args.train_events,
             test_events=args.test_events,
             fit_config=FitConfig(n_workers=default_worker_count()),
@@ -220,7 +239,7 @@ def _cmd_replicate(args) -> int:
         for run in result.runs:
             write_curves_csv({run.label: run.intensity}, outdir / f"intensity_{run.label}.csv")
             write_curves_csv({run.label: run.share}, outdir / f"market_share_{run.label}.csv")
-            write_event_log(run.result.log, outdir / f"events_{run.label}.csv")
+            write_event_log(run.log, outdir / f"events_{run.label}.csv")
         print(f"wrote {2 * len(result.runs)} curve files to {outdir}")
     return EXIT_OK
 

@@ -1,7 +1,8 @@
 """Synthetic experiment pipelines: parameter recovery over growing training
-fractions, and the mid-run incentivization scenario comparing the
+fractions, and the mid-run incentivization experiment comparing the
 independent (linear-mark) model against soft-max models of varying
-competitiveness."""
+competitiveness, each a `run_scenario` switch from the linear-mark model to
+boosted baselines under its own mark."""
 
 from __future__ import annotations
 
@@ -9,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import EventLog
 from .fitting import FitConfig, fit_all
 from .metrics import _relative_error, binned_intensity, held_out_score, market_share, param_mae, param_mse
 from .model import LinearMark, ModelParams, SoftMaxMark
-from .simulate import Scenario, ScenarioResult, SimConfig, run_scenario, simulate
+from .simulate import SimConfig, run_scenario, simulate
 
 
 def make_recovery_model(
@@ -140,7 +142,7 @@ def make_incentivization_model(
 @dataclass
 class IncentivizationRun:
     label: str
-    result: ScenarioResult
+    log: EventLog
     intensity: list  # per-product CurveSeries
     share: list  # per-product CurveSeries
 
@@ -162,34 +164,30 @@ def run_incentivization(
 ) -> IncentivizationResult:
     """Run the 4-model scenario: Linear plus SoftMax at beta 0.1, 1 and 100.
 
-    At `switch_time` product 2's baselines double.  All models share the
-    same parameters and seed; the pre-switch phase is always the
-    linear-mark model, so their histories before the switch are identical
-    event for event.
+    Before `switch_time` every model is the linear-mark model of
+    `make_incentivization_model`; from then on product 2's baselines are
+    doubled and each model has its own mark.  All models share the seed,
+    so their histories before the switch are identical event for event.
     """
     boosted_product = 2
     rng = np.random.default_rng(seed)
     params = make_incentivization_model(rng, n_users)
+    boosted_mu = params.mu.copy()
+    boosted_mu[:, boosted_product] *= 2.0
     marks = [("independent", LinearMark())] + [
         (f"correlated_beta{beta:g}", SoftMaxMark(beta)) for beta in (0.1, 1.0, 100.0)
     ]
     grid = np.arange(bin_width, horizon + bin_width / 2, bin_width)
     runs = []
     for label, mark in marks:
-        scenario = Scenario(
-            switch_time=switch_time,
-            boosted_product=boosted_product,
-            boost_factor=2.0,
-            pre_switch_mark=LinearMark(),
-            post_switch_mark=mark,
-        )
-        result = run_scenario(params, scenario, SimConfig(horizon=horizon, seed=seed))
+        after = ModelParams(boosted_mu, params.alpha, mark)
+        log = run_scenario(params, after, switch_time, SimConfig(horizon=horizon, seed=seed))
         runs.append(
             IncentivizationRun(
                 label=label,
-                result=result,
-                intensity=binned_intensity(result.log, bin_width, by_product=True),
-                share=market_share(result.log, grid),
+                log=log,
+                intensity=binned_intensity(log, bin_width, by_product=True),
+                share=market_share(log, grid),
             )
         )
     return IncentivizationResult(

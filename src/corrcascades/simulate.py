@@ -1,4 +1,4 @@
-"""Exact sampling by the branching representation, and the incentivization scenario.
+"""Exact sampling by the branching representation, with an optional regime switch.
 
 Under the unit-rate exponential kernel the process is a forest of clusters
 (Hawkes & Oakes 1974; Møller & Rasmussen 2005).  Immigrants arrive at the
@@ -18,10 +18,11 @@ mark needs the tendencies g_u(t) at every event, which come in the window
 scorer's blocks (`likelihood._block_sweep`); each block's products are the
 fixed point of a few vectorized draws with fixed uniforms.
 
-One pass (`_sample`) covers one regime: one baseline matrix and one mark
-model.  The counts B at a time summarize everything before it, so the
-incentivization scenario is two passes on one random stream, the second
-absorbing the first's events through B at the switch.
+One pass (`_sample`) covers one regime: one `ModelParams`.  The counts B
+at a time summarize everything before it, so a switch of parameters
+mid-run (`run_scenario`, the incentivization experiment's baseline boost
+and mark change) is two passes on one random stream, the second absorbing
+the first's events through B at the switch.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from .data import EventLog, concat_logs
 from .likelihood import _block_sweep
 from .model import (
-    MarkModel,
     ModelParams,
     SoftMaxMark,
     branching_column_sums,
@@ -63,38 +63,8 @@ class SimConfig:
             raise ValueError("horizon must be positive and finite")
         if self.max_events <= 0:
             raise ValueError("max_events must be positive")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Mid-run incentivization: boost one product's baselines, swap marks.
-
-    From `switch_time` on, `boosted_product`'s baselines are multiplied by
-    `boost_factor` and the mark is `post_switch_mark` (None: the
-    parameters' own).  After a history that ends past `switch_time`, every
-    generated event is post-switch.
-    """
-
-    switch_time: float
-    boosted_product: int
-    boost_factor: float = 2.0
-    pre_switch_mark: MarkModel = None
-    post_switch_mark: MarkModel = None
-
-    def __post_init__(self):
-        for name in ("switch_time", "boost_factor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-
-
-@dataclass
-class ScenarioResult:
-    log: EventLog
-    switch_time: float
-    boosted_product: int
-    n_pre_switch_events: int
-    cap_exhausted: bool = False
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def _check_subcritical(params: ModelParams) -> None:
@@ -291,6 +261,15 @@ def _sample(params: ModelParams, b, start, horizon, rng, cap: int) -> tuple[Even
     return log, exhausted
 
 
+def _warn_if_capped(exhausted: bool, log: EventLog, cap: int) -> None:
+    if exhausted:
+        warnings.warn(
+            f"event cap {cap} exhausted at t={log.times[-1]:.3f}; log is partial",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def simulate(params: ModelParams, config: SimConfig) -> EventLog:
     """Sample the process on [0, horizon]; returns only newly generated events.
 
@@ -305,55 +284,44 @@ def simulate(params: ModelParams, config: SimConfig) -> EventLog:
     b, start = _initial_state(params, config.initial_history)
     rng = np.random.default_rng(config.seed)
     log, exhausted = _sample(params, b, start, config.horizon, rng, config.max_events)
-    if exhausted:
-        warnings.warn(
-            f"event cap {config.max_events} exhausted at t={log.times[-1]:.3f}; log is partial",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_if_capped(exhausted, log, config.max_events)
     return log
 
 
-def run_scenario(params: ModelParams, scenario: Scenario, config: SimConfig) -> ScenarioResult:
-    """Simulate with a mid-run baseline boost and mark-model switch.
+def run_scenario(before: ModelParams, after: ModelParams, switch_time: float, config: SimConfig) -> EventLog:
+    """Sample under `before` up to `switch_time` and under `after` from then on.
 
-    Two passes share one random stream.  The first covers (start, s] under
-    `params.mu` and the pre-switch mark, where start is as in `simulate`
-    and s is the later of `switch_time` and start; it draws exactly what
-    `simulate` draws under the pre-switch mark with `horizon=switch_time`
-    and the same seed.  The second covers (s, horizon] under the boosted
-    baselines and the post-switch mark, starting from the decayed counts of
-    the history and the first pass at s, with what is left of the event
-    cap.  A history that ends after `switch_time` leaves the whole window
-    to the second pass.
+    The two parameter sets must have the same users and products
+    (ValueError otherwise); the incentivization experiment's `after` has
+    boosted baselines and another mark.  Two passes share one random
+    stream.  The first covers (start, s] under `before`, where start is as
+    in `simulate` and s is the later of `switch_time` and start; it draws
+    exactly what `simulate(before, ...)` draws with `horizon=switch_time`
+    and the same seed.  The second covers (s, horizon] under `after`,
+    starting from the decayed counts of the history and the first pass at
+    s, with what is left of the event cap.  A history that ends after
+    `switch_time` leaves the whole window to the second pass.  As in
+    `simulate`, a binding event cap keeps the earliest `max_events` events,
+    with a RuntimeWarning.
     """
-    if not 0 < scenario.switch_time < config.horizon:
+    if not 0 < switch_time < config.horizon:
         raise ValueError("switch_time must fall inside (0, horizon)")
-    if not 0 <= scenario.boosted_product < params.n_products:
-        raise IndexError("boosted product out of range")
-    pre_mark = scenario.pre_switch_mark if scenario.pre_switch_mark is not None else params.mark
-    post_mark = scenario.post_switch_mark if scenario.post_switch_mark is not None else params.mark
-    boosted_mu = params.mu.copy()
-    boosted_mu[:, scenario.boosted_product] *= scenario.boost_factor
-    _check_subcritical(params)
+    if after.mu.shape != before.mu.shape:
+        raise ValueError(
+            f"after has {after.n_users} users and {after.n_products} products, before has "
+            f"{before.n_users} and {before.n_products}"
+        )
+    _check_subcritical(before)
+    if after.alpha is not before.alpha:
+        _check_subcritical(after)
 
-    b, start = _initial_state(params, config.initial_history)
-    switch = max(scenario.switch_time, start)
+    b, start = _initial_state(before, config.initial_history)
+    switch = max(switch_time, start)
     rng = np.random.default_rng(config.seed)
-    pre, pre_exhausted = _sample(
-        ModelParams(params.mu, params.alpha, pre_mark), b, start, switch, rng, config.max_events
-    )
+    pre, pre_exhausted = _sample(before, b, start, switch, rng, config.max_events)
     b = b * math.exp(-(switch - start)) + decayed_counts(pre, switch, 0, len(pre))
-    post, post_exhausted = _sample(
-        ModelParams(boosted_mu, params.alpha, post_mark), b, switch, config.horizon, rng,
-        config.max_events - len(pre),
-    )
+    post, post_exhausted = _sample(after, b, switch, config.horizon, rng, config.max_events - len(pre))
     # a history that ends after the horizon puts s, and the first log's horizon, beyond it
     log = concat_logs(pre, post).with_horizon(config.horizon)
-    return ScenarioResult(
-        log=log,
-        switch_time=scenario.switch_time,
-        boosted_product=scenario.boosted_product,
-        n_pre_switch_events=int((log.times < scenario.switch_time).sum()),
-        cap_exhausted=pre_exhausted or post_exhausted,
-    )
+    _warn_if_capped(pre_exhausted or post_exhausted, log, config.max_events)
+    return log

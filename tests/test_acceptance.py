@@ -13,7 +13,6 @@ from scipy import stats
 
 from corrcascades import (
     EventLog,
-    LinearMark,
     ModelParams,
     SoftMaxMark,
     build_all_features,
@@ -29,7 +28,7 @@ from corrcascades.replicate import (
     run_incentivization,
     run_recovery,
 )
-from corrcascades.simulate import Scenario, SimConfig, run_scenario, simulate
+from corrcascades.simulate import SimConfig, run_scenario, simulate
 
 from conftest import brute_total_nll, random_log, random_params
 
@@ -144,7 +143,7 @@ def test_criterion_5_incentivization_scenario():
         n_products = result.params.n_products
 
         def post_counts(label):
-            log = runs[label].result.log
+            log = runs[label].log
             post = log.products[log.times >= sw]
             return np.array([(post == p).sum() for p in range(n_products)], dtype=float)
 
@@ -244,15 +243,11 @@ def test_criterion_8_self_consistency_beats_shuffled_controls():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         params = make_incentivization_model(rng, n_users=n)
-        scenario = Scenario(
-            switch_time=30.0,
-            boosted_product=2,
-            boost_factor=2.0,
-            pre_switch_mark=LinearMark(),
-            post_switch_mark=SoftMaxMark(100.0),
-        )
-        real = run_scenario(params, scenario, SimConfig(horizon=60.0, seed=seed)).log
-        gen = run_scenario(params, scenario, SimConfig(horizon=60.0, seed=seed + 1000)).log
+        boosted_mu = params.mu.copy()
+        boosted_mu[:, 2] *= 2.0
+        true_post = ModelParams(boosted_mu, params.alpha, SoftMaxMark(100.0))
+        real = run_scenario(params, true_post, 30.0, SimConfig(horizon=60.0, seed=seed))
+        gen = run_scenario(params, true_post, 30.0, SimConfig(horizon=60.0, seed=seed + 1000))
         perm = np.array([1, 2, 0])
         shuffled_stream = EventLog(
             zip(gen.times, gen.users, perm[gen.products]), 60.0, n, m
@@ -265,9 +260,6 @@ def test_criterion_8_self_consistency_beats_shuffled_controls():
 
         wins_pearson += curve_score(gen) > curve_score(shuffled_stream)
 
-        boosted_mu = params.mu.copy()
-        boosted_mu[:, 2] *= 2.0
-        true_post = ModelParams(boosted_mu, params.alpha, SoftMaxMark(100.0))
         shuffled_post = ModelParams(
             boosted_mu[rng.permutation(n)],
             rng.permutation(params.alpha.ravel()).reshape(n, n),

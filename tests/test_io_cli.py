@@ -288,6 +288,17 @@ class TestCliSimulate:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    def test_negative_seed_refused_before_reading(self, tmp_path, capsys):
+        # was numpy's "expected non-negative integer", which names no flag;
+        # the parameter file does not exist, so the seed is refused first
+        out = tmp_path / "events.csv"
+        code = main(
+            ["simulate", "--params", str(tmp_path / "nope.json"), "--horizon", "5", "--seed", "-1", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: argument --seed: must be a nonnegative integer, got '-1'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "malformed",
         [
@@ -423,6 +434,11 @@ class TestCliFit:
             (["--beta-grid", ""], "beta grid must be nonempty"),
             # the start of the influence coordinates is not an option
             (["--beta", "1.0", "--init-value", "0.01"], "unrecognized arguments: --init-value 0.01"),
+            # a hold-out share outside (0, 1) was ignored with a fixed beta, exit 0
+            (["--beta", "1.0", "--holdout", "7"], "argument --holdout: must fall inside (0, 1), got '7'"),
+            (["--beta-grid", "0.5,2", "--holdout", "0"], "argument --holdout: must fall inside (0, 1), got '0'"),
+            (["--beta-grid", "0.5,2", "--holdout", "1"], "argument --holdout: must fall inside (0, 1), got '1'"),
+            (["--beta", "1.0", "--holdout", "nan"], "argument --holdout: must fall inside (0, 1), got 'nan'"),
         ],
     )
     def test_bad_solver_option_is_usage_error(self, tmp_path, monkeypatch, capsys, option, message):
@@ -516,17 +532,18 @@ class TestCliEvaluate:
         assert any(l.startswith("pearson,all,") for l in lines)
 
     def test_nonpositive_bins_is_usage_error(self, tmp_path, capsys):
-        # rejected before any file is read: none of these paths exists
-        for bins in ("0", "-3"):
+        # rejected before any file is read: none of these paths exists; so
+        # is a negative seed, which used to fail in numpy after scoring
+        for flag, value in (("--bins", "0"), ("--bins", "-3"), ("--seed", "-1")):
             code = main(
                 [
                     "evaluate", "--train", str(tmp_path / "train.csv"),
                     "--test", str(tmp_path / "test.csv"), "--params", str(tmp_path / "p.json"),
-                    "--bins", bins, "--out", str(tmp_path / "metrics.csv"),
+                    flag, value, "--out", str(tmp_path / "metrics.csv"),
                 ]
             )
             assert code == EXIT_USAGE
-            assert "--bins" in capsys.readouterr().err
+            assert flag in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
     def test_params_of_other_dimensions_rejected_before_simulating(self, tmp_path, monkeypatch, capsys):
@@ -656,8 +673,9 @@ class TestCliReplicate:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_incentivization_rejects_other_product_counts(self, tmp_path, capsys):
-        # the experiment's baselines sit at three fixed product centres
-        for count in ("2", "4"):
+        # the experiment's baselines sit at three fixed product centres, so
+        # incentivization has no --n-products flag at all
+        for count in ("2", "3", "4"):
             outdir = tmp_path / f"inc{count}"
             code = main(
                 [
@@ -666,15 +684,26 @@ class TestCliReplicate:
                 ]
             )
             assert code == EXIT_USAGE
-            assert capsys.readouterr().err == "error: incentivization has three products; --n-products must be 3\n"
+            assert capsys.readouterr().err == f"error: unrecognized arguments: --n-products {count}\n"
             assert not outdir.exists()
-        code = main(
-            [
-                "replicate-synthetic", "incentivization", "--outdir", str(tmp_path / "inc3"),
-                "--n-products", "3", "--n-users", "5", "--horizon", "30", "--switch-time", "15",
-            ]
-        )
-        assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "figure, flags",
+        [
+            # each was accepted and ignored, exit 0
+            ("recovery", ["--horizon", "-5", "--switch-time", "99", "--bins", "0"]),
+            ("incentivization", ["--train-events", "-3", "--test-events", "0"]),
+        ],
+    )
+    def test_figures_refuse_each_others_flags(self, tmp_path, capsys, figure, flags):
+        code, err = self._refused(tmp_path, capsys, figure, "--n-users", "3", *flags)
+        assert (code, err) == (EXIT_USAGE, f"error: unrecognized arguments: {' '.join(flags)}\n")
+
+    @pytest.mark.parametrize("figure", ["recovery", "incentivization"])
+    def test_negative_seed_refused_before_outdir(self, tmp_path, capsys, figure):
+        # was numpy's "expected non-negative integer" after the outdir was made
+        code, err = self._refused(tmp_path, capsys, figure, "--seed", "-1")
+        assert (code, err) == (EXIT_USAGE, "error: argument --seed: must be a nonnegative integer, got '-1'\n")
 
     @staticmethod
     def _refused(tmp_path, capsys, figure, *flags):

@@ -15,7 +15,6 @@ from corrcascades.likelihood import BLOCK
 from corrcascades.model import decayed_counts
 from corrcascades.metrics import binned_intensity, market_share, rescaled_interevent_times
 from corrcascades.simulate import (
-    Scenario,
     SimConfig,
     SubcriticalityWarning,
     _initial_state,
@@ -36,6 +35,13 @@ from conftest import (
 
 def poisson_model(rate=2.0):
     return ModelParams(np.array([[rate]]), np.zeros((1, 1)), SoftMaxMark(1.0))
+
+
+def boosted(params, product, factor, mark):
+    """`params` with one product's baselines scaled by `factor`, under `mark`."""
+    mu = params.mu.copy()
+    mu[:, product] *= factor
+    return ModelParams(mu, params.alpha, mark)
 
 
 class TestSimulate:
@@ -137,14 +143,13 @@ class TestSimulate:
     def test_history_dimensions_must_match(self):
         # unchecked, a history cell (0, 2) under M = 2 would land in cell (1, 0)
         params = random_params(np.random.default_rng(4), 2, 2)
-        scenario = Scenario(switch_time=1.0, boosted_product=0)
         for n, m in ((2, 3), (3, 2), (1, 2), (2, 1)):
             history = EventLog([(0.5, 0, m - 1)], 1.0, n, m)
             config = SimConfig(horizon=2.0, seed=0, initial_history=history)
             with pytest.raises(ValueError, match="products"):
                 simulate(params, config)
             with pytest.raises(ValueError, match="products"):
-                run_scenario(params, scenario, config)
+                run_scenario(params, params, 1.0, config)
 
     def test_time_rescaling_gives_unit_exponentials(self):
         rng = np.random.default_rng(9)
@@ -184,6 +189,11 @@ class TestSimulate:
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(horizon=bad, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators refuse it too, but without naming the seed
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SimConfig(horizon=1.0, seed=-1)
+
     def test_mark_marginal_single_user(self):
         # constant tendencies: products are iid soft-max draws
         mu = np.array([[0.3, 0.1]])
@@ -216,20 +226,24 @@ class TestRunScenario:
             params, history, start = oracle_case(rng, with_history=case % 2 == 1)
             pre, post = [(LinearMark(), SoftMaxMark(2.0)), (SoftMaxMark(2.0), LinearMark())][case // 2 % 2]
             switch = start + 10.0
-            scenario = Scenario(switch, 0, 3.0, pre_switch_mark=pre, post_switch_mark=post)
+            before = ModelParams(params.mu, params.alpha, pre)
+            after = boosted(params, 0, 3.0, post)
             cap = 10_000_000 if case < 4 else 4  # binding in the first pass or the second
             config = SimConfig(horizon=switch + 10.0, seed=case, initial_history=history, max_events=cap)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                expected = simulate(ModelParams(params.mu, params.alpha, pre), replace(config, horizon=switch))
-            result = run_scenario(params, scenario, config)
-            log = result.log
+                expected = simulate(before, replace(config, horizon=switch))
+            if case < 4:
+                log = run_scenario(before, after, switch, config)
+            else:
+                with pytest.warns(RuntimeWarning, match=f"event cap {cap} exhausted"):
+                    log = run_scenario(before, after, switch, config)
             head = log.times <= switch
             assert len(expected) > 0
             if case < 4:
                 assert head.sum() < len(log)
             else:
-                assert len(log) == cap and result.cap_exhausted
+                assert len(log) == cap
             np.testing.assert_array_equal(log.times[head], expected.times)
             np.testing.assert_array_equal(log.users[head], expected.users)
             np.testing.assert_array_equal(log.products[head], expected.products)
@@ -239,29 +253,18 @@ class TestRunScenario:
         config = SimConfig(horizon=40.0, seed=23)
         logs = []
         for post in (SoftMaxMark(0.1), SoftMaxMark(100.0), LinearMark()):
-            scenario = Scenario(switch_time=20.0, boosted_product=2, post_switch_mark=post)
-            logs.append(run_scenario(params, scenario, config).log)
+            logs.append(run_scenario(params, boosted(params, 2, 2.0, post), 20.0, config))
         for log in logs[1:]:
             pre_a = logs[0].before(20.0)
             pre_b = log.before(20.0)
             assert pre_a == pre_b
 
-    def test_n_pre_switch_events(self):
-        params = self._base(2)
-        config = SimConfig(horizon=40.0, seed=25)
-        result = run_scenario(params, Scenario(switch_time=20.0, boosted_product=0), config)
-        assert result.n_pre_switch_events == int((result.log.times < 20.0).sum())
-
     def test_boost_raises_boosted_share(self):
         params = self._base(3)
         shares_pre, shares_post = [], []
+        after = boosted(params, 1, 4.0, params.mark)
         for seed in range(30):
-            result = run_scenario(
-                params,
-                Scenario(switch_time=25.0, boosted_product=1, boost_factor=4.0),
-                SimConfig(horizon=50.0, seed=seed),
-            )
-            log = result.log
+            log = run_scenario(params, after, 25.0, SimConfig(horizon=50.0, seed=seed))
             pre = log.products[log.times < 25.0]
             post = log.products[log.times >= 25.0]
             if pre.size and post.size:
@@ -270,25 +273,52 @@ class TestRunScenario:
         assert np.mean(shares_post) > np.mean(shares_pre) + 0.05
 
     def test_non_finite_scenario_rejected(self):
+        # NaN passes no comparison, so `0 < switch_time < horizon` refuses it
+        params = self._base(6)
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
-                Scenario(switch_time=bad, boosted_product=0)
-            with pytest.raises(ValueError, match="finite"):
-                Scenario(switch_time=1.0, boosted_product=0, boost_factor=bad)
+            with pytest.raises(ValueError, match="switch_time"):
+                run_scenario(params, params, bad, SimConfig(50.0, 0))
 
     def test_switch_time_validated(self):
         params = self._base(4)
         with pytest.raises(ValueError):
-            run_scenario(
-                params, Scenario(switch_time=60.0, boosted_product=0), SimConfig(50.0, 0)
-            )
+            run_scenario(params, params, 60.0, SimConfig(50.0, 0))
 
-    def test_boosted_product_validated(self):
+    def test_after_of_other_dimensions_rejected(self):
         params = self._base(5)
-        with pytest.raises(IndexError):
-            run_scenario(
-                params, Scenario(switch_time=10.0, boosted_product=7), SimConfig(50.0, 0)
-            )
+        for n, m in ((3, 2), (3, 4), (2, 3), (4, 3)):
+            other = random_params(np.random.default_rng(n * 10 + m), n, m)
+            for before, after in ((params, other), (other, params)):
+                with pytest.raises(ValueError, match="users"):
+                    run_scenario(before, after, 10.0, SimConfig(50.0, 0))
+
+    def test_cap_in_either_pass_keeps_earliest_with_warning(self):
+        # a cap that binds before the switch keeps only first-pass events,
+        # those of `simulate` under `before` up to the switch; one that
+        # binds only after it keeps the uncapped first pass whole
+        params = self._base(7)
+        after = boosted(params, 0, 3.0, LinearMark())
+        config = SimConfig(horizon=40.0, seed=29)
+        full = run_scenario(params, after, 20.0, config)
+        n_pre = int(np.count_nonzero(full.times <= 20.0))
+        assert 2 < n_pre < len(full) - 2
+        for cap in (n_pre - 2, n_pre + 2):
+            with pytest.warns(RuntimeWarning, match=f"event cap {cap} exhausted"):
+                log = run_scenario(params, after, 20.0, replace(config, max_events=cap))
+            assert len(log) == cap and log.horizon == 40.0
+            if cap < n_pre:
+                with pytest.warns(RuntimeWarning, match=f"event cap {cap} exhausted"):
+                    first = simulate(params, SimConfig(horizon=20.0, seed=29, max_events=cap))
+                assert log == first.with_horizon(40.0)
+            else:
+                assert log.before(20.0) == full.before(20.0)
+                assert np.all(log.times[n_pre:] > 20.0)
+
+    def test_supercritical_after_warns(self):
+        params = self._base(8)
+        after = ModelParams(params.mu, np.full((3, 3), 0.6), params.mark)  # column sums 1.8
+        with pytest.warns(SubcriticalityWarning, match="1.800 >= 1"):
+            run_scenario(params, after, 0.05, SimConfig(horizon=0.1, seed=0))
 
 
 def oracle_case(rng, with_history):
@@ -323,15 +353,13 @@ def law_cases(seed, n_cases, span):
             log = simulate(params, config)
         else:
             switch = start + span / 2
-            boosted = case % params.n_products
+            product = case % params.n_products
             boost = float(rng.choice([0.5, 1.0, 3.0]))
             other = LinearMark() if isinstance(params.mark, SoftMaxMark) else SoftMaxMark(4.0)
             post = [other, SoftMaxMark(0.3), other, LinearMark()][case // 2 % 4]
-            mu = params.mu.copy()
-            mu[:, boosted] *= boost
-            segments = [(switch, params), (horizon, ModelParams(mu, params.alpha, post))]
-            scenario = Scenario(switch, boosted, boost, post_switch_mark=post)
-            log = run_scenario(params, scenario, config).log
+            after = boosted(params, product, boost, post)
+            segments = [(switch, params), (horizon, after)]
+            log = run_scenario(params, after, switch, config)
         # ties and events on the horizon have probability 0
         assert np.all(np.diff(log.times) > 0) and np.all(log.times < horizon)
         yield log, whole_record(history, log), segments, start
@@ -437,10 +465,9 @@ class TestThinningOracle:
                 segments = [(horizon, sharp)]
                 log = simulate(sharp, config)
             else:
-                mu = params.mu.copy()
-                mu[:, 0] *= 2.0
-                segments = [(start + 30.0, sharp), (horizon, ModelParams(mu, params.alpha, sharp.mark))]
-                log = run_scenario(sharp, Scenario(start + 30.0, 0, 2.0), config).log
+                after = boosted(sharp, 0, 2.0, sharp.mark)
+                segments = [(start + 30.0, sharp), (horizon, after)]
+                log = run_scenario(sharp, after, start + 30.0, config)
             record = whole_record(history, log)
             for t, u, p in zip(log.times.tolist(), log.users.tolist(), log.products.tolist()):
                 seg = params_at(segments, t)
@@ -468,16 +495,12 @@ class TestThinningOracle:
             else:
                 # soft-max then linear marks, and the reverse after a history
                 pre, post = [(SoftMaxMark(4.0), LinearMark()), (LinearMark(), SoftMaxMark(4.0))][case // 2]
-                mu = params.mu.copy()
-                mu[:, 0] *= 3.0
-                segments = [
-                    (start + 3.0, ModelParams(params.mu, params.alpha, pre)),
-                    (horizon, ModelParams(mu, params.alpha, post)),
-                ]
-                scenario = Scenario(start + 3.0, 0, 3.0, pre_switch_mark=pre, post_switch_mark=post)
+                before = ModelParams(params.mu, params.alpha, pre)
+                after = boosted(params, 0, 3.0, post)
+                segments = [(start + 3.0, before), (horizon, after)]
 
                 def sample(seed):
-                    return run_scenario(params, scenario, replace(config, seed=seed)).log
+                    return run_scenario(before, after, start + 3.0, replace(config, seed=seed))
             assert assert_count_means_agree(segments, history, sample, 200) > 3
             families.update(type(p.mark) for _, p in segments)
         assert families == {SoftMaxMark, LinearMark}
@@ -489,13 +512,13 @@ class TestThinningOracle:
         # compensator rescanned over the whole record only if the second
         # pass absorbed the first pass's events
         n, m, switch, horizon = 2, 2, 30.0, 31.0
-        params = ModelParams(np.full((n, m), 0.1), np.full((n, n), 0.45), SoftMaxMark(2.0))
-        scenario = Scenario(switch, 0, 1.5, pre_switch_mark=LinearMark(), post_switch_mark=SoftMaxMark(2.0))
-        boosted_total = params.mu.sum() + (scenario.boost_factor - 1.0) * params.mu[:, 0].sum()
-        row_sums = params.alpha.sum(axis=1)
+        before = ModelParams(np.full((n, m), 0.1), np.full((n, n), 0.45), LinearMark())
+        after = boosted(before, 0, 1.5, SoftMaxMark(2.0))
+        boosted_total = after.mu.sum()
+        row_sums = before.alpha.sum(axis=1)
         count = carried = comp = 0.0
         for seed in range(300):
-            log = run_scenario(params, scenario, SimConfig(horizon=horizon, seed=seed)).log
+            log = run_scenario(before, after, switch, SimConfig(horizon=horizon, seed=seed))
             reach = row_sums[log.users] * (
                 np.exp(-np.maximum(switch - log.times, 0.0)) - np.exp(-(horizon - log.times))
             )
@@ -515,18 +538,17 @@ class TestThinningOracle:
             while start <= 0.0 or params.n_products < 2:
                 params, history, start = oracle_case(rng, with_history=True)
             pre, post = [(SoftMaxMark(4.0), LinearMark()), (LinearMark(), SoftMaxMark(4.0))][case]
-            mu = params.mu.copy()
-            mu[:, 0] *= 3.0
+            before = ModelParams(params.mu, params.alpha, pre)
+            after = boosted(params, 0, 3.0, post)
             horizon = start + 6.0
-            scenario = Scenario(start / 2, 0, 3.0, pre_switch_mark=pre, post_switch_mark=post)
             config = SimConfig(horizon=horizon, seed=0, initial_history=history)
 
             def sample(seed):
-                result = run_scenario(params, scenario, replace(config, seed=seed))
-                assert result.n_pre_switch_events == 0
-                return result.log
+                log = run_scenario(before, after, start / 2, replace(config, seed=seed))
+                assert not np.any(log.times < start / 2)
+                return log
 
-            segments = [(horizon, ModelParams(mu, params.alpha, post))]
+            segments = [(horizon, after)]
             assert assert_count_means_agree(segments, history, sample, 200) > 3
             families.add(type(post))
         assert families == {SoftMaxMark, LinearMark}
@@ -670,8 +692,8 @@ class TestSamplerEdges:
         start = float(history.times[-1]) if len(history) else 0.0
         horizon = start + float(rng.uniform(1000.0, 1500.0))
         config = SimConfig(horizon=horizon, seed=seed, initial_history=history)
-        scenario = Scenario(start + 500.0, 0, 2.0, post_switch_mark=SoftMaxMark(2.0))
-        for log in (simulate(params, config), run_scenario(params, scenario, config).log):
+        after = boosted(params, 0, 2.0, SoftMaxMark(2.0))
+        for log in (simulate(params, config), run_scenario(params, after, start + 500.0, config)):
             assert len(log) > 0
             assert np.all(np.diff(log.times) >= 0)
             assert log.times[0] > start and log.times[-1] <= horizon
@@ -683,11 +705,12 @@ class TestSamplerEdges:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             log = simulate(params, config)
-            result = run_scenario(params, Scenario(500.0, 1), config)
+            scenario_log = run_scenario(params, boosted(params, 1, 2.0, params.mark), 500.0, config)
         assert time.perf_counter() - began < 5.0
-        assert len(log) == 20 and len(result.log) == 20 and result.cap_exhausted
+        assert len(log) == 20 and len(scenario_log) == 20
         assert {type(w.message) for w in caught} == {SubcriticalityWarning, RuntimeWarning}
-        assert any("cap 20 exhausted" in str(w.message) for w in caught)
+        # one cap warning from each sampler
+        assert sum("cap 20 exhausted" in str(w.message) for w in caught) == 2
 
     def test_cap_at_or_above_count_keeps_log(self):
         # an unused cap changes nothing, and does not warn
@@ -695,15 +718,16 @@ class TestSamplerEdges:
         for case in range(8):
             params, history, start = oracle_case(rng, with_history=case % 2 == 1)
             config = SimConfig(horizon=start + 20.0, seed=case, initial_history=history)
-            scenario = Scenario(start + 10.0, 0, 2.0, post_switch_mark=LinearMark())
+            after = boosted(params, 0, 2.0, LinearMark())
             full = simulate(params, config)
-            full_scenario = run_scenario(params, scenario, config).log
+            full_scenario = run_scenario(params, after, start + 10.0, config)
             assert len(full) > 0
-            for cap in (len(full), len(full) + 1):
-                assert simulate(params, replace(config, max_events=cap)) == full
-            for cap in (len(full_scenario), len(full_scenario) + 1):
-                result = run_scenario(params, scenario, replace(config, max_events=cap))
-                assert result.log == full_scenario and not result.cap_exhausted
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for cap in (len(full), len(full) + 1):
+                    assert simulate(params, replace(config, max_events=cap)) == full
+                for cap in (len(full_scenario), len(full_scenario) + 1):
+                    assert run_scenario(params, after, start + 10.0, replace(config, max_events=cap)) == full_scenario
 
 
 class TestMarketShare:

@@ -35,11 +35,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy's generators take nonnegative integers only."""
+def _nonnegative_int(text: str) -> int:
+    """A --seed value (numpy's generators take nonnegative integers only) or
+    an --inner-max-iter value (0 returns the start)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
+
+
+def _beta(text: str) -> float:
+    """A --beta value or one --beta-grid entry: the soft-max sharpness,
+    positive and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _beta_grid(text: str) -> list[float]:
+    """A --beta-grid value: comma-separated betas.  "" is the empty grid,
+    which `cross_validate_beta` refuses."""
+    return [_beta(entry) for entry in text.split(",")] if text else []
 
 
 def _holdout(text: str) -> float:
@@ -60,19 +79,19 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="sample an event log from a parameter file")
     p_sim.add_argument("--params", required=True)
     p_sim.add_argument("--horizon", type=float, required=True)
-    p_sim.add_argument("--seed", type=_seed, default=0)
+    p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sim.add_argument("--max-events", type=int, default=10_000_000)
     p_sim.add_argument("--out", required=True)
 
     p_fit = sub.add_parser("fit", help="fit parameters to an event log")
     p_fit.add_argument("--events", required=True)
     group = p_fit.add_mutually_exclusive_group()
-    group.add_argument("--beta", type=float)
-    group.add_argument("--beta-grid", type=str, help="comma-separated betas for cross-validation")
+    group.add_argument("--beta", type=_beta)
+    group.add_argument("--beta-grid", type=_beta_grid, help="comma-separated betas for cross-validation")
     p_fit.add_argument("--holdout", type=_holdout, default=0.2)
     p_fit.add_argument(
         "--inner-max-iter",
-        type=int,
+        type=_nonnegative_int,
         default=500,
         help="cap on each user's projected-Newton steps",
     )
@@ -84,7 +103,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--params", required=True)
     p_eval.add_argument("--bins", type=int, default=100)
-    p_eval.add_argument("--seed", type=_seed, default=0)
+    p_eval.add_argument("--seed", type=_nonnegative_int, default=0)
     p_eval.add_argument("--out", required=True)
 
     p_rep = sub.add_parser("replicate-synthetic", help="run a synthetic experiment pipeline")
@@ -92,7 +111,7 @@ def _build_parser() -> _Parser:
     p_recovery = figures.add_parser("recovery", help="parameter recovery over growing training fractions")
     p_inc = figures.add_parser("incentivization", help="market shares after a mid-run baseline boost")
     for p_figure in (p_recovery, p_inc):
-        p_figure.add_argument("--seed", type=_seed, default=0)
+        p_figure.add_argument("--seed", type=_nonnegative_int, default=0)
         p_figure.add_argument("--outdir", required=True)
         p_figure.add_argument("--n-users", type=int, default=50)
     p_recovery.add_argument("--n-products", type=int, default=5)
@@ -127,10 +146,7 @@ def _cmd_fit(args) -> int:
         beta = args.beta
         scores = None
     else:
-        if args.beta_grid is None:
-            grid = _DEFAULT_BETA_GRID
-        else:  # "" is the empty grid, which cross_validate_beta refuses
-            grid = [float(x) for x in args.beta_grid.split(",")] if args.beta_grid else []
+        grid = _DEFAULT_BETA_GRID if args.beta_grid is None else args.beta_grid
         beta, scores = cross_validate_beta(log, grid, args.holdout, config)
         print(f"cross-validation selected beta={beta:g}")
     params, report = fit_all(log, replace(config, beta=beta))

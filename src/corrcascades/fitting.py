@@ -149,7 +149,10 @@ def _projected_newton(features, theta, live, config):
     exceeds the K(M+1) columns of X_F the ridge step is solved in event
     space by Woodbury (`_ridge_step`), so no |F| x |F| array is formed.  The
     step backtracks along the projection arc max(theta + s * d, 0) under
-    Bertsekas's Armijo rule, so the objective never rises.
+    Bertsekas's Armijo rule, so the objective never rises.  The free,
+    active and moving sets are index arrays formed once per iteration,
+    and the per-user constants the objective and gradient read come with
+    the features (`EventFeatures`).
 
     Stops when the projected gradient norm reaches `_GRAD_TOL`, when
     the predicted decrease falls below the objective's floating-point
@@ -159,36 +162,39 @@ def _projected_newton(features, theta, live, config):
     coordinates that are not live; iterations counts gradient
     evaluations, the final check included.
     """
-    beta = config.beta
-    jac_sum = features.jac.sum(axis=2)
-    value, f, lam = _eval_features(features, theta, beta)
+    beta, mark = config.beta, SoftMaxMark(config.beta)
+    jac, jac_sum = features.jac, features.jac_sum
+    dead = (~live).nonzero()[0]
+    value, f, lam = _eval_features(features, theta, mark)
     iterations, evals = 0, 1
     while True:
         iterations += 1
         grad = _gradient_from_eval(features, beta, f, lam)
-        grad[~live] = 0.0
-        gap = float(np.linalg.norm(theta - np.maximum(theta - grad, 0.0)))
+        grad[dead] = 0.0
+        residual = theta - np.maximum(theta - grad, 0.0)
+        gap = math.sqrt(residual @ residual)
         if gap <= _GRAD_TOL or iterations > config.inner_max_iter:
             break
-        active = live & (theta <= min(_ACTIVE_EPS, gap)) & (grad > 0)
-        free = live & ~active
-        direction = np.zeros_like(theta)
+        in_band = live & (theta <= min(_ACTIVE_EPS, gap)) & (grad > 0)
+        active, free = in_band.nonzero()[0], (live & ~in_band).nonzero()[0]
+        direction = np.zeros(theta.size)
         # an active coordinate at 0 stays there whatever its diagonal step
-        moving = active & (theta > 0)
-        if moving.any():
-            diagonal = _hessian_diagonal(features.jac[moving], jac_sum[moving], beta, f, lam)
+        moving = active[theta[active] > 0]
+        if moving.size:
+            diagonal = _hessian_diagonal(jac[moving], jac_sum[moving], beta, f, lam)
             direction[moving] = -grad[moving] / diagonal
         g_free = grad[free]
         if g_free.any():  # a zero free gradient takes no step, and a zero ridge no Woodbury
-            ridge = _RIDGE * np.linalg.norm(g_free) / np.linalg.norm(theta)
-            x_free = _hessian_from_eval(features.jac[free], jac_sum[free], beta, f, lam)
+            ridge = _RIDGE * math.sqrt(g_free @ g_free) / math.sqrt(theta @ theta)
+            x_free = _hessian_from_eval(jac[free], jac_sum[free], beta, f, lam)
             direction[free] = _ridge_step(x_free, g_free, ridge)
         slope = float(g_free @ direction[free])
+        g_active, theta_active = grad[active], theta[active]
 
         def predicted(cand, step):
             # Armijo's reference decrease: linear on the free set, the
             # actual move on the active set
-            return step * slope + float(grad[active] @ (cand - theta)[active])
+            return step * slope + float(g_active @ (cand[active] - theta_active))
 
         cand = np.maximum(theta + direction, 0.0)
         if -predicted(cand, 1.0) <= 8.0 * math.ulp(value):
@@ -197,7 +203,7 @@ def _projected_newton(features, theta, live, config):
         for _ in range(_MAX_BACKTRACKS):
             evals += 1
             try:
-                cand_value, cand_f, cand_lam = _eval_features(features, cand, beta)
+                cand_value, cand_f, cand_lam = _eval_features(features, cand, mark)
             except InfeasibleLikelihoodError:  # a nonpositive intensity: +inf
                 cand_value = np.inf
             if cand_value < value + _LS_DECREASE * predicted(cand, step):
@@ -227,7 +233,7 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
     # fired before none of this user's events, or a baseline of a user with
     # no events) enters the NLL only through the compensator, linearly with
     # a nonnegative slope, so its minimizer is exactly 0
-    live = features.jac.reshape(n + m, -1).any(axis=1)
+    live = (features.jac_sum > 0).any(axis=1)
     theta = np.where(live, _ACTIVE_EPS, 0.0)
     if features.horizon > 0:
         # baselines start at the per-product event rate
@@ -238,7 +244,7 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
     # solver zeroes the gradient of dead coordinates, pinned at 0 anyway
     pinned = theta <= 1e-6
     grad[pinned] = np.minimum(grad[pinned], 0.0)
-    proj_norm = float(np.linalg.norm(grad))
+    proj_norm = math.sqrt(grad @ grad)
     converged = proj_norm <= 1e-4 * max(1.0, abs(nll))
     entry = UserFitEntry(
         user=user,
@@ -253,8 +259,13 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
 
 
 def default_worker_count() -> int:
+    """`CORRCASCADES_WORKERS` if set, else the cores this process may run on:
+    its CPU affinity mask where the platform has one, so a fit pinned to
+    fewer cores starts no more workers than it can run."""
     raw = os.environ.get(WORKERS_ENV_VAR)
     if not raw:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         count = int(raw)

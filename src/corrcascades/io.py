@@ -1,6 +1,8 @@
 """File formats: delimited event logs and JSON parameter documents.
 
 Floats are written with `repr`, which round-trips IEEE doubles exactly.
+The parameter file is compact JSON on one line: an indented document
+goes through json's pure-Python encoder, about 2.5 times slower.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def write_params(params: ModelParams, path) -> None:
         "mu": params.mu.ravel().tolist(),
         "alpha": params.alpha.ravel().tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc) + "\n")
 
 
 def read_params(path) -> ModelParams:

@@ -32,7 +32,7 @@ for the same kind of row subset (`_hessian_diagonal`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,12 +55,31 @@ class EventFeatures:
     product.  slope = [excite; T 1] is the compensator's gradient, where
     excite[j] = sum over events of source j before T of 1 - exp(-(T - t)).
     The NLL is theta . slope minus the event terms of g_i = D_i^T theta.
+
+    Three constants every evaluation reads are formed once, from jac and
+    products: `flat`, the (N+M, K M) view of jac; `observed`, the flat
+    index of each event's observed cell in a K x M matrix
+    (`_observed_cells`); and `jac_sum`, the (N+M, K) sums D_i 1 over
+    products, taken as M - 1 in-order adds.  For M < 8 these equal
+    jac.sum(axis=2) bit for bit; from M = 8 on numpy sums pairwise, so
+    their last bits can differ.
     """
 
     jac: np.ndarray  # (N+M, K, M)
     products: np.ndarray  # (K,)
     slope: np.ndarray  # (N+M,)
     horizon: float
+    flat: np.ndarray = field(init=False, repr=False)  # (N+M, K M)
+    observed: np.ndarray = field(init=False, repr=False)  # (K,)
+    jac_sum: np.ndarray = field(init=False, repr=False)  # (N+M, K)
+
+    def __post_init__(self):
+        nm, k, m = self.jac.shape
+        self.flat = self.jac.reshape(nm, k * m)
+        self.observed = _observed_cells(self.products, m)
+        self.jac_sum = self.jac[:, :, 0].copy()
+        for q in range(1, m):
+            self.jac_sum += self.jac[:, :, q]
 
     @property
     def n_users(self) -> int:
@@ -160,20 +179,26 @@ def _user_snapshots(log: EventLog, s: np.ndarray, snapshots: np.ndarray, work: n
         last, t_last = block[-1].copy(), sb[-1]
 
 
+def _observed_cells(products: np.ndarray, n_products: int) -> np.ndarray:
+    """Flat index i M + products[i] of each event's observed cell in a K x M
+    event-by-product matrix."""
+    return np.arange(products.size) * n_products + products
+
+
 def _event_loglik(
-    g: np.ndarray, products: np.ndarray, mark: MarkModel
+    g: np.ndarray, observed: np.ndarray, mark: MarkModel
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Sum over events of log lambda + log f(product), the intensities, and
     the soft-max mark probabilities (None under linear marks).
 
     Row i of the K x M matrix g holds the tendencies at event i, whose
-    product is products[i].  Under linear marks f = g_p / lambda, so the
-    event term is log g_p.
+    observed cell is g.flat[observed[i]] (`_observed_cells`).  Under linear
+    marks f = g_p / lambda, so the event term is log g_p.
     """
     lam = g.sum(axis=1)
-    if np.any(lam <= 0):
+    if (lam <= 0).any():
         raise InfeasibleLikelihoodError("zero intensity at an observed event")
-    g_obs = g[np.arange(products.size), products]
+    g_obs = g.take(observed)
     if isinstance(mark, SoftMaxMark):
         z = mark.beta * g
         zmax = z.max(axis=1)
@@ -182,17 +207,16 @@ def _event_loglik(
         lse = zmax + np.log(norm)
         loglik = float(np.log(lam).sum() + mark.beta * g_obs.sum() - lse.sum())
         return loglik, lam, expz / norm[:, None]
-    if np.any(g_obs <= 0):
+    if (g_obs <= 0).any():
         raise InfeasibleLikelihoodError("zero mark density at an observed event")
     return float(np.log(g_obs).sum()), lam, None
 
 
-def _eval_features(features, theta, beta):
+def _eval_features(features, theta, mark):
     """(nll, soft-max mark probabilities f, intensities lam) of one user's
-    events at the packed parameters theta."""
-    nm, k, m = features.jac.shape
-    g = (theta @ features.jac.reshape(nm, k * m)).reshape(k, m)
-    event_ll, lam, f = _event_loglik(g, features.products, SoftMaxMark(beta))
+    events at the packed parameters theta, under the soft-max `mark`."""
+    g = (theta @ features.flat).reshape(features.jac.shape[1:])
+    event_ll, lam, f = _event_loglik(g, features.observed, mark)
     nll = theta @ features.slope - event_ll
     if not math.isfinite(nll):
         raise InfeasibleLikelihoodError("nonfinite likelihood")
@@ -206,11 +230,10 @@ def _gradient_from_eval(features, beta, f, lam):
     weights w_i = 1/lambda_i 1 + beta (e_{p_i} - f_i), so the gradient is
     the compensator slope minus one product of the Jacobian with w.
     """
-    nm, k, m = features.jac.shape
-    w = -beta * f
-    w[np.arange(k), features.products] += beta
+    w = -beta * f  # a new contiguous array, so its ravel is a view
+    w.ravel()[features.observed] += beta
     w += (1.0 / lam)[:, None]
-    return features.slope - features.jac.reshape(nm, k * m) @ w.ravel()
+    return features.slope - features.flat @ w.ravel()
 
 
 def _hessian_from_eval(jac, jac_sum, beta, f, lam):
@@ -224,9 +247,9 @@ def _hessian_from_eval(jac, jac_sum, beta, f, lam):
     (N+M) x K(M+1) matrix X whose columns for event i are
     beta D_i S_i = beta (D_i - D_i f_i 1^T) diag(sqrt f_i) and
     D_i 1 / lambda_i.  `jac` is the features' stacked Jacobian and `jac_sum`
-    its (N+M, K) sum over products, D_i 1, which the solver forms once per
-    user; any subset of their rows gives the matching rows of X, and the
-    solver passes only its free rows.
+    its (N+M, K) sum over products, D_i 1 (`EventFeatures.jac_sum`); any
+    subset of their rows gives the matching rows of X, and the solver
+    passes only its free rows.
     The subtract and multiply run on a contiguous array copied into X: on
     X's strided columns numpy buffers them, at 1.6 times the time.
     """
@@ -267,12 +290,12 @@ def _checked_theta(features: EventFeatures, theta) -> np.ndarray:
 def user_nll(features: EventFeatures, theta, beta: float) -> float:
     """Negative log-likelihood of one user's events under soft-max marks, at
     the packed parameters theta = [alpha_col | mu_row]."""
-    return _eval_features(features, _checked_theta(features, theta), beta)[0]
+    return _eval_features(features, _checked_theta(features, theta), SoftMaxMark(beta))[0]
 
 
 def user_nll_gradient(features: EventFeatures, theta, beta: float) -> np.ndarray:
     """Analytic gradient of `user_nll` in the packed [alpha_col | mu_row] layout."""
-    _, f, lam = _eval_features(features, _checked_theta(features, theta), beta)
+    _, f, lam = _eval_features(features, _checked_theta(features, theta), SoftMaxMark(beta))
     return _gradient_from_eval(features, beta, f, lam)
 
 
@@ -377,7 +400,7 @@ def window_nll(
         ):
             raise ValueError("first_event must split the log at t_start")
     g = _window_tendencies(log, params, first, last)
-    event_ll = _event_loglik(g, log.products[first:last], params.mark)[0]
+    event_ll = _event_loglik(g, _observed_cells(log.products[first:last], log.n_products), params.mark)[0]
     # compensator over [t_start, t_end], summed over all users
     comp = (t_end - t_start) * params.mu_user.sum()
     sources, mass = _kernel_mass(log, t_start, t_end)

@@ -1,4 +1,5 @@
 import contextlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -221,6 +222,80 @@ class TestFitUser:
         # a user with no events still has the all-zero minimizer
         theta, entry = fit_user(_features(EventLog([(0.0, 0, 0)], 0.0, 2, 1), 1), 1, FitConfig(beta=1.0))
         assert entry.converged and not theta.any()
+
+
+class TestOneObjectivePath:
+    """The solver reads its per-user constants (`EventFeatures.flat`,
+    `observed` and `jac_sum`) once, and scores and differentiates through
+    the same `_eval_features` and `_gradient_from_eval` as `user_nll` and
+    `user_nll_gradient`, so what it reports is theirs bit for bit."""
+
+    @staticmethod
+    def _logs(rng, n_products):
+        # random logs in which user 3 of 4 stays silent (K = 0)
+        for _ in range(8):
+            base = random_log(rng, n_users=4, n_products=n_products, max_events=40)
+            users = np.where(base.users == 3, 0, base.users)
+            yield EventLog.from_arrays(base.times, users, base.products, base.horizon, 4, n_products)
+
+    @pytest.mark.parametrize("n_products", [1, 5])
+    def test_reported_nll_and_gradient_are_the_public_ones(self, monkeypatch, n_products):
+        solves = []
+        newton = fitting._projected_newton
+
+        def spy(features, theta, live, config):
+            out = newton(features, theta, live, config)
+            solves.append((live, out[2].copy()))  # fit_user edits the gradient after
+            return out
+
+        monkeypatch.setattr(fitting, "_projected_newton", spy)
+        rng = np.random.default_rng(89 + n_products)
+        checked = silent = 0
+        for log in self._logs(rng, n_products):
+            beta = float(rng.uniform(0.3, 3.0))
+            for user, features in build_all_features(log).items():
+                theta, entry = fit_user(features, user, FitConfig(beta=beta))
+                live, grad = solves.pop()
+                assert entry.nll == user_nll(features, theta, beta)
+                assert np.array_equal(grad[live], user_nll_gradient(features, theta, beta)[live])
+                assert not grad[~live].any()
+                checked += 1
+                silent += features.n_events == 0
+        assert checked == 32 and silent >= 8
+
+    def test_product_sums_are_numpys_below_eight_products(self):
+        # M - 1 in-order adds are numpy's own sum up to M = 7; from M = 8 on
+        # numpy sums pairwise and the last bits can differ
+        rng = np.random.default_rng(97)
+        for m in range(1, 8):
+            for log in self._logs(rng, m):
+                for features in build_all_features(log).values():
+                    n = features.n_users
+                    assert features.jac_sum.tobytes() == features.jac.sum(axis=2).tobytes()
+                    live = (features.jac_sum > 0).any(axis=1)
+                    assert np.array_equal(live, features.jac.reshape(n + m, -1).any(axis=1))
+
+
+class TestDefaultWorkerCount:
+    def test_counts_the_affinity_mask(self, monkeypatch):
+        # a fit pinned to one core starts one worker on a many-core host
+        monkeypatch.delenv(fitting.WORKERS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert fitting.default_worker_count() == 1
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv(fitting.WORKERS_ENV_VAR, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert fitting.default_worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert fitting.default_worker_count() == 1
+
+    def test_variable_overrides_the_mask(self, monkeypatch):
+        monkeypatch.setenv(fitting.WORKERS_ENV_VAR, "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert fitting.default_worker_count() == 3
 
 
 class TestFitAll:

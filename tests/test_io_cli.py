@@ -190,6 +190,22 @@ class TestParamsIO:
         np.testing.assert_array_equal(back.alpha, params.alpha)
         assert isinstance(back.mark, SoftMaxMark) and back.mark.beta == 2.5
 
+    def test_awkward_doubles_round_trip_bit_exact(self, tmp_path):
+        # subnormal, smallest normal, near-max and inexact decimals; the
+        # compact document is one line that json.loads still reads
+        values = np.array([5e-324, 2.2250738585072014e-308, 1e308, 0.1 + 0.2, 1 / 3])
+        params = ModelParams(values.reshape(5, 1), np.roll(np.tile(values, (5, 1)), 2), SoftMaxMark(0.1 + 0.2))
+        path = tmp_path / "params.json"
+        write_params(params, path)
+        text = path.read_text()
+        assert text.count("\n") == 1
+        doc = json.loads(text)
+        assert doc["mu"] == values.tolist() and doc["mark_model"]["beta"] == 0.1 + 0.2
+        back = read_params(path)
+        assert back.mu.tobytes() == params.mu.tobytes()
+        assert back.alpha.tobytes() == params.alpha.tobytes()
+        assert back.mark.beta == 0.1 + 0.2
+
     def test_linear_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         params = random_params(rng, 2, 2, beta=None)
@@ -429,7 +445,7 @@ class TestCliFit:
         "option, message",
         [
             # a negative step cap wrote the start as the fit and exited 0
-            (["--beta", "1.0", "--inner-max-iter", "-3"], "inner_max_iter must be nonnegative"),
+            (["--beta", "1.0", "--inner-max-iter", "-3"], "argument --inner-max-iter: must be a nonnegative integer, got '-3'"),
             # an empty grid was cross-validated as the default grid
             (["--beta-grid", ""], "beta grid must be nonempty"),
             # the start of the influence coordinates is not an option
@@ -439,6 +455,16 @@ class TestCliFit:
             (["--beta-grid", "0.5,2", "--holdout", "0"], "argument --holdout: must fall inside (0, 1), got '0'"),
             (["--beta-grid", "0.5,2", "--holdout", "1"], "argument --holdout: must fall inside (0, 1), got '1'"),
             (["--beta", "1.0", "--holdout", "nan"], "argument --holdout: must fall inside (0, 1), got 'nan'"),
+            (["--beta", "1.0", "--inner-max-iter", "2.5"], "argument --inner-max-iter: must be a nonnegative integer, got '2.5'"),
+            (["--beta", "-1"], "argument --beta: must be positive and finite, got '-1'"),
+            (["--beta", "0"], "argument --beta: must be positive and finite, got '0'"),
+            (["--beta", "inf"], "argument --beta: must be positive and finite, got 'inf'"),
+            (["--beta", "nan"], "argument --beta: must be positive and finite, got 'nan'"),
+            # a bad grid entry was found only after the entries before it were fitted
+            (["--beta-grid", "1,-2"], "argument --beta-grid: must be positive and finite, got '-2'"),
+            (["--beta-grid", "1,abc"], "argument --beta-grid: must be positive and finite, got 'abc'"),
+            (["--beta-grid", "1,,2"], "argument --beta-grid: must be positive and finite, got ''"),
+            (["--beta-grid", "0.5,1e400"], "argument --beta-grid: must be positive and finite, got '1e400'"),
         ],
     )
     def test_bad_solver_option_is_usage_error(self, tmp_path, monkeypatch, capsys, option, message):
@@ -454,6 +480,21 @@ class TestCliFit:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--beta", "1.0", "--inner-max-iter", "-3"], ["--beta", "-1"], ["--beta-grid", "1,-2"]],
+    )
+    def test_bad_solver_option_refused_before_reading(self, tmp_path, capsys, option):
+        # the events file does not exist, so the flag must be refused first
+        code = main(
+            [
+                "fit", "--events", str(tmp_path / "nope.csv"), *option,
+                "--out-params", str(tmp_path / "fit.json"), "--out-report", str(tmp_path / "report.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: argument {option[-2]}: must be")
 
     def test_nan_time_is_usage_error_not_hang(self, tmp_path):
         events = tmp_path / "events.csv"

@@ -258,7 +258,7 @@ class TestHessian:
             theta = np.concatenate(
                 [rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)]
             )
-            _, f, lam = _eval_features(features, theta, beta)
+            _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
             x = _hessian_from_eval(features.jac, features.jac.sum(axis=2), beta, f, lam)
             assert x.shape == (n + m, features.n_events * (m + 1))
             hess = x @ x.T
@@ -290,7 +290,7 @@ class TestHessian:
             theta = np.concatenate([rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)])
             beta = float(rng.uniform(0.3, 3.0))
             for features in build_all_features(log).values():
-                _, f, lam = _eval_features(features, theta, beta)
+                _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
                 jac_sum = features.jac.sum(axis=2)
                 x = _hessian_from_eval(features.jac, jac_sum, beta, f, lam)
                 diagonal = _hessian_diagonal(features.jac, jac_sum, beta, f, lam)
@@ -324,7 +324,7 @@ class TestHessian:
                 cols = features.n_events * (m + 1)
                 if cols >= n + m:
                     continue
-                _, f, lam = _eval_features(features, theta, beta)
+                _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
                 free = np.zeros(n + m, dtype=bool)
                 free[rng.choice(n + m, int(rng.integers(cols + 1, n + m + 1)), replace=False)] = True
                 x = _hessian_from_eval(features.jac[free], features.jac.sum(axis=2)[free], beta, f, lam)
@@ -340,7 +340,7 @@ class TestHessian:
     def test_silent_user_has_zero_curvature(self):
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
         features = build_all_features(log)[1]
-        _, f, lam = _eval_features(features, np.array([0.1, 0.2, 0.3, 0.4]), 1.0)
+        _, f, lam = _eval_features(features, np.array([0.1, 0.2, 0.3, 0.4]), SoftMaxMark(1.0))
         x = _hessian_from_eval(features.jac, features.jac.sum(axis=2), 1.0, f, lam)
         assert not (x @ x.T).any()
 

@@ -165,7 +165,7 @@ class TestTotalIntensity:
 
     @staticmethod
     def _intensities(log, params, user):
-        return _eval_features(build_all_features(log)[user], _theta(params, user), params.mark.beta)[2]
+        return _eval_features(build_all_features(log)[user], _theta(params, user), params.mark)[2]
 
     def test_empty_history(self):
         params = random_params(np.random.default_rng(1), 3, 2)

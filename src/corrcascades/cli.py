@@ -1,12 +1,16 @@
 """Command-line entry points: simulate, fit, evaluate, replicate-synthetic.
 
 Exit codes: 0 success, 1 usage or parse error, 2 numerical failure.
+`main` returns the code; `run`, the console entry, ends the process with it
+by `os._exit`, skipping interpreter teardown, about 20 ms of freeing
+modules and objects that the process is about to give back anyway.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,9 +60,10 @@ def _beta(text: str) -> float:
 
 
 def _beta_grid(text: str) -> list[float]:
-    """A --beta-grid value: comma-separated betas.  "" is the empty grid,
-    which `cross_validate_beta` refuses."""
-    return [_beta(entry) for entry in text.split(",")] if text else []
+    """A --beta-grid value: one or more comma-separated betas."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a nonempty comma-separated list of betas, got ''")
+    return [_beta(entry) for entry in text.split(",")]
 
 
 def _holdout(text: str) -> float:
@@ -283,5 +288,20 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The console entry (`corrcascades`, `python -m corrcascades.cli`):
+    `main` on the command line, then flush stdout and stderr and end the
+    process by `os._exit`.  Every file a command writes is closed when it
+    returns.  A flush that fails (a closed stdout pipe) leaves the exit to
+    the interpreter, which reports the failure as it would without this."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

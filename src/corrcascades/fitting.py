@@ -3,10 +3,16 @@
 Each user's problem (minimize the per-user NLL over theta >= 0) is convex
 and independent of every other user's, so the full fit is a map over users
 that may run in parallel with bit-identical results to a sequential run.
-The map streams the users: each task gets the event log and builds one
-user's features at a time from it, fits that user and drops them, so no
-feature array is pickled to a worker and no process holds more than one
-user's features.  A user's parameters are the packed vector
+The map streams the users: each worker builds one user's features at a
+time from the event log, fits that user and drops them, so no feature
+array is pickled to a worker and no process holds more than one user's
+features.  On POSIX platforms other than macOS the workers are children
+started by `os.fork`: they inherit the log, so nothing is pickled in, send
+their fitted parameters back through a pipe and leave by `os._exit`, so a
+child never runs its parent's exit handlers or flushes the output buffers
+it inherited.  Windows has no fork and macOS's system libraries are not
+safe across one, so there each worker is a `concurrent.futures` process
+that is sent the log.  A user's parameters are the packed vector
 theta = [alpha_col | mu_row], and its features are the stacked event
 Jacobian that the objective, the gradient and the Hessian all read.  Every
 iteration steps with the exact Hessian (Bertsekas 1982, "Projected Newton
@@ -23,6 +29,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -45,6 +53,10 @@ from .metrics import held_out_score
 from .model import ModelParams, SoftMaxMark
 
 WORKERS_ENV_VAR = "CORRCASCADES_WORKERS"
+
+# whether `fit_all` forks its workers; the executor path runs only where
+# there is no safe fork
+_FORK_WORKERS = hasattr(os, "fork") and sys.platform != "darwin"
 
 # Bertsekas's epsilon: coordinates within this distance of the bound whose
 # gradient pushes outward take a diagonal step instead of a Newton step
@@ -278,27 +290,103 @@ def default_worker_count() -> int:
 
 def _fit_users(log: EventLog, users: range, config: FitConfig) -> list[tuple[np.ndarray, UserFitEntry]]:
     """`fit_user` over `users`, each user's features built from the log just
-    before its fit and dropped after it; the compensator slope and the
-    snapshot work buffer are built once."""
+    before its fit and dropped after it.  The compensator slope, the
+    snapshot work buffer and one Jacobian buffer, sized for the largest of
+    these users, are made once, so no user's Jacobian is freed and faulted
+    in again."""
+    n, m = log.n_users, log.n_products
     slope = _compensator_slope(log)
-    work = np.empty(BLOCK * log.n_users * log.n_products)
-    return [fit_user(_user_features(log, u, slope, work), u, config) for u in users]
+    work = np.empty(BLOCK * n * m)
+    k_max = int(np.bincount(log.users, minlength=n)[users].max(initial=0))
+    jac_buffer = np.empty((n + m) * k_max * m)
+    return [fit_user(_user_features(log, u, slope, work, jac_buffer), u, config) for u in users]
+
+
+def _fork_worker(write_fd: int, log: EventLog, users: range, config: FitConfig):
+    """Body of a forked worker: fit `users`, send the results or the
+    exception pickled through `write_fd`, and leave by `os._exit`, so the
+    child never returns into its parent's code or runs its exit handlers.
+    A worker that cannot send its payload exits with code 1 and sends
+    nothing."""
+    code = 1
+    try:
+        try:
+            payload = (True, _fit_users(log, users, config))
+        except BaseException as exc:  # the parent raises it
+            payload = (False, exc)
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(log: EventLog, workers: int, config: FitConfig) -> list[list]:
+    """Worker w's `_fit_users` results over users w, w + W, ..., in forked
+    children.  A worker's exception is raised again here with its type and
+    message.  Every child is reaped before this returns or raises; on any
+    failure the ones still running are killed first."""
+    n = log.n_users
+    pids, pipes = [], []  # a pid becomes None once its child is reaped
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fork_worker(write_fd, log, range(w, n, workers), config)  # does not return
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        chunks = []
+        for w, pipe in enumerate(pipes):
+            data = pipe.read()
+            status = os.waitpid(pids[w], 0)[1]
+            pids[w] = None
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"fit worker {w} ended without a result (exit code {code})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            chunks.append(value)
+        return chunks
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if pid is not None:
+                from signal import SIGKILL  # about 1 ms of import, paid only on a failure
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _executor_map(log: EventLog, workers: int, config: FitConfig) -> list[list]:
+    """`_fork_map` through a `concurrent.futures` process pool, which pickles
+    the log to each worker: the path for platforms without a safe fork."""
+    from concurrent.futures import ProcessPoolExecutor  # about 15 ms of import, paid only here
+
+    strides = [range(w, log.n_users, workers) for w in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_fit_users, [log] * workers, strides, [config] * workers))
 
 
 def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
     """Fit every user; parallel execution matches sequential bit for bit.
 
     Features are built per user inside the map and never pickled: each of
-    W = min(n_workers, N) tasks gets the log and every W-th user.
+    W = min(n_workers, N) workers fits every W-th user from the log.  The
+    workers are forked children that inherit the log (`_fork_map`), or
+    where fork is unsafe or missing (Windows, macOS) executor processes
+    that are sent it (`_executor_map`).
     """
     n = log.n_users
     workers = min(config.n_workers, n)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # about 15 ms of import, paid only here
-
-        strides = [range(w, n, workers) for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_fit_users, [log] * workers, strides, [config] * workers))
+        chunks = (_fork_map if _FORK_WORKERS else _executor_map)(log, workers, config)
         results = [None] * n
         for w, chunk in enumerate(chunks):
             results[w::workers] = chunk

@@ -127,17 +127,23 @@ def _compensator_slope(log: EventLog) -> np.ndarray:
     return slope
 
 
-def _user_features(log: EventLog, user: int, slope: np.ndarray, work: np.ndarray) -> EventFeatures:
+def _user_features(
+    log: EventLog, user: int, slope: np.ndarray, work: np.ndarray, out: np.ndarray | None = None
+) -> EventFeatures:
     """One user's EventFeatures from the log, the shared compensator slope
     and a work buffer of BLOCK N M floats (see `_user_snapshots`).
 
     The snapshots are written straight into the Jacobian's first N rows.
-    Callers reuse one buffer for every user: a fresh one per block is above
-    malloc's mmap threshold on fit-wide, and its page faults cost 15 ms.
+    Callers reuse one work buffer for every user: a fresh one per block is
+    above malloc's mmap threshold on fit-wide, and its page faults cost
+    15 ms.  The Jacobian is a view of `out`, of at least (N+M) K M floats,
+    when given, so a caller that drops each user's features before the next
+    can reuse one buffer for all of them; otherwise it is a fresh array.
     """
     n, m = log.n_users, log.n_products
     own = np.flatnonzero(log.users == user)
-    jac = np.empty((n + m, own.size, m))
+    size = (n + m) * own.size * m
+    jac = (np.empty(size) if out is None else out[:size]).reshape(n + m, own.size, m)
     _user_snapshots(log, log.times[own], jac[:n], work)
     jac[n:] = np.eye(m)[:, None, :]
     return EventFeatures(jac, log.products[own], slope, log.horizon)

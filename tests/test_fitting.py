@@ -1,5 +1,7 @@
 import contextlib
+import itertools
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -63,6 +65,12 @@ def _start_influence_at(value):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "_projected_newton", start_elsewhere)
         yield
+
+
+def _assert_no_children():
+    """No child process of this one is left running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def poisson_log(rng, rate, horizon):
@@ -213,12 +221,19 @@ class TestFitUser:
 
 
     def test_zero_horizon_with_events_refused(self):
-        # with no compensator the NLL is unbounded below: no MLE exists
-        log = EventLog([(0.0, 0, 0), (0.0, 0, 1)], 0.0, 1, 2)
+        # with no compensator the NLL is unbounded below: no MLE exists.  A
+        # worker's exception reaches the caller with its type and message,
+        # and no worker outlives the failed fit
+        log = EventLog([(0.0, 0, 0), (0.0, 0, 1), (0.0, 1, 1)], 0.0, 2, 2)
         with pytest.raises(ValueError, match="horizon 0"):
             fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
-        with pytest.raises(ValueError, match="horizon 0"):
-            fit_all(log, FitConfig(beta=1.0))
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="horizon 0") as caught:
+                fit_all(log, FitConfig(beta=1.0, n_workers=workers))
+            raised.append((type(caught.value), str(caught.value)))
+            _assert_no_children()
+        assert raised[0] == raised[1]
         # a user with no events still has the all-zero minimizer
         theta, entry = fit_user(_features(EventLog([(0.0, 0, 0)], 0.0, 2, 1), 1), 1, FitConfig(beta=1.0))
         assert entry.converged and not theta.any()
@@ -307,9 +322,11 @@ class TestFitAll:
         np.testing.assert_array_equal(params.mu[0], theta[1:])
         np.testing.assert_array_equal(params.alpha[:, 0], theta[:1])
 
-    def test_parallel_equals_sequential(self):
+    def test_parallel_equals_sequential(self, monkeypatch):
         # worker counts that do not divide N, a user with no events, and
-        # more workers than users: every strided task lands in user order
+        # more workers than users: every strided task lands in user order,
+        # through forked workers and through the executor that platforms
+        # without a safe fork use, and no worker outlives the fit
         rng = np.random.default_rng(17)
         base = random_log(rng, n_users=5, n_products=2, max_events=40)
         users = np.where(base.users == 2, 0, base.users)  # user 2 stays silent
@@ -318,13 +335,35 @@ class TestFitAll:
         small = random_log(rng, n_users=2, n_products=2, max_events=20)
         for log, counts in ((silent, (2, 3, 4)), (small, (4,))):
             seq, seq_report = fit_all(log, FitConfig(beta=1.0, n_workers=1))
-            for workers in counts:
+            for fork, workers in itertools.product((fitting._FORK_WORKERS, False), counts):
+                monkeypatch.setattr(fitting, "_FORK_WORKERS", fork)
                 par, par_report = fit_all(log, FitConfig(beta=1.0, n_workers=workers))
+                _assert_no_children()
                 np.testing.assert_array_equal(seq.mu, par.mu)
                 np.testing.assert_array_equal(seq.alpha, par.alpha)
                 assert [(e.user, e.nll) for e in par_report.entries] == [
                     (e.user, e.nll) for e in seq_report.entries
                 ]
+
+    @pytest.mark.skipif(not fitting._FORK_WORKERS, reason="the executor path runs here")
+    def test_worker_without_result_is_named_and_reaped(self, monkeypatch):
+        # worker 0 dies without sending a result while worker 1 is still
+        # busy: the fit names worker 0 at once and kills worker 1
+        fit_users = fitting._fit_users
+
+        def dying(log, users, config):
+            if users.start == 0:
+                os._exit(3)
+            time.sleep(30.0)
+            return fit_users(log, users, config)
+
+        monkeypatch.setattr(fitting, "_fit_users", dying)
+        log = random_log(np.random.default_rng(29), n_users=4, n_products=2, max_events=30)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"fit worker 0 ended without a result \(exit code 3\)"):
+            fit_all(log, FitConfig(beta=1.0, n_workers=2))
+        assert time.monotonic() - start < 10.0
+        _assert_no_children()
 
     def test_sequential_fit_holds_one_users_features(self):
         # users are streamed through the map, so the traced peak is one

@@ -15,6 +15,7 @@ import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from corrcascades import fitting
 from corrcascades.fitting import FitConfig, fit_all
 from corrcascades import io as io_module
 from corrcascades.io import (
@@ -446,8 +447,9 @@ class TestCliFit:
         [
             # a negative step cap wrote the start as the fit and exited 0
             (["--beta", "1.0", "--inner-max-iter", "-3"], "argument --inner-max-iter: must be a nonnegative integer, got '-3'"),
-            # an empty grid was cross-validated as the default grid
-            (["--beta-grid", ""], "beta grid must be nonempty"),
+            # an empty grid was cross-validated as the default grid, and
+            # then refused only after the log was read
+            (["--beta-grid", ""], "argument --beta-grid: must be a nonempty comma-separated list of betas, got ''"),
             # the start of the influence coordinates is not an option
             (["--beta", "1.0", "--init-value", "0.01"], "unrecognized arguments: --init-value 0.01"),
             # a hold-out share outside (0, 1) was ignored with a fixed beta, exit 0
@@ -483,7 +485,7 @@ class TestCliFit:
 
     @pytest.mark.parametrize(
         "option",
-        [["--beta", "1.0", "--inner-max-iter", "-3"], ["--beta", "-1"], ["--beta-grid", "1,-2"]],
+        [["--beta", "1.0", "--inner-max-iter", "-3"], ["--beta", "-1"], ["--beta-grid", "1,-2"], ["--beta-grid", ""]],
     )
     def test_bad_solver_option_refused_before_reading(self, tmp_path, capsys, option):
         # the events file does not exist, so the flag must be refused first
@@ -538,6 +540,50 @@ class TestCliFit:
             ]
         )
         assert code == EXIT_USAGE
+
+
+class TestConsoleEntry:
+    """`python -m corrcascades.cli` runs `run`, which ends the process by
+    `os._exit` with `main`'s code once stdout and stderr are flushed."""
+
+    def _fit(self, tmp_path, workers):
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
+        # stdout block-buffered, so the printed line shows that `run` flushed it
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(Path(corrcascades.__file__).parents[1]), CORRCASCADES_WORKERS=workers)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "corrcascades.cli", "fit", "--events", str(tmp_path / "events.csv"),
+                "--beta-grid", "0.5,2", "--out-params", str(out / "fit.json"), "--out-report", str(out / "report.csv"),
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )  # fmt: skip
+        assert proc.returncode == EXIT_OK, proc.stderr
+        # printed once, though the workers forked with the first line in the buffer
+        selected, wrote = proc.stdout.splitlines()
+        assert selected.startswith("cross-validation selected beta=")
+        assert wrote == f"wrote parameters to {out / 'fit.json'}"
+        # every column of the report but the last, the user's wall time
+        report = [line.rsplit(",", 1)[0] for line in (out / "report.csv").read_text().splitlines()]
+        return (out / "fit.json").read_bytes(), report
+
+    def test_two_worker_fit_writes_the_one_worker_files(self, tmp_path):
+        # a cross-validated fit: the workers fork once per grid entry, then
+        # once for the chosen beta
+        params, _ = _write_model(tmp_path, n=5, seed=37)
+        write_event_log(simulate(params, SimConfig(horizon=40.0, seed=39)), tmp_path / "events.csv")
+        assert self._fit(tmp_path, "2") == self._fit(tmp_path, "1")
+
+    def test_usage_error_exits_one(self, tmp_path):
+        proc = _run_cli(
+            "fit", "--events", str(tmp_path / "nope.csv"), "--beta-grid", "",
+            "--out-params", str(tmp_path / "fit.json"), "--out-report", str(tmp_path / "report.csv"),
+        )  # fmt: skip
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr == (
+            "error: argument --beta-grid: must be a nonempty comma-separated list of betas, got ''\n"
+        )
 
 
 class TestCliEvaluate:
@@ -636,14 +682,15 @@ class TestCliEvaluate:
         )
         zero_path = tmp_path / "zero.json"
         write_params(zero, zero_path)
-        out = tmp_path / "metrics.csv"
-        code = main(
-            [
-                "evaluate", "--train", str(train_path), "--test", str(test_path),
-                "--params", str(zero_path), "--out", str(out),
-            ]
-        )
-        assert code == EXIT_NUMERICAL
+        argv = [
+            "evaluate", "--train", str(train_path), "--test", str(test_path),
+            "--params", str(zero_path), "--out", str(tmp_path / "metrics.csv"),
+        ]  # fmt: skip
+        assert main(argv) == EXIT_NUMERICAL
+        # and the same code and one stderr line through the console entry
+        proc = _run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (EXIT_NUMERICAL, "")
+        assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestCliReplicate:
@@ -801,8 +848,9 @@ def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
     # numpy.ma costs about 13 ms and 1.35 MB to import, and np.unique pulls it
     # in; simulate and the incentivization run (a linear-mark pass, then a
     # soft-max one) share the scorer's blocks (`_block_starts`) through the
-    # soft-max draw.  The process pool costs about 15 ms to import, and a
-    # one-worker fit must not load it
+    # soft-max draw.  The process pool costs about 15 ms to import: a
+    # one-worker fit must not load it, and where the workers are forked
+    # neither must a two-worker fit, nor multiprocessing
     params, params_path = _write_model(tmp_path, seed=41)
     log = simulate(params, SimConfig(horizon=30.0, seed=43))
     train = log.before(20.0).with_horizon(20.0)
@@ -832,14 +880,19 @@ def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
     code = (
         "import sys; from corrcascades.cli import main; "
         f"codes = [main(cmd) for cmd in {[fit, evaluate, sim, incentivization]!r}]; "
-        "print(codes, 'numpy.ma' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+        "print(codes, 'numpy.ma' in sys.modules, 'concurrent.futures.process' in sys.modules, "
+        "'multiprocessing' in sys.modules)"
     )
-    env = dict(
-        os.environ, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]), CORRCASCADES_WORKERS="1"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False"
+    for workers in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]), CORRCASCADES_WORKERS=workers
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        if workers == "1" or fitting._FORK_WORKERS:
+            assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False False", workers
+        else:
+            assert proc.stdout.splitlines()[-1].startswith("[0, 0, 0, 0] False"), workers
 
 
 def test_cli_imports_without_scipy():

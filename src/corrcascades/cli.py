@@ -169,7 +169,13 @@ def _cmd_fit(args) -> int:
         fh.write(f"# chosen_beta={beta!r}\n")
     n_bad = sum(not e.converged for e in report.entries)
     if n_bad:
-        print(f"warning: {n_bad} of {len(report.entries)} users did not converge", file=sys.stderr)
+        # a solve that reached the cap counted one more gradient, its last check
+        n_capped = sum(not e.converged and e.outer_iterations > config.inner_max_iter for e in report.entries)
+        print(
+            f"warning: {n_bad} of {len(report.entries)} users did not converge, "
+            f"{n_capped} of them stopped at the --inner-max-iter cap of {config.inner_max_iter}",
+            file=sys.stderr,
+        )
     print(f"wrote parameters to {args.out_params}")
     return EXIT_OK
 

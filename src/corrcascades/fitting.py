@@ -17,9 +17,10 @@ theta = [alpha_col | mu_row], and its features are the stacked event
 Jacobian that the objective, the gradient and the Hessian all read.  Every
 iteration steps with the exact Hessian (Bertsekas 1982, "Projected Newton
 methods for optimization problems with simple constraints"), of which it
-forms only what its step reads: the diagonal, in closed form, of the active
-coordinates that are off the bound, and the Hessian factor of the free
-rows, solved in whichever of coordinate space and event space is smaller.
+forms only what its step reads, all from one set of per-event factors: the
+diagonal of the active coordinates that are off the bound, as the squared
+norms of their rows of the Hessian factor, and the factor of the free rows,
+solved in whichever of coordinate space and event space is smaller.
 Influence starts at the edge of the active band, so a source whose
 gradient points to the bound can be pinned from the first iteration
 instead of widening the early free blocks.
@@ -44,8 +45,8 @@ from .likelihood import (
     _compensator_slope,
     _eval_features,
     _gradient_from_eval,
-    _hessian_diagonal,
-    _hessian_from_eval,
+    _hessian_core,
+    _hessian_factor,
     _user_features,
 )
 from .likelihood import build_all_features  # noqa: F401  bench/traced.py wraps fitting.build_all_features
@@ -134,10 +135,10 @@ def _ridge_step(x, grad, ridge):
     rows, cols = x.shape
     if rows > cols:
         gram = x.T @ x
-        gram[np.diag_indices(cols)] += ridge
+        gram.flat[:: cols + 1] += ridge
         return -(grad - x @ np.linalg.solve(gram, x.T @ grad)) / ridge
     hess = x @ x.T
-    hess[np.diag_indices(rows)] += ridge
+    hess.flat[:: rows + 1] += ridge
     return -np.linalg.solve(hess, grad)
 
 
@@ -146,13 +147,16 @@ def _projected_newton(features, theta, live, config):
 
     Each iteration splits the live coordinates into Bertsekas's
     epsilon-active set (within epsilon of the bound, gradient pushing
-    outward), which takes a gradient step scaled by the Hessian diagonal
-    (`_hessian_diagonal`, in closed form), and the free set F, which takes a
-    Newton step.  The diagonal is formed only for the active coordinates
-    above 0: the projection sends an active coordinate at 0 back to 0
-    whatever its step, so it takes none, and neither the candidate nor
-    Armijo's predicted decrease changes.  F steps on the exact Hessian block
-    X_F X_F^T, with the factor X_F built for the free rows alone.  With
+    outward), which takes a gradient step scaled by the Hessian diagonal,
+    and the free set F, which takes a Newton step.  Both read one set of
+    per-event factors L_i, formed once per iteration (`_hessian_core`):
+    the rows of the Hessian factor X for any coordinates are one batched
+    product of their Jacobian rows with L (`_hessian_factor`).  The
+    diagonal is the squared row norms of X, formed only for the active
+    coordinates above 0: the projection sends an active coordinate at 0
+    back to 0 whatever its step, so it takes none, and neither the
+    candidate nor Armijo's predicted decrease changes.  F steps on the
+    exact Hessian block X_F X_F^T, with X_F built for the free rows.  With
     fewer events than dimensions that block is singular and the NLL is
     linear along its null space.  A ridge proportional to the gradient norm
     (Li, Fukushima, Qi and Yamashita 2004), divided by |theta| to carry
@@ -175,14 +179,15 @@ def _projected_newton(features, theta, live, config):
     evaluations, the final check included.
     """
     beta, mark = config.beta, SoftMaxMark(config.beta)
-    jac, jac_sum = features.jac, features.jac_sum
+    jac = features.jac
     dead = (~live).nonzero()[0]
     value, f, lam = _eval_features(features, theta, mark)
     iterations, evals = 0, 1
     while True:
         iterations += 1
         grad = _gradient_from_eval(features, beta, f, lam)
-        grad[dead] = 0.0
+        if dead.size:
+            grad[dead] = 0.0
         residual = theta - np.maximum(theta - grad, 0.0)
         gap = math.sqrt(residual @ residual)
         if gap <= _GRAD_TOL or iterations > config.inner_max_iter:
@@ -190,16 +195,16 @@ def _projected_newton(features, theta, live, config):
         in_band = live & (theta <= min(_ACTIVE_EPS, gap)) & (grad > 0)
         active, free = in_band.nonzero()[0], (live & ~in_band).nonzero()[0]
         direction = np.zeros(theta.size)
+        core = _hessian_core(beta, f, lam)
         # an active coordinate at 0 stays there whatever its diagonal step
         moving = active[theta[active] > 0]
         if moving.size:
-            diagonal = _hessian_diagonal(jac[moving], jac_sum[moving], beta, f, lam)
-            direction[moving] = -grad[moving] / diagonal
+            x_moving = _hessian_factor(jac[moving], core)
+            direction[moving] = -grad[moving] / np.einsum("ij,ij->i", x_moving, x_moving)
         g_free = grad[free]
         if g_free.any():  # a zero free gradient takes no step, and a zero ridge no Woodbury
             ridge = _RIDGE * math.sqrt(g_free @ g_free) / math.sqrt(theta @ theta)
-            x_free = _hessian_from_eval(jac[free], jac_sum[free], beta, f, lam)
-            direction[free] = _ridge_step(x_free, g_free, ridge)
+            direction[free] = _ridge_step(_hessian_factor(jac[free], core), g_free, ridge)
         slope = float(g_free @ direction[free])
         g_active, theta_active = grad[active], theta[active]
 
@@ -245,7 +250,7 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
     # fired before none of this user's events, or a baseline of a user with
     # no events) enters the NLL only through the compensator, linearly with
     # a nonnegative slope, so its minimizer is exactly 0
-    live = (features.jac_sum > 0).any(axis=1)
+    live = features.flat.any(axis=1)
     theta = np.where(live, _ACTIVE_EPS, 0.0)
     if features.horizon > 0:
         # baselines start at the per-product event rate

@@ -24,9 +24,10 @@ tendencies g_i = D_i^T theta, so per-user evaluations (`user_nll`,
 features per user inside its map and never pickles them;
 `build_all_features` gives every user's at once.  The gradient is the
 slope minus one product of the Jacobian with per-event weights.  The
-Hessian comes as a factor X with Hessian X X^T, built for the rows the
-solver asks for (`_hessian_from_eval`), and as its diagonal in closed form
-for the same kind of row subset (`_hessian_diagonal`).
+Hessian comes as a factor X with Hessian X X^T: event i's columns of X are
+D_i L_i, with L_i an M x (M+1) factor formed once per evaluation for every
+event (`_hessian_core`), so the rows of X for any subset of coordinates
+are one batched product of those rows of the Jacobian (`_hessian_factor`).
 """
 
 from __future__ import annotations
@@ -56,13 +57,10 @@ class EventFeatures:
     excite[j] = sum over events of source j before T of 1 - exp(-(T - t)).
     The NLL is theta . slope minus the event terms of g_i = D_i^T theta.
 
-    Three constants every evaluation reads are formed once, from jac and
-    products: `flat`, the (N+M, K M) view of jac; `observed`, the flat
+    Two constants every evaluation reads are formed once, from jac and
+    products: `flat`, the (N+M, K M) view of jac, and `observed`, the flat
     index of each event's observed cell in a K x M matrix
-    (`_observed_cells`); and `jac_sum`, the (N+M, K) sums D_i 1 over
-    products, taken as M - 1 in-order adds.  For M < 8 these equal
-    jac.sum(axis=2) bit for bit; from M = 8 on numpy sums pairwise, so
-    their last bits can differ.
+    (`_observed_cells`).
     """
 
     jac: np.ndarray  # (N+M, K, M)
@@ -71,15 +69,11 @@ class EventFeatures:
     horizon: float
     flat: np.ndarray = field(init=False, repr=False)  # (N+M, K M)
     observed: np.ndarray = field(init=False, repr=False)  # (K,)
-    jac_sum: np.ndarray = field(init=False, repr=False)  # (N+M, K)
 
     def __post_init__(self):
         nm, k, m = self.jac.shape
         self.flat = self.jac.reshape(nm, k * m)
         self.observed = _observed_cells(self.products, m)
-        self.jac_sum = self.jac[:, :, 0].copy()
-        for q in range(1, m):
-            self.jac_sum += self.jac[:, :, q]
 
     @property
     def n_users(self) -> int:
@@ -206,12 +200,12 @@ def _event_loglik(
         raise InfeasibleLikelihoodError("zero intensity at an observed event")
     g_obs = g.take(observed)
     if isinstance(mark, SoftMaxMark):
-        z = mark.beta * g
-        zmax = z.max(axis=1)
-        expz = np.exp(z - zmax[:, None])
+        # log f_p = beta (g_p - gmax) - log norm, so the event term takes one
+        # log per event, of lam / norm
+        gmax = g.max(axis=1)
+        expz = np.exp(mark.beta * (g - gmax[:, None]))
         norm = expz.sum(axis=1)
-        lse = zmax + np.log(norm)
-        loglik = float(np.log(lam).sum() + mark.beta * g_obs.sum() - lse.sum())
+        loglik = float(np.log(lam / norm).sum() + mark.beta * (g_obs.sum() - gmax.sum()))
         return loglik, lam, expz / norm[:, None]
     if (g_obs <= 0).any():
         raise InfeasibleLikelihoodError("zero mark density at an observed event")
@@ -242,46 +236,35 @@ def _gradient_from_eval(features, beta, f, lam):
     return features.slope - features.flat @ w.ravel()
 
 
-def _hessian_from_eval(jac, jac_sum, beta, f, lam):
-    """Factor X of the exact per-user NLL Hessian X X^T, given f and lam.
+def _hessian_core(beta, f, lam):
+    """The (K, M, M+1) per-event factors L_i of the per-user NLL Hessian,
+    given f and lam: event i's columns of the Hessian factor are D_i L_i.
 
     Only the -log lambda and log-sum-exp terms are curved, so the Hessian is
     sum_i (D_i 1)(D_i 1)^T / lambda_i^2
         + beta^2 sum_i D_i (diag(f_i) - f_i f_i^T) D_i^T.
     As f_i sums to 1, diag(f_i) - f_i f_i^T = S_i S_i^T with
     S_i = (I - f_i 1^T) diag(sqrt f_i), so the Hessian is X X^T for the
-    (N+M) x K(M+1) matrix X whose columns for event i are
-    beta D_i S_i = beta (D_i - D_i f_i 1^T) diag(sqrt f_i) and
-    D_i 1 / lambda_i.  `jac` is the features' stacked Jacobian and `jac_sum`
-    its (N+M, K) sum over products, D_i 1 (`EventFeatures.jac_sum`); any
-    subset of their rows gives the matching rows of X, and the solver
-    passes only its free rows.
-    The subtract and multiply run on a contiguous array copied into X: on
-    X's strided columns numpy buffers them, at 1.6 times the time.
+    (N+M) x K(M+1) matrix X whose columns for event i are D_i L_i, with
+    L_i = [beta S_i | 1 / lambda_i].
     """
-    nm, k, m = jac.shape
-    x = np.empty((nm, k, m + 1))
-    scaled = jac - np.einsum("jiq,iq->ji", jac, f)[:, :, None]
-    scaled *= beta * np.sqrt(f)
-    x[:, :, :m] = scaled
-    np.divide(jac_sum, lam, out=x[:, :, m])
-    return x.reshape(nm, k * (m + 1))
+    k, m = f.shape
+    root = np.sqrt(f)
+    core = np.empty((k, m, m + 1))
+    np.multiply(f[:, :, None], -beta * root[:, None, :], out=core[:, :, :m])
+    core.reshape(k, m * (m + 1))[:, :: m + 2] += beta * root  # the diagonal of each beta S_i
+    core[:, :, m] = (1.0 / lam)[:, None]
+    return core
 
 
-def _hessian_diagonal(jac, jac_sum, beta, f, lam):
-    """Diagonal of the Hessian X X^T of `_hessian_from_eval`, in closed form
-    without X, for the rows j of `jac` and `jac_sum` (any subset):
-    H_jj = sum_i (D_i 1)_j^2 / lambda_i^2
-        + beta^2 sum_i (sum_q f_iq D_ijq^2 - (D_i f_i)_j^2).
-
-    The beta^2 part is a sum of soft-max variances, so it is >= 0 but can
-    cancel to a negative rounding error; it is clamped at 0.  The first term
-    is > 0 on every row the events see.
-    """
-    jac_f = np.einsum("jiq,iq->ji", jac, f)
-    spread = np.einsum("jiq,jiq,iq->j", jac, jac, f) - np.einsum("ji,ji->j", jac_f, jac_f)
-    curve = jac_sum / lam
-    return np.einsum("ji,ji->j", curve, curve) + beta**2 * np.maximum(spread, 0.0)
+def _hessian_factor(jac, core):
+    """Rows of the Hessian factor X (`_hessian_core`) for the rows of `jac`
+    given, any subset of the stacked Jacobian's: one batched product
+    D_i L_i over the events, written straight into X's (rows, K, M+1) layout."""
+    rows, k, m = jac.shape
+    x = np.empty((rows, k, m + 1))
+    np.matmul(jac.transpose(1, 0, 2), core, out=x.transpose(1, 0, 2))
+    return x.reshape(rows, k * (m + 1))
 
 
 def _checked_theta(features: EventFeatures, theta) -> np.ndarray:

@@ -81,6 +81,28 @@ def brute_mark_density(log, params, user, t):
     return g / g.sum()
 
 
+def brute_hessian(log, user, theta, beta):
+    """The soft-max per-user NLL Hessian in packed [alpha_col | mu_row]
+    coordinates, by an explicit loop over the user's events:
+    sum_i (D_i 1)(D_i 1)^T / lambda_i^2 + beta^2 D_i (diag f_i - f_i f_i^T) D_i^T,
+    with each event Jacobian D_i = [B(t_i); I] rescanned (`brute_counts`)."""
+    n, m = log.n_users, log.n_products
+    hess = np.zeros((n + m, n + m))
+    for t in log.times[log.users == user].tolist():
+        d = np.vstack([brute_counts(log, t), np.eye(m)])
+        g = d.T @ theta
+        lam = g.sum()
+        w = np.exp(beta * (g - g.max()))
+        f = w / w.sum()
+        # diag f - f f^T, with 1 - f_p summed over the other products: at
+        # large beta, 1 - f_p cancels to a few ulps of its own size
+        spread = -np.outer(f, f)
+        spread[np.diag_indices(m)] = f * np.array([np.delete(w, p).sum() for p in range(m)]) / w.sum()
+        total = d.sum(axis=1)
+        hess += np.outer(total, total) / lam**2 + beta**2 * d @ spread @ d.T
+    return hess
+
+
 def quad_compensator(log, params, user, t_end, tol=1e-10):
     """Integral of the intensity by adaptive quadrature between event times."""
     knots = np.concatenate([[0.0], log.times[log.times < t_end], [t_end]])

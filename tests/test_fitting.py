@@ -240,8 +240,8 @@ class TestFitUser:
 
 
 class TestOneObjectivePath:
-    """The solver reads its per-user constants (`EventFeatures.flat`,
-    `observed` and `jac_sum`) once, and scores and differentiates through
+    """The solver reads its per-user constants (`EventFeatures.flat` and
+    `observed`) once, and scores and differentiates through
     the same `_eval_features` and `_gradient_from_eval` as `user_nll` and
     `user_nll_gradient`, so what it reports is theirs bit for bit."""
 
@@ -278,17 +278,23 @@ class TestOneObjectivePath:
                 silent += features.n_events == 0
         assert checked == 32 and silent >= 8
 
-    def test_product_sums_are_numpys_below_eight_products(self):
-        # M - 1 in-order adds are numpy's own sum up to M = 7; from M = 8 on
-        # numpy sums pairwise and the last bits can differ
+    def test_live_rows_are_the_nonzero_rows_of_the_jacobian(self, monkeypatch):
+        # the solver moves exactly the coordinates some event's Jacobian sees;
+        # the rest enter the NLL only through the compensator
+        lives = []
+        newton = fitting._projected_newton
+
+        def spy(features, theta, live, config):
+            lives.append(live)
+            return newton(features, theta, live, config)
+
+        monkeypatch.setattr(fitting, "_projected_newton", spy)
         rng = np.random.default_rng(97)
         for m in range(1, 8):
             for log in self._logs(rng, m):
-                for features in build_all_features(log).values():
-                    n = features.n_users
-                    assert features.jac_sum.tobytes() == features.jac.sum(axis=2).tobytes()
-                    live = (features.jac_sum > 0).any(axis=1)
-                    assert np.array_equal(live, features.jac.reshape(n + m, -1).any(axis=1))
+                for user, features in build_all_features(log).items():
+                    fit_user(features, user, FitConfig())
+                    assert np.array_equal(lives.pop(), (features.jac != 0).any(axis=(1, 2)))
 
 
 class TestDefaultWorkerCount:

@@ -371,6 +371,31 @@ class TestCliFit:
         assert report_lines[0].startswith("user,nll")
         assert len([l for l in report_lines if not l.startswith("#")]) == 1 + log.n_users
 
+    def test_unconverged_users_are_counted_with_the_cap(self, tmp_path, monkeypatch, capsys):
+        # one Newton step leaves the four active users short of the KKT
+        # certificate, while a fifth, silent user is solved at its start: the
+        # fit still succeeds, and the warning counts the report's unconverged
+        # rows and those among them that the cap stopped
+        monkeypatch.setenv("CORRCASCADES_WORKERS", "1")
+        params, _ = _write_model(tmp_path, n=4, seed=11)
+        log = simulate(params, SimConfig(horizon=40.0, seed=13))
+        events = tmp_path / "events.csv"
+        write_event_log(EventLog.from_arrays(log.times, log.users, log.products, log.horizon, 5, 2), events)
+        out_report = tmp_path / "report.csv"
+        code = main(
+            [
+                "fit", "--events", str(events), "--beta", "1.0", "--inner-max-iter", "1",
+                "--out-params", str(tmp_path / "fit.json"), "--out-report", str(out_report),
+            ]
+        )
+        assert code == EXIT_OK
+        rows = [l.split(",") for l in out_report.read_text().splitlines()[1:] if not l.startswith("#")]
+        bad = [r for r in rows if r[4] == "False"]
+        capped = [r for r in bad if int(r[2]) > 1]
+        assert len(rows) == 5 and rows[4][4] == "True" and capped
+        expected = f"warning: {len(bad)} of 5 users did not converge, {len(capped)} of them stopped at the --inner-max-iter cap of 1\n"
+        assert capsys.readouterr().err == expected
+
     def test_beta_grid_selection_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CORRCASCADES_WORKERS", "1")
         params, _ = _write_model(tmp_path, n=2, m=2, seed=17)

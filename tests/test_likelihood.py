@@ -24,13 +24,21 @@ from corrcascades.likelihood import (
     _block_starts,
     _eval_features,
     _event_loglik,
-    _hessian_diagonal,
-    _hessian_from_eval,
+    _hessian_core,
+    _hessian_factor,
     _window_tendencies,
 )
 from corrcascades.fitting import _ridge_step
 
-from conftest import brute_counts, brute_tendency, brute_total_nll, random_log, random_params, tied_log
+from conftest import (
+    brute_counts,
+    brute_hessian,
+    brute_tendency,
+    brute_total_nll,
+    random_log,
+    random_params,
+    tied_log,
+)
 
 
 def _sum_user_nll(log, params):
@@ -259,7 +267,7 @@ class TestHessian:
                 [rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)]
             )
             _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
-            x = _hessian_from_eval(features.jac, features.jac.sum(axis=2), beta, f, lam)
+            x = _hessian_factor(features.jac, _hessian_core(beta, f, lam))
             assert x.shape == (n + m, features.n_events * (m + 1))
             hess = x @ x.T
             numeric = np.zeros_like(hess)
@@ -278,11 +286,14 @@ class TestHessian:
             checked += 1
         assert checked >= 25
 
-    def test_closed_form_diagonal_matches_factor(self):
-        # every user of each log, silent ones included; the factor and the
-        # diagonal of a row subset (the solver asks for the free rows and for
-        # the active rows off the bound) are those rows of the full ones
+    def test_row_norms_and_row_subsets_of_the_factor(self):
+        # every user of each log, silent ones included; the solver reads the
+        # diagonal as the squared row norms of the factor of the active rows
+        # off the bound, and steps on the factor of the free rows, so both
+        # come from the factor of a row subset, which must be those rows of
+        # the full factor
         rng = np.random.default_rng(71)
+        eps = np.finfo(float).eps
         checked = silent = 0
         for _ in range(40):
             log = self._tied_log(rng)
@@ -291,21 +302,28 @@ class TestHessian:
             beta = float(rng.uniform(0.3, 3.0))
             for features in build_all_features(log).values():
                 _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
-                jac_sum = features.jac.sum(axis=2)
-                x = _hessian_from_eval(features.jac, jac_sum, beta, f, lam)
-                diagonal = _hessian_diagonal(features.jac, jac_sum, beta, f, lam)
+                core = _hessian_core(beta, f, lam)
+                x = _hessian_factor(features.jac, core)
+                diagonal = np.einsum("ij,ij->i", x, x)
                 np.testing.assert_allclose(diagonal, np.diag(x @ x.T), rtol=1e-12, atol=0)
                 live = features.jac.reshape(n + m, -1).any(axis=1)
                 assert np.all(diagonal[live] > 0) and not diagonal[~live].any()
-                rows = rng.random(n + m) < 0.5
-                np.testing.assert_array_equal(
-                    _hessian_from_eval(features.jac[rows], jac_sum[rows], beta, f, lam), x[rows]
-                )
+                if features.n_events == 0:  # a silent user has no curvature at all
+                    assert x.shape == (n + m, 0) and not live.any()
+                # each entry is a dot product of length M, exact to M ulps of
+                # the same product on absolute values; a one-row subset goes
+                # through BLAS's vector product, whose rounding may differ
+                # from the matrix product's in the last bit
+                magnitude = _hessian_factor(np.abs(features.jac), np.abs(core))
+                half = rng.random(n + m) < 0.5
                 one = np.arange(n + m) == rng.integers(n + m)
-                for rows in (np.zeros(n + m, dtype=bool), one, np.ones(n + m, dtype=bool)):
-                    part = _hessian_diagonal(features.jac[rows], jac_sum[rows], beta, f, lam)
-                    assert part.shape == (rows.sum(),)
-                    np.testing.assert_allclose(part, diagonal[rows], rtol=1e-15, atol=0)
+                for rows in (half, np.zeros(n + m, dtype=bool), one, np.ones(n + m, dtype=bool)):
+                    part = _hessian_factor(features.jac[rows], core)
+                    assert part.shape == (rows.sum(), features.n_events * (m + 1))
+                    assert np.all(np.abs(part - x[rows]) <= 2 * m * eps * magnitude[rows])
+                    np.testing.assert_allclose(
+                        np.einsum("ij,ij->i", part, part), diagonal[rows], rtol=1e-12, atol=0
+                    )
                 checked += 1
                 silent += features.n_events == 0
         assert checked >= 100 and silent >= 5
@@ -327,7 +345,7 @@ class TestHessian:
                 _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
                 free = np.zeros(n + m, dtype=bool)
                 free[rng.choice(n + m, int(rng.integers(cols + 1, n + m + 1)), replace=False)] = True
-                x = _hessian_from_eval(features.jac[free], features.jac.sum(axis=2)[free], beta, f, lam)
+                x = _hessian_factor(features.jac[free], _hessian_core(beta, f, lam))
                 grad = rng.normal(size=free.sum())
                 ridge = 0.3 * np.linalg.norm(grad) / np.linalg.norm(theta)
                 step = _ridge_step(x, grad, ridge)
@@ -341,8 +359,34 @@ class TestHessian:
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
         features = build_all_features(log)[1]
         _, f, lam = _eval_features(features, np.array([0.1, 0.2, 0.3, 0.4]), SoftMaxMark(1.0))
-        x = _hessian_from_eval(features.jac, features.jac.sum(axis=2), 1.0, f, lam)
+        x = _hessian_factor(features.jac, _hessian_core(1.0, f, lam))
         assert not (x @ x.T).any()
+
+
+class TestHessianMatchesRescan:
+    """The factor's Gram X X^T against the event-by-event Hessian of
+    `brute_hessian`, for M = 1..7 and beta across the CLI's default grid,
+    0.01 to 100, on logs with tied times, a user with one event and a
+    silent user (K = 0)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 7), log_beta=st.floats(-2.0, 2.0))
+    def test_gram_matches_rescan(self, seed, m, log_beta):
+        rng = np.random.default_rng(seed)
+        beta = 10.0**log_beta
+        n, k = int(rng.integers(3, 6)), int(rng.integers(1, 20))
+        # zero steps tie events; user n - 2 has exactly one event, user n - 1 none
+        times = np.cumsum(rng.choice([0.0, 0.0, 0.5, 1.0], size=k + 1))
+        users = np.insert(rng.integers(0, n - 2, k), int(rng.integers(k + 1)), n - 2)
+        log = EventLog.from_arrays(times, users, rng.integers(0, m, k + 1), times[-1] + 1.0, n, m)
+        theta = np.concatenate([rng.uniform(0.0, 0.4, n), rng.uniform(0.05, 1.0, m)])
+        for user, features in build_all_features(log).items():
+            _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
+            x = _hessian_factor(features.jac, _hessian_core(beta, f, lam))
+            assert x.shape == (n + m, features.n_events * (m + 1))
+            oracle = brute_hessian(log, user, theta, beta)
+            assert np.abs(x @ x.T - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert features.n_events == 0 and x.shape == (n + m, 0)
 
 
 class TestConvexity:

@@ -1,6 +1,12 @@
 """Command-line entry points: simulate, fit, evaluate, replicate-synthetic.
 
 Exit codes: 0 success, 1 usage or parse error, 2 numerical failure.
+`fit` maps users and `evaluate` overlaps its stages over
+`default_worker_count()` processes (`_workers.run_jobs`): `evaluate` parses
+the train log while the test log and the parameters are read, then, once
+the inputs pass every check of the scorer and the sampler, scores the test
+window while a stream is sampled and compared with it.  Errors rank as in a
+one-worker run, which does the same work in that order.
 `main` returns the code; `run`, the console entry, ends the process with it
 by `os._exit`, skipping interpreter teardown, about 20 ms of freeing
 modules and objects that the process is about to give back anyway.
@@ -17,11 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ._workers import default_worker_count, run_jobs
 from .data import EventLog
-from .fitting import FitConfig, cross_validate_beta, default_worker_count, fit_all
+from .fitting import FitConfig, cross_validate_beta, fit_all
 from .io import FileFormatError, read_event_log, read_params, write_curves_csv, write_event_log, write_params
 from .likelihood import InfeasibleLikelihoodError
-from .metrics import avg_pred_loglik, compare_models
+from .metrics import avg_pred_loglik, check_held_out, compare_models
+from .model import ModelParams
 from .replicate import run_incentivization, run_recovery
 from .simulate import SimConfig, simulate
 
@@ -188,22 +196,34 @@ def _shift_to_window(log: EventLog, t_start: float) -> EventLog:
     )
 
 
+def _sample_and_compare(train: EventLog, test: EventLog, params: ModelParams, seed: int, bins: int) -> list:
+    """Curve scores of one stream sampled after `train` against `test`,
+    both shifted to start at the train horizon."""
+    generated = simulate(params, SimConfig(horizon=test.horizon, seed=seed, initial_history=train))
+    bin_width = (test.horizon - train.horizon) / bins
+    real_w = _shift_to_window(test, train.horizon)
+    gen_w = _shift_to_window(generated, train.horizon)
+    return compare_models(real_w, [("model", gen_w)], bin_width)
+
+
 def _cmd_evaluate(args) -> int:
     if args.bins < 1:
         raise UsageError("--bins must be a positive integer")
-    train = read_event_log(args.train)
-    test = read_event_log(args.test)
-    params = read_params(args.params)
-    score = avg_pred_loglik(train, test, params)
-    generated = simulate(
-        params,
-        SimConfig(horizon=test.horizon, seed=args.seed, initial_history=train),
+    workers = default_worker_count()
+    # two rounds of jobs that run at once on two workers, each listed in
+    # the order one worker runs them, which is the order their errors rank in
+    train, (test, params) = run_jobs(
+        [lambda: read_event_log(args.train), lambda: (read_event_log(args.test), read_params(args.params))],
+        workers,
     )
-    window = test.horizon - train.horizon
-    bin_width = window / args.bins
-    real_w = _shift_to_window(test, train.horizon)
-    gen_w = _shift_to_window(generated, train.horizon)
-    rows = compare_models(real_w, [("model", gen_w)], bin_width)
+    check_held_out(train, test, params)  # so no refused input is scored or sampled
+    score, rows = run_jobs(
+        [
+            lambda: avg_pred_loglik(train, test, params),
+            lambda: _sample_and_compare(train, test, params, args.seed, args.bins),
+        ],
+        workers,
+    )
     with Path(args.out).open("w", newline="") as fh:
         fh.write("metric,product,value\n")
         fh.write(f"avg_pred_loglik,all,{score!r}\n")

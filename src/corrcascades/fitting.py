@@ -3,15 +3,15 @@
 Each user's problem (minimize the per-user NLL over theta >= 0) is convex
 and independent of every other user's, so the full fit is a map over users
 that may run in parallel with bit-identical results to a sequential run.
-The map streams the users: each worker builds one user's features at a
-time from the event log, fits that user and drops them, so no feature
-array is pickled to a worker and no process holds more than one user's
-features.  On POSIX platforms other than macOS the workers are children
-started by `os.fork`: they inherit the log, so nothing is pickled in, send
-their fitted parameters back through a pipe and leave by `os._exit`, so a
-child never runs its parent's exit handlers or flushes the output buffers
-it inherited.  Windows has no fork and macOS's system libraries are not
-safe across one, so there each worker is a `concurrent.futures` process
+The map streams the users: each of W strided shares builds one user's
+features at a time from the event log, fits that user and drops them, so
+no feature array is pickled to a worker and no process holds more than one
+user's features.  On POSIX platforms other than macOS the caller fits
+share 0 itself and forked children fit the others (`_workers.run_jobs`),
+each process pinned to its own CPU: the children inherit the log, so
+nothing is pickled in, and send their fitted parameters back through a
+pipe.  Windows has no fork and macOS's system libraries are not safe
+across one, so there each share goes to a `concurrent.futures` process
 that is sent the log.  A user's parameters are the packed vector
 theta = [alpha_col | mu_row], and its features are the stacked event
 Jacobian that the objective, the gradient and the Hessian all read.  Every
@@ -29,14 +29,14 @@ instead of widening the early free blocks.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from . import _workers
+from ._workers import default_worker_count  # noqa: F401  bench/traced.py imports it from here
 from .data import EventLog
 from .likelihood import (
     BLOCK,
@@ -52,12 +52,6 @@ from .likelihood import (
 from .likelihood import build_all_features  # noqa: F401  bench/traced.py wraps fitting.build_all_features
 from .metrics import held_out_score
 from .model import ModelParams, SoftMaxMark
-
-WORKERS_ENV_VAR = "CORRCASCADES_WORKERS"
-
-# whether `fit_all` forks its workers; the executor path runs only where
-# there is no safe fork
-_FORK_WORKERS = hasattr(os, "fork") and sys.platform != "darwin"
 
 # Bertsekas's epsilon: coordinates within this distance of the bound whose
 # gradient pushes outward take a diagonal step instead of a Newton step
@@ -275,24 +269,6 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
     return theta, entry
 
 
-def default_worker_count() -> int:
-    """`CORRCASCADES_WORKERS` if set, else the cores this process may run on:
-    its CPU affinity mask where the platform has one, so a fit pinned to
-    fewer cores starts no more workers than it can run."""
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if not raw:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be at least 1, got {raw!r}")
-    return count
-
-
 def _fit_users(log: EventLog, users: range, config: FitConfig) -> list[tuple[np.ndarray, UserFitEntry]]:
     """`fit_user` over `users`, each user's features built from the log just
     before its fit and dropped after it.  The compensator slope, the
@@ -307,71 +283,10 @@ def _fit_users(log: EventLog, users: range, config: FitConfig) -> list[tuple[np.
     return [fit_user(_user_features(log, u, slope, work, jac_buffer), u, config) for u in users]
 
 
-def _fork_worker(write_fd: int, log: EventLog, users: range, config: FitConfig):
-    """Body of a forked worker: fit `users`, send the results or the
-    exception pickled through `write_fd`, and leave by `os._exit`, so the
-    child never returns into its parent's code or runs its exit handlers.
-    A worker that cannot send its payload exits with code 1 and sends
-    nothing."""
-    code = 1
-    try:
-        try:
-            payload = (True, _fit_users(log, users, config))
-        except BaseException as exc:  # the parent raises it
-            payload = (False, exc)
-        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _fork_map(log: EventLog, workers: int, config: FitConfig) -> list[list]:
-    """Worker w's `_fit_users` results over users w, w + W, ..., in forked
-    children.  A worker's exception is raised again here with its type and
-    message.  Every child is reaped before this returns or raises; on any
-    failure the ones still running are killed first."""
-    n = log.n_users
-    pids, pipes = [], []  # a pid becomes None once its child is reaped
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(os.fdopen(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _fork_worker(write_fd, log, range(w, n, workers), config)  # does not return
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        chunks = []
-        for w, pipe in enumerate(pipes):
-            data = pipe.read()
-            status = os.waitpid(pids[w], 0)[1]
-            pids[w] = None
-            if not data:
-                code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(f"fit worker {w} ended without a result (exit code {code})")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            chunks.append(value)
-        return chunks
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            if pid is not None:
-                from signal import SIGKILL  # about 1 ms of import, paid only on a failure
-
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def _executor_map(log: EventLog, workers: int, config: FitConfig) -> list[list]:
-    """`_fork_map` through a `concurrent.futures` process pool, which pickles
-    the log to each worker: the path for platforms without a safe fork."""
+    """Worker w's `_fit_users` results over users w, w + W, ..., through a
+    `concurrent.futures` process pool, which pickles the log to each
+    worker: the path for platforms without a safe fork."""
     from concurrent.futures import ProcessPoolExecutor  # about 15 ms of import, paid only here
 
     strides = [range(w, log.n_users, workers) for w in range(workers)]
@@ -382,21 +297,23 @@ def _executor_map(log: EventLog, workers: int, config: FitConfig) -> list[list]:
 def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
     """Fit every user; parallel execution matches sequential bit for bit.
 
-    Features are built per user inside the map and never pickled: each of
-    W = min(n_workers, N) workers fits every W-th user from the log.  The
-    workers are forked children that inherit the log (`_fork_map`), or
-    where fork is unsafe or missing (Windows, macOS) executor processes
-    that are sent it (`_executor_map`).
+    Features are built per user inside the map and never pickled: the W =
+    min(n_workers, N) strided shares fit users w, w + W, ... from the log,
+    share 0 in the caller and the others in forked children that inherit
+    the log (`_workers.run_jobs`), or where fork is unsafe or missing
+    (Windows, macOS) in executor processes that are sent it
+    (`_executor_map`).
     """
     n = log.n_users
-    workers = min(config.n_workers, n)
-    if workers > 1:
-        chunks = (_fork_map if _FORK_WORKERS else _executor_map)(log, workers, config)
-        results = [None] * n
-        for w, chunk in enumerate(chunks):
-            results[w::workers] = chunk
+    shares = min(config.n_workers, n)
+    if shares > 1 and not _workers.FORK_SAFE:
+        chunks = _executor_map(log, shares, config)
     else:
-        results = _fit_users(log, range(n), config)
+        jobs = [partial(_fit_users, log, range(w, n, shares), config) for w in range(shares)]
+        chunks = _workers.run_jobs(jobs, shares)
+    results = [None] * n
+    for w, chunk in enumerate(chunks):
+        results[w::shares] = chunk
     theta = np.array([theta_u for theta_u, _ in results])  # row u: [alpha[:, u] | mu[u]]
     report = FitReport([entry for _, entry in results])
     return ModelParams(theta[:, n:].copy(), theta[:, :n].T.copy(), SoftMaxMark(config.beta)), report

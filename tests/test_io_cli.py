@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from corrcascades import fitting
+from corrcascades import _workers
 from corrcascades.fitting import FitConfig, fit_all
 from corrcascades import io as io_module
 from corrcascades.io import (
@@ -27,7 +29,7 @@ from corrcascades.io import (
     write_event_log,
     write_params,
 )
-from corrcascades.metrics import CurveSeries
+from corrcascades.metrics import CurveSeries, avg_pred_loglik
 from corrcascades.simulate import SimConfig, simulate
 
 from conftest import random_params
@@ -447,6 +449,16 @@ class TestCliFit:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: CORRCASCADES_WORKERS {message}, got {raw!r}\n"
         assert not (tmp_path / "fit.json").exists()
+        # evaluate runs on the same workers, and refuses the same values
+        # before it reads a file
+        code = main(
+            [
+                "evaluate", "--train", str(events), "--test", str(tmp_path / "test.csv"),
+                "--params", str(tmp_path / "p.json"), "--out", str(tmp_path / "metrics.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: CORRCASCADES_WORKERS {message}, got {raw!r}\n"
 
     def test_default_start_is_the_library_default(self, tmp_path, monkeypatch):
         # the CLI fits from FitConfig's own start
@@ -611,6 +623,13 @@ class TestConsoleEntry:
         )
 
 
+def _each_worker_count(monkeypatch):
+    """Set CORRCASCADES_WORKERS to 1, then to 2, for the CLI runs of each pass."""
+    for workers in ("1", "2"):
+        monkeypatch.setenv("CORRCASCADES_WORKERS", workers)
+        yield workers
+
+
 class TestCliEvaluate:
     def _train_test_files(self, tmp_path, params, horizon=30.0, split=20.0, seed=23):
         log = simulate(params, SimConfig(horizon=horizon, seed=seed))
@@ -643,10 +662,12 @@ class TestCliEvaluate:
         assert any(l.startswith("avg_pred_loglik,all,") for l in lines)
         assert any(l.startswith("pearson,all,") for l in lines)
 
-    def test_nonpositive_bins_is_usage_error(self, tmp_path, capsys):
+    def test_nonpositive_bins_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # rejected before any file is read: none of these paths exists; so
         # is a negative seed, which used to fail in numpy after scoring
-        for flag, value in (("--bins", "0"), ("--bins", "-3"), ("--seed", "-1")):
+        for _, (flag, value) in itertools.product(
+            _each_worker_count(monkeypatch), (("--bins", "0"), ("--bins", "-3"), ("--seed", "-1"))
+        ):
             code = main(
                 [
                     "evaluate", "--train", str(tmp_path / "train.csv"),
@@ -665,12 +686,18 @@ class TestCliEvaluate:
         train_path, test_path = self._train_test_files(tmp_path, params)
 
         def no_simulation(*args, **kwargs):
+            (tmp_path / "simulated").touch()  # seen from here when a forked worker calls it
             raise AssertionError("simulate was called")
 
+        def slow_score(*args):
+            time.sleep(0.2)  # time for a sampler started alongside to reach simulate
+            return avg_pred_loglik(*args)
+
         monkeypatch.setattr("corrcascades.cli.simulate", no_simulation)
-        for n, m in ((2, 2), (4, 2), (3, 1), (3, 3)):
+        monkeypatch.setattr("corrcascades.cli.avg_pred_loglik", slow_score)
+        for _, (n, m) in itertools.product(_each_worker_count(monkeypatch), ((2, 2), (4, 2), (3, 1), (3, 3))):
             other_dir = tmp_path / f"{n}x{m}"
-            other_dir.mkdir()
+            other_dir.mkdir(exist_ok=True)
             _, other_path = _write_model(other_dir, n=n, m=m)
             code = main(
                 [
@@ -681,25 +708,27 @@ class TestCliEvaluate:
             assert code == EXIT_USAGE
             assert "products" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
+        assert not (tmp_path / "simulated").exists()
 
-    def test_test_window_before_train_horizon_is_usage_error(self, tmp_path, capsys):
+    def test_test_window_before_train_horizon_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # the test log's first event falls inside the training window
         params, params_path = _write_model(tmp_path, seed=33)
         train_path, _ = self._train_test_files(tmp_path, params)
         (tmp_path / "early").mkdir()
         _, early_path = self._train_test_files(tmp_path / "early", params, split=10.0)
         out = tmp_path / "metrics.csv"
-        code = main(
-            [
-                "evaluate", "--train", str(train_path), "--test", str(early_path),
-                "--params", str(params_path), "--out", str(out),
-            ]
-        )
-        assert code == EXIT_USAGE
-        assert "train horizon" in capsys.readouterr().err
-        assert not out.exists()
+        for _ in _each_worker_count(monkeypatch):
+            code = main(
+                [
+                    "evaluate", "--train", str(train_path), "--test", str(early_path),
+                    "--params", str(params_path), "--out", str(out),
+                ]
+            )
+            assert code == EXIT_USAGE
+            assert "train horizon" in capsys.readouterr().err
+            assert not out.exists()
 
-    def test_zero_model_is_numerical_failure(self, tmp_path):
+    def test_zero_model_is_numerical_failure(self, tmp_path, monkeypatch):
         params, _ = _write_model(tmp_path, seed=31)
         train_path, test_path = self._train_test_files(tmp_path, params)
         zero = ModelParams(
@@ -711,11 +740,47 @@ class TestCliEvaluate:
             "evaluate", "--train", str(train_path), "--test", str(test_path),
             "--params", str(zero_path), "--out", str(tmp_path / "metrics.csv"),
         ]  # fmt: skip
-        assert main(argv) == EXIT_NUMERICAL
-        # and the same code and one stderr line through the console entry
-        proc = _run_cli(*argv)
-        assert (proc.returncode, proc.stdout) == (EXIT_NUMERICAL, "")
-        assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
+        for _ in _each_worker_count(monkeypatch):
+            assert main(argv) == EXIT_NUMERICAL
+            # and the same code and one stderr line through the console entry
+            proc = _run_cli(*argv)
+            assert (proc.returncode, proc.stdout) == (EXIT_NUMERICAL, "")
+            assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_one_and_two_workers_write_the_same_metrics(self, tmp_path, monkeypatch):
+        params, params_path = _write_model(tmp_path, n=5, m=3, seed=43)
+        train_path, test_path = self._train_test_files(tmp_path, params, horizon=60.0, split=40.0)
+        written = []
+        for workers in _each_worker_count(monkeypatch):
+            out = tmp_path / f"metrics{workers}.csv"
+            argv = [
+                "evaluate", "--train", str(train_path), "--test", str(test_path),
+                "--params", str(params_path), "--bins", "12", "--seed", "5", "--out", str(out),
+            ]  # fmt: skip
+            assert main(argv) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"\n") == 2 + 4 * 4  # the score, then 4 rows for each product and all
+
+    def test_malformed_train_and_test_report_the_train_file(self, tmp_path, monkeypatch, capsys):
+        # the test file is read while the train file is parsed, but the
+        # train file's error is the one reported, as a one-worker run does
+        params, params_path = _write_model(tmp_path, seed=47)
+        train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
+        train_path.write_text("time,user,product\n1.0,0,zero\n")
+        test_path.write_text("time,user,product\nnever,0,0\n")
+        reports = []
+        for _ in _each_worker_count(monkeypatch):
+            code = main(
+                [
+                    "evaluate", "--train", str(train_path), "--test", str(test_path),
+                    "--params", str(params_path), "--out", str(tmp_path / "metrics.csv"),
+                ]
+            )
+            reports.append((code, capsys.readouterr().err))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == EXIT_USAGE and str(train_path) in reports[0][1], reports[0]
+        assert not (tmp_path / "metrics.csv").exists()
 
 
 class TestCliReplicate:
@@ -914,7 +979,7 @@ def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
         )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        if workers == "1" or fitting._FORK_WORKERS:
+        if workers == "1" or _workers.FORK_SAFE:
             assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False False", workers
         else:
             assert proc.stdout.splitlines()[-1].startswith("[0, 0, 0, 0] False"), workers

@@ -3,8 +3,9 @@
 `run_jobs` runs a list of zero-argument jobs: job 0 in the caller and every
 later job in a child started by `os.fork`.  A child inherits everything the
 caller holds, so nothing is pickled in; it sends its result or its
-exception back pickled through a pipe and leaves by `os._exit`, so it never
-runs its parent's exit handlers or flushes the output buffers it inherited.
+exception back pickled through a pipe, with the warnings its job issued
+for the caller to issue again, and leaves by `os._exit`, so it never runs
+its parent's exit handlers or flushes the output buffers it inherited.
 While the jobs run, each process is pinned to its own CPU of the caller's
 affinity mask.  On a host whose cpuset does not balance load between its
 CPUs (`cpuset.sched_load_balance = 0`) the kernel never moves a forked child
@@ -19,6 +20,7 @@ from __future__ import annotations
 import os
 import pickle
 import sys
+import warnings
 
 WORKERS_ENV_VAR = "CORRCASCADES_WORKERS"
 
@@ -57,17 +59,22 @@ def _pin(cpus: list[int] | None, i: int) -> bool:
 
 
 def _child(write_fd: int, job, cpus: list[int] | None, i: int):
-    """Body of the child that runs job i: send `(ok, value)` pickled through
-    `write_fd` and leave by `os._exit`.  A child that cannot send its
-    payload exits with code 1 and sends nothing."""
+    """Body of the child that runs job i: send `(ok, value, shown)` pickled
+    through `write_fd` and leave by `os._exit`.  `shown` lists the
+    (message, category, filename, lineno) of each warning the job issued
+    that the filters it inherited let through; a filter that makes one an
+    error fails the job.  A child that cannot send its payload exits with
+    code 1 and sends nothing."""
     code = 1
     try:
         _pin(cpus, i)
-        try:
-            payload = (True, job())
-        except BaseException as exc:  # the caller raises it
-            payload = (False, exc)
-        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                payload = (True, job())
+            except BaseException as exc:  # the caller raises it
+                payload = (False, exc)
+        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        data = pickle.dumps((*payload, shown), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -84,8 +91,12 @@ def run_jobs(jobs: list, workers: int) -> list:
     pinning fails); the caller's mask is restored before this returns or
     raises.  The exception of the lowest-index failed job is raised, with
     its type and message; a child that sends nothing is named with its
-    exit code.  Every child is reaped, and on any failure the ones still
-    running are killed first.  Otherwise the jobs run in order here.
+    exit code.  A child's warnings are issued again here by
+    `warnings.warn_explicit`, job by job after job 0's own and before a
+    job's exception, so the caller's filters and records see each job's
+    warnings in job order.  Every child is reaped, and on any failure the
+    ones still running are killed first.  Otherwise the jobs run in order
+    here.
     """
     if workers < 2 or len(jobs) < 2 or not FORK_SAFE:
         return [job() for job in jobs]
@@ -113,7 +124,9 @@ def run_jobs(jobs: list, workers: int) -> list:
             if not data:
                 code = os.waitstatus_to_exitcode(status)
                 raise RuntimeError(f"worker {i + 1} ended without a result (exit code {code})")
-            ok, value = pickle.loads(data)
+            ok, value, shown = pickle.loads(data)
+            for message, category, filename, lineno in shown:
+                warnings.warn_explicit(message, category, filename, lineno)
             if not ok:
                 raise value
             results.append(value)

@@ -189,10 +189,9 @@ def _cmd_fit(args) -> int:
 
 
 def _shift_to_window(log: EventLog, t_start: float) -> EventLog:
-    mask = log.times >= t_start
+    """`log`, whose events are all at or after t_start, moved to start at 0."""
     return EventLog.from_arrays(
-        log.times[mask] - t_start, log.users[mask], log.products[mask],
-        log.horizon - t_start, log.n_users, log.n_products,
+        log.times - t_start, log.users, log.products, log.horizon - t_start, log.n_users, log.n_products
     )
 
 

@@ -6,13 +6,12 @@ that may run in parallel with bit-identical results to a sequential run.
 The map streams the users: each of W strided shares builds one user's
 features at a time from the event log, fits that user and drops them, so
 no feature array is pickled to a worker and no process holds more than one
-user's features.  On POSIX platforms other than macOS the caller fits
-share 0 itself and forked children fit the others (`_workers.run_jobs`),
-each process pinned to its own CPU: the children inherit the log, so
-nothing is pickled in, and send their fitted parameters back through a
-pipe.  Windows has no fork and macOS's system libraries are not safe
-across one, so there each share goes to a `concurrent.futures` process
-that is sent the log.  A user's parameters are the packed vector
+user's features.  The shares go to `_workers.run_jobs`: the caller fits
+share 0 itself and forked children fit the others at once, each process
+pinned to its own CPU.  The children inherit the log, so nothing is pickled
+in, and send their fitted parameters back through a pipe.  Where fork is
+unsafe or missing (Windows, macOS) `run_jobs` fits the shares one after
+another in the caller.  A user's parameters are the packed vector
 theta = [alpha_col | mu_row], and its features are the stacked event
 Jacobian that the objective, the gradient and the Hessian all read.  Every
 iteration steps with the exact Hessian (Bertsekas 1982, "Projected Newton
@@ -283,36 +282,19 @@ def _fit_users(log: EventLog, users: range, config: FitConfig) -> list[tuple[np.
     return [fit_user(_user_features(log, u, slope, work, jac_buffer), u, config) for u in users]
 
 
-def _executor_map(log: EventLog, workers: int, config: FitConfig) -> list[list]:
-    """Worker w's `_fit_users` results over users w, w + W, ..., through a
-    `concurrent.futures` process pool, which pickles the log to each
-    worker: the path for platforms without a safe fork."""
-    from concurrent.futures import ProcessPoolExecutor  # about 15 ms of import, paid only here
-
-    strides = [range(w, log.n_users, workers) for w in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_fit_users, [log] * workers, strides, [config] * workers))
-
-
 def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
     """Fit every user; parallel execution matches sequential bit for bit.
 
     Features are built per user inside the map and never pickled: the W =
     min(n_workers, N) strided shares fit users w, w + W, ... from the log,
-    share 0 in the caller and the others in forked children that inherit
-    the log (`_workers.run_jobs`), or where fork is unsafe or missing
-    (Windows, macOS) in executor processes that are sent it
-    (`_executor_map`).
+    each through `_workers.run_jobs`, and their results are interleaved
+    back into user order.
     """
     n = log.n_users
     shares = min(config.n_workers, n)
-    if shares > 1 and not _workers.FORK_SAFE:
-        chunks = _executor_map(log, shares, config)
-    else:
-        jobs = [partial(_fit_users, log, range(w, n, shares), config) for w in range(shares)]
-        chunks = _workers.run_jobs(jobs, shares)
+    jobs = [partial(_fit_users, log, range(w, n, shares), config) for w in range(shares)]
     results = [None] * n
-    for w, chunk in enumerate(chunks):
+    for w, chunk in enumerate(_workers.run_jobs(jobs, shares)):
         results[w::shares] = chunk
     theta = np.array([theta_u for theta_u, _ in results])  # row u: [alpha[:, u] | mu[u]]
     report = FitReport([entry for _, entry in results])

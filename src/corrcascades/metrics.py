@@ -197,10 +197,13 @@ def binned_intensity(log: EventLog, bin_width: float, by_product: bool = False):
         per_product.append(
             CurveSeries(grid=centers, values=counts / widths, label=f"product_{p}")
         )
-    if by_product:
-        return per_product
+    return per_product if by_product else _pooled(per_product)
+
+
+def _pooled(per_product: list) -> CurveSeries:
+    """The sum of the per-product series of `binned_intensity`."""
     total = np.sum([s.values for s in per_product], axis=0)
-    return CurveSeries(grid=centers, values=total, label="all_products")
+    return CurveSeries(grid=per_product[0].grid, values=total, label="all_products")
 
 
 def rescaled_interevent_times(log: EventLog, params: ModelParams) -> np.ndarray:
@@ -231,7 +234,7 @@ def compare_models(
 ) -> list[CurveScoreRow]:
     """Score each generated stream against the real one, per product and pooled."""
     real_per_product = binned_intensity(real_test, bin_width, by_product=True)
-    real_pooled = binned_intensity(real_test, bin_width)
+    real_pooled = _pooled(real_per_product)
     rows = []
     for label, gen in generated:
         if (
@@ -241,7 +244,7 @@ def compare_models(
         ):
             raise ValueError(f"generated log '{label}' does not match the real log's frame")
         gen_per_product = binned_intensity(gen, bin_width, by_product=True)
-        gen_pooled = binned_intensity(gen, bin_width)
+        gen_pooled = _pooled(gen_per_product)
         for p in range(real_test.n_products):
             rows.append(
                 CurveScoreRow(

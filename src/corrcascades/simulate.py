@@ -234,19 +234,17 @@ def _products(mark, mu, alpha, b, start, times, users, cause, v) -> np.ndarray:
 
 
 def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.ndarray, float]:
-    """Decayed counts B at the end of `history`, and that time (0 without one).
+    """Decayed counts B at the horizon T of `history`, and T (0 without one).
 
-    B[j, q] = sum over history events (t_i, j, q) of exp(-(t_last - t_i)),
-    from `model.decayed_counts`.  Raises ValueError unless
-    the history has the parameters' users and products.
+    B[j, q] = sum over history events (t_i, j, q) of exp(-(T - t_i)), from
+    `model.decayed_counts`.  The history shows (t_last, T] to be empty, so
+    sampling starts at T.  Raises ValueError unless the history has the
+    parameters' users and products.
     """
-    n, m = params.n_users, params.n_products
-    if history is not None:
-        check_dimensions(history, params)
-    if history is None or len(history) == 0:
-        return np.zeros((n, m)), 0.0
-    t_last = float(history.times[-1])
-    return decayed_counts(history, t_last, 0, len(history)), t_last
+    if history is None:
+        return np.zeros((params.n_users, params.n_products)), 0.0
+    check_dimensions(history, params)
+    return decayed_counts(history, history.horizon, 0, len(history)), history.horizon
 
 
 def _sample(params: ModelParams, b, start, horizon, rng, cap: int) -> tuple[EventLog, bool]:
@@ -274,11 +272,10 @@ def simulate(params: ModelParams, config: SimConfig) -> EventLog:
     """Sample the process on [0, horizon]; returns only newly generated events.
 
     With `initial_history` set, its events are absorbed at their recorded
-    times first and generation starts from the later of 0 and the last
-    history time.  The history must have the parameters' users and
-    products (ValueError otherwise).  When the process has more than
-    `max_events` events, the earliest `max_events` are kept, with a
-    RuntimeWarning.
+    times first and generation starts at the history's horizon.  The
+    history must have the parameters' users and products (ValueError
+    otherwise).  When the process has more than `max_events` events, the
+    earliest `max_events` are kept, with a RuntimeWarning.
     """
     _check_subcritical(params)
     b, start = _initial_state(params, config.initial_history)
@@ -299,8 +296,8 @@ def run_scenario(before: ModelParams, after: ModelParams, switch_time: float, co
     exactly what `simulate(before, ...)` draws with `horizon=switch_time`
     and the same seed.  The second covers (s, horizon] under `after`,
     starting from the decayed counts of the history and the first pass at
-    s, with what is left of the event cap.  A history that ends after
-    `switch_time` leaves the whole window to the second pass.  As in
+    s, with what is left of the event cap.  A history whose horizon is
+    after `switch_time` leaves the whole window to the second pass.  As in
     `simulate`, a binding event cap keeps the earliest `max_events` events,
     with a RuntimeWarning.
     """
@@ -321,7 +318,7 @@ def run_scenario(before: ModelParams, after: ModelParams, switch_time: float, co
     pre, pre_exhausted = _sample(before, b, start, switch, rng, config.max_events)
     b = b * math.exp(-(switch - start)) + decayed_counts(pre, switch, 0, len(pre))
     post, post_exhausted = _sample(after, b, switch, config.horizon, rng, config.max_events - len(pre))
-    # a history that ends after the horizon puts s, and the first log's horizon, beyond it
+    # a history horizon beyond `config.horizon` puts s, and the first log's horizon, beyond it
     log = concat_logs(pre, post).with_horizon(config.horizon)
     _warn_if_capped(pre_exhausted or post_exhausted, log, config.max_events)
     return log

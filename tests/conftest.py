@@ -153,7 +153,7 @@ def brute_simulate(segments, seed, history=None, max_events=10**9):
     """Ogata thinning over consecutive (end_time, params) segments, rescanning
     the raw event history at every proposal.
 
-    Generation starts at the last history time (0 without history).  The
+    Generation starts at the history's horizon (0 without history).  The
     bound is the total intensity just after the current time, events at it
     included; the accept test, user draw and mark draw use `brute_intensity`
     and `brute_mark_density`.  The rng is drawn per proposal (exponential,
@@ -167,7 +167,7 @@ def brute_simulate(segments, seed, history=None, max_events=10**9):
     n, m = first.n_users, first.n_products
     past = list(zip(history.times, history.users, history.products)) if history is not None else []
     frame = max(segments[-1][0], history.horizon if history is not None else 0.0)
-    s = float(past[-1][0]) if past else 0.0
+    s = history.horizon if history is not None else 0.0
     rng = np.random.default_rng(seed)
     events, n_carried, pending = [], 0, None
 

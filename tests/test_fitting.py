@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import os
+import sys
 import time
 import tracemalloc
 
@@ -323,9 +324,9 @@ class TestFitAll:
 
     def test_parallel_equals_sequential(self, monkeypatch):
         # worker counts that do not divide N, a user with no events, and
-        # more workers than users: every strided task lands in user order,
-        # through forked workers and through the executor that platforms
-        # without a safe fork use, and no worker outlives the fit
+        # more workers than users: every strided share lands in user order,
+        # through forked workers and through the shares run one after
+        # another where fork is unsafe, and no worker outlives the fit
         rng = np.random.default_rng(17)
         base = random_log(rng, n_users=5, n_products=2, max_events=40)
         users = np.where(base.users == 2, 0, base.users)  # user 2 stays silent
@@ -343,7 +344,22 @@ class TestFitAll:
                     (e.user, e.nll) for e in seq_report.entries
                 ]
 
-    @pytest.mark.skipif(not _workers.FORK_SAFE, reason="the executor path runs here")
+    def test_shares_run_in_the_caller_where_fork_is_unsafe(self, monkeypatch):
+        # no fork and no process pool: the three shares run one after another
+        def no_fork():
+            raise AssertionError("forked")
+
+        log = random_log(np.random.default_rng(31), n_users=5, n_products=2, max_events=40)
+        seq, seq_report = fit_all(log, FitConfig(beta=1.0, n_workers=1))
+        monkeypatch.setattr(_workers, "FORK_SAFE", False)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        monkeypatch.setitem(sys.modules, "concurrent.futures", None)  # importing it raises
+        par, par_report = fit_all(log, FitConfig(beta=1.0, n_workers=3))
+        np.testing.assert_array_equal(seq.mu, par.mu)
+        np.testing.assert_array_equal(seq.alpha, par.alpha)
+        assert [(e.user, e.nll) for e in par_report.entries] == [(e.user, e.nll) for e in seq_report.entries]
+
+    @pytest.mark.skipif(not _workers.FORK_SAFE, reason="the shares run in the caller here")
     def test_worker_without_result_is_named_and_reaped(self, monkeypatch):
         # share 1 dies without sending a result while share 2 is still
         # busy: once the caller has fitted share 0 itself, the fit names

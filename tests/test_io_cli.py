@@ -17,7 +17,6 @@ import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from corrcascades import _workers
 from corrcascades.fitting import FitConfig, fit_all
 from corrcascades import io as io_module
 from corrcascades.io import (
@@ -747,6 +746,20 @@ class TestCliEvaluate:
             assert (proc.returncode, proc.stdout) == (EXIT_NUMERICAL, "")
             assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
 
+    def test_supercritical_model_warns_once(self, tmp_path, monkeypatch):
+        # the sampler's warning reaches stderr once, also from a forked worker
+        params, _ = _write_model(tmp_path, seed=53)
+        train_path, test_path = self._train_test_files(tmp_path, params)
+        params_path = tmp_path / "supercritical.json"
+        write_params(ModelParams(params.mu, np.full_like(params.alpha, 0.5), params.mark), params_path)
+        for _ in _each_worker_count(monkeypatch):
+            proc = _run_cli(
+                "evaluate", "--train", str(train_path), "--test", str(test_path),
+                "--params", str(params_path), "--out", str(tmp_path / "metrics.csv"),
+            )  # fmt: skip
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert proc.stderr.count("SubcriticalityWarning") == 1, proc.stderr
+
     def test_one_and_two_workers_write_the_same_metrics(self, tmp_path, monkeypatch):
         params, params_path = _write_model(tmp_path, n=5, m=3, seed=43)
         train_path, test_path = self._train_test_files(tmp_path, params, horizon=60.0, split=40.0)
@@ -938,9 +951,8 @@ def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
     # numpy.ma costs about 13 ms and 1.35 MB to import, and np.unique pulls it
     # in; simulate and the incentivization run (a linear-mark pass, then a
     # soft-max one) share the scorer's blocks (`_block_starts`) through the
-    # soft-max draw.  The process pool costs about 15 ms to import: a
-    # one-worker fit must not load it, and where the workers are forked
-    # neither must a two-worker fit, nor multiprocessing
+    # soft-max draw.  A process pool costs about 15 ms to import: no fit
+    # loads it, nor multiprocessing, whatever its worker count
     params, params_path = _write_model(tmp_path, seed=41)
     log = simulate(params, SimConfig(horizon=30.0, seed=43))
     train = log.before(20.0).with_horizon(20.0)
@@ -979,10 +991,7 @@ def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
         )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        if workers == "1" or _workers.FORK_SAFE:
-            assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False False", workers
-        else:
-            assert proc.stdout.splitlines()[-1].startswith("[0, 0, 0, 0] False"), workers
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False False", workers
 
 
 def test_cli_imports_without_scipy():

@@ -134,6 +134,15 @@ class TestSimulate:
         ]
         assert np.mean(with_seed) > np.mean(without) + 0.5
 
+    def test_sampling_starts_at_the_history_horizon(self):
+        # the history shows (1, 50] to be empty: nothing is drawn there
+        params = ModelParams(np.full((2, 2), 0.2), np.full((2, 2), 0.25), SoftMaxMark(1.0))
+        history = EventLog([(1.0, 0, 0)], 50.0, 2, 2)
+        for seed in range(3):
+            config = SimConfig(horizon=60.0, seed=seed, initial_history=history)
+            for log in (simulate(params, config), run_scenario(params, params, 55.0, config)):
+                assert len(log) > 0 and log.times[0] > 50.0
+
     def test_history_not_included_in_output(self):
         history = EventLog([(0.0, 0, 0)], 0.0, 1, 1)
         params = poisson_model(rate=0.5)
@@ -329,7 +338,7 @@ def oracle_case(rng, with_history):
     m = history.n_products if with_history else int(rng.integers(1, 4))
     beta = float(rng.choice([0.5, 2.0, 8.0])) if rng.uniform() < 0.7 else None
     params = random_params(rng, n, m, beta=beta, mu_high=0.5, alpha_high=0.25)
-    start = float(history.times[-1]) if with_history and len(history) else 0.0
+    start = history.horizon if with_history else 0.0
     return params, history, start
 
 
@@ -554,12 +563,13 @@ class TestThinningOracle:
         assert families == {SoftMaxMark, LinearMark}
 
     def test_history_children_match_rescan(self):
-        # a quiet baseline and a window of one time unit after the history,
-        # so most events descend from the absorbed history
+        # a quiet baseline and a window of one time unit after a history
+        # whose horizon is its last event, so most events descend from the
+        # absorbed history
         rng = np.random.default_rng(149)
         for _ in range(2):
             params, history, start = oracle_case(rng, with_history=True)
-            while len(history) < 5:
+            while len(history) < 5 or start > history.times[-1]:
                 params, history, start = oracle_case(rng, with_history=True)
             for mark in (SoftMaxMark(8.0), LinearMark()):
                 quiet = ModelParams(0.05 * params.mu, params.alpha, mark)
@@ -571,14 +581,14 @@ class TestThinningOracle:
                 assert events > 0.25
 
     def test_initial_state_matches_rescan(self):
-        # the history decayed to its last event, that event and its ties included
+        # the history decayed to its horizon, events at the horizon included
         rng = np.random.default_rng(109)
         zeroed = 0
         for _ in range(200):
             log = tied_log(rng)
             params = random_params(rng, log.n_users, log.n_products)
             b, start = _initial_state(params, log)
-            assert start == (log.times[-1] if len(log) else 0.0)
+            assert start == log.horizon
             np.testing.assert_allclose(b, brute_counts(log, start, inclusive=True), rtol=1e-12, atol=0.0)
             zeroed += int(np.any((log.times < start - 700.0)))
         assert zeroed >= 20
@@ -689,7 +699,7 @@ class TestSamplerEdges:
         params = random_params(
             rng, history.n_users, history.n_products, beta=beta, mu_high=0.1, alpha_high=0.2
         )
-        start = float(history.times[-1]) if len(history) else 0.0
+        start = history.horizon
         horizon = start + float(rng.uniform(1000.0, 1500.0))
         config = SimConfig(horizon=horizon, seed=seed, initial_history=history)
         after = boosted(params, 0, 2.0, SoftMaxMark(2.0))

@@ -1,5 +1,6 @@
 import os
 import time
+import warnings
 
 import pytest
 
@@ -74,6 +75,41 @@ class TestRunJobs:
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
         assert run_jobs([lambda: 1, lambda: 2], 2) == [1, 2]
+
+
+def _warn(text, exc=None):
+    def job():
+        warnings.warn(text, UserWarning)
+        if exc is not None:
+            raise exc
+        return text
+
+    return job
+
+
+def test_warnings_reach_the_caller_in_job_order():
+    # each job's warnings, a failed job's included, in the order one
+    # process running the jobs one after another issues them
+    def recorded(workers):
+        jobs = [_warn("job 0"), _warn("job 1"), _warn("job 2", ValueError("job 2 failed"))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_jobs(jobs[:2], workers) == ["job 0", "job 1"]
+            with pytest.raises(ValueError, match="job 2 failed"):
+                run_jobs(jobs, workers)
+        return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    one = recorded(1)
+    assert [text for text, *_ in one] == ["job 0", "job 1", "job 0", "job 1", "job 2"]
+    assert recorded(2) == one
+
+
+@forked
+def test_warning_made_an_error_fails_its_child_job():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="job 1"):
+            run_jobs([lambda: 0, _warn("job 1")], 2)
 
 
 @placed

@@ -82,6 +82,19 @@ def _child(write_fd: int, job, cpus: list[int] | None, i: int):
         os._exit(code)
 
 
+def _warn_again(message, category, filename, lineno):
+    """Issue a child's warning here as `warnings.warn` would have: under the
+    name, and into the `__warningregistry__`, of the module loaded from
+    `filename` (the defaults of `warn_explicit` where none was), so a
+    warning already shown from that line is not shown again."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__file__", None) == filename:
+            registry = vars(module).setdefault("__warningregistry__", {})
+            warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
+            return
+    warnings.warn_explicit(message, category, filename, lineno)
+
+
 def run_jobs(jobs: list, workers: int) -> list:
     """The results of the zero-argument `jobs`, in job order.
 
@@ -91,12 +104,12 @@ def run_jobs(jobs: list, workers: int) -> list:
     pinning fails); the caller's mask is restored before this returns or
     raises.  The exception of the lowest-index failed job is raised, with
     its type and message; a child that sends nothing is named with its
-    exit code.  A child's warnings are issued again here by
-    `warnings.warn_explicit`, job by job after job 0's own and before a
-    job's exception, so the caller's filters and records see each job's
-    warnings in job order.  Every child is reaped, and on any failure the
-    ones still running are killed first.  Otherwise the jobs run in order
-    here.
+    exit code.  A child's warnings are issued again here (`_warn_again`),
+    job by job after job 0's own and before a job's exception, so the
+    caller's filters, records and warning registries see each job's
+    warnings in job order, as if the jobs had run here.  Every child is
+    reaped, and on any failure the ones still running are killed first.
+    Otherwise the jobs run in order here.
     """
     if workers < 2 or len(jobs) < 2 or not FORK_SAFE:
         return [job() for job in jobs]
@@ -126,7 +139,7 @@ def run_jobs(jobs: list, workers: int) -> list:
                 raise RuntimeError(f"worker {i + 1} ended without a result (exit code {code})")
             ok, value, shown = pickle.loads(data)
             for message, category, filename, lineno in shown:
-                warnings.warn_explicit(message, category, filename, lineno)
+                _warn_again(message, category, filename, lineno)
             if not ok:
                 raise value
             results.append(value)

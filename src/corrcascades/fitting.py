@@ -14,15 +14,13 @@ unsafe or missing (Windows, macOS) `run_jobs` fits the shares one after
 another in the caller.  A user's parameters are the packed vector
 theta = [alpha_col | mu_row], and its features are the stacked event
 Jacobian that the objective, the gradient and the Hessian all read.  Every
-iteration steps with the exact Hessian (Bertsekas 1982, "Projected Newton
-methods for optimization problems with simple constraints"), of which it
-forms only what its step reads, all from one set of per-event factors: the
-diagonal of the active coordinates that are off the bound, as the squared
-norms of their rows of the Hessian factor, and the factor of the free rows,
-solved in whichever of coordinate space and event space is smaller.
-Influence starts at the edge of the active band, so a source whose
-gradient points to the bound can be pinned from the first iteration
-instead of widening the early free blocks.
+iteration sends the coordinates at the bound to 0 and steps the others
+with the exact Hessian (Bertsekas 1982, "Projected Newton methods for
+optimization problems with simple constraints"), of which it forms only
+the factor of the free rows, from one set of per-event factors, solved in
+whichever of coordinate space and event space is smaller.  Influence
+starts at 0, so a source whose gradient points to the bound stays pinned
+from the first iteration instead of widening the early free blocks.
 """
 
 from __future__ import annotations
@@ -52,11 +50,6 @@ from .likelihood import build_all_features  # noqa: F401  bench/traced.py wraps 
 from .metrics import held_out_score
 from .model import ModelParams, SoftMaxMark
 
-# Bertsekas's epsilon: coordinates within this distance of the bound whose
-# gradient pushes outward take a diagonal step instead of a Newton step
-_ACTIVE_EPS = 1e-3
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Projected-Newton solver controls.
@@ -64,9 +57,7 @@ class FitConfig:
     `beta` is the soft-max mark sharpness, `inner_max_iter` caps each
     user's Newton steps (0 returns the start), and `n_workers` sets the
     processes `fit_all` maps users over.  Influence coordinates start at
-    `_ACTIVE_EPS`, the edge of the epsilon-active band, so a source whose
-    gradient points to the bound can be pinned from the first iteration;
-    baselines start at the user's per-product event rate.
+    0 and baselines at the user's per-product event rate.
     """
 
     beta: float = 1.0
@@ -135,94 +126,85 @@ def _ridge_step(x, grad, ridge):
     return -np.linalg.solve(hess, grad)
 
 
-def _projected_newton(features, theta, live, config):
-    """Projected Newton (Bertsekas 1982) on theta >= 0 over the `live` coordinates.
+def _projected_newton(features, theta, config):
+    """Projected Newton (Bertsekas 1982) on theta >= 0, with one step rule.
 
-    Each iteration splits the live coordinates into Bertsekas's
-    epsilon-active set (within epsilon of the bound, gradient pushing
-    outward), which takes a gradient step scaled by the Hessian diagonal,
-    and the free set F, which takes a Newton step.  Both read one set of
-    per-event factors L_i, formed once per iteration (`_hessian_core`):
-    the rows of the Hessian factor X for any coordinates are one batched
-    product of their Jacobian rows with L (`_hessian_factor`).  The
-    diagonal is the squared row norms of X, formed only for the active
-    coordinates above 0: the projection sends an active coordinate at 0
-    back to 0 whatever its step, so it takes none, and neither the
-    candidate nor Armijo's predicted decrease changes.  F steps on the
-    exact Hessian block X_F X_F^T, with X_F built for the free rows.  With
-    fewer events than dimensions that block is singular and the NLL is
-    linear along its null space.  A ridge proportional to the gradient norm
-    (Li, Fukushima, Qi and Yamashita 2004), divided by |theta| to carry
-    Hessian units, keeps such steps near the size of theta and vanishes at
-    the optimum, where Newton's fast local convergence returns.  When |F|
-    exceeds the K(M+1) columns of X_F the ridge step is solved in event
-    space by Woodbury (`_ridge_step`), so no |F| x |F| array is formed.  The
-    step backtracks along the projection arc max(theta + s * d, 0) under
-    Bertsekas's Armijo rule, so the objective never rises.  The free,
-    active and moving sets are index arrays formed once per iteration,
-    and the per-user constants the objective and gradient read come with
-    the features (`EventFeatures`).
+    A coordinate is at the bound when its gradient points outward and
+    setting it to 0 changes the NLL by less than the NLL's resolution,
+    grad * theta <= 8 ulp(NLL), the resolution of the stop test below; it
+    steps to 0.  A coordinate that no event sees has gradient equal to its
+    compensator slope, which is >= 0, so at 0 it is at the bound or takes
+    no step.  Every other coordinate is in the free set F and takes a
+    Newton step on the exact Hessian block X_F X_F^T, whose factor is one
+    batched product of the free rows of the event Jacobian with the
+    per-event factors L_i (`_hessian_core`, `_hessian_factor`), formed once
+    per iteration.  With fewer events than dimensions that block is
+    singular and the NLL is linear along its null space.  A ridge
+    proportional to the gradient norm (Li, Fukushima, Qi and Yamashita
+    2004), divided by |theta| to carry Hessian units, keeps such steps near
+    the size of theta and vanishes at the optimum, where Newton's fast
+    local convergence returns.  When |F| exceeds the K(M+1) columns of X_F
+    the ridge step is solved in event space by Woodbury (`_ridge_step`), so
+    no |F| x |F| array is formed.  The step backtracks along the projection
+    arc max(theta + s * d, 0) under Armijo's rule on the slope grad . d, so
+    the objective never rises.  When no trial step decreases the NLL, the
+    coordinates that the full step clipped against an outward gradient
+    join the bound and the iteration is solved once more.
 
-    Stops when the projected gradient norm reaches `_GRAD_TOL`, when
-    the predicted decrease falls below the objective's floating-point
-    resolution, when the line search finds no decrease, or after
-    `inner_max_iter` steps.  Returns (theta, nll, grad, iterations,
-    evaluations): the NLL at theta and its gradient there, zero on the
-    coordinates that are not live; iterations counts gradient
-    evaluations, the final check included.
+    Stops when the projected gradient norm reaches `_GRAD_TOL`, when the
+    predicted decrease -grad . d falls below the NLL's resolution, when the
+    line search finds no decrease and the retry adds no coordinate to the
+    bound or fails too, or after `inner_max_iter` steps.  Returns (theta,
+    nll, grad, iterations, evaluations): the NLL at theta and its gradient
+    there; iterations counts gradient evaluations, the final check
+    included.
     """
     beta, mark = config.beta, SoftMaxMark(config.beta)
-    jac = features.jac
-    dead = (~live).nonzero()[0]
     value, f, lam = _eval_features(features, theta, mark)
     iterations, evals = 0, 1
     while True:
         iterations += 1
         grad = _gradient_from_eval(features, beta, f, lam)
-        if dead.size:
-            grad[dead] = 0.0
         residual = theta - np.maximum(theta - grad, 0.0)
-        gap = math.sqrt(residual @ residual)
-        if gap <= _GRAD_TOL or iterations > config.inner_max_iter:
+        if math.sqrt(residual @ residual) <= _GRAD_TOL or iterations > config.inner_max_iter:
             break
-        in_band = live & (theta <= min(_ACTIVE_EPS, gap)) & (grad > 0)
-        active, free = in_band.nonzero()[0], (live & ~in_band).nonzero()[0]
-        direction = np.zeros(theta.size)
+        resolution = 8.0 * math.ulp(value)
+        at_bound = (grad > 0) & (grad * theta <= resolution)
         core = _hessian_core(beta, f, lam)
-        # an active coordinate at 0 stays there whatever its diagonal step
-        moving = active[theta[active] > 0]
-        if moving.size:
-            x_moving = _hessian_factor(jac[moving], core)
-            direction[moving] = -grad[moving] / np.einsum("ij,ij->i", x_moving, x_moving)
-        g_free = grad[free]
-        if g_free.any():  # a zero free gradient takes no step, and a zero ridge no Woodbury
-            ridge = _RIDGE * math.sqrt(g_free @ g_free) / math.sqrt(theta @ theta)
-            direction[free] = _ridge_step(_hessian_factor(jac[free], core), g_free, ridge)
-        slope = float(g_free @ direction[free])
-        g_active, theta_active = grad[active], theta[active]
-
-        def predicted(cand, step):
-            # Armijo's reference decrease: linear on the free set, the
-            # actual move on the active set
-            return step * slope + float(g_active @ (cand[active] - theta_active))
-
-        cand = np.maximum(theta + direction, 0.0)
-        if -predicted(cand, 1.0) <= 8.0 * math.ulp(value):
-            break
-        step = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            evals += 1
-            try:
-                cand_value, cand_f, cand_lam = _eval_features(features, cand, mark)
-            except InfeasibleLikelihoodError:  # a nonpositive intensity: +inf
-                cand_value = np.inf
-            if cand_value < value + _LS_DECREASE * predicted(cand, step):
+        accepted = None
+        for _retry in range(2):
+            free = (~at_bound).nonzero()[0]
+            direction = np.where(at_bound, -theta, 0.0)
+            g_free = grad[free]
+            if g_free.any():  # a zero free gradient takes no step, and a zero ridge no Woodbury
+                ridge = _RIDGE * math.sqrt(g_free @ g_free) / math.sqrt(theta @ theta)
+                direction[free] = _ridge_step(_hessian_factor(features.jac[free], core), g_free, ridge)
+            slope = float(grad @ direction)
+            if -slope <= resolution:
                 break
-            step *= _LS_SHRINK
-            cand = np.maximum(theta + step * direction, 0.0)
-        else:
+            step = 1.0
+            for _ in range(_MAX_BACKTRACKS):
+                cand = np.maximum(theta + step * direction, 0.0)
+                evals += 1
+                try:
+                    cand_value, cand_f, cand_lam = _eval_features(features, cand, mark)
+                except InfeasibleLikelihoodError:  # a nonpositive intensity: +inf
+                    cand_value = np.inf
+                if cand_value < value + _LS_DECREASE * step * slope:
+                    accepted = cand, cand_value, cand_f, cand_lam
+                    break
+                step *= _LS_SHRINK
+            if accepted is not None:
+                break
+            # retry with the coordinates the full step clipped against an
+            # outward gradient at the bound
+            clipped = (theta + direction < 0) & (grad > 0)
+            if not clipped.any():
+                break
+            at_bound |= clipped
+        if accepted is None:
             break
-        theta, value, f, lam = cand, cand_value, cand_f, cand_lam
+        theta, value, f, lam = accepted
     return theta, value, grad, iterations, evals
 
 
@@ -239,19 +221,13 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
         raise ValueError("a log with events at horizon 0 has no maximum-likelihood estimate")
     start = time.perf_counter()
     n, m = features.n_users, features.n_products
-    # a coordinate whose Jacobian row is 0 at every event (a source that
-    # fired before none of this user's events, or a baseline of a user with
-    # no events) enters the NLL only through the compensator, linearly with
-    # a nonnegative slope, so its minimizer is exactly 0
-    live = features.flat.any(axis=1)
-    theta = np.where(live, _ACTIVE_EPS, 0.0)
+    # influence starts at 0 and baselines at the per-product event rate
+    theta = np.zeros(n + m)
     if features.horizon > 0:
-        # baselines start at the per-product event rate
         theta[n:] = np.bincount(features.products, minlength=m) / features.horizon
-    theta, nll, grad, iterations, evals = _projected_newton(features, theta, live, config)
+    theta, nll, grad, iterations, evals = _projected_newton(features, theta, config)
     # KKT certificate: at coordinates pinned to the constraint floor only an
-    # outward (negative) NLL gradient counts as unfinished business; the
-    # solver zeroes the gradient of dead coordinates, pinned at 0 anyway
+    # outward (negative) NLL gradient counts as unfinished business
     pinned = theta <= 1e-6
     grad[pinned] = np.minimum(grad[pinned], 0.0)
     proj_norm = math.sqrt(grad @ grad)

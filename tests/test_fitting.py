@@ -22,6 +22,8 @@ from corrcascades import _workers, fitting
 from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_user
 from corrcascades.metrics import avg_pred_loglik, held_out_score
 from corrcascades.model import ModelParams, SoftMaxMark
+from corrcascades.replicate import expected_event_rate, make_recovery_model
+from corrcascades.simulate import SimConfig, simulate
 
 from conftest import brute_simulate, brute_total_nll, random_log, random_params, tied_log
 
@@ -53,15 +55,16 @@ def lbfgsb_nll(features, beta):
 
 @contextlib.contextmanager
 def _start_influence_at(value):
-    """Start the fit's live influence coordinates at `value` instead of the
-    edge of the active band; baselines keep their per-product rates."""
+    """Start the fit's influence coordinates at `value` instead of 0, those
+    that no event's Jacobian row sees excepted; baselines keep their
+    per-product rates."""
     newton = fitting._projected_newton
 
-    def start_elsewhere(features, theta, live, config):
+    def start_elsewhere(features, theta, config):
         n = features.n_users
         theta = theta.copy()
-        theta[:n] = np.where(live[:n], value, 0.0)
-        return newton(features, theta, live, config)
+        theta[:n] = np.where(features.flat[:n].any(axis=1), value, 0.0)
+        return newton(features, theta, config)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "_projected_newton", start_elsewhere)
@@ -187,17 +190,16 @@ class TestFitUser:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), beta=st.sampled_from([0.3, 1.0, 5.0]))
-    def test_property_start_at_active_band_reaches_same_optimum(self, seed, beta):
-        # the default start sits on the edge of the active band, where a
-        # source can be pinned from the first iteration; it must reach the
-        # optimum that the older start above the band reaches
+    def test_property_start_at_zero_reaches_same_optimum(self, seed, beta):
+        # the default start puts influence at 0, on the bound; it must reach
+        # the optimum that a start inside the feasible set reaches
         rng = np.random.default_rng(seed)
         log = random_log(rng, max_events=40)
-        _, band = fit_all(log, FitConfig(beta=beta))
+        _, zero = fit_all(log, FitConfig(beta=beta))
         with _start_influence_at(0.01):
-            _, above = fit_all(log, FitConfig(beta=beta))
-        assert band.all_converged and above.all_converged
-        for a, b in zip(band.entries, above.entries):
+            _, inside = fit_all(log, FitConfig(beta=beta))
+        assert zero.all_converged and inside.all_converged
+        for a, b in zip(zero.entries, inside.entries):
             assert abs(a.nll - b.nll) <= 1e-9 * max(1.0, abs(b.nll)), (a, b)
 
     def test_rejects_bad_counts_in_config(self):
@@ -233,6 +235,35 @@ class TestFitUser:
         assert entry.converged and not theta.any()
 
 
+class TestEveryUserCertified:
+    """Every user reaches its KKT certificate, baselines near 0 included."""
+
+    @pytest.mark.parametrize("seed", [69, 91])
+    def test_tied_logs_with_small_baselines(self, seed):
+        rng = np.random.default_rng(seed)
+        random_log(rng, max_events=40)  # the draw these seeds were found after
+        log = tied_log(rng, max_events=40)
+        for beta in (0.3, 1.0, 3.0):
+            _, report = fit_all(log, FitConfig(beta=beta))
+            assert report.all_converged, (beta, report.entries)
+
+    def test_recovery_model_with_tiny_baselines(self):
+        params = make_recovery_model(np.random.default_rng(5), 20, 3, mu_high=5e-4)
+        log = simulate(params, SimConfig(horizon=3000 / expected_event_rate(params), seed=5))
+        _, report = fit_all(log, FitConfig(beta=1.0))
+        assert len(report.entries) == 20 and report.all_converged
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), beta=st.sampled_from([0.3, 1.0, 3.0]))
+    def test_property_every_user_converges(self, seed, beta):
+        rng = np.random.default_rng(seed)
+        for log in (random_log(rng, max_events=40), tied_log(rng, max_events=40)):
+            if log.horizon == 0:  # with events no MLE exists; without, nothing to fit
+                continue
+            _, report = fit_all(log, FitConfig(beta=beta))
+            assert report.all_converged, report.entries
+
+
 class TestOneObjectivePath:
     """The solver reads its per-user constants (`EventFeatures.flat` and
     `observed`) once, and scores and differentiates through
@@ -252,9 +283,9 @@ class TestOneObjectivePath:
         solves = []
         newton = fitting._projected_newton
 
-        def spy(features, theta, live, config):
-            out = newton(features, theta, live, config)
-            solves.append((live, out[2].copy()))  # fit_user edits the gradient after
+        def spy(features, theta, config):
+            out = newton(features, theta, config)
+            solves.append(out[2].copy())  # fit_user edits the gradient after
             return out
 
         monkeypatch.setattr(fitting, "_projected_newton", spy)
@@ -264,31 +295,27 @@ class TestOneObjectivePath:
             beta = float(rng.uniform(0.3, 3.0))
             for user, features in build_all_features(log).items():
                 theta, entry = fit_user(features, user, FitConfig(beta=beta))
-                live, grad = solves.pop()
+                grad = solves.pop()
                 assert entry.nll == user_nll(features, theta, beta)
-                assert np.array_equal(grad[live], user_nll_gradient(features, theta, beta)[live])
-                assert not grad[~live].any()
+                assert np.array_equal(grad, user_nll_gradient(features, theta, beta))
                 checked += 1
                 silent += features.n_events == 0
         assert checked == 32 and silent >= 8
 
-    def test_live_rows_are_the_nonzero_rows_of_the_jacobian(self, monkeypatch):
-        # the solver moves exactly the coordinates some event's Jacobian sees;
-        # the rest enter the NLL only through the compensator
-        lives = []
-        newton = fitting._projected_newton
-
-        def spy(features, theta, live, config):
-            lives.append(live)
-            return newton(features, theta, live, config)
-
-        monkeypatch.setattr(fitting, "_projected_newton", spy)
+    def test_coordinates_no_event_sees_end_at_zero(self):
+        # a coordinate whose Jacobian row is 0 at every event enters the NLL
+        # only through the compensator, linearly with a nonnegative slope,
+        # so its minimizer is exactly 0
         rng = np.random.default_rng(97)
+        unseen = 0
         for m in range(1, 8):
             for log in self._logs(rng, m):
                 for user, features in build_all_features(log).items():
-                    fit_user(features, user, FitConfig())
-                    assert np.array_equal(lives.pop(), (features.jac != 0).any(axis=(1, 2)))
+                    theta, _ = fit_user(features, user, FitConfig())
+                    no_event = ~(features.jac != 0).any(axis=(1, 2))
+                    assert not theta[no_event].any()
+                    unseen += no_event.sum()
+        assert unseen > 0
 
 
 class TestDefaultWorkerCount:

@@ -137,3 +137,21 @@ def test_one_worker_runs_in_order_in_process(monkeypatch):
     monkeypatch.setattr(_workers, "FORK_SAFE", False)
     assert run_jobs(jobs, 2) == [os.getpid()] * 3
     assert order == [0, 1, 2, 0, 0, 1, 2]
+
+
+def test_a_warning_shown_once_is_not_shown_again_by_a_child():
+    # under the default filter (once per location) a warning the caller has
+    # already shown stays hidden whether the jobs fork or not, and a filter
+    # keyed on the warning's module name matches the children's copies too
+    def shown(workers, module_filter):
+        job = _warn("from one line")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            if module_filter:
+                warnings.filterwarnings("ignore", module=__name__)
+            job()
+            run_jobs([job] * 3, workers)
+        return len(caught)
+
+    assert shown(1, False) == shown(3, False) == 1
+    assert shown(1, True) == shown(3, True) == 0

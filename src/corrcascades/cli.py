@@ -1,6 +1,12 @@
 """Command-line entry points: simulate, fit, evaluate, replicate-synthetic.
 
 Exit codes: 0 success, 1 usage or parse error, 2 numerical failure.
+Each flag's rule is its argparse type (`_checked`), so a bad value is
+refused before any input is read, and a command that uses workers reads
+`CORRCASCADES_WORKERS` before its first file read or directory; only the
+rule that spans two flags, incentivization's `--switch-time` below
+`--horizon`, is checked after parsing.  The library keeps its own checks
+for its callers.
 `fit` maps users and `evaluate` overlaps its stages over
 `default_worker_count()` processes (`_workers.run_jobs`): `evaluate` parses
 the train log while the test log and the parameters are read, then, once
@@ -47,42 +53,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _nonnegative_int(text: str) -> int:
-    """A --seed value (numpy's generators take nonnegative integers only) or
-    an --inner-max-iter value (0 returns the start)."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return int(text)
+def _checked(parse, ok, want: str):
+    """An argparse type: `parse` the text and keep the value if `ok` holds
+    for it, else refuse the text as `must <want>, got '<text>'`."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must {want}, got {text!r}")
+
+    return check
 
 
-def _beta(text: str) -> float:
-    """A --beta value or one --beta-grid entry: the soft-max sharpness,
-    positive and finite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+# a --seed (numpy's generators take nonnegative integers only) or an
+# --inner-max-iter (0 returns the start)
+_nonnegative_int = _checked(int, lambda value: value >= 0, "be a nonnegative integer")
+_positive_int = _checked(int, lambda value: value >= 1, "be a positive integer")
+_positive = _checked(float, lambda value: 0 < value < math.inf, "be positive and finite")
+# the tail's share of the log
+_holdout = _checked(float, lambda value: 0 < value < 1, "fall inside (0, 1)")
 
 
 def _beta_grid(text: str) -> list[float]:
     """A --beta-grid value: one or more comma-separated betas."""
     if not text:
         raise argparse.ArgumentTypeError("must be a nonempty comma-separated list of betas, got ''")
-    return [_beta(entry) for entry in text.split(",")]
-
-
-def _holdout(text: str) -> float:
-    """A --holdout value: the tail's share of the log, inside (0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must fall inside (0, 1), got {text!r}")
-    return value
+    return [_positive(entry) for entry in text.split(",")]
 
 
 def _build_parser() -> _Parser:
@@ -90,17 +91,24 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="sample an event log from a parameter file")
+    p_sim.set_defaults(handler=_cmd_simulate)
     p_sim.add_argument("--params", required=True)
-    p_sim.add_argument("--horizon", type=float, required=True)
+    p_sim.add_argument("--horizon", type=_positive, required=True)
     p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_sim.add_argument("--max-events", type=int, default=10_000_000)
+    p_sim.add_argument("--max-events", type=_positive_int, default=10_000_000)
     p_sim.add_argument("--out", required=True)
 
     p_fit = sub.add_parser("fit", help="fit parameters to an event log")
+    p_fit.set_defaults(handler=_cmd_fit)
     p_fit.add_argument("--events", required=True)
     group = p_fit.add_mutually_exclusive_group()
-    group.add_argument("--beta", type=_beta)
-    group.add_argument("--beta-grid", type=_beta_grid, help="comma-separated betas for cross-validation")
+    group.add_argument("--beta", type=_positive)
+    group.add_argument(
+        "--beta-grid",
+        type=_beta_grid,
+        default="0.01,0.1,1,10,100",
+        help="comma-separated betas for cross-validation (default %(default)s)",
+    )
     p_fit.add_argument("--holdout", type=_holdout, default=0.2)
     p_fit.add_argument(
         "--inner-max-iter",
@@ -112,27 +120,30 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--out-report", required=True)
 
     p_eval = sub.add_parser("evaluate", help="score a fitted model on a held-out window")
+    p_eval.set_defaults(handler=_cmd_evaluate)
     p_eval.add_argument("--train", required=True)
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--params", required=True)
-    p_eval.add_argument("--bins", type=int, default=100)
+    p_eval.add_argument("--bins", type=_positive_int, default=100, help="number of bins for the curves")
     p_eval.add_argument("--seed", type=_nonnegative_int, default=0)
     p_eval.add_argument("--out", required=True)
 
     p_rep = sub.add_parser("replicate-synthetic", help="run a synthetic experiment pipeline")
     figures = p_rep.add_subparsers(dest="figure", required=True)
     p_recovery = figures.add_parser("recovery", help="parameter recovery over growing training fractions")
+    p_recovery.set_defaults(handler=_cmd_recovery)
     p_inc = figures.add_parser("incentivization", help="market shares after a mid-run baseline boost")
+    p_inc.set_defaults(handler=_cmd_incentivization)
     for p_figure in (p_recovery, p_inc):
         p_figure.add_argument("--seed", type=_nonnegative_int, default=0)
         p_figure.add_argument("--outdir", required=True)
-        p_figure.add_argument("--n-users", type=int, default=50)
-    p_recovery.add_argument("--n-products", type=int, default=5)
-    p_recovery.add_argument("--train-events", type=int, default=20_000)
-    p_recovery.add_argument("--test-events", type=int, default=2_000)
-    p_inc.add_argument("--horizon", type=float, default=200.0)
-    p_inc.add_argument("--switch-time", type=float, default=100.0)
-    p_inc.add_argument("--bins", type=float, default=2.0, help="bin width for the curves")
+        p_figure.add_argument("--n-users", type=_positive_int, default=50)
+    p_recovery.add_argument("--n-products", type=_positive_int, default=5)
+    p_recovery.add_argument("--train-events", type=_positive_int, default=20_000)
+    p_recovery.add_argument("--test-events", type=_positive_int, default=2_000)
+    p_inc.add_argument("--horizon", type=_positive, default=200.0)
+    p_inc.add_argument("--switch-time", type=_positive, default=100.0, help="must be below --horizon")
+    p_inc.add_argument("--bins", type=_positive, default=2.0, help="bin width for the curves")
     return parser
 
 
@@ -149,18 +160,14 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_DEFAULT_BETA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
-
-
 def _cmd_fit(args) -> int:
-    log = read_event_log(args.events)
     config = FitConfig(beta=1.0, inner_max_iter=args.inner_max_iter, n_workers=default_worker_count())
+    log = read_event_log(args.events)
     if args.beta is not None:
         beta = args.beta
         scores = None
     else:
-        grid = _DEFAULT_BETA_GRID if args.beta_grid is None else args.beta_grid
-        beta, scores = cross_validate_beta(log, grid, args.holdout, config)
+        beta, scores = cross_validate_beta(log, args.beta_grid, args.holdout, config)
         print(f"cross-validation selected beta={beta:g}")
     params, report = fit_all(log, replace(config, beta=beta))
     write_params(params, args.out_params)
@@ -206,8 +213,6 @@ def _sample_and_compare(train: EventLog, test: EventLog, params: ModelParams, se
 
 
 def _cmd_evaluate(args) -> int:
-    if args.bins < 1:
-        raise UsageError("--bins must be a positive integer")
     workers = default_worker_count()
     # two rounds of jobs that run at once on two workers, each listed in
     # the order one worker runs them, which is the order their errors rank in
@@ -215,7 +220,10 @@ def _cmd_evaluate(args) -> int:
         [lambda: read_event_log(args.train), lambda: (read_event_log(args.test), read_params(args.params))],
         workers,
     )
-    check_held_out(train, test, params)  # so no refused input is scored or sampled
+    # every refusal comes before any input is scored or sampled
+    check_held_out(train, test, params)
+    if not test.horizon > train.horizon:  # no window to bin the curves over
+        raise ValueError(f"the test horizon {test.horizon!r} must be after the train horizon {train.horizon!r}")
     score, rows = run_jobs(
         [
             lambda: avg_pred_loglik(train, test, params),
@@ -236,57 +244,47 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_replicate(args) -> int:
-    counts = {"--n-users": args.n_users}
-    if args.figure == "recovery":
-        counts.update(
-            {"--n-products": args.n_products, "--train-events": args.train_events, "--test-events": args.test_events}
-        )
-    for flag, value in counts.items():
-        if value < 1:
-            raise UsageError(f"{flag} must be a positive integer")
-    if args.figure == "incentivization":
-        if not (math.isfinite(args.bins) and args.bins > 0):
-            raise UsageError("--bins must be a positive bin width")
-        if not (math.isfinite(args.horizon) and args.horizon > 0):
-            raise UsageError("--horizon must be positive and finite")
-        if not 0 < args.switch_time < args.horizon:
-            raise UsageError("--switch-time must fall inside (0, --horizon)")
+def _cmd_recovery(args) -> int:
+    config = FitConfig(n_workers=default_worker_count())  # read before the outdir is made
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.figure == "recovery":
-        result = run_recovery(
-            seed=args.seed,
-            n_users=args.n_users,
-            n_products=args.n_products,
-            train_events=args.train_events,
-            test_events=args.test_events,
-            fit_config=FitConfig(n_workers=default_worker_count()),
-        )
-        path = outdir / "recovery.csv"
-        with path.open("w", newline="") as fh:
+    result = run_recovery(
+        seed=args.seed,
+        n_users=args.n_users,
+        n_products=args.n_products,
+        train_events=args.train_events,
+        test_events=args.test_events,
+        fit_config=config,
+    )
+    path = outdir / "recovery.csv"
+    with path.open("w", newline="") as fh:
+        fh.write("fraction,events_per_user,n_train_events,mse,mae,mse_alpha,mae_alpha,avg_pred_loglik\n")
+        for r in result.rows:
             fh.write(
-                "fraction,events_per_user,n_train_events,mse,mae,mse_alpha,mae_alpha,avg_pred_loglik\n"
+                f"{r.fraction!r},{r.events_per_user!r},{r.n_train_events},"
+                f"{r.mse!r},{r.mae!r},{r.mse_alpha!r},{r.mae_alpha!r},{r.avg_pred_loglik!r}\n"
             )
-            for r in result.rows:
-                fh.write(
-                    f"{r.fraction!r},{r.events_per_user!r},{r.n_train_events},"
-                    f"{r.mse!r},{r.mae!r},{r.mse_alpha!r},{r.mae_alpha!r},{r.avg_pred_loglik!r}\n"
-                )
-        print(f"wrote {path}")
-    else:
-        result = run_incentivization(
-            seed=args.seed,
-            n_users=args.n_users,
-            horizon=args.horizon,
-            switch_time=args.switch_time,
-            bin_width=args.bins,
-        )
-        for run in result.runs:
-            write_curves_csv({run.label: run.intensity}, outdir / f"intensity_{run.label}.csv")
-            write_curves_csv({run.label: run.share}, outdir / f"market_share_{run.label}.csv")
-            write_event_log(run.log, outdir / f"events_{run.label}.csv")
-        print(f"wrote {2 * len(result.runs)} curve files to {outdir}")
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
+def _cmd_incentivization(args) -> int:
+    if not args.switch_time < args.horizon:
+        raise UsageError("--switch-time must fall inside (0, --horizon)")
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    result = run_incentivization(
+        seed=args.seed,
+        n_users=args.n_users,
+        horizon=args.horizon,
+        switch_time=args.switch_time,
+        bin_width=args.bins,
+    )
+    for run in result.runs:
+        write_curves_csv({run.label: run.intensity}, outdir / f"intensity_{run.label}.csv")
+        write_curves_csv({run.label: run.share}, outdir / f"market_share_{run.label}.csv")
+        write_event_log(run.log, outdir / f"events_{run.label}.csv")
+    print(f"wrote {2 * len(result.runs)} curve files to {outdir}")
     return EXIT_OK
 
 
@@ -298,13 +296,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        return _cmd_replicate(args)
+        return args.handler(args)
     except (InfeasibleLikelihoodError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -97,7 +97,7 @@ class FitReport:
         return all(e.converged for e in self.entries)
 
 
-# a user's solve stops once its projected gradient norm is this small
+# a user's solve stops once its KKT residual norm is this small
 _GRAD_TOL = 1e-7
 # backtracking factor and Armijo fraction of the line search
 _LS_SHRINK = 0.5
@@ -151,13 +151,14 @@ def _projected_newton(features, theta, config):
     coordinates that the full step clipped against an outward gradient
     join the bound and the iteration is solved once more.
 
-    Stops when the projected gradient norm reaches `_GRAD_TOL`, when the
-    predicted decrease -grad . d falls below the NLL's resolution, when the
-    line search finds no decrease and the retry adds no coordinate to the
-    bound or fails too, or after `inner_max_iter` steps.  Returns (theta,
-    nll, grad, iterations, evaluations): the NLL at theta and its gradient
-    there; iterations counts gradient evaluations, the final check
-    included.
+    Stops when the norm of the natural KKT residual theta - max(theta -
+    grad, 0) reaches `_GRAD_TOL`, when the predicted decrease -grad . d
+    falls below the NLL's resolution, when the line search finds no
+    decrease and the retry adds no coordinate to the bound or fails too, or
+    after `inner_max_iter` steps.  Returns (theta, nll, residual,
+    iterations, evaluations): the NLL at theta and that residual norm
+    there, which every exit computes at the returned point; iterations
+    counts gradient evaluations, the final check included.
     """
     beta, mark = config.beta, SoftMaxMark(config.beta)
     value, f, lam = _eval_features(features, theta, mark)
@@ -166,7 +167,8 @@ def _projected_newton(features, theta, config):
         iterations += 1
         grad = _gradient_from_eval(features, beta, f, lam)
         residual = theta - np.maximum(theta - grad, 0.0)
-        if math.sqrt(residual @ residual) <= _GRAD_TOL or iterations > config.inner_max_iter:
+        residual_norm = math.sqrt(residual @ residual)
+        if residual_norm <= _GRAD_TOL or iterations > config.inner_max_iter:
             break
         resolution = 8.0 * math.ulp(value)
         at_bound = (grad > 0) & (grad * theta <= resolution)
@@ -205,7 +207,7 @@ def _projected_newton(features, theta, config):
         if accepted is None:
             break
         theta, value, f, lam = accepted
-    return theta, value, grad, iterations, evals
+    return theta, value, residual_norm, iterations, evals
 
 
 def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.ndarray, UserFitEntry]:
@@ -213,7 +215,10 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
 
     `features` are the user's (see `build_all_features`) and `user` labels
     the report entry.  Returns theta = [alpha_col | mu_row], of length
-    N + M, and the entry.  Raises ValueError when the user has events but
+    N + M, and the entry, whose KKT certificate is the solver's residual
+    norm |theta - max(theta - grad, 0)| at theta (`grad_norm`, zero exactly
+    at the optimum over theta >= 0); `converged` holds when it is at most
+    1e-4 * max(1, |nll|).  Raises ValueError when the user has events but
     the horizon is 0: with no compensator the NLL is unbounded below and
     has no minimizer.
     """
@@ -225,20 +230,14 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
     theta = np.zeros(n + m)
     if features.horizon > 0:
         theta[n:] = np.bincount(features.products, minlength=m) / features.horizon
-    theta, nll, grad, iterations, evals = _projected_newton(features, theta, config)
-    # KKT certificate: at coordinates pinned to the constraint floor only an
-    # outward (negative) NLL gradient counts as unfinished business
-    pinned = theta <= 1e-6
-    grad[pinned] = np.minimum(grad[pinned], 0.0)
-    proj_norm = math.sqrt(grad @ grad)
-    converged = proj_norm <= 1e-4 * max(1.0, abs(nll))
+    theta, nll, residual_norm, iterations, evals = _projected_newton(features, theta, config)
     entry = UserFitEntry(
         user=user,
         nll=nll,
         outer_iterations=iterations,
         inner_iterations=evals,
-        converged=converged,
-        grad_norm=proj_norm,
+        converged=residual_norm <= 1e-4 * max(1.0, abs(nll)),
+        grad_norm=residual_norm,
         wall_time=time.perf_counter() - start,
     )
     return theta, entry

@@ -171,6 +171,9 @@ def read_params(path) -> ModelParams:
     try:
         n = _json_number(doc, "n_users", integer=True)
         m = _json_number(doc, "n_products", integer=True)
+        for key, count in (("n_users", n), ("n_products", m)):
+            if count < 1:
+                raise FileFormatError(f"{key} must be at least 1, not {count!r}")
         mu = np.asarray(doc["mu"], dtype=float).reshape(n, m)
         alpha = np.asarray(doc["alpha"], dtype=float).reshape(n, n)
         mark = _mark_from_dict(doc["mark_model"])

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
-from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _build_parser, main
 from corrcascades.fitting import FitConfig, fit_all
 from corrcascades import io as io_module
 from corrcascades.io import (
@@ -267,6 +268,12 @@ _UNIT_DOC = {
 }
 
 
+def _model_doc_without(key):
+    """`_UNIT_DOC` with `key` ("n_users" or "n_products") set to 0 and
+    arrays of the shapes that implies."""
+    return dict(_UNIT_DOC, mu=[], alpha=[] if key == "n_users" else [0.1], **{key: 0})
+
+
 class TestCliSimulate:
     def test_writes_log_and_exits_zero(self, tmp_path, capsys):
         _, params_path = _write_model(tmp_path)
@@ -292,6 +299,35 @@ class TestCliSimulate:
             ["simulate", "--params", str(tmp_path / "nope.json"), "--horizon", "5", "--out", str(tmp_path / "o.csv")]
         )
         assert code == EXIT_USAGE
+
+    def test_bad_horizon_or_event_cap_refused_before_params_are_read(self, tmp_path, capsys, monkeypatch):
+        # the missing parameter file was reported first; with a real one a
+        # NaN horizon was refused after it was read, naming no flag
+        out = tmp_path / "events.csv"
+        base = ["simulate", "--params", str(tmp_path / "missing.json"), "--out", str(out)]
+        code = main([*base, "--horizon", "-1"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: argument --horizon: must be positive and finite, got '-1'\n"
+        _, params_path = _write_model(tmp_path)
+        monkeypatch.setattr("corrcascades.cli.read_params", None)  # a read would fail with a TypeError
+        for flags, message in (
+            (["--horizon", "nan"], "argument --horizon: must be positive and finite, got 'nan'"),
+            (["--horizon", "5", "--max-events", "0"], "argument --max-events: must be a positive integer, got '0'"),
+        ):
+            code = main(["simulate", "--params", str(params_path), "--out", str(out), *flags])
+            assert (code, capsys.readouterr().err) == (EXIT_USAGE, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_users", "n_products"])
+    def test_model_without_users_or_products_is_refused(self, tmp_path, capsys, key):
+        # read as a model, then numpy's "attempt to get argmax of an empty sequence"
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(_model_doc_without(key)))
+        out = tmp_path / "events.csv"
+        code = main(["simulate", "--params", str(params_path), "--horizon", "5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {params_path}: {key} must be at least 1, not 0\n"
+        assert not out.exists()
 
     def test_nan_horizon_is_usage_error_not_hang(self, tmp_path):
         # NaN passes `horizon <= 0`; unchecked, the sampler ran to the event cap
@@ -458,6 +494,19 @@ class TestCliFit:
         )
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: CORRCASCADES_WORKERS {message}, got {raw!r}\n"
+
+    def test_bad_worker_count_refused_before_the_log_is_read(self, tmp_path, monkeypatch, capsys):
+        # the missing log was reported first, and a real one was parsed
+        # whole before the refusal
+        monkeypatch.setenv("CORRCASCADES_WORKERS", "abc")
+        argv = ["--out-params", str(tmp_path / "fit.json"), "--out-report", str(tmp_path / "report.csv")]
+        expected = (EXIT_USAGE, "error: CORRCASCADES_WORKERS must be an integer, got 'abc'\n")
+        assert (main(["fit", "--events", str(tmp_path / "missing.csv"), *argv]), capsys.readouterr().err) == expected
+        events = tmp_path / "events.csv"
+        write_event_log(EventLog([(1.0, 0, 0)], 2.0, 1, 1), events)
+        monkeypatch.setattr("corrcascades.cli.read_event_log", None)  # a read would fail with a TypeError
+        assert (main(["fit", "--events", str(events), *argv]), capsys.readouterr().err) == expected
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["events.csv"]
 
     def test_default_start_is_the_library_default(self, tmp_path, monkeypatch):
         # the CLI fits from FitConfig's own start
@@ -727,6 +776,43 @@ class TestCliEvaluate:
             assert "train horizon" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_test_horizon_at_the_train_horizon_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # every test event at the train horizon leaves no window to bin:
+        # the refusal was "bin_width must be positive", after scoring
+        params, params_path = _write_model(tmp_path, seed=33)
+        train_path, _ = self._train_test_files(tmp_path, params)
+        test_path = tmp_path / "at_horizon.csv"
+        write_event_log(EventLog([(20.0, 0, 0)], 20.0, params.n_users, params.n_products), test_path)
+        out = tmp_path / "metrics.csv"
+        for _ in _each_worker_count(monkeypatch):
+            code = main(
+                [
+                    "evaluate", "--train", str(train_path), "--test", str(test_path),
+                    "--params", str(params_path), "--out", str(out),
+                ]
+            )
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == "error: the test horizon 20.0 must be after the train horizon 20.0\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_users", "n_products"])
+    def test_model_without_users_or_products_is_refused(self, tmp_path, monkeypatch, capsys, key):
+        params, _ = _write_model(tmp_path, seed=33)
+        train_path, test_path = self._train_test_files(tmp_path, params)
+        params_path = tmp_path / "empty.json"
+        params_path.write_text(json.dumps(_model_doc_without(key)))
+        out = tmp_path / "metrics.csv"
+        for _ in _each_worker_count(monkeypatch):
+            code = main(
+                [
+                    "evaluate", "--train", str(train_path), "--test", str(test_path),
+                    "--params", str(params_path), "--out", str(out),
+                ]
+            )
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {params_path}: {key} must be at least 1, not 0\n"
+            assert not out.exists()
+
     def test_zero_model_is_numerical_failure(self, tmp_path, monkeypatch):
         params, _ = _write_model(tmp_path, seed=31)
         train_path, test_path = self._train_test_files(tmp_path, params)
@@ -896,6 +982,12 @@ class TestCliReplicate:
         code, err = self._refused(tmp_path, capsys, figure, "--seed", "-1")
         assert (code, err) == (EXIT_USAGE, "error: argument --seed: must be a nonnegative integer, got '-1'\n")
 
+    def test_bad_worker_count_refused_before_outdir(self, tmp_path, monkeypatch, capsys):
+        # exit 1, but the output directory was left behind, empty
+        monkeypatch.setenv("CORRCASCADES_WORKERS", "abc")
+        code, err = self._refused(tmp_path, capsys, "recovery", "--n-users", "3")
+        assert (code, err) == (EXIT_USAGE, "error: CORRCASCADES_WORKERS must be an integer, got 'abc'\n")
+
     @staticmethod
     def _refused(tmp_path, capsys, figure, *flags):
         outdir = tmp_path / "out"
@@ -908,7 +1000,7 @@ class TestCliReplicate:
         # rate), exit 2
         for flag in ("--n-users", "--n-products"):
             code, err = self._refused(tmp_path, capsys, "recovery", flag, "0")
-            assert (code, err) == (EXIT_USAGE, f"error: {flag} must be a positive integer\n")
+            assert (code, err) == (EXIT_USAGE, f"error: argument {flag}: must be a positive integer, got '0'\n")
 
     def test_incentivization_refuses_zero_bin_width(self, tmp_path, capsys):
         # was a division by zero in the binned curves, exit 2
@@ -916,28 +1008,31 @@ class TestCliReplicate:
             tmp_path, capsys, "incentivization", "--bins", "0", "--n-users", "5",
             "--horizon", "30", "--switch-time", "15",
         )
-        assert (code, err) == (EXIT_USAGE, "error: --bins must be a positive bin width\n")
+        assert (code, err) == (EXIT_USAGE, "error: argument --bins: must be positive and finite, got '0'\n")
 
     @pytest.mark.parametrize(
         "flags, message",
         [
             # inf was "Maximum allowed size exceeded" from the curve grid
-            (["--horizon", "inf"], "--horizon must be positive and finite"),
+            (["--horizon", "inf"], "--horizon: must be positive and finite, got 'inf'"),
             # nan was "arange: cannot compute length"
-            (["--horizon", "nan"], "--horizon must be positive and finite"),
-            (["--horizon", "-5"], "--horizon must be positive and finite"),
-            (["--horizon", "0"], "--horizon must be positive and finite"),
+            (["--horizon", "nan"], "--horizon: must be positive and finite, got 'nan'"),
+            (["--horizon", "-5"], "--horizon: must be positive and finite, got '-5'"),
+            (["--horizon", "0"], "--horizon: must be positive and finite, got '0'"),
             (["--horizon", "30", "--switch-time", "30"], "--switch-time must fall inside (0, --horizon)"),
-            (["--horizon", "30", "--switch-time", "0"], "--switch-time must fall inside (0, --horizon)"),
-            (["--horizon", "30", "--switch-time", "-5"], "--switch-time must fall inside (0, --horizon)"),
-            (["--horizon", "30", "--switch-time", "nan"], "--switch-time must fall inside (0, --horizon)"),
-            (["--horizon", "30", "--switch-time", "inf"], "--switch-time must fall inside (0, --horizon)"),
+            (["--horizon", "30", "--switch-time", "0"], "--switch-time: must be positive and finite, got '0'"),
+            (["--horizon", "30", "--switch-time", "-5"], "--switch-time: must be positive and finite, got '-5'"),
+            (["--horizon", "30", "--switch-time", "nan"], "--switch-time: must be positive and finite, got 'nan'"),
+            (["--horizon", "30", "--switch-time", "inf"], "--switch-time: must be positive and finite, got 'inf'"),
         ],
     )
     def test_incentivization_refuses_bad_horizon_or_switch(self, tmp_path, capsys, flags, message):
-        # refused before the output directory is made
+        # refused before the output directory is made: a flag's own rule by
+        # its type, in argparse's "argument --FLAG: ..." form, and the rule
+        # that spans both flags after parsing
         code, err = self._refused(tmp_path, capsys, "incentivization", "--n-users", "5", *flags)
-        assert (code, err) == (EXIT_USAGE, f"error: {message}\n")
+        cross_flag = message == "--switch-time must fall inside (0, --horizon)"
+        assert (code, err) == (EXIT_USAGE, f"error: {'' if cross_flag else 'argument '}{message}\n")
 
     def test_recovery_refuses_zero_train_events(self, tmp_path, capsys):
         # was exit 0 with ten rows of zero-event fits scored inf
@@ -945,7 +1040,7 @@ class TestCliReplicate:
             tmp_path, capsys, "recovery", "--train-events", "0", "--n-users", "3", "--n-products", "2",
             "--test-events", "12",
         )
-        assert (code, err) == (EXIT_USAGE, "error: --train-events must be a positive integer\n")
+        assert (code, err) == (EXIT_USAGE, "error: argument --train-events: must be a positive integer, got '0'\n")
 
 def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
     # numpy.ma costs about 13 ms and 1.35 MB to import, and np.unique pulls it
@@ -1000,3 +1095,43 @@ def test_cli_imports_without_scipy():
     code = "import sys; sys.modules['scipy'] = None; import corrcascades.cli"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _options(parser, path=()):
+    """(command path, action) of every option of every command and figure."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _options(sub, (*path, name))
+        elif action.option_strings:
+            yield path, action
+
+
+_OPTIONS = list(_options(_build_parser()))
+_NUMERIC_OPTIONS = [(path, action) for path, action in _OPTIONS if action.type is not None]
+
+
+class TestEveryFlagTyped:
+    """Each numeric flag's rule is its argparse type, so a bad value is
+    refused as "argument --FLAG: ..." before any input is read."""
+
+    def test_no_option_is_a_bare_int_or_float(self):
+        commands = {path for path, _ in _OPTIONS}
+        assert {("simulate",), ("fit",), ("evaluate",)} < commands
+        assert {("replicate-synthetic", "recovery"), ("replicate-synthetic", "incentivization")} < commands
+        bare = [(path, action.option_strings) for path, action in _OPTIONS if action.type in (int, float)]
+        assert bare == []
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize(
+        "path, action", _NUMERIC_OPTIONS, ids=[" ".join((*path, a.option_strings[0])) for path, a in _NUMERIC_OPTIONS]
+    )
+    def test_bad_value_refused_before_any_input(self, tmp_path, capsys, path, action, value):
+        argv = list(path)
+        for other in (other for other_path, other in _OPTIONS if other_path == path and other.required):
+            # every input path is missing; a required number takes a good value
+            argv += [other.option_strings[0], "1" if other.type else str(tmp_path / "missing" / other.dest)]
+        flag = action.option_strings[0]
+        assert main([*argv, flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+        assert list(tmp_path.iterdir()) == []

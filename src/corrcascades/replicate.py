@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import EventLog
 from .fitting import FitConfig, fit_all
-from .metrics import _relative_error, binned_intensity, held_out_score, market_share, param_mae, param_mse
+from .metrics import _bin_edges, _relative_error, binned_intensity, held_out_score, market_share, param_mae, param_mse
 from .model import LinearMark, ModelParams, SoftMaxMark
 from .simulate import SimConfig, run_scenario, simulate
 
@@ -177,7 +177,7 @@ def run_incentivization(
     marks = [("independent", LinearMark())] + [
         (f"correlated_beta{beta:g}", SoftMaxMark(beta)) for beta in (0.1, 1.0, 100.0)
     ]
-    grid = np.arange(bin_width, horizon + bin_width / 2, bin_width)
+    grid = _bin_edges(horizon, bin_width)[1:]  # the intensity bins' right edges
     runs = []
     for label, mark in marks:
         after = ModelParams(boosted_mu, params.alpha, mark)

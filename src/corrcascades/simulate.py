@@ -2,21 +2,21 @@
 
 Under the unit-rate exponential kernel the process is a forest of clusters
 (Hawkes & Oakes 1974; Møller & Rasmussen 2005).  Immigrants arrive at the
-baseline rates mu_u = sum_p mu_u^p.  An event of user u at time t has
-Poisson(r_u) children, r_u = sum_v alpha[u, v], each at t + Exp(1) and of
-user v with probability alpha[u, v] / r_u.  The absorbed history acts
+baseline rates mu_u^p, each as user u with product p.  An event of user u at
+time t has Poisson(r_u) children, r_u = sum_v alpha[u, v], each at t + Exp(1)
+and of user v with probability alpha[u, v] / r_u.  The absorbed history acts
 through its decayed counts B: its children arrive at the rate
-sum_j r_j B_j exp(-(t - start)).  `_cluster` draws the times and users of
-one whole generation at a time, truncated to the horizon, in a few numpy
-calls.
+sum_j r_j B_j exp(-(t - start)), from cell (j, q) with weight r_j B_j^q.
+`_cluster` draws one whole generation at a time, truncated to the horizon,
+in a few numpy calls.
 
-The intensity lambda_u = sum_p g_u^p does not depend on past products, so
-`_products` draws them afterwards.  A linear mark picks p with probability
-g_u^p / lambda_u, the chance that the event's cause carries p: an offspring
-takes its parent's product and an immigrant draws from mu[u].  A soft-max
-mark needs the tendencies g_u(t) at every event, which come in the window
-scorer's blocks (`likelihood._block_sweep`); each block's products are the
-fixed point of a few vectorized draws with fixed uniforms.
+The intensity lambda_u = sum_p g_u^p does not depend on past products.  A
+linear mark picks p with probability g_u^p / lambda_u, the share of the
+rate from product p, so a linear-mark cluster carries its root's product
+through the generations, and `_cluster` hands it down.  A soft-max mark
+needs the tendencies g_u(t) at every event, which come in the window
+scorer's blocks (`likelihood._block_sweep`); `_softmax_products` redraws
+each block's products as the fixed point of a few vectorized draws.
 
 One pass (`_sample`) covers one regime: one `ModelParams`.  The counts B
 at a time summarize everything before it, so a switch of parameters
@@ -100,25 +100,23 @@ def _row_picker(weights: np.ndarray):
     return pick
 
 
-def _keep_earliest(times, users, cause, lo, cap):
-    """The `cap` earliest events, in their order, with parent indices remapped.
+def _keep_earliest(times, users, products, lo, cap):
+    """The `cap` earliest events, in their order, and how many precede `lo`.
 
     A descendant is never earlier than its ancestors, and a stable sort
-    ranks a tied parent first, so every kept event keeps its parent.
+    ranks a tied parent first, so every kept event's ancestors are kept.
     """
     keep = np.zeros(times.size, dtype=bool)
     keep[np.argsort(times, kind="stable")[:cap]] = True
-    index = np.cumsum(keep) - 1
-    cause = np.where(cause >= 0, index[np.maximum(cause, 0)], cause)
-    return times[keep], users[keep], cause[keep], int(keep[:lo].sum())
+    return times[keep], users[keep], products[keep], int(keep[:lo].sum())
 
 
-def _cluster(mu_user, alpha, b, start, horizon, rng, cap: int):
-    """Times, users and causes of the events on (start, horizon], by generation.
+def _cluster(mu, alpha, b, start, horizon, rng, cap: int):
+    """Times, users and linear-mark products of the events on (start, horizon].
 
-    `mu_user` holds the per-user baselines.  Returns the events sorted by
-    time, with cause[i] the index of event i's parent, -1 for an immigrant,
-    or -2 - q for a child of a history event of product q; and whether
+    An immigrant draws its user and product together from the cells of
+    `mu`; a child of history cell (j, q) carries q, and every offspring
+    its parent's product.  Returns the events sorted by time, and whether
     events beyond the `cap` earliest were dropped.
     """
     m = b.shape[1]
@@ -127,7 +125,7 @@ def _cluster(mu_user, alpha, b, start, horizon, rng, cap: int):
 
     # immigrants: a Poisson count in integrated-baseline time, of which
     # only the first `cap` order statistics are drawn
-    rate = mu_user.sum()
+    rate = mu.sum(axis=1).sum()
     mass = rate * max(horizon - start, 0.0)
     n_imm = int(rng.poisson(mass))
     k = min(n_imm, cap)
@@ -135,7 +133,7 @@ def _cluster(mu_user, alpha, b, start, horizon, rng, cap: int):
     x = head * (mass / ((head[-1] if k else 0.0) + rng.standard_gamma(n_imm + 1 - k)))
     np.minimum(x, np.nextafter(mass, 0.0), out=x)  # rounding must not reach the end
     imm_times = start + x / rate
-    imm_users = _row_picker(mu_user[None, :])(np.zeros(k, dtype=np.int64), rng.random(k))
+    imm_cells = _row_picker(mu.reshape(1, -1))(np.zeros(k, dtype=np.int64), rng.random(k))
 
     # children of the history, sourced by cell (j, q) with weight r_j B_j^q
     w = (r[:, None] * b).ravel()
@@ -148,13 +146,13 @@ def _cluster(mu_user, alpha, b, start, horizon, rng, cap: int):
     times = np.clip(
         np.concatenate([imm_times, hist_times]), np.nextafter(start, np.inf), horizon
     )
-    users = np.concatenate([imm_users, hist_users])
-    cause = np.concatenate([np.full(k, -1), -2 - cells % m])
+    users = np.concatenate([imm_cells // m, hist_users])
+    products = np.concatenate([imm_cells, cells]) % m
     exhausted = n_imm > cap
     lo = 0  # the newest generation is [lo, times.size)
     while True:
         if times.size > cap:
-            times, users, cause, lo = _keep_earliest(times, users, cause, lo, cap)
+            times, users, products, lo = _keep_earliest(times, users, products, lo, cap)
             exhausted = True
         reach = -np.expm1(times[lo:] - horizon)
         parents = np.repeat(np.arange(lo, times.size), rng.poisson(r[users[lo:]] * reach))
@@ -166,13 +164,10 @@ def _cluster(mu_user, alpha, b, start, horizon, rng, cap: int):
         lo = times.size
         times = np.concatenate([times, child_times])
         users = np.concatenate([users, child_users])
-        cause = np.concatenate([cause, parents])
+        products = np.concatenate([products, products[parents]])
 
     order = np.argsort(times, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    cause = np.where(cause >= 0, rank[np.maximum(cause, 0)], cause)
-    return times[order], users[order], cause[order], exhausted
+    return times[order], users[order], products[order], exhausted
 
 
 def _softmax_draw(g: np.ndarray, beta: float, v: np.ndarray) -> np.ndarray:
@@ -193,40 +188,27 @@ def _softmax_draw(g: np.ndarray, beta: float, v: np.ndarray) -> np.ndarray:
     return picks
 
 
-def _products(mark, mu, alpha, b, start, times, users, cause, v) -> np.ndarray:
-    """Products of the events from `_cluster` under baselines mu and one mark model.
+def _softmax_products(beta, mu, alpha, b, start, times, users, v) -> np.ndarray:
+    """Soft-max products of the events from `_cluster` under baselines mu.
 
-    The uniform v[i] decides event i's product wherever the mark draws one.
-    Under a linear mark every event carries its cluster root's product: a
-    history child the product of its history cell, an immigrant a draw from
-    mu[u].  Under a soft-max mark the events go in the blocks of
-    `likelihood._block_sweep`, the window scorer's own, and each block's
-    products are found by fixed-point passes: the first draws from the
-    baselines and the carried counts alone, and each later one adds the
-    kernel term of the current guess, until no product changes.  An event
-    depends only on earlier events of its block, so the fixed point is the
-    sequential draw, reached in at most block length + 1 passes.
+    The uniform v[i] decides event i's product.  The events go in the
+    blocks of `likelihood._block_sweep`, the window scorer's own, and each
+    block's products are found by fixed-point passes: the first draws from
+    the baselines and the carried counts alone, and each later one adds
+    the kernel term of the current guess, until no product changes.  An
+    event depends only on earlier events of its block, so the fixed point
+    is the sequential draw, reached in at most block length + 1 passes.
     """
-    if not isinstance(mark, SoftMaxMark):
-        products = np.where(cause <= -2, -2 - cause, 0)
-        drawn = cause == -1
-        products[drawn] = _row_picker(mu)(users[drawn], v[drawn])
-        # every offspring carries its root's product: jump pointers to the roots
-        root = np.where(cause >= 0, cause, np.arange(times.size))
-        while np.any(root[root] != root):
-            root = root[root]
-        return products[root]
-
     products = np.zeros(times.size, dtype=np.int64)
     onehot = np.eye(mu.shape[1])
     for s, e, excite, kernel in _block_sweep(alpha, b, start, times, users, products, 0, times.size):
         block = products[s:e]
         g = (mu[users[s:e]] + excite).T.copy()
-        block[:] = _softmax_draw(g, mark.beta, v[s:e])
+        block[:] = _softmax_draw(g, beta, v[s:e])
         if kernel is None:
             continue  # one tie run: no event of the block sees another
         for _ in range(e - s):
-            guess = _softmax_draw(g + onehot[:, block] @ kernel.T, mark.beta, v[s:e])
+            guess = _softmax_draw(g + onehot[:, block] @ kernel.T, beta, v[s:e])
             if np.array_equal(guess, block):
                 break
             block[:] = guess
@@ -250,11 +232,14 @@ def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.nd
 def _sample(params: ModelParams, b, start, horizon, rng, cap: int) -> tuple[EventLog, bool]:
     """One pass: the events on (start, horizon] after counts `b` at `start`.
 
-    Returns the log and whether the event cap dropped events.
+    Linear-mark events keep the products `_cluster` hands down; soft-max
+    ones are redrawn.  Returns the log and whether the event cap dropped
+    events.
     """
-    times, users, cause, exhausted = _cluster(params.mu_user, params.alpha, b, start, horizon, rng, cap)
-    v = rng.random(times.size)
-    products = _products(params.mark, params.mu, params.alpha, b, start, times, users, cause, v)
+    times, users, products, exhausted = _cluster(params.mu, params.alpha, b, start, horizon, rng, cap)
+    if isinstance(params.mark, SoftMaxMark):
+        v = rng.random(times.size)
+        products = _softmax_products(params.mark.beta, params.mu, params.alpha, b, start, times, users, v)
     log = EventLog.from_arrays(times, users, products, horizon, params.n_users, params.n_products)
     return log, exhausted
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrcascades import (
@@ -47,6 +47,7 @@ def lbfgsb_nll(features, beta):
     from scipy.optimize import minimize
 
     def objective(theta):
+        theta = np.maximum(theta, 0.0)  # its line search may step a hair past the bound
         try:
             return user_nll(features, theta, beta), user_nll_gradient(features, theta, beta)
         except InfeasibleLikelihoodError:  # a zero intensity, which L-BFGS-B may try
@@ -177,6 +178,8 @@ class TestFitUser:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), beta=st.sampled_from([0.3, 1.0, 5.0]))
+    @example(seed=1544, beta=1.0)  # L-BFGS-B steps a hair below the bound here
+    @example(seed=1573, beta=1.0)
     def test_property_converged_users_reach_lbfgsb_optimum(self, seed, beta):
         # every user reaches its certificate and sits at the optimum that
         # L-BFGS-B finds from its own start, on spread and on tied event times

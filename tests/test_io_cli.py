@@ -937,6 +937,24 @@ class TestCliReplicate:
             assert (outdir / f"events_{label}.csv").exists()
 
 
+    @pytest.mark.parametrize("horizon, switch, width", [("20", "10", "3"), ("30", "15", "4"), ("1", "0.5", "0.7")])
+    def test_incentivization_curves_end_at_the_horizon(self, tmp_path, horizon, switch, width):
+        # a bin width that does not divide the horizon ends in a partial bin
+        # and must not carry the share grid past the horizon
+        outdir = tmp_path / "inc"
+        argv = [
+            "replicate-synthetic", "incentivization", "--seed", "3", "--n-users", "8",
+            "--horizon", horizon, "--switch-time", switch, "--bins", width, "--outdir", str(outdir),
+        ]
+        assert main(argv) == EXIT_OK
+        curves = [*outdir.glob("intensity_*.csv"), *outdir.glob("market_share_*.csv")]
+        assert len(curves) == 8
+        for path in curves:
+            times = [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
+            assert max(times) <= float(horizon), path.name
+            if path.name.startswith("market_share_"):
+                assert times[-1] == float(horizon), path.name
+
     def test_incentivization_files_repeat_byte_for_byte(self, tmp_path):
         argv = [
             "replicate-synthetic", "incentivization", "--seed", "4", "--n-users", "8",

@@ -18,7 +18,7 @@ from corrcascades.simulate import (
     SimConfig,
     SubcriticalityWarning,
     _initial_state,
-    _products,
+    _softmax_products,
     run_scenario,
     simulate,
 )
@@ -608,11 +608,12 @@ def inverse_cdf(weights, v):
 
 
 class TestProductDraw:
-    """`_products` with fixed uniforms against the sequential inverse-CDF
-    draw on rescanned tendencies (`brute_tendency`), event by event."""
+    """`_softmax_products` with fixed uniforms against the sequential
+    inverse-CDF draw on rescanned tendencies (`brute_tendency`), event by
+    event."""
 
     @pytest.mark.parametrize("beta", [1.0, 1000.0])
-    @pytest.mark.parametrize("marks", ["softmax", "softmax-linear", "linear-softmax"])
+    @pytest.mark.parametrize("marks", ["softmax", "softmax-softmax"])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_sequential_draw(self, marks, beta, seed):
@@ -631,60 +632,83 @@ class TestProductDraw:
         at = int(rng.integers(0, k - run))
         times[at : at + run] = times[at]
         users = rng.integers(0, n, size=k)
-        back = np.array([int(rng.integers(1, min(i, 8) + 1)) if i else 0 for i in range(k)])
-        cause = np.select(
-            [(back > 0) & (rng.uniform(size=k) < 0.6), rng.uniform(size=k) < 0.5],
-            [np.arange(k) - back, -2 - rng.integers(0, m, size=k)],
-            -1,
-        )
         v = rng.random(k)
 
-        # one `_products` call per mark: a second regime, with boosted
-        # baselines, starts after the tie run of the middle event and absorbs
-        # the first through the decayed counts there, as `run_scenario` does;
-        # a parent before the switch makes its child a history child
-        first, *rest = [params.mark if name == "softmax" else LinearMark() for name in marks.split("-")]
+        # one `_softmax_products` call per regime: a second regime, with
+        # boosted baselines, starts after the tie run of the middle event
+        # and absorbs the first through the decayed counts there, as
+        # `run_scenario` does
         boosted = params.mu.copy()
         boosted[:, 0] *= 2.0
-        regimes = [ModelParams(params.mu, params.alpha, first)]
-        regimes += [ModelParams(boosted, params.alpha, mark) for mark in rest]
-        split = int(np.searchsorted(times, times[k // 2], side="right")) if rest else k
+        regimes = [params, ModelParams(boosted, params.alpha, params.mark)][: len(marks.split("-"))]
+        split = int(np.searchsorted(times, times[k // 2], side="right")) if len(regimes) > 1 else k
 
-        def draw(regime, counts, t0, lo, hi, causes):
-            return _products(
-                regime.mark, regime.mu, params.alpha, counts, t0,
-                times[lo:hi], users[lo:hi], causes, v[lo:hi],
+        def draw(regime, counts, t0, lo, hi):
+            return _softmax_products(
+                beta, regime.mu, params.alpha, counts, t0, times[lo:hi], users[lo:hi], v[lo:hi]
             )
 
-        got = draw(regimes[0], b, start, 0, split, cause[:split])
-        if rest:
+        got = draw(regimes[0], b, start, 0, split)
+        if len(regimes) > 1:
             switch = float(times[split - 1])
             head = EventLog.from_arrays(times[:split], users[:split], got, switch, n, m)
             carried = b * math.exp(-(switch - start)) + decayed_counts(head, switch, 0, split)
-            tail = cause[split:].copy()
-            crossing = (tail >= 0) & (tail < split)
-            tail[crossing] = -2 - got[tail[crossing]]
-            tail[tail >= split] -= split
-            got = np.concatenate([got, draw(regimes[1], carried, switch, split, k, tail)])
+            got = np.concatenate([got, draw(regimes[1], carried, switch, split, k)])
 
         record = whole_record(history, EventLog.from_arrays(times, users, got, float(times[-1]) + 1.0, n, m))
         mismatches = 0
         for i, (t, u) in enumerate(zip(times.tolist(), users.tolist())):
             seg = regimes[int(i >= split)]
-            near = False
-            if isinstance(seg.mark, SoftMaxMark):
-                g = np.array([brute_tendency(record, seg, u, q, t) for q in range(m)])
-                expected, near = inverse_cdf(np.exp(beta * (g - g.max())), v[i])
-            elif cause[i] >= 0:
-                expected = got[cause[i]]
-            elif cause[i] == -1:
-                expected, near = inverse_cdf(seg.mu[u], v[i])
-            else:
-                expected = -2 - cause[i]
+            g = np.array([brute_tendency(record, seg, u, q, t) for q in range(m)])
+            expected, near = inverse_cdf(np.exp(beta * (g - g.max())), v[i])
             if got[i] != expected:
                 assert near, f"event {i}: drew {got[i]}, sequential draw {expected}"
                 mismatches += 1
         assert mismatches <= 0.01 * k
+
+
+class TestLinearProducts:
+    """Under a linear mark every event carries its cluster root's product.
+    Where each user is reached only from roots of one product, that
+    product is the only one its events can carry."""
+
+    @pytest.mark.parametrize("cap", [None, 40])
+    def test_each_user_carries_its_roots_product(self, cap):
+        m = 3
+        # users 0-2 are sources with a baseline on one product each, users
+        # 3-5 history users without baselines, and users 6-17 followers
+        # without baselines, each excited only by itself and one leader
+        own = np.array([0, 1, 2, 1, 2, 0])
+        leader = np.tile(np.arange(6), 2)
+        allowed = np.concatenate([own, own[leader]])
+        n = allowed.size
+        followers = np.arange(6, n)
+        mu = np.zeros((n, m))
+        mu[np.arange(3), own[:3]] = 0.5
+        # the events whose clusters can only have history roots
+        sourced = np.concatenate([[3, 4, 5], followers[leader >= 3]])
+        events = from_history = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            alpha = np.zeros((n, n))
+            alpha[np.arange(6), np.arange(6)] = rng.uniform(0.0, 0.3, 6)
+            alpha[leader, followers] = rng.uniform(0.2, 0.5, n - 6)
+            alpha[followers, followers] = rng.uniform(0.1, 0.4, n - 6)
+            params = ModelParams(mu, alpha, LinearMark())
+            hist_users = rng.integers(0, 6, size=30)
+            hist_times = np.sort(rng.uniform(15.0, 20.0, size=30))
+            history = EventLog.from_arrays(hist_times, hist_users, allowed[hist_users], 20.0, n, m)
+            config = SimConfig(horizon=60.0, seed=seed, initial_history=history)
+            if cap is None:
+                log = simulate(params, config)
+            else:
+                with pytest.warns(RuntimeWarning, match="event cap"):
+                    log = simulate(params, replace(config, max_events=cap))
+                assert len(log) == cap
+            np.testing.assert_array_equal(log.products, allowed[log.users])
+            events += len(log)
+            from_history += int(np.isin(log.users, sourced).sum())
+        assert events >= 20 * (cap or 60) and from_history >= 20
 
 
 class TestSamplerEdges:

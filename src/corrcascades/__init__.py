@@ -10,8 +10,6 @@ from .likelihood import (
     InfeasibleLikelihoodError,
     build_all_features,
     total_nll,
-    user_nll,
-    user_nll_gradient,
     window_nll,
 )
 from .metrics import (
@@ -25,7 +23,6 @@ from .metrics import (
     param_mae,
     param_mse,
     pearson,
-    rescaled_interevent_times,
 )
 from .model import LinearMark, ModelParams, SoftMaxMark
 from .replicate import (

@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except (InfeasibleLikelihoodError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FileFormatError, FileNotFoundError, UsageError, ValueError) as exc:
+    except (FileFormatError, OSError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

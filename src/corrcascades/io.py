@@ -149,6 +149,21 @@ def _mark_from_dict(doc) -> MarkModel:
     raise FileFormatError(f"unknown mark model type {kind!r}")
 
 
+def _matrix(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
+    """doc[key] as a rows x cols array, from the flat list `write_params`
+    writes or from nested rows; any other shape, ragged rows or a
+    non-number entry is refused."""
+    try:
+        value = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{key}: {exc}") from None
+    if value.shape not in ((rows * cols,), (rows, cols)):
+        raise FileFormatError(
+            f"{key} must hold {rows * cols} numbers or {rows} rows of {cols}, not shape {value.shape}"
+        )
+    return value.reshape(rows, cols)
+
+
 def write_params(params: ModelParams, path) -> None:
     doc = {
         "n_users": params.n_users,
@@ -174,8 +189,8 @@ def read_params(path) -> ModelParams:
         for key, count in (("n_users", n), ("n_products", m)):
             if count < 1:
                 raise FileFormatError(f"{key} must be at least 1, not {count!r}")
-        mu = np.asarray(doc["mu"], dtype=float).reshape(n, m)
-        alpha = np.asarray(doc["alpha"], dtype=float).reshape(n, n)
+        mu = _matrix(doc, "mu", n, m)
+        alpha = _matrix(doc, "alpha", n, n)
         mark = _mark_from_dict(doc["mark_model"])
         return ModelParams(mu, alpha, mark)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -19,8 +19,8 @@ of length N + M.  A user's features are one array, the stacked event
 Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I], with the decayed-count
 snapshots B written into its first N rows (`_user_features`), plus the
 compensator slope.  The NLL is theta . slope minus the event terms of the
-tendencies g_i = D_i^T theta, so per-user evaluations (`user_nll`,
-`user_nll_gradient`) never rescan the event history.  The fit builds the
+tendencies g_i = D_i^T theta, so per-user evaluations (`_eval_features`,
+`_gradient_from_eval`) never rescan the event history.  The fit builds the
 features per user inside its map and never pickles them;
 `build_all_features` gives every user's at once.  The gradient is the
 slope minus one product of the Jacobian with per-event weights.  The
@@ -265,27 +265,6 @@ def _hessian_factor(jac, core):
     x = np.empty((rows, k, m + 1))
     np.matmul(jac.transpose(1, 0, 2), core, out=x.transpose(1, 0, 2))
     return x.reshape(rows, k * (m + 1))
-
-
-def _checked_theta(features: EventFeatures, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != features.slope.shape:
-        raise ValueError(f"theta must be a vector of length N + M = {features.slope.size}")
-    if np.any(theta < 0):
-        raise ValueError("parameters must be nonnegative")
-    return theta
-
-
-def user_nll(features: EventFeatures, theta, beta: float) -> float:
-    """Negative log-likelihood of one user's events under soft-max marks, at
-    the packed parameters theta = [alpha_col | mu_row]."""
-    return _eval_features(features, _checked_theta(features, theta), SoftMaxMark(beta))[0]
-
-
-def user_nll_gradient(features: EventFeatures, theta, beta: float) -> np.ndarray:
-    """Analytic gradient of `user_nll` in the packed [alpha_col | mu_row] layout."""
-    _, f, lam = _eval_features(features, _checked_theta(features, theta), SoftMaxMark(beta))
-    return _gradient_from_eval(features, beta, f, lam)
 
 
 def _block_starts(times: np.ndarray, lo: int, last: int) -> list[int]:

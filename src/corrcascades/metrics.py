@@ -1,6 +1,6 @@
 """Evaluation criteria: parameter-recovery errors, held-out predictive
-likelihood, event-stream summaries (market share, binned intensity,
-rescaled interevent times), and curve-agreement scores between streams."""
+likelihood, event-stream summaries (market share, binned intensity), and
+curve-agreement scores between streams."""
 
 from __future__ import annotations
 
@@ -181,12 +181,11 @@ def _bin_edges(horizon: float, bin_width: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def binned_intensity(log: EventLog, bin_width: float, by_product: bool = False):
-    """Event counts per bin divided by bin width (the empirical intensity).
+def binned_intensity(log: EventLog, bin_width: float) -> list:
+    """Event counts per bin divided by bin width (the empirical intensity),
+    one CurveSeries per product.
 
-    The last partial bin is normalized by its true width.  With
-    `by_product`, returns one CurveSeries per product whose values sum to
-    the pooled series exactly.
+    The last partial bin is normalized by its true width.
     """
     edges = _bin_edges(log.horizon, bin_width)
     widths = np.diff(edges)
@@ -197,7 +196,7 @@ def binned_intensity(log: EventLog, bin_width: float, by_product: bool = False):
         per_product.append(
             CurveSeries(grid=centers, values=counts / widths, label=f"product_{p}")
         )
-    return per_product if by_product else _pooled(per_product)
+    return per_product
 
 
 def _pooled(per_product: list) -> CurveSeries:
@@ -206,25 +205,13 @@ def _pooled(per_product: list) -> CurveSeries:
     return CurveSeries(grid=per_product[0].grid, values=total, label="all_products")
 
 
-def rescaled_interevent_times(log: EventLog, params: ModelParams) -> np.ndarray:
-    """Integral of the total intensity over each interevent gap of the pooled log.
-
-    Under the generating model these are iid Exponential(1) by the random
-    time-change theorem.  The excitation of the total intensity is one
-    scalar S(t) = sum_i r_{u_i} exp(-(t - t_i)) over past events, where
-    r_u = sum_v alpha[u, v] is the event user's total outgoing influence.
-    """
-    mu_total = float(params.mu_user.sum())
-    jumps = params.alpha.sum(axis=1)[log.users].tolist()
-    gaps = []
-    excite = 0.0
-    prev = 0.0
-    for t, r in zip(log.times.tolist(), jumps):
-        decay = math.exp(-(t - prev))
-        gaps.append(mu_total * (t - prev) + excite * (1.0 - decay))
-        excite = excite * decay + r
-        prev = t
-    return np.asarray(gaps)
+def _scored_curves(log: EventLog, bin_width: float) -> list:
+    """(product, intensity series, event count) for each product of `log`,
+    then (None, pooled series, event count) for all products."""
+    per_product = binned_intensity(log, bin_width)
+    counts = np.bincount(log.products, minlength=log.n_products).tolist()
+    pooled = (None, _pooled(per_product), len(log))
+    return [*zip(range(log.n_products), per_product, counts), pooled]
 
 
 def compare_models(
@@ -232,9 +219,9 @@ def compare_models(
     generated: list[tuple[str, EventLog]],
     bin_width: float,
 ) -> list[CurveScoreRow]:
-    """Score each generated stream against the real one, per product and pooled."""
-    real_per_product = binned_intensity(real_test, bin_width, by_product=True)
-    real_pooled = _pooled(real_per_product)
+    """Score each generated stream against the real one, per product and
+    pooled: the per-product rows of each stream come first, its pooled row last."""
+    real_curves = _scored_curves(real_test, bin_width)
     rows = []
     for label, gen in generated:
         if (
@@ -243,27 +230,15 @@ def compare_models(
             or gen.n_products != real_test.n_products
         ):
             raise ValueError(f"generated log '{label}' does not match the real log's frame")
-        gen_per_product = binned_intensity(gen, bin_width, by_product=True)
-        gen_pooled = _pooled(gen_per_product)
-        for p in range(real_test.n_products):
+        for (product, real, n_real), (_, curve, n_gen) in zip(real_curves, _scored_curves(gen, bin_width)):
             rows.append(
                 CurveScoreRow(
                     model=label,
-                    product=p,
-                    pearson=pearson(real_per_product[p], gen_per_product[p]),
-                    inv_l1=inv_l1(real_per_product[p], gen_per_product[p]),
-                    n_events_real=int((real_test.products == p).sum()),
-                    n_events_generated=int((gen.products == p).sum()),
+                    product=product,
+                    pearson=pearson(real, curve),
+                    inv_l1=inv_l1(real, curve),
+                    n_events_real=n_real,
+                    n_events_generated=n_gen,
                 )
             )
-        rows.append(
-            CurveScoreRow(
-                model=label,
-                product=None,
-                pearson=pearson(real_pooled, gen_pooled),
-                inv_l1=inv_l1(real_pooled, gen_pooled),
-                n_events_real=len(real_test),
-                n_events_generated=len(gen),
-            )
-        )
     return rows

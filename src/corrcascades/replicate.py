@@ -114,28 +114,19 @@ def run_recovery(
     return RecoveryResult(true_params=true_params, rows=rows)
 
 
-def make_incentivization_model(
-    rng: np.random.Generator,
-    n_users: int = 50,
-    edge_prob: float = 0.1,
-    alpha_high: float = 0.1,
-    mu_centers=(0.2, 0.5, 0.3),
-    mu_noise: float = 0.02,
-) -> ModelParams:
+def make_incentivization_model(rng: np.random.Generator, n_users: int = 50) -> ModelParams:
     """Sparse random influence network with per-product baselines near fixed centers.
 
-    Influence weights are U(0, 0.1) on Bernoulli(edge_prob) edges; a dense
+    Influence weights are U(0, 0.1) on Bernoulli(0.1) edges; a dense
     U(0, 0.1) network at this size would be supercritical under the
-    unit-rate kernel.  There is one product per entry of `mu_centers`.
+    unit-rate kernel.  There are three products, whose baselines are their
+    centers 0.2, 0.5 and 0.3 plus U(-0.02, 0.02) noise.
     """
-    edges = rng.uniform(size=(n_users, n_users)) < edge_prob
-    alpha = rng.uniform(0.0, alpha_high, size=(n_users, n_users)) * edges
-    centers = np.asarray(mu_centers, dtype=float)
-    mu = np.clip(
-        centers[None, :] + rng.uniform(-mu_noise, mu_noise, size=(n_users, centers.size)),
-        0.0,
-        None,
-    )
+    edges = rng.uniform(size=(n_users, n_users)) < 0.1
+    alpha = rng.uniform(0.0, 0.1, size=(n_users, n_users)) * edges
+    centers = np.array([0.2, 0.5, 0.3])
+    noise = rng.uniform(-0.02, 0.02, size=(n_users, centers.size))
+    mu = np.clip(centers + noise, 0.0, None)
     return ModelParams(mu, alpha, LinearMark())
 
 
@@ -186,7 +177,7 @@ def run_incentivization(
             IncentivizationRun(
                 label=label,
                 log=log,
-                intensity=binned_intensity(log, bin_width, by_product=True),
+                intensity=binned_intensity(log, bin_width),
                 share=market_share(log, grid),
             )
         )

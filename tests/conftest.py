@@ -2,10 +2,16 @@
 
 Every reference here rescans the raw event history and never touches the
 decayed-count machinery, so agreement is evidence rather than tautology.
+Two kinds of helper are exceptions.  `user_nll` and `user_nll_gradient` are
+thin wrappers over the fit's private per-user objective, not oracles: tests
+check them against the references here.  `rescaled_interevent_times` sums
+the pooled compensator in one recursive pass, and a test checks it against
+a rescan.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -13,6 +19,7 @@ import pytest
 from scipy.integrate import quad
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
+from corrcascades.likelihood import _eval_features, _gradient_from_eval
 
 
 @pytest.fixture(autouse=True)
@@ -52,6 +59,38 @@ def random_params(rng, n_users, n_products, beta=1.0, mu_high=0.8, alpha_high=0.
     alpha = rng.uniform(0.0, alpha_high, size=(n_users, n_users))
     mark = SoftMaxMark(beta) if beta is not None else LinearMark()
     return ModelParams(mu, alpha, mark)
+
+
+def user_nll(features, theta, beta):
+    """One user's soft-max NLL at the packed theta = [alpha_col | mu_row]."""
+    return _eval_features(features, np.asarray(theta, float), SoftMaxMark(beta))[0]
+
+
+def user_nll_gradient(features, theta, beta):
+    """The analytic gradient of `user_nll` in the same packed layout."""
+    _, f, lam = _eval_features(features, np.asarray(theta, float), SoftMaxMark(beta))
+    return _gradient_from_eval(features, beta, f, lam)
+
+
+def rescaled_interevent_times(log, params):
+    """Integral of the total intensity over each interevent gap of the pooled log.
+
+    Under the generating model these are iid Exponential(1) by the random
+    time-change theorem.  The excitation of the total intensity is one
+    scalar S(t) = sum_i r_{u_i} exp(-(t - t_i)) over past events, where
+    r_u = sum_v alpha[u, v] is the event user's total outgoing influence.
+    """
+    mu_total = float(params.mu_user.sum())
+    jumps = params.alpha.sum(axis=1)[log.users].tolist()
+    gaps = []
+    excite = 0.0
+    prev = 0.0
+    for t, r in zip(log.times.tolist(), jumps):
+        decay = math.exp(-(t - prev))
+        gaps.append(mu_total * (t - prev) + excite * (1.0 - decay))
+        excite = excite * decay + r
+        prev = t
+    return np.asarray(gaps)
 
 
 def brute_counts(log, t, inclusive=False):

@@ -17,12 +17,10 @@ from corrcascades import (
     SoftMaxMark,
     build_all_features,
     total_nll,
-    user_nll,
-    user_nll_gradient,
 )
 from corrcascades.fitting import FitConfig, fit_all
 from corrcascades.io import write_event_log, write_params
-from corrcascades.metrics import avg_pred_loglik, binned_intensity, pearson, rescaled_interevent_times
+from corrcascades.metrics import avg_pred_loglik, binned_intensity, pearson
 from corrcascades.replicate import (
     make_incentivization_model,
     run_incentivization,
@@ -30,7 +28,14 @@ from corrcascades.replicate import (
 )
 from corrcascades.simulate import SimConfig, run_scenario, simulate
 
-from conftest import brute_total_nll, random_log, random_params
+from conftest import (
+    brute_total_nll,
+    random_log,
+    random_params,
+    rescaled_interevent_times,
+    user_nll,
+    user_nll_gradient,
+)
 
 
 def _report(name, detail):
@@ -254,8 +259,8 @@ def test_criterion_8_self_consistency_beats_shuffled_controls():
         )
 
         def curve_score(stream):
-            r = binned_intensity(real, 2.0, by_product=True)
-            s = binned_intensity(stream, 2.0, by_product=True)
+            r = binned_intensity(real, 2.0)
+            s = binned_intensity(stream, 2.0)
             return float(np.mean([pearson(r[p], s[p]) for p in range(m)]))
 
         wins_pearson += curve_score(gen) > curve_score(shuffled_stream)

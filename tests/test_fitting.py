@@ -15,8 +15,6 @@ from corrcascades import (
     EventLog,
     InfeasibleLikelihoodError,
     build_all_features,
-    user_nll,
-    user_nll_gradient,
     window_nll,
 )
 from corrcascades import _workers, fitting
@@ -26,7 +24,15 @@ from corrcascades.model import ModelParams, SoftMaxMark
 from corrcascades.replicate import expected_event_rate, make_recovery_model
 from corrcascades.simulate import SimConfig, simulate
 
-from conftest import brute_simulate, brute_total_nll, random_log, random_params, tied_log
+from conftest import (
+    brute_simulate,
+    brute_total_nll,
+    random_log,
+    random_params,
+    tied_log,
+    user_nll,
+    user_nll_gradient,
+)
 
 
 
@@ -36,7 +42,7 @@ def _features(log, user):
 
 def _kkt_residual(features, theta, beta):
     """The natural KKT residual norm |theta - max(theta - grad, 0)| of one
-    user's NLL over theta >= 0, from the public gradient."""
+    user's NLL over theta >= 0, from the analytic gradient."""
     residual = theta - np.maximum(theta - user_nll_gradient(features, theta, beta), 0.0)
     return math.sqrt(residual @ residual)
 
@@ -263,8 +269,8 @@ class TestEveryUserCertified:
 class TestOneObjectivePath:
     """The solver reads its per-user constants (`EventFeatures.flat` and
     `observed`) once, and scores and differentiates through
-    the same `_eval_features` and `_gradient_from_eval` as `user_nll` and
-    `user_nll_gradient`, so what it reports is theirs bit for bit."""
+    the same `_eval_features` and `_gradient_from_eval` as the test helpers
+    `user_nll` and `user_nll_gradient`, so what it reports is theirs bit for bit."""
 
     @staticmethod
     def _logs(rng, n_products):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -241,6 +242,53 @@ class TestParamsIO:
         with pytest.raises(FileFormatError):
             read_params(path)
 
+    def test_flat_and_nested_arrays_read_alike(self, tmp_path):
+        rng = np.random.default_rng(11)
+        params = random_params(rng, 2, 3)
+        path = tmp_path / "params.json"
+        write_params(params, path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, mu=params.mu.tolist(), alpha=params.alpha.tolist())))
+        back = read_params(path)
+        assert back.mu.tobytes() == params.mu.tobytes()
+        assert back.alpha.tobytes() == params.alpha.tobytes()
+
+    @pytest.mark.parametrize(
+        "key, value, shape",
+        [
+            # N = 2 users and M = 3 products: a 3 x 2 mu has N M entries
+            ("mu", [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], (3, 2)),
+            ("mu", [[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]], (1, 2, 3)),
+            ("mu", [0.1] * 5, (5,)),
+            ("alpha", [[0.1], [0.2], [0.3], [0.4]], (4, 1)),
+            ("alpha", [[0.1, 0.2, 0.3, 0.4]], (1, 4)),
+        ],
+    )
+    def test_misshapen_array_rejected_by_name(self, tmp_path, capsys, key, value, shape):
+        path = tmp_path / "params.json"
+        doc = {
+            "n_users": 2, "n_products": 3, "mark_model": {"type": "linear"},
+            "mu": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], "alpha": [0.1, 0.2, 0.3, 0.4],
+        }
+        path.write_text(json.dumps(dict(doc, **{key: value})))
+        rows, cols = (2, 3) if key == "mu" else (2, 2)
+        message = f"{path}: {key} must hold {rows * cols} numbers or {rows} rows of {cols}, not shape {shape}"
+        with pytest.raises(FileFormatError) as err:
+            read_params(path)
+        assert str(err.value) == message
+        out = tmp_path / "events.csv"
+        code = main(["simulate", "--params", str(path), "--horizon", "5", "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (EXIT_USAGE, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [[[0.1, 0.2, 0.3], [0.4, 0.5]], [0.1, 0.2, 0.3, 0.4, 0.5, "x"]])
+    def test_ragged_or_non_number_array_rejected_by_name(self, tmp_path, value):
+        path = tmp_path / "params.json"
+        doc = {"n_users": 2, "n_products": 3, "mark_model": {"type": "linear"}, "mu": value, "alpha": [0.1] * 4}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: mu: "):
+            read_params(path)
+
 
 class TestCurvesCSV:
     def test_layout_and_nan_blank(self, tmp_path):
@@ -328,6 +376,15 @@ class TestCliSimulate:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {params_path}: {key} must be at least 1, not 0\n"
         assert not out.exists()
+
+    def test_directory_for_a_file_is_usage_error(self, tmp_path):
+        # an IsADirectoryError, like any OSError, ends in one error line
+        _, params_path = _write_model(tmp_path)
+        for params, out in ((tmp_path, tmp_path / "events.csv"), (params_path, tmp_path)):
+            proc = _run_cli("simulate", "--params", str(params), "--horizon", "5", "--out", str(out))
+            assert proc.returncode == EXIT_USAGE
+            assert proc.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        assert not (tmp_path / "events.csv").exists()
 
     def test_nan_horizon_is_usage_error_not_hang(self, tmp_path):
         # NaN passes `horizon <= 0`; unchecked, the sampler ran to the event cap
@@ -679,6 +736,22 @@ def _each_worker_count(monkeypatch):
 
 
 class TestCliEvaluate:
+    @pytest.mark.parametrize("flag", ["--train", "--test"])
+    def test_directory_for_an_input_is_usage_error(self, tmp_path, monkeypatch, flag):
+        # with 2 workers, the train log is read in the caller and the test
+        # log in a forked child, whose error the caller raises again
+        params, params_path = _write_model(tmp_path, seed=29)
+        train_path, test_path = self._train_test_files(tmp_path, params)
+        paths = {"--train": str(train_path), "--test": str(test_path), flag: str(tmp_path)}
+        for _ in _each_worker_count(monkeypatch):
+            proc = _run_cli(
+                "evaluate", *itertools.chain(*paths.items()), "--params", str(params_path),
+                "--out", str(tmp_path / "metrics.csv"),
+            )
+            assert proc.returncode == EXIT_USAGE
+            assert proc.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        assert not (tmp_path / "metrics.csv").exists()
+
     def _train_test_files(self, tmp_path, params, horizon=30.0, split=20.0, seed=23):
         log = simulate(params, SimConfig(horizon=horizon, seed=seed))
         train = log.before(split).with_horizon(split)

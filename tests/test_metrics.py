@@ -9,6 +9,7 @@ from corrcascades.metrics import (
     CurveScoreRow,
     CurveSeries,
     avg_pred_loglik,
+    _pooled,
     binned_intensity,
     compare_models,
     inv_l1,
@@ -243,13 +244,13 @@ class TestCompareModels:
 
     def test_pooled_rows_match_a_second_histogram(self):
         # the pooled curve is the sum of the per-product ones, bit for bit
-        # what a pooled `binned_intensity` call histograms again; a width of
+        # what a second `binned_intensity` call histograms again; a width of
         # 7 leaves a partial last bin
         rng = np.random.default_rng(16)
         params = random_params(rng, 3, 3, mu_high=0.6, alpha_high=0.2)
         real, gen = (simulate(params, SimConfig(horizon=30.0, seed=seed)) for seed in (16, 17))
         rows = compare_models(real, [("gen", gen)], bin_width=7.0)
-        real_pooled, gen_pooled = (binned_intensity(log, 7.0) for log in (real, gen))
+        real_pooled, gen_pooled = (_pooled(binned_intensity(log, 7.0)) for log in (real, gen))
         assert repr(rows[-1]) == repr(
             CurveScoreRow(
                 "gen", None, pearson(real_pooled, gen_pooled), inv_l1(real_pooled, gen_pooled), len(real), len(gen)

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.likelihood import BLOCK
 from corrcascades.model import decayed_counts
-from corrcascades.metrics import binned_intensity, market_share, rescaled_interevent_times
+from corrcascades.metrics import _bin_edges, binned_intensity, market_share
 from corrcascades.simulate import (
     SimConfig,
     SubcriticalityWarning,
@@ -30,6 +30,7 @@ from conftest import (
     brute_simulate,
     brute_tendency,
     random_params,
+    rescaled_interevent_times,
     tied_log,
 )
 
@@ -788,27 +789,32 @@ class TestBinnedIntensity:
     def test_hand_example(self):
         log = EventLog([(0.5, 0, 0), (1.5, 0, 0), (1.6, 0, 1)], 2.0, 1, 2)
         series = binned_intensity(log, 1.0)
-        np.testing.assert_allclose(series.grid, [0.5, 1.5])
-        np.testing.assert_allclose(series.values, [1.0, 2.0])
+        assert [s.label for s in series] == ["product_0", "product_1"]
+        for s in series:
+            np.testing.assert_allclose(s.grid, [0.5, 1.5])
+        np.testing.assert_allclose(series[0].values, [1.0, 1.0])
+        np.testing.assert_allclose(series[1].values, [0.0, 1.0])
 
     def test_partial_last_bin_true_width(self):
         log = EventLog([(2.25, 0, 0)], 2.5, 1, 1)
-        series = binned_intensity(log, 1.0)
+        (series,) = binned_intensity(log, 1.0)
         # last bin spans [2, 2.5] so one event counts as intensity 2
         assert series.values[-1] == pytest.approx(2.0)
 
-    def test_by_product_partitions_pooled(self):
+    def test_per_product_series_partition_the_pooled_histogram(self):
+        # a width of 2 divides every count exactly, so the sum is exact
         rng = np.random.default_rng(35)
         params = random_params(rng, 2, 3)
         log = simulate(params, SimConfig(horizon=25.0, seed=37))
-        pooled = binned_intensity(log, 2.0)
-        per_product = binned_intensity(log, 2.0, by_product=True)
+        per_product = binned_intensity(log, 2.0)
+        edges = _bin_edges(log.horizon, 2.0)
+        pooled = np.histogram(log.times, bins=edges)[0] / np.diff(edges)
         total = np.sum([s.values for s in per_product], axis=0)
-        np.testing.assert_array_equal(total, pooled.values)
+        np.testing.assert_array_equal(total, pooled)
 
     def test_tiny_horizon_single_bin(self):
         log = EventLog([(0.1, 0, 0)], 0.5, 1, 1)
-        series = binned_intensity(log, 1.0)
+        (series,) = binned_intensity(log, 1.0)
         assert series.grid.size == 1
         assert series.values[0] == pytest.approx(2.0)
 

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fitting
 from ._workers import default_worker_count, run_jobs
 from .data import EventLog
 from .fitting import FitConfig, cross_validate_beta, fit_all
@@ -70,13 +71,12 @@ def _checked(parse, ok, want: str):
     return check
 
 
-# a --seed (numpy's generators take nonnegative integers only) or an
-# --inner-max-iter (0 returns the start)
+# a --seed: numpy's generators take nonnegative integers only.  `fit` takes
+# no step cap or hold-out share, which are the constants
+# `fitting._MAX_STEPS` = 500 Newton steps and `fitting._HOLDOUT` = 0.2
 _nonnegative_int = _checked(int, lambda value: value >= 0, "be a nonnegative integer")
 _positive_int = _checked(int, lambda value: value >= 1, "be a positive integer")
 _positive = _checked(float, lambda value: 0 < value < math.inf, "be positive and finite")
-# the tail's share of the log
-_holdout = _checked(float, lambda value: 0 < value < 1, "fall inside (0, 1)")
 
 
 def _beta_grid(text: str) -> list[float]:
@@ -108,13 +108,6 @@ def _build_parser() -> _Parser:
         type=_beta_grid,
         default="0.01,0.1,1,10,100",
         help="comma-separated betas for cross-validation (default %(default)s)",
-    )
-    p_fit.add_argument("--holdout", type=_holdout, default=0.2)
-    p_fit.add_argument(
-        "--inner-max-iter",
-        type=_nonnegative_int,
-        default=500,
-        help="cap on each user's projected-Newton steps",
     )
     p_fit.add_argument("--out-params", required=True)
     p_fit.add_argument("--out-report", required=True)
@@ -161,13 +154,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config = FitConfig(beta=1.0, inner_max_iter=args.inner_max_iter, n_workers=default_worker_count())
+    config = FitConfig(n_workers=default_worker_count())
     log = read_event_log(args.events)
     if args.beta is not None:
         beta = args.beta
         scores = None
     else:
-        beta, scores = cross_validate_beta(log, args.beta_grid, args.holdout, config)
+        beta, scores = cross_validate_beta(log, args.beta_grid, config)
         print(f"cross-validation selected beta={beta:g}")
     params, report = fit_all(log, replace(config, beta=beta))
     write_params(params, args.out_params)
@@ -185,10 +178,10 @@ def _cmd_fit(args) -> int:
     n_bad = sum(not e.converged for e in report.entries)
     if n_bad:
         # a solve that reached the cap counted one more gradient, its last check
-        n_capped = sum(not e.converged and e.outer_iterations > config.inner_max_iter for e in report.entries)
+        n_capped = sum(not e.converged and e.outer_iterations > fitting._MAX_STEPS for e in report.entries)
         print(
             f"warning: {n_bad} of {len(report.entries)} users did not converge, "
-            f"{n_capped} of them stopped at the --inner-max-iter cap of {config.inner_max_iter}",
+            f"{n_capped} of them stopped at the solver's step cap of {fitting._MAX_STEPS} (fitting._MAX_STEPS)",
             file=sys.stderr,
         )
     print(f"wrote parameters to {args.out_params}")

@@ -52,22 +52,17 @@ from .model import ModelParams, SoftMaxMark
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Projected-Newton solver controls.
-
-    `beta` is the soft-max mark sharpness, `inner_max_iter` caps each
-    user's Newton steps (0 returns the start), and `n_workers` sets the
-    processes `fit_all` maps users over.  Influence coordinates start at
-    0 and baselines at the user's per-product event rate.
-    """
+    """What a fit is set by besides its data: the soft-max mark sharpness
+    `beta` and the `n_workers` processes `fit_all` maps users over.  The
+    solver owns the rest: each user takes at most `_MAX_STEPS` = 500 Newton
+    steps, and `cross_validate_beta` holds out the last `_HOLDOUT` = 0.2 of
+    the time window."""
 
     beta: float = 1.0
-    inner_max_iter: int = 500
     n_workers: int = 1
 
     def __post_init__(self):
         SoftMaxMark(self.beta)  # raises unless beta is positive and finite
-        if self.inner_max_iter < 0:
-            raise ValueError("inner_max_iter must be nonnegative")
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
 
@@ -97,8 +92,11 @@ class FitReport:
         return all(e.converged for e in self.entries)
 
 
-# a user's solve stops once its KKT residual norm is this small
+# a user's solve stops once its KKT residual norm is this small, or after
+# this many Newton steps, a safety bound far above what a solve needs
 _GRAD_TOL = 1e-7
+_MAX_STEPS = 500
+_HOLDOUT = 0.2  # the trailing share of the time window `cross_validate_beta` scores
 # backtracking factor and Armijo fraction of the line search
 _LS_SHRINK = 0.5
 _LS_DECREASE = 1e-4
@@ -155,7 +153,7 @@ def _projected_newton(features, theta, config):
     grad, 0) reaches `_GRAD_TOL`, when the predicted decrease -grad . d
     falls below the NLL's resolution, when the line search finds no
     decrease and the retry adds no coordinate to the bound or fails too, or
-    after `inner_max_iter` steps.  Returns (theta, nll, residual,
+    after `_MAX_STEPS` steps.  Returns (theta, nll, residual,
     iterations, evaluations): the NLL at theta and that residual norm
     there, which every exit computes at the returned point; iterations
     counts gradient evaluations, the final check included.
@@ -168,7 +166,7 @@ def _projected_newton(features, theta, config):
         grad = _gradient_from_eval(features, beta, f, lam)
         residual = theta - np.maximum(theta - grad, 0.0)
         residual_norm = math.sqrt(residual @ residual)
-        if residual_norm <= _GRAD_TOL or iterations > config.inner_max_iter:
+        if residual_norm <= _GRAD_TOL or iterations > _MAX_STEPS:
             break
         resolution = 8.0 * math.ulp(value)
         at_bound = (grad > 0) & (grad * theta <= resolution)
@@ -277,29 +275,25 @@ def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
 
 
 def cross_validate_beta(
-    log: EventLog,
-    grid,
-    holdout_fraction: float,
-    config: FitConfig | None = None,
+    log: EventLog, grid, config: FitConfig | None = None
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick beta by held-out predictive likelihood on the trailing time window.
 
-    Fits on [0, (1 - holdout) * T) and scores, on the whole log, the
-    per-event NLL of the events from the split on given every event before
-    them (`metrics.held_out_score`), inf when a fit gives a tail event zero
-    likelihood.  Lowest score wins; ties, and a grid that scores inf
-    throughout, go to the earlier grid entry.
+    Holds out the trailing `_HOLDOUT` = 0.2 of the window: fits each beta
+    on [0, 0.8 T), at most `_MAX_STEPS` = 500 Newton steps per user, and
+    scores, on the whole log, the per-event NLL of the events from the split
+    on given every event before them (`metrics.held_out_score`), inf when a
+    fit gives a tail event zero likelihood.  Lowest score wins; ties, and a
+    grid that scores inf throughout, go to the earlier grid entry.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("beta grid must be nonempty")
-    if not 0 < holdout_fraction < 1:
-        raise ValueError("holdout_fraction must be in (0, 1)")
     if config is None:
         config = FitConfig()
     if len(grid) == 1:
         return float(grid[0]), [(float(grid[0]), np.nan)]
-    t_split = log.horizon * (1.0 - holdout_fraction)
+    t_split = log.horizon * (1.0 - _HOLDOUT)
     n_head = int(np.searchsorted(log.times, t_split, side="left"))
     if n_head == 0 or n_head == len(log):
         raise ValueError("degenerate split: empty train head or test tail")

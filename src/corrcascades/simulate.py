@@ -77,6 +77,10 @@ def _check_subcritical(params: ModelParams) -> None:
         )
 
 
+# the largest rate numpy's Poisson draws accept
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+
 def _row_picker(weights: np.ndarray):
     """Vectorized categorical draws from the rows of a nonnegative matrix.
 
@@ -127,11 +131,17 @@ def _cluster(mu, alpha, b, start, horizon, rng, cap: int):
     # only the first `cap` order statistics are drawn
     rate = mu.sum(axis=1).sum()
     mass = rate * max(horizon - start, 0.0)
-    n_imm = int(rng.poisson(mass))
-    k = min(n_imm, cap)
-    head = rng.standard_exponential(k).cumsum()
-    x = head * (mass / ((head[-1] if k else 0.0) + rng.standard_gamma(n_imm + 1 - k)))
-    np.minimum(x, np.nextafter(mass, 0.0), out=x)  # rounding must not reach the end
+    if mass <= _POISSON_LAM_MAX:
+        n_imm = int(rng.poisson(mass))
+        k = min(n_imm, cap)
+        head = rng.standard_exponential(k).cumsum()
+        x = head * (mass / ((head[-1] if k else 0.0) + rng.standard_gamma(n_imm + 1 - k)))
+        np.minimum(x, np.nextafter(mass, 0.0), out=x)  # rounding must not reach the end
+    else:  # past numpy's Poisson range: the first cap + 1 unit-rate arrivals, exactly
+        x = rng.standard_exponential(cap + 1).cumsum()
+        n_imm = int(np.searchsorted(x, mass))  # cap + 1 when the cap binds
+        k = min(n_imm, cap)
+        x = x[:k]
     imm_times = start + x / rate
     imm_cells = _row_picker(mu.reshape(1, -1))(np.zeros(k, dtype=np.int64), rng.random(k))
 

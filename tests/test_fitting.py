@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import math
 import os
@@ -128,13 +129,14 @@ class TestFitUser:
             assert np.isfinite(user_nll(_features(log, 0), theta, 1.0))
             assert np.isfinite(entry.nll)
 
-    def test_monotone_outer_stages(self):
+    def test_monotone_outer_stages(self, monkeypatch):
         # capping the step count replays the solve step by step
         rng = np.random.default_rng(5)
         features = _features(random_log(rng, n_users=2, n_products=2, max_events=25), 0)
         prev_nll = np.inf
         for cap in range(0, 40):
-            theta, entry = fit_user(features, 0, FitConfig(beta=1.0, inner_max_iter=cap))
+            monkeypatch.setattr(fitting, "_MAX_STEPS", cap)
+            theta, entry = fit_user(features, 0, FitConfig(beta=1.0))
             nll = user_nll(features, theta, 1.0)
             assert nll <= prev_nll
             prev_nll = nll
@@ -215,13 +217,14 @@ class TestFitUser:
             assert abs(a.nll - b.nll) <= 1e-9 * max(1.0, abs(b.nll)), (a, b)
 
     def test_rejects_bad_counts_in_config(self):
-        # a negative step cap would hand back the start as the fit
-        with pytest.raises(ValueError, match="inner_max_iter"):
-            FitConfig(inner_max_iter=-3)
         for workers in (0, -1):
             with pytest.raises(ValueError, match="n_workers"):
                 FitConfig(n_workers=workers)
-        assert FitConfig(inner_max_iter=0, n_workers=1).inner_max_iter == 0
+
+    def test_config_holds_beta_and_workers_only(self):
+        # the step cap and the hold-out share are the solver's constants
+        assert [f.name for f in dataclasses.fields(FitConfig)] == ["beta", "n_workers"]
+        assert (fitting._MAX_STEPS, fitting._HOLDOUT) == (500, 0.2)
 
     def test_rejects_non_finite_config(self):
         for bad in (float("nan"), float("inf")):
@@ -491,32 +494,28 @@ def reference_log(params, horizon, seed):
 class TestCrossValidateBeta:
     def test_singleton_grid_short_circuits(self):
         log = EventLog([(1.0, 0, 0)], 2.0, 1, 1)
-        beta, scores = cross_validate_beta(log, [1.0], 0.2)
+        beta, scores = cross_validate_beta(log, [1.0])
         assert beta == 1.0
 
     def test_degenerate_split_rejected(self):
         log = EventLog([(1.9, 0, 0)], 2.0, 1, 1)
         with pytest.raises(ValueError):
-            cross_validate_beta(log, [0.5, 1.0], 0.5)  # empty head
-
-    def test_bad_holdout_rejected(self):
-        log = EventLog([(1.0, 0, 0)], 2.0, 1, 1)
-        with pytest.raises(ValueError):
-            cross_validate_beta(log, [1.0, 2.0], 0.0)
+            cross_validate_beta(log, [0.5, 1.0])  # empty head
 
     def test_tail_events_at_split_scored(self):
-        # t_split = 5 falls on a run of tied events: they are tail events,
-        # counted in the per-event mean and scored in the tail window
+        # t_split = 0.8 T = 8 falls on a run of tied events: they are tail
+        # events, counted in the per-event mean and scored in the tail window
         rng = np.random.default_rng(31)
         params = random_params(rng, 2, 2, mu_high=0.6, alpha_high=0.3)
         sim = reference_log(params, 10.0, seed=3)
         rows = sorted(list(zip(sim.times.tolist(), sim.users.tolist(), sim.products.tolist()))
-                      + [(5.0, 0, 1), (5.0, 1, 0)])
+                      + [(8.0, 0, 1), (8.0, 1, 0)])
         log = EventLog(rows, 10.0, 2, 2)
         config = FitConfig(n_workers=1)
-        _, scores = cross_validate_beta(log, [0.5, 2.0], 0.5, config)
-        head = log.before(5.0).with_horizon(5.0)
-        n_tail = int((log.times >= 5.0).sum())
+        _, scores = cross_validate_beta(log, [0.5, 2.0], config)
+        head = log.before(8.0).with_horizon(8.0)
+        n_tail = int((log.times >= 8.0).sum())
+        assert log.times[len(head)] == 8.0
         assert np.all(np.bincount(head.users, minlength=2) > 0)
         for beta, score in scores:
             fitted, _ = fit_all(head, FitConfig(beta=beta, n_workers=1))
@@ -525,11 +524,11 @@ class TestCrossValidateBeta:
             )
             assert score == pytest.approx(tail_nll / n_tail, rel=1e-9)
             # the window score of the tail from its first event, bit for bit
-            assert score == window_nll(log, fitted, 5.0, 10.0, first_event=len(head)) / n_tail
+            assert score == window_nll(log, fitted, 8.0, 10.0, first_event=len(head)) / n_tail
             # and the score of the same split held as two logs
             tail = EventLog.from_arrays(log.times[len(head):], log.users[len(head):],
                                         log.products[len(head):], 10.0, 2, 2)
-            assert held_out_score(log, 5.0, fitted) == score == avg_pred_loglik(head, tail, fitted)
+            assert held_out_score(log, 8.0, fitted) == score == avg_pred_loglik(head, tail, fitted)
         # user 1 has no baseline and no influencer: its tail event scores inf
         silent = ModelParams(np.array([[0.5, 0.5], [0.0, 0.0]]), np.zeros((2, 2)), SoftMaxMark(1.0))
         assert held_out_score(EventLog([(1.0, 0, 0), (6.0, 1, 1)], 10.0, 2, 2), 5.0, silent) == np.inf
@@ -537,10 +536,10 @@ class TestCrossValidateBeta:
             held_out_score(log, 9.99, fitted)
 
     def test_user_without_head_events_scores_inf(self):
-        # the head holds no event of user 1, whose fit is then exactly 0, so
-        # its tail events have zero likelihood under every beta
-        log = EventLog([(1.0, 0, 0), (2.0, 0, 1), (3.0, 0, 0), (8.0, 1, 1), (9.0, 1, 0)], 10.0, 2, 2)
-        beta, scores = cross_validate_beta(log, [0.5, 2.0], 0.3, FitConfig(n_workers=1))
+        # the head [0, 8) holds no event of user 1, whose fit is then exactly
+        # 0, so its tail events have zero likelihood under every beta
+        log = EventLog([(1.0, 0, 0), (2.0, 0, 1), (7.0, 0, 0), (8.5, 1, 1), (9.0, 1, 0)], 10.0, 2, 2)
+        beta, scores = cross_validate_beta(log, [0.5, 2.0], FitConfig(n_workers=1))
         assert scores == [(0.5, np.inf), (2.0, np.inf)]
         assert beta == 0.5
 
@@ -553,7 +552,7 @@ class TestCrossValidateBeta:
             log = reference_log(params, 150.0, seed=100 + trial)
             if len(log) < 30:
                 continue
-            beta, _ = cross_validate_beta(log, [0.05, 1.0, 20.0], 0.2)
+            beta, _ = cross_validate_beta(log, [0.05, 1.0, 20.0])
             picks.append(beta)
         return picks
 

@@ -19,6 +19,7 @@ import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _build_parser, main
+from corrcascades import fitting
 from corrcascades.fitting import FitConfig, fit_all
 from corrcascades import io as io_module
 from corrcascades.io import (
@@ -342,6 +343,16 @@ class TestCliSimulate:
         assert main(argv + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_event_cap_binds_at_any_horizon(self, tmp_path, capsys):
+        # numpy draws no Poisson count for this horizon's immigrants, and the cap still binds
+        _, params_path = _write_model(tmp_path)
+        out = tmp_path / "events.csv"
+        argv = ["simulate", "--params", str(params_path), "--horizon", "1e300", "--max-events", "10"]
+        with pytest.warns(RuntimeWarning, match="event cap 10 exhausted"):
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert len(read_event_log(out)) == 10
+        assert capsys.readouterr().out.startswith("wrote 10 events")
+
     def test_missing_params_file_is_usage_error(self, tmp_path, capsys):
         code = main(
             ["simulate", "--params", str(tmp_path / "nope.json"), "--horizon", "5", "--out", str(tmp_path / "o.csv")]
@@ -471,6 +482,7 @@ class TestCliFit:
         # fit still succeeds, and the warning counts the report's unconverged
         # rows and those among them that the cap stopped
         monkeypatch.setenv("CORRCASCADES_WORKERS", "1")
+        monkeypatch.setattr(fitting, "_MAX_STEPS", 1)
         params, _ = _write_model(tmp_path, n=4, seed=11)
         log = simulate(params, SimConfig(horizon=40.0, seed=13))
         events = tmp_path / "events.csv"
@@ -478,7 +490,7 @@ class TestCliFit:
         out_report = tmp_path / "report.csv"
         code = main(
             [
-                "fit", "--events", str(events), "--beta", "1.0", "--inner-max-iter", "1",
+                "fit", "--events", str(events), "--beta", "1.0",
                 "--out-params", str(tmp_path / "fit.json"), "--out-report", str(out_report),
             ]
         )
@@ -487,7 +499,10 @@ class TestCliFit:
         bad = [r for r in rows if r[4] == "False"]
         capped = [r for r in bad if int(r[2]) > 1]
         assert len(rows) == 5 and rows[4][4] == "True" and capped
-        expected = f"warning: {len(bad)} of 5 users did not converge, {len(capped)} of them stopped at the --inner-max-iter cap of 1\n"
+        expected = (
+            f"warning: {len(bad)} of 5 users did not converge, "
+            f"{len(capped)} of them stopped at the solver's step cap of 1 (fitting._MAX_STEPS)\n"
+        )
         assert capsys.readouterr().err == expected
 
     def test_beta_grid_selection_recorded(self, tmp_path, monkeypatch):
@@ -587,19 +602,14 @@ class TestCliFit:
     @pytest.mark.parametrize(
         "option, message",
         [
-            # a negative step cap wrote the start as the fit and exited 0
-            (["--beta", "1.0", "--inner-max-iter", "-3"], "argument --inner-max-iter: must be a nonnegative integer, got '-3'"),
             # an empty grid was cross-validated as the default grid, and
             # then refused only after the log was read
             (["--beta-grid", ""], "argument --beta-grid: must be a nonempty comma-separated list of betas, got ''"),
             # the start of the influence coordinates is not an option
             (["--beta", "1.0", "--init-value", "0.01"], "unrecognized arguments: --init-value 0.01"),
-            # a hold-out share outside (0, 1) was ignored with a fixed beta, exit 0
-            (["--beta", "1.0", "--holdout", "7"], "argument --holdout: must fall inside (0, 1), got '7'"),
-            (["--beta-grid", "0.5,2", "--holdout", "0"], "argument --holdout: must fall inside (0, 1), got '0'"),
-            (["--beta-grid", "0.5,2", "--holdout", "1"], "argument --holdout: must fall inside (0, 1), got '1'"),
-            (["--beta", "1.0", "--holdout", "nan"], "argument --holdout: must fall inside (0, 1), got 'nan'"),
-            (["--beta", "1.0", "--inner-max-iter", "2.5"], "argument --inner-max-iter: must be a nonnegative integer, got '2.5'"),
+            # nor are the step cap and the hold-out share (fitting._MAX_STEPS, fitting._HOLDOUT)
+            (["--beta", "1.0", "--inner-max-iter", "1"], "unrecognized arguments: --inner-max-iter 1"),
+            (["--beta-grid", "0.5,2", "--holdout", "0.3"], "unrecognized arguments: --holdout 0.3"),
             (["--beta", "-1"], "argument --beta: must be positive and finite, got '-1'"),
             (["--beta", "0"], "argument --beta: must be positive and finite, got '0'"),
             (["--beta", "inf"], "argument --beta: must be positive and finite, got 'inf'"),
@@ -627,7 +637,7 @@ class TestCliFit:
 
     @pytest.mark.parametrize(
         "option",
-        [["--beta", "1.0", "--inner-max-iter", "-3"], ["--beta", "-1"], ["--beta-grid", "1,-2"], ["--beta-grid", ""]],
+        [["--beta", "-1"], ["--beta-grid", "1,-2"], ["--beta-grid", ""]],
     )
     def test_bad_solver_option_refused_before_reading(self, tmp_path, capsys, option):
         # the events file does not exist, so the flag must be refused first

@@ -747,6 +747,22 @@ class TestSamplerEdges:
         # one cap warning from each sampler
         assert sum("cap 20 exhausted" in str(w.message) for w in caught) == 2
 
+    def test_cap_binds_beyond_the_poisson_range(self):
+        # numpy draws no Poisson count above about 9.2e18: a horizon whose
+        # immigrant mass is beyond that still keeps the `max_events`
+        # earliest events, with the cap warning
+        params = ModelParams(np.full((2, 2), 0.1), np.zeros((2, 2)), LinearMark())
+        gaps = []
+        for seed in range(20):
+            with pytest.warns(RuntimeWarning, match="event cap 50 exhausted"):
+                log = simulate(params, SimConfig(horizon=1e20, seed=seed, max_events=50))
+            assert len(log) == 50 and log.horizon == 1e20
+            gaps.append(np.diff(log.times, prepend=0.0))
+        # the kept immigrants are the first arrivals at the total rate 0.4
+        assert stats.kstest(0.4 * np.concatenate(gaps), "expon").pvalue > 1e-3
+        with pytest.warns(RuntimeWarning, match="event cap 5 exhausted"):
+            assert len(simulate(params, SimConfig(horizon=1e20, seed=0, max_events=5))) == 5
+
     def test_cap_at_or_above_count_keeps_log(self):
         # an unused cap changes nothing, and does not warn
         rng = np.random.default_rng(139)

@@ -226,6 +226,32 @@ class TestFitUser:
         assert [f.name for f in dataclasses.fields(FitConfig)] == ["beta", "n_workers"]
         assert (fitting._MAX_STEPS, fitting._HOLDOUT) == (500, 0.2)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: FitConfig(inner_max_iter=3),
+            lambda: cross_validate_beta(EventLog([(1.0, 0, 0)], 2.0, 1, 1), [1.0], holdout_fraction=0.5),
+        ],
+        ids=["inner_max_iter", "holdout_fraction"],
+    )
+    def test_retired_settings_refused(self, call):
+        # a caller that still sets the step cap or the hold-out share is told
+        # so, instead of fitting under the constants it meant to override
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call()
+
+    def test_step_cap_of_zero_returns_the_start(self, monkeypatch):
+        # the cap counts Newton steps: with none allowed the fit is the start,
+        # influence 0 and baselines at the per-product event rate, checked once
+        monkeypatch.setattr(fitting, "_MAX_STEPS", 0)
+        log = EventLog([(1.0, 0, 0), (2.0, 1, 1), (3.0, 0, 1), (3.5, 0, 0)], 4.0, 2, 2)
+        features = _features(log, 0)
+        theta, entry = fit_user(features, 0, FitConfig(beta=1.0))
+        assert theta.tolist() == [0.0, 0.0, 2 / 4.0, 1 / 4.0]
+        assert (entry.outer_iterations, entry.inner_iterations) == (1, 1)
+        assert not entry.converged
+        assert entry.nll == user_nll(features, theta, 1.0)
+
     def test_rejects_non_finite_config(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
@@ -542,6 +568,22 @@ class TestCrossValidateBeta:
         beta, scores = cross_validate_beta(log, [0.5, 2.0], FitConfig(n_workers=1))
         assert scores == [(0.5, np.inf), (2.0, np.inf)]
         assert beta == 0.5
+
+    def test_holdout_share_sets_the_split(self, monkeypatch):
+        # user 1's events at 6 and 7 fall in the head [0, 8) of the default
+        # split, and in the tail once the share is 0.5
+        log = EventLog(
+            [(1.0, 0, 0), (2.0, 0, 1), (3.0, 0, 0), (6.0, 1, 1), (7.0, 1, 0), (8.5, 1, 1), (9.0, 0, 0)],
+            10.0, 2, 2,
+        )
+        config = FitConfig(n_workers=1)
+        _, scores = cross_validate_beta(log, [0.5, 2.0], config)
+        head = log.before(8.0).with_horizon(8.0)
+        for beta, score in scores:
+            fitted, _ = fit_all(head, FitConfig(beta=beta, n_workers=1))
+            assert np.isfinite(score) and score == held_out_score(log, 8.0, fitted)
+        monkeypatch.setattr(fitting, "_HOLDOUT", 0.5)
+        assert cross_validate_beta(log, [0.5, 2.0], config) == (0.5, [(0.5, np.inf), (2.0, np.inf)])
 
     @staticmethod
     def _cv_picks(gen_beta, trials=5):

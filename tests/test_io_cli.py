@@ -650,6 +650,21 @@ class TestCliFit:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: argument {option[-2]}: must be")
 
+    @pytest.mark.parametrize("option", [["--inner-max-iter", "1"], ["--holdout", "0.3"]])
+    def test_retired_solver_flag_refused_before_reading(self, tmp_path, capsys, option):
+        # the step cap and the hold-out share are fitting._MAX_STEPS and
+        # fitting._HOLDOUT: a flag that sets either stops the run before the
+        # missing events file is read
+        code = main(
+            [
+                "fit", "--events", str(tmp_path / "nope.csv"), "--beta-grid", "0.5,2", *option,
+                "--out-params", str(tmp_path / "fit.json"), "--out-report", str(tmp_path / "report.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(option)}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_nan_time_is_usage_error_not_hang(self, tmp_path):
         events = tmp_path / "events.csv"
         events.write_text(

@@ -15,6 +15,7 @@ from corrcascades.likelihood import BLOCK
 from corrcascades.model import decayed_counts
 from corrcascades.metrics import _bin_edges, binned_intensity, market_share
 from corrcascades.simulate import (
+    _POISSON_LAM_MAX,
     SimConfig,
     SubcriticalityWarning,
     _initial_state,
@@ -762,6 +763,27 @@ class TestSamplerEdges:
         assert stats.kstest(0.4 * np.concatenate(gaps), "expon").pvalue > 1e-3
         with pytest.warns(RuntimeWarning, match="event cap 5 exhausted"):
             assert len(simulate(params, SimConfig(horizon=1e20, seed=0, max_events=5))) == 5
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_cap_binds_either_side_of_the_poisson_limit(self, side):
+        # an immigrant mass a hair below the limit is still a Poisson count,
+        # one a hair above it the first arrivals; both keep the cap's events
+        params = ModelParams(np.full((2, 2), 0.1), np.zeros((2, 2)), LinearMark())
+        horizon = _POISSON_LAM_MAX / 0.4 * (1.0 + side * 1e-9)
+        assert (0.4 * horizon <= _POISSON_LAM_MAX) == (side < 0)
+        with pytest.warns(RuntimeWarning, match="event cap 7 exhausted"):
+            log = simulate(params, SimConfig(horizon=horizon, seed=1, max_events=7))
+        assert len(log) == 7 and np.all(np.diff(log.times) >= 0) and log.times[-1] < horizon
+
+    def test_cap_binds_with_offspring_beyond_the_poisson_range(self):
+        # influence adds each kept immigrant's cascade, still cut at the cap
+        params = ModelParams(np.full((2, 2), 0.1), np.full((2, 2), 0.2), SoftMaxMark(1.0))
+        with pytest.warns(RuntimeWarning, match="event cap 30 exhausted"):
+            log = simulate(params, SimConfig(horizon=1e20, seed=4, max_events=30))
+        assert len(log) == 30 and log.horizon == 1e20
+        assert np.all(np.diff(log.times) >= 0) and log.times[0] > 0.0
+        # 30 events at rate at least 0.4 span far less than the horizon
+        assert log.times[-1] < 1e4
 
     def test_cap_at_or_above_count_keeps_log(self):
         # an unused cap changes nothing, and does not warn

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import EventLog
-from .model import MarkModel, ModelParams, SoftMaxMark, check_dimensions, decayed_counts
+from .model import _UNDERFLOW, MarkModel, ModelParams, SoftMaxMark, check_dimensions, decayed_counts
 
 
 class InfeasibleLikelihoodError(ValueError):
@@ -107,10 +107,12 @@ def build_all_features(log: EventLog) -> dict[int, EventFeatures]:
 
 def _kernel_mass(log: EventLog, t_start: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """The source of every event before t_end and its kernel mass in the
-    window [t_start, t_end], exp(-max(t_start - t, 0)) - exp(-(t_end - t))."""
-    past = log.times < t_end
-    ts = log.times[past]
-    return log.users[past], np.exp(-np.maximum(t_start - ts, 0.0)) - np.exp(-(t_end - ts))
+    window [t_start, t_end], exp(-max(t_start - t, 0)) - exp(-(t_end - t)),
+    leaving out the events before t_start - _UNDERFLOW: both of their terms
+    are exactly 0.0 (`model._UNDERFLOW`), and so is their mass."""
+    lo, hi = np.searchsorted(log.times, [t_start - _UNDERFLOW, t_end], side="left")
+    ts = log.times[lo:hi]
+    return log.users[lo:hi], np.exp(-np.maximum(t_start - ts, 0.0)) - np.exp(-(t_end - ts))
 
 
 def _compensator_slope(log: EventLog) -> np.ndarray:
@@ -295,17 +297,26 @@ def _block_sweep(alpha, b, t_b, times, users, products, lo, last):
     tendencies are mu[u] + excite + kernel @ onehot(products[s:e]).  B_b is
     carried on with products[s:e] as they stand when the generator resumes,
     so a caller may draw them in between.
+
+    Each block gathers its events' incoming influence once, as rows
+    alpha^T[u_i] of one contiguous copy of alpha^T, which both terms read:
+    a column gather of alpha strides through memory for every element.
+    That copy is N^2 floats of transient memory per call, to revisit with
+    a sparse influence support (ROADMAP item 8).
     """
     m = b.shape[1]
+    alpha_t = np.ascontiguousarray(alpha.T)
     starts = _block_starts(times, lo, last)
     for s, e in zip(starts, starts[1:] + [last]):
         t, u = times[s:e], users[s:e]
-        excite = np.exp(-(t - t_b))[:, None] * (alpha[:, u].T @ b)
+        rows = alpha_t[u]  # rows[i, j] = alpha[j, u_i]
+        excite = np.exp(-(t - t_b))[:, None] * (rows @ b)
         kernel = None
         if t[-1] > t[0]:
             dt = t[:, None] - t
-            # alpha[u][:, u] is alpha[u_k, u_i] at [k, i], half the cost of one 2-d gather
-            kernel = np.exp(-dt, out=np.zeros_like(dt), where=dt > 0) * alpha[u][:, u].T
+            kernel = np.exp(-np.abs(dt))  # |dt| cannot overflow; dt <= 0 is zeroed
+            kernel[dt <= 0] = 0.0
+            kernel *= rows[:, u]
         yield s, e, excite, kernel
         if e < last:
             carried = np.bincount(u * m + products[s:e], np.exp(-(times[e] - t)), minlength=b.size)

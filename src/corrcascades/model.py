@@ -78,14 +78,23 @@ class ModelParams:
         return self.mu.sum(axis=1)
 
 
+# exp(-x) rounds to exactly 0.0 once it is below half the smallest subnormal,
+# for x above -log(5e-324) + log 2, about 745.13; the next integer leaves a
+# margin far wider than any rounding of x = t - t_i below times of 2**52
+_UNDERFLOW = math.ceil(math.log(2.0) - math.log(math.ulp(0.0)))  # 746
+
+
 def decayed_counts(log: EventLog, t: float, lo: int, hi: int) -> np.ndarray:
     """Decayed counts at time t of the events [lo, hi) of `log`, in closed form.
 
     Returns the N x M array B with B[j, q] = sum over those events
     (t_i, j, q) of exp(-(t - t_i)), one weighted count per cell.  None of
-    the events may be later than t.
+    the events may be later than t.  Events before t - _UNDERFLOW are
+    skipped: their weights are exactly 0.0, and they are the earliest, so
+    each cell's sum of the rest is the same to the bit.
     """
     n, m = log.n_users, log.n_products
+    lo += int(np.searchsorted(log.times[lo:hi], t - _UNDERFLOW, side="left"))
     cells = log.users[lo:hi] * m + log.products[lo:hi]
     weights = np.exp(-(t - log.times[lo:hi]))
     counts = np.bincount(cells, weights=weights, minlength=n * m)  # integers when lo == hi

@@ -20,6 +20,7 @@ from corrcascades.likelihood import (
     BLOCK,
     _TINY,
     _block_starts,
+    _block_sweep,
     _eval_features,
     _event_loglik,
     _hessian_core,
@@ -27,10 +28,14 @@ from corrcascades.likelihood import (
     _window_tendencies,
 )
 from corrcascades.fitting import _ridge_step
+from corrcascades.metrics import avg_pred_loglik, held_out_score
+from corrcascades.model import decayed_counts
 
 from conftest import (
     brute_counts,
     brute_hessian,
+    brute_intensity,
+    brute_mark_density,
     brute_tendency,
     brute_total_nll,
     random_log,
@@ -560,6 +565,89 @@ class TestBlockedWindowProperty:
             head = EventLog.from_arrays(times[:split], log.users[:split], log.products[:split], 3.5, n, m)
             expected = whole - brute_total_nll(head, params, use_quad=False)
             assert window_nll(log, params, 3.5, 6.0, first_event=split) == pytest.approx(expected, rel=1e-10)
+
+
+def _brute_window(log, params, first, last, t_start, t_end):
+    """NLL of the events [first, last) plus the compensator over
+    [t_start, t_end], rescanning the whole history at every event."""
+    event_ll = 0.0
+    for i in range(first, last):
+        t, u, p = float(log.times[i]), int(log.users[i]), int(log.products[i])
+        event_ll += math.log(brute_intensity(log, params, u, t) * brute_mark_density(log, params, u, t)[p])
+    comp = params.mu_user.sum() * (t_end - t_start)
+    for t, u in zip(log.times.tolist(), log.users.tolist()):
+        if t < t_end:
+            comp += params.alpha[u].sum() * (math.exp(-max(t_start - t, 0.0)) - math.exp(-(t_end - t)))
+    return comp - event_ll
+
+
+class TestUnderflowHorizonWindows:
+    """Gaps that straddle the kernel's underflow horizon, 746 time units
+    (`model._UNDERFLOW`), beyond which the history is skipped, with tie runs
+    at the window starts, scored against rescans."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_window_matches_rescan(self, seed):
+        rng = np.random.default_rng(seed)
+        log = tied_log(rng, max_events=30, gaps=(0.0, 0.0, 0.5, 744.5, 745.5, 746.5), min_events=2)
+        soft = random_params(rng, log.n_users, log.n_products, beta=float(rng.uniform(0.3, 3.0)))
+        linear = ModelParams(soft.mu, soft.alpha, LinearMark())
+        times, k = log.times, len(log)
+
+        def part(a, b, horizon):
+            return EventLog.from_arrays(
+                times[a:b], log.users[a:b], log.products[a:b], horizon, log.n_users, log.n_products
+            )
+
+        runs = np.flatnonzero(np.diff(times, prepend=-1.0) > 0)  # tie-run starts
+        for params in (soft, linear):
+            for first in runs[1:].tolist():
+                t = float(times[first])
+                stop = int(np.searchsorted(times, t, side="right"))
+                # events at t belong to the window that ends at t
+                expected = _brute_window(log, params, stop, k, t, log.horizon)
+                assert window_nll(log, params, t, log.horizon) == pytest.approx(expected, rel=1e-10)
+                expected = _brute_window(log, params, first, k, t, log.horizon) / (k - first)
+                assert held_out_score(log, t, params) == pytest.approx(expected, rel=1e-10)
+                # a split inside the tie run puts events at t in both logs
+                for split in {first, (first + stop) // 2}:
+                    expected = _brute_window(log, params, split, k, t, log.horizon) / (k - split)
+                    got = avg_pred_loglik(part(0, split, t), part(split, k, log.horizon), params)
+                    assert got == pytest.approx(expected, rel=1e-10)
+                # the window (t - 0.25, t], after a gap of 0.5 or one that straddles the horizon
+                first_a = int(np.searchsorted(times, t - 0.25, side="right"))
+                expected = _brute_window(log, params, first_a, stop, t - 0.25, t)
+                assert window_nll(log, params, t - 0.25, t) == pytest.approx(expected, rel=1e-10)
+
+
+class TestBlockSweepDirection:
+    """With alpha[j, u] > 0 only for j < u, a transposed index in the block
+    sweep reads influence where there is none."""
+
+    def test_excitation_and_kernel_match_rescan(self):
+        rng = np.random.default_rng(41)
+        n, m, k = 2 * BLOCK + 3, 2, 3 * BLOCK
+        times = np.sort(rng.uniform(0.0, 20.0, k))
+        times[70:74] = times[70]  # a tie run
+        users, products = rng.integers(0, n, k), rng.integers(0, m, k)
+        log = EventLog.from_arrays(times, users, products, 21.0, n, m)
+        alpha = np.triu(rng.uniform(0.05, 0.3, (n, n)), 1)
+        params = ModelParams(rng.uniform(0.1, 0.5, (n, m)), alpha, SoftMaxMark(1.0))
+        lo = 40
+        b = decayed_counts(log, times[lo], 0, lo)
+        for s, e, excite, kernel in _block_sweep(alpha, b, times[lo], times, users, products, lo, k):
+            for i in range(s, e):
+                u, t = users[i], times[i]
+                # every event before the block, rescanned
+                weights = alpha[users[:s], u] * np.exp(-(t - times[:s]))
+                from_before = np.bincount(products[:s], weights, minlength=m)
+                np.testing.assert_allclose(excite[i - s], from_before, rtol=1e-10, atol=0.0)
+                within = alpha[users[s:e], u] * np.exp(-(t - times[s:e])) * (times[s:e] < t)
+                np.testing.assert_allclose(kernel[i - s], within, rtol=1e-14, atol=0.0)
+                tendency = params.mu[u] + excite[i - s] + kernel[i - s] @ np.eye(m)[products[s:e]]
+                brute = [brute_tendency(log, params, u, q, t) for q in range(m)]
+                np.testing.assert_allclose(tendency, brute, rtol=1e-10)
 
 
 class TestEventFeatures:

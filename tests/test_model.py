@@ -7,12 +7,14 @@ from corrcascades import (
     EventLog,
     LinearMark,
     ModelParams,
+    SimConfig,
     SoftMaxMark,
     build_all_features,
+    simulate,
     window_nll,
 )
 from corrcascades.likelihood import InfeasibleLikelihoodError, _eval_features, _event_loglik
-from corrcascades.model import decayed_counts
+from corrcascades.model import _UNDERFLOW, decayed_counts
 
 from conftest import (
     brute_counts,
@@ -111,6 +113,54 @@ class TestDecayState:
                     rtol=1e-12,
                     atol=0.0,
                 )
+
+
+class TestUnderflowHorizon:
+    """Events more than _UNDERFLOW = 746 time units before a time add
+    exp(-(t - t_i)) = 0.0 exactly, and the counts skip them."""
+
+    GAPS = (0.0, 0.0, 0.5, 2.0, 744.5, 745.5, 746.0, 746.5)  # tie runs, and gaps straddling it
+
+    def test_horizon_is_past_the_last_subnormal(self):
+        assert _UNDERFLOW == 746
+        assert np.exp(-745.0) > 0.0
+        assert not np.exp(-np.linspace(746.0, 800.0, 10_001)).any()
+
+    def test_skip_equals_a_full_bincount_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            log = tied_log(rng, max_events=40, gaps=self.GAPS, min_events=1)
+            n, m = log.n_users, log.n_products
+            times = log.times
+            offsets = [0.0, 0.5, 744.5, 745.5, 746.0, 746.5]
+            for t in np.unique(np.add.outer(times, offsets)):
+                for lo, hi in [(0, int(np.searchsorted(times, t, side="right"))), (1, len(log) - 1)]:
+                    if lo > hi or (hi and times[hi - 1] > t):
+                        continue
+                    weights = np.exp(-(t - times[lo:hi]))
+                    cells = log.users[lo:hi] * m + log.products[lo:hi]
+                    full = np.bincount(cells, weights, minlength=n * m).astype(float).reshape(n, m)
+                    np.testing.assert_array_equal(decayed_counts(log, t, lo, hi), full)
+
+    def test_sampling_sees_only_the_last_746_time_units_of_history(self):
+        rng = np.random.default_rng(37)
+        for case in range(6):
+            log = tied_log(rng, max_events=60, gaps=self.GAPS, min_events=60)
+            params = random_params(rng, log.n_users, log.n_products, alpha_high=0.2)  # subcritical
+            horizon = float(log.times[-1]) + float(rng.choice([0.5, 1.0, 3.0]))
+            keep = log.times >= horizon - 746.0
+            assert 0 < keep.sum() < len(log)
+            whole = log.with_horizon(horizon)
+            recent = EventLog.from_arrays(
+                log.times[keep], log.users[keep], log.products[keep], horizon, log.n_users, log.n_products
+            )
+            sampled = [
+                simulate(params, SimConfig(horizon=horizon + 20.0, seed=case, initial_history=h))
+                for h in (whole, recent)
+            ]
+            for field in ("times", "users", "products"):
+                np.testing.assert_array_equal(getattr(sampled[0], field), getattr(sampled[1], field))
+            assert sampled[0].horizon == sampled[1].horizon == horizon + 20.0
 
 
 class TestTendency:

@@ -156,11 +156,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     config = FitConfig(n_workers=default_worker_count())
     log = read_event_log(args.events)
-    if args.beta is not None:
-        beta = args.beta
-        scores = None
-    else:
-        beta, scores = cross_validate_beta(log, args.beta_grid, config)
+    # a fixed beta is the one-entry grid, which cross_validate_beta returns unscored
+    beta, scores = cross_validate_beta(log, args.beta_grid if args.beta is None else [args.beta], config)
+    if len(scores) > 1:
         print(f"cross-validation selected beta={beta:g}")
     params, report = fit_all(log, replace(config, beta=beta))
     write_params(params, args.out_params)
@@ -171,9 +169,8 @@ def _cmd_fit(args) -> int:
                 f"{e.user},{e.nll!r},{e.outer_iterations},{e.inner_iterations},"
                 f"{e.converged},{e.grad_norm!r},{e.wall_time:.3f}\n"
             )
-        if scores is not None:
-            for b, s in scores:
-                fh.write(f"# beta={b!r} score={s!r}\n")
+        for b, s in scores:
+            fh.write(f"# beta={b!r} score={s!r}\n")
         fh.write(f"# chosen_beta={beta!r}\n")
     n_bad = sum(not e.converged for e in report.entries)
     if n_bad:
@@ -274,8 +271,8 @@ def _cmd_incentivization(args) -> int:
         bin_width=args.bins,
     )
     for run in result.runs:
-        write_curves_csv({run.label: run.intensity}, outdir / f"intensity_{run.label}.csv")
-        write_curves_csv({run.label: run.share}, outdir / f"market_share_{run.label}.csv")
+        write_curves_csv(run.label, run.intensity, outdir / f"intensity_{run.label}.csv")
+        write_curves_csv(run.label, run.share, outdir / f"market_share_{run.label}.csv")
         write_event_log(run.log, outdir / f"events_{run.label}.csv")
     print(f"wrote {2 * len(result.runs)} curve files to {outdir}")
     return EXIT_OK

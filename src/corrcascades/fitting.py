@@ -275,7 +275,7 @@ def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
 
 
 def cross_validate_beta(
-    log: EventLog, grid, config: FitConfig | None = None
+    log: EventLog, grid, config: FitConfig = FitConfig()
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick beta by held-out predictive likelihood on the trailing time window.
 
@@ -284,13 +284,12 @@ def cross_validate_beta(
     scores, on the whole log, the per-event NLL of the events from the split
     on given every event before them (`metrics.held_out_score`), inf when a
     fit gives a tail event zero likelihood.  Lowest score wins; ties, and a
-    grid that scores inf throughout, go to the earlier grid entry.
+    grid that scores inf throughout, go to the earlier grid entry.  A
+    one-entry grid is returned with score nan, and nothing is fitted.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("beta grid must be nonempty")
-    if config is None:
-        config = FitConfig()
     if len(grid) == 1:
         return float(grid[0]), [(float(grid[0]), np.nan)]
     t_split = log.horizon * (1.0 - _HOLDOUT)

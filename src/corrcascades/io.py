@@ -197,13 +197,13 @@ def read_params(path) -> ModelParams:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-def write_curves_csv(series_by_label: dict[str, list], path) -> None:
-    """Flat long-format CSV: series,grid,value (NaN emitted as empty)."""
+def write_curves_csv(label: str, series_list: list, path) -> None:
+    """Flat long-format CSV of one model's curves: series,time,value, the
+    series named `label`/<curve label> (NaN emitted as empty)."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write("series,time,value\n")
-        for label, series_list in series_by_label.items():
-            for series in series_list:
-                for t, v in zip(series.grid, series.values):
-                    val = "" if np.isnan(v) else repr(float(v))
-                    fh.write(f"{label}/{series.label},{float(t)!r},{val}\n")
+        for series in series_list:
+            for t, v in zip(series.grid, series.values):
+                val = "" if np.isnan(v) else repr(float(v))
+                fh.write(f"{label}/{series.label},{float(t)!r},{val}\n")

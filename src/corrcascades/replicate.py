@@ -70,13 +70,15 @@ class RecoveryResult:
     rows: list[RecoveryRow]
 
 
+_N_FRACTIONS = 10  # the recovery study fits on the first 1/10, 2/10, ..., 10/10 of the train window
+
+
 def run_recovery(
     seed: int = 0,
     n_users: int = 50,
     n_products: int = 5,
     train_events: int = 20_000,
     test_events: int = 2_000,
-    n_fractions: int = 10,
     fit_config: FitConfig = FitConfig(),
 ) -> RecoveryResult:
     """Simulate one dataset, then fit on growing prefixes of the train window.
@@ -94,8 +96,8 @@ def run_recovery(
     log = simulate(true_params, SimConfig(horizon=t_total, seed=seed))
 
     rows = []
-    for k in range(1, n_fractions + 1):
-        frac = k / n_fractions
+    for k in range(1, _N_FRACTIONS + 1):
+        frac = k / _N_FRACTIONS
         t_frac = frac * t_train
         train_f = log.before(t_frac).with_horizon(t_frac)
         est, _ = fit_all(train_f, fit_config)

@@ -20,6 +20,7 @@ from corrcascades import (
 )
 from corrcascades import _workers, fitting
 from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_user
+from corrcascades.likelihood import BLOCK, _compensator_slope, _user_features
 from corrcascades.metrics import avg_pred_loglik, held_out_score
 from corrcascades.model import ModelParams, SoftMaxMark
 from corrcascades.replicate import expected_event_rate, make_recovery_model
@@ -294,6 +295,19 @@ class TestEveryUserCertified:
         _, report = fit_all(log, FitConfig(beta=1.0))
         assert len(report.entries) == 20 and report.all_converged
 
+    @pytest.mark.parametrize("seed, user", [(12, 15), (13, 7)])
+    def test_failed_line_search_retried_with_clipped_coordinates_pinned(self, seed, user):
+        # these users reach a step whose line search finds no decrease; only
+        # the retry, with the coordinates the full step clipped pinned at the
+        # bound, gets them past it (tried once, they stop at KKT residuals
+        # of 1.88 and 2.82)
+        params = make_recovery_model(np.random.default_rng(seed), 30, 5, 0.3, mu_high=1e-4)
+        log = simulate(params, SimConfig(horizon=3000 / expected_event_rate(params), seed=seed))
+        work = np.empty(BLOCK * log.n_users * log.n_products)
+        features = _user_features(log, user, _compensator_slope(log), work)
+        _, entry = fit_user(features, user, FitConfig(beta=0.3))
+        assert entry.converged, entry
+
 
 class TestOneObjectivePath:
     """The solver reads its per-user constants (`EventFeatures.flat` and
@@ -522,6 +536,10 @@ class TestCrossValidateBeta:
         log = EventLog([(1.0, 0, 0)], 2.0, 1, 1)
         beta, scores = cross_validate_beta(log, [1.0])
         assert beta == 1.0
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="beta grid must be nonempty"):
+            cross_validate_beta(EventLog([(1.0, 0, 0)], 2.0, 1, 1), [])
 
     def test_degenerate_split_rejected(self):
         log = EventLog([(1.9, 0, 0)], 2.0, 1, 1)

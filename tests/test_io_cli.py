@@ -184,6 +184,13 @@ class TestEventLogParser:
         assert back.horizon.hex() == log.horizon.hex()
 
 
+# a valid 1 x 1 soft-max model document
+_UNIT_DOC = {
+    "n_users": 1, "n_products": 1, "mark_model": {"type": "softmax", "beta": 1.0},
+    "mu": [0.5], "alpha": [0.1],
+}
+
+
 class TestParamsIO:
     def test_softmax_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -235,6 +242,22 @@ class TestParamsIO:
         path = tmp_path / "params.json"
         path.write_text("{not json")
         with pytest.raises(FileFormatError):
+            read_params(path)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (dict(_UNIT_DOC, n_users=True), "n_users must be a JSON integer, not True"),
+            (dict(_UNIT_DOC, n_users="1"), "n_users must be a JSON integer, not '1'"),
+            (dict(_UNIT_DOC, mark_model="softmax"), "mark_model must be a JSON object, not 'softmax'"),
+            ([_UNIT_DOC], "expected a JSON object at the top level"),
+        ],
+        ids=["bool_users", "string_users", "string_mark", "top_level_list"],
+    )
+    def test_non_json_types_rejected_by_name(self, tmp_path, doc, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_params(path)
 
     def test_missing_key_rejected(self, tmp_path):
@@ -295,7 +318,7 @@ class TestCurvesCSV:
     def test_layout_and_nan_blank(self, tmp_path):
         series = CurveSeries(grid=[1.0, 2.0], values=[0.5, np.nan], label="product_0")
         path = tmp_path / "curves.csv"
-        write_curves_csv({"modelA": [series]}, path)
+        write_curves_csv("modelA", [series], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "series,time,value"
         assert lines[1] == "modelA/product_0,1.0,0.5"
@@ -308,13 +331,6 @@ def _write_model(tmp_path, n=3, m=2, seed=7, beta=1.0):
     path = tmp_path / "params.json"
     write_params(params, path)
     return params, path
-
-
-# a valid 1 x 1 soft-max model document
-_UNIT_DOC = {
-    "n_users": 1, "n_products": 1, "mark_model": {"type": "softmax", "beta": 1.0},
-    "mu": [0.5], "alpha": [0.1],
-}
 
 
 def _model_doc_without(key):
@@ -475,6 +491,31 @@ class TestCliFit:
         report_lines = out_report.read_text().splitlines()
         assert report_lines[0].startswith("user,nll")
         assert len([l for l in report_lines if not l.startswith("#")]) == 1 + log.n_users
+        # a fixed beta is the one-entry grid: listed unscored, and no
+        # cross-validation is claimed
+        assert [l for l in report_lines if l.startswith("#")] == ["# beta=1.0 score=nan", "# chosen_beta=1.0"]
+        assert capsys.readouterr().out == f"wrote parameters to {out_params}\n"
+
+    def test_fixed_beta_is_the_one_entry_grid(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CORRCASCADES_WORKERS", "1")
+        params, _ = _write_model(tmp_path, seed=11)
+        write_event_log(simulate(params, SimConfig(horizon=40.0, seed=13)), tmp_path / "events.csv")
+        outputs = []
+        for option in (["--beta", "1.0"], ["--beta-grid", "1.0"]):
+            out = tmp_path / option[0].lstrip("-")
+            out.mkdir()
+            code = main(
+                [
+                    "fit", "--events", str(tmp_path / "events.csv"), *option,
+                    "--out-params", str(out / "fit.json"), "--out-report", str(out / "report.csv"),
+                ]
+            )
+            assert code == EXIT_OK
+            assert capsys.readouterr().out == f"wrote parameters to {out / 'fit.json'}\n"
+            # every column of the report but the last, the user's wall time
+            report = [line.rsplit(",", 1)[0] for line in (out / "report.csv").read_text().splitlines()]
+            outputs.append(((out / "fit.json").read_bytes(), report))
+        assert outputs[0] == outputs[1]
 
     def test_unconverged_users_are_counted_with_the_cap(self, tmp_path, monkeypatch, capsys):
         # one Newton step leaves the four active users short of the KKT

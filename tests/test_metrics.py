@@ -11,6 +11,7 @@ from corrcascades.metrics import (
     avg_pred_loglik,
     _pooled,
     binned_intensity,
+    check_held_out,
     compare_models,
     inv_l1,
     param_mae,
@@ -142,6 +143,12 @@ class TestAvgPredLoglik:
         with pytest.raises(ValueError):
             avg_pred_loglik(train, test, single_entry_params(0.1, 0.5))
 
+    def test_logs_of_other_dimensions_rejected(self):
+        train = EventLog([(1.0, 0, 0)], 2.0, 1, 1)
+        for test in (EventLog([(3.0, 0, 0)], 4.0, 2, 1), EventLog([(3.0, 0, 0)], 4.0, 1, 2)):
+            with pytest.raises(ValueError, match="mismatched dimensions"):
+                check_held_out(train, test, single_entry_params(0.1, 0.5))
+
 
 class TestCurveSeries:
     def test_non_increasing_grid_rejected(self):
@@ -214,6 +221,18 @@ class TestInvL1:
         near = CurveSeries(grid=g, values=[1.1, 1.1, 1.1])
         far = CurveSeries(grid=g, values=[3.0, 3.0, 3.0])
         assert inv_l1(a, near) > inv_l1(a, far)
+
+    def test_grid_mismatch_rejected(self):
+        a = CurveSeries(grid=[0.0, 1.0], values=[1.0, 2.0])
+        for grid in ([0.0, 2.0], [0.0, 1.0, 2.0]):
+            with pytest.raises(ValueError, match="same grid"):
+                inv_l1(a, CurveSeries(grid=grid, values=np.ones(len(grid))))
+
+    def test_empty_and_one_point_grids(self):
+        # no points: no distance; one point: a unit width
+        assert inv_l1(CurveSeries(grid=[], values=[]), CurveSeries(grid=[], values=[])) == 1.0
+        a = CurveSeries(grid=[3.0], values=[1.0])
+        assert inv_l1(a, CurveSeries(grid=[3.0], values=[4.0])) == 1.0 / 4.0
 
 
 class TestCompareModels:

@@ -13,6 +13,7 @@ from corrcascades import (
     simulate,
     window_nll,
 )
+from corrcascades.data import concat_logs
 from corrcascades.likelihood import InfeasibleLikelihoodError, _eval_features, _event_loglik
 from corrcascades.model import _UNDERFLOW, decayed_counts
 
@@ -381,6 +382,22 @@ class TestDomainTypes:
             with pytest.raises(ValueError, match="finite"):
                 EventLog([(1.0, 0, 0)], bad, 1, 1)
 
+    def test_negative_horizon_or_time_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            EventLog([], -1.0, 1, 1)
+        with pytest.raises(ValueError, match="event times must be nonnegative"):
+            EventLog([(-0.5, 0, 0), (1.0, 0, 0)], 5.0, 1, 1)
+
+    def test_concat_refuses_other_dimensions_or_overlap(self):
+        head = EventLog([(2.0, 0, 0)], 3.0, 1, 1)
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            concat_logs(head, EventLog([(4.0, 0, 0)], 5.0, 2, 1))
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            concat_logs(head, EventLog([(4.0, 0, 0)], 5.0, 1, 2))
+        # a tail that starts before the head ends is an unsorted log
+        with pytest.raises(ValueError, match="sorted"):
+            concat_logs(head, EventLog([(1.0, 0, 0)], 5.0, 1, 1))
+
     def test_from_arrays_matches_rows(self):
         rng = np.random.default_rng(31)
         log = random_log(rng, max_events=20)
@@ -420,6 +437,18 @@ class TestDomainTypes:
             ModelParams(np.array([[-0.1]]), np.zeros((1, 1)), SoftMaxMark(1.0))
         with pytest.raises(ValueError):
             ModelParams(np.array([[0.1]]), np.array([[-0.5]]), SoftMaxMark(1.0))
+
+    def test_misshapen_or_non_finite_params_rejected(self):
+        with pytest.raises(ValueError, match="mu must be an N x M matrix"):
+            ModelParams(np.array([0.1, 0.2]), np.zeros((2, 2)), SoftMaxMark(1.0))
+        for alpha in (np.zeros((2, 3)), np.zeros((1, 1)), np.zeros(4)):
+            with pytest.raises(ValueError, match="alpha must be N x N"):
+                ModelParams(np.full((2, 1), 0.1), alpha, SoftMaxMark(1.0))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(np.array([[bad]]), np.zeros((1, 1)), SoftMaxMark(1.0))
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(np.array([[0.1]]), np.array([[bad]]), SoftMaxMark(1.0))
 
     def test_bad_beta_rejected(self):
         with pytest.raises(ValueError):

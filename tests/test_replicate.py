@@ -40,9 +40,9 @@ class TestRunRecovery:
     def test_generates_and_fits_at_the_configured_beta(self):
         # the log is generated and fitted at the config's beta, not at a default of its own
         result = run_recovery(
-            seed=1, n_users=3, n_products=2, train_events=60, test_events=20, n_fractions=2,
+            seed=1, n_users=3, n_products=2, train_events=60, test_events=20,
             fit_config=FitConfig(beta=2.0, n_workers=1),
         )
         assert result.true_params.mark == SoftMaxMark(2.0)
-        assert [r.fraction for r in result.rows] == [0.5, 1.0]
+        assert [r.fraction for r in result.rows] == [k / 10 for k in range(1, 11)]
         assert all(np.isfinite(r.mse) for r in result.rows)

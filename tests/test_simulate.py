@@ -205,6 +205,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             SimConfig(horizon=1.0, seed=-1)
 
+    def test_zero_event_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_events must be positive"):
+            SimConfig(horizon=1.0, seed=0, max_events=0)
+
     def test_mark_marginal_single_user(self):
         # constant tendencies: products are iid soft-max draws
         mu = np.array([[0.3, 0.1]])

@@ -3,6 +3,8 @@ cascades: simulation by the branching representation, per-user convex MLE by
 projected Newton on theta >= 0 with the exact Hessian, and evaluation
 metrics."""
 
+# first: it sets one BLAS thread per process before numpy is loaded
+from . import _workers  # noqa: F401
 from .data import EventLog, concat_logs
 from .fitting import FitConfig, FitReport, UserFitEntry, cross_validate_beta, fit_all, fit_user
 from .likelihood import (

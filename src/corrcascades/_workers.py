@@ -13,6 +13,13 @@ off the CPU it started on, which is its parent's, so an unplaced child can
 share one CPU with its parent while another CPU idles.  Windows has no fork
 and macOS's system libraries are not safe across one; there the jobs run
 one after another in the caller.
+
+The parallelism is these processes, so each runs one BLAS thread: importing
+this module sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and
+`MKL_NUM_THREADS` to 1 where the caller has not set them, and the package
+imports it before any module that loads numpy, whose BLAS reads them once
+when it loads.  A BLAS that starts one thread per CPU in each of several
+processes pinned one to a CPU makes them fight for it.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ import os
 import pickle
 import sys
 import warnings
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 WORKERS_ENV_VAR = "CORRCASCADES_WORKERS"
 

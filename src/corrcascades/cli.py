@@ -7,12 +7,11 @@ refused before any input is read, and a command that uses workers reads
 rule that spans two flags, incentivization's `--switch-time` below
 `--horizon`, is checked after parsing.  The library keeps its own checks
 for its callers.
-`fit` maps users and `evaluate` overlaps its stages over
-`default_worker_count()` processes (`_workers.run_jobs`): `evaluate` parses
-the train log while the test log and the parameters are read, then, once
-the inputs pass every check of the scorer and the sampler, scores the test
-window while a stream is sampled and compared with it.  Errors rank as in a
-one-worker run, which does the same work in that order.
+`fit` maps users over `default_worker_count()` processes
+(`_workers.run_jobs`), and `evaluate`, once it has read its inputs and they
+pass every check of the scorer and the sampler, scores the test window
+while a stream is sampled and compared with it.  Importing the package sets
+one BLAS thread per process (`_workers`).
 `main` returns the code; `run`, the console entry, ends the process with it
 by `os._exit`, skipping interpreter teardown, about 20 ms of freeing
 modules and objects that the process is about to give back anyway.
@@ -136,7 +135,7 @@ def _build_parser() -> _Parser:
     p_recovery.add_argument("--test-events", type=_positive_int, default=2_000)
     p_inc.add_argument("--horizon", type=_positive, default=200.0)
     p_inc.add_argument("--switch-time", type=_positive, default=100.0, help="must be below --horizon")
-    p_inc.add_argument("--bins", type=_positive, default=2.0, help="bin width for the curves")
+    p_inc.add_argument("--bin-width", type=_positive, default=2.0, help="bin width in time units for the curves")
     return parser
 
 
@@ -204,12 +203,9 @@ def _sample_and_compare(train: EventLog, test: EventLog, params: ModelParams, se
 
 def _cmd_evaluate(args) -> int:
     workers = default_worker_count()
-    # two rounds of jobs that run at once on two workers, each listed in
-    # the order one worker runs them, which is the order their errors rank in
-    train, (test, params) = run_jobs(
-        [lambda: read_event_log(args.train), lambda: (read_event_log(args.test), read_params(args.params))],
-        workers,
-    )
+    train = read_event_log(args.train)
+    test = read_event_log(args.test)
+    params = read_params(args.params)
     # every refusal comes before any input is scored or sampled
     check_held_out(train, test, params)
     if not test.horizon > train.horizon:  # no window to bin the curves over
@@ -268,7 +264,7 @@ def _cmd_incentivization(args) -> int:
         n_users=args.n_users,
         horizon=args.horizon,
         switch_time=args.switch_time,
-        bin_width=args.bins,
+        bin_width=args.bin_width,
     )
     for run in result.runs:
         write_curves_csv(run.label, run.intensity, outdir / f"intensity_{run.label}.csv")
@@ -290,7 +286,7 @@ def main(argv=None) -> int:
     except (InfeasibleLikelihoodError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FileFormatError, OSError, UsageError, ValueError) as exc:
+    except (FileFormatError, MemoryError, OSError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -173,12 +173,13 @@ def _bin_edges(horizon: float, bin_width: float) -> np.ndarray:
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     n_full = int(math.floor(horizon / bin_width + 1e-12))
-    edges = [i * bin_width for i in range(n_full + 1)]
+    # an array, so a bin count past memory fails at its allocation
+    edges = np.arange(n_full + 1) * bin_width
     if edges[-1] < horizon:
-        edges.append(horizon)
+        edges = np.append(edges, horizon)
     if len(edges) < 2:
-        edges = [0.0, horizon]
-    return np.asarray(edges)
+        edges = np.array([0.0, horizon])
+    return edges
 
 
 def binned_intensity(log: EventLog, bin_width: float) -> list:

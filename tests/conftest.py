@@ -188,6 +188,25 @@ def brute_total_nll(log, params, use_quad=True):
     return comp - event_ll
 
 
+def brute_window_nll(log, params, t_start, t_end, first_event=None):
+    """NLL of the events in (t_start, t_end] (from index `first_event` on,
+    if given) with full preceding history, by rescanning: each scored
+    event's log intensity and log mark density, and the compensator over
+    the window alone, so no term of the history before it cancels."""
+    times = log.times
+    last = int(np.searchsorted(times, t_end, side="right"))
+    first = int(np.searchsorted(times, t_start, side="right")) if first_event is None else first_event
+    event_ll = 0.0
+    for t, u, p in zip(times[first:last].tolist(), log.users[first:last].tolist(), log.products[first:last].tolist()):
+        event_ll += math.log(brute_intensity(log, params, u, t))
+        event_ll += math.log(brute_mark_density(log, params, u, t)[p])
+    past = times < t_end
+    # the kernel exp(-(s - t_i)) integrated over s in [max(t_i, t_start), t_end]
+    mass = np.exp(-np.maximum(t_start - times[past], 0.0)) - np.exp(-(t_end - times[past]))
+    comp = params.mu_user.sum() * (t_end - t_start) + float(params.alpha.sum(axis=1)[log.users[past]] @ mass)
+    return comp - event_ll
+
+
 def brute_simulate(segments, seed, history=None, max_events=10**9):
     """Ogata thinning over consecutive (end_time, params) segments, rescanning
     the raw event history at every proposal.

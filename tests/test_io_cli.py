@@ -19,7 +19,7 @@ import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _build_parser, main
-from corrcascades import fitting
+from corrcascades import _workers, fitting
 from corrcascades.fitting import FitConfig, fit_all
 from corrcascades import io as io_module
 from corrcascades.io import (
@@ -37,7 +37,7 @@ from corrcascades.simulate import SimConfig, simulate
 from conftest import random_params
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, preexec_fn=None):
     """Run the CLI in a child process that must finish within 60 s."""
     env = dict(os.environ, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]))
     return subprocess.run(
@@ -46,7 +46,20 @@ def _run_cli(*argv):
         capture_output=True,
         text=True,
         timeout=60,
+        preexec_fn=preexec_fn,
     )
+
+
+def _cap_address_space():
+    """Cap this process's address space at 1 GiB where the platform lets
+    it, so a child that grows an array element by element fails instead
+    of filling the host's memory."""
+    try:
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    except (ImportError, OSError, ValueError):
+        pass
 
 
 class TestEventLogIO:
@@ -802,18 +815,15 @@ def _each_worker_count(monkeypatch):
 
 
 class TestCliEvaluate:
-    @pytest.mark.parametrize("flag", ["--train", "--test"])
+    @pytest.mark.parametrize("flag", ["--train", "--test", "--params"])
     def test_directory_for_an_input_is_usage_error(self, tmp_path, monkeypatch, flag):
-        # with 2 workers, the train log is read in the caller and the test
-        # log in a forked child, whose error the caller raises again
+        # the inputs are read in the caller, before any worker starts
         params, params_path = _write_model(tmp_path, seed=29)
         train_path, test_path = self._train_test_files(tmp_path, params)
-        paths = {"--train": str(train_path), "--test": str(test_path), flag: str(tmp_path)}
+        paths = {"--train": str(train_path), "--test": str(test_path), "--params": str(params_path)}
+        paths[flag] = str(tmp_path)
         for _ in _each_worker_count(monkeypatch):
-            proc = _run_cli(
-                "evaluate", *itertools.chain(*paths.items()), "--params", str(params_path),
-                "--out", str(tmp_path / "metrics.csv"),
-            )
+            proc = _run_cli("evaluate", *itertools.chain(*paths.items()), "--out", str(tmp_path / "metrics.csv"))
             assert proc.returncode == EXIT_USAGE
             assert proc.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
         assert not (tmp_path / "metrics.csv").exists()
@@ -1001,8 +1011,7 @@ class TestCliEvaluate:
         assert written[0].count(b"\n") == 2 + 4 * 4  # the score, then 4 rows for each product and all
 
     def test_malformed_train_and_test_report_the_train_file(self, tmp_path, monkeypatch, capsys):
-        # the test file is read while the train file is parsed, but the
-        # train file's error is the one reported, as a one-worker run does
+        # the train file is read first, at any worker count
         params, params_path = _write_model(tmp_path, seed=47)
         train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
         train_path.write_text("time,user,product\n1.0,0,zero\n")
@@ -1018,6 +1027,45 @@ class TestCliEvaluate:
             reports.append((code, capsys.readouterr().err))
         assert reports[0] == reports[1]
         assert reports[0][0] == EXIT_USAGE and str(train_path) in reports[0][1], reports[0]
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_two_workers_fork_once(self, tmp_path, monkeypatch):
+        # the inputs are read here; only scoring and sampling run at once
+        params, params_path = _write_model(tmp_path, seed=29)
+        train_path, test_path = self._train_test_files(tmp_path, params)
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setenv("CORRCASCADES_WORKERS", "2")
+        code = main(
+            [
+                "evaluate", "--train", str(train_path), "--test", str(test_path),
+                "--params", str(params_path), "--out", str(tmp_path / "metrics.csv"),
+            ]
+        )  # fmt: skip
+        assert code == EXIT_OK
+        assert len(forks) == (1 if _workers.FORK_SAFE else 0)
+
+    def test_bin_count_past_memory_fails_at_once(self, tmp_path, monkeypatch):
+        # 10**17 edges of 8 bytes are past any process's address space, so
+        # their first allocation fails without touching memory; the cap
+        # stops a regression that would append them one by one
+        params, params_path = _write_model(tmp_path, seed=29)
+        train_path, test_path = self._train_test_files(tmp_path, params)
+        for _ in _each_worker_count(monkeypatch):
+            proc = _run_cli(
+                "evaluate", "--train", str(train_path), "--test", str(test_path), "--params", str(params_path),
+                "--bins", str(10**17), "--out", str(tmp_path / "metrics.csv"), preexec_fn=_cap_address_space,
+            )  # fmt: skip
+            assert (proc.returncode, proc.stdout) == (EXIT_USAGE, ""), proc.stderr
+            assert proc.stderr.startswith("error: Unable to allocate ") and proc.stderr.count("\n") == 1
         assert not (tmp_path / "metrics.csv").exists()
 
 
@@ -1065,7 +1113,7 @@ class TestCliReplicate:
             [
                 "replicate-synthetic", "incentivization", "--seed", "2",
                 "--outdir", str(outdir), "--n-users", "10",
-                "--horizon", "30", "--switch-time", "15", "--bins", "3",
+                "--horizon", "30", "--switch-time", "15", "--bin-width", "3",
             ]
         )
         assert code == EXIT_OK
@@ -1083,7 +1131,7 @@ class TestCliReplicate:
         outdir = tmp_path / "inc"
         argv = [
             "replicate-synthetic", "incentivization", "--seed", "3", "--n-users", "8",
-            "--horizon", horizon, "--switch-time", switch, "--bins", width, "--outdir", str(outdir),
+            "--horizon", horizon, "--switch-time", switch, "--bin-width", width, "--outdir", str(outdir),
         ]
         assert main(argv) == EXIT_OK
         curves = [*outdir.glob("intensity_*.csv"), *outdir.glob("market_share_*.csv")]
@@ -1097,7 +1145,7 @@ class TestCliReplicate:
     def test_incentivization_files_repeat_byte_for_byte(self, tmp_path):
         argv = [
             "replicate-synthetic", "incentivization", "--seed", "4", "--n-users", "8",
-            "--horizon", "30", "--switch-time", "15", "--bins", "3",
+            "--horizon", "30", "--switch-time", "15", "--bin-width", "3",
         ]
         for name in ("a", "b"):
             assert main(argv + ["--outdir", str(tmp_path / name)]) == EXIT_OK
@@ -1125,8 +1173,10 @@ class TestCliReplicate:
         "figure, flags",
         [
             # each was accepted and ignored, exit 0
-            ("recovery", ["--horizon", "-5", "--switch-time", "99", "--bins", "0"]),
+            ("recovery", ["--horizon", "-5", "--switch-time", "99", "--bin-width", "0"]),
             ("incentivization", ["--train-events", "-3", "--test-events", "0"]),
+            # a bin count is evaluate's; incentivization takes a --bin-width
+            ("incentivization", ["--bins", "3"]),
         ],
     )
     def test_figures_refuse_each_others_flags(self, tmp_path, capsys, figure, flags):
@@ -1159,13 +1209,24 @@ class TestCliReplicate:
             code, err = self._refused(tmp_path, capsys, "recovery", flag, "0")
             assert (code, err) == (EXIT_USAGE, f"error: argument {flag}: must be a positive integer, got '0'\n")
 
+    def test_bin_width_past_memory_fails_at_once(self, tmp_path):
+        # 3e17 edges: the curve grid is built before any model is sampled
+        outdir = tmp_path / "inc"
+        proc = _run_cli(
+            "replicate-synthetic", "incentivization", "--outdir", str(outdir), "--n-users", "5",
+            "--horizon", "30", "--switch-time", "15", "--bin-width", "1e-16", preexec_fn=_cap_address_space,
+        )  # fmt: skip
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, ""), proc.stderr
+        assert proc.stderr.startswith("error: Unable to allocate ") and proc.stderr.count("\n") == 1
+        assert list(outdir.iterdir()) == []
+
     def test_incentivization_refuses_zero_bin_width(self, tmp_path, capsys):
         # was a division by zero in the binned curves, exit 2
         code, err = self._refused(
-            tmp_path, capsys, "incentivization", "--bins", "0", "--n-users", "5",
+            tmp_path, capsys, "incentivization", "--bin-width", "0", "--n-users", "5",
             "--horizon", "30", "--switch-time", "15",
         )
-        assert (code, err) == (EXIT_USAGE, "error: argument --bins: must be positive and finite, got '0'\n")
+        assert (code, err) == (EXIT_USAGE, "error: argument --bin-width: must be positive and finite, got '0'\n")
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -1229,7 +1290,7 @@ def test_fit_and_evaluate_never_import_numpy_ma(tmp_path):
     ]
     incentivization = [
         "replicate-synthetic", "incentivization", "--seed", "2", "--outdir", str(tmp_path / "inc"),
-        "--n-users", "5", "--horizon", "30", "--switch-time", "15", "--bins", "3",
+        "--n-users", "5", "--horizon", "30", "--switch-time", "15", "--bin-width", "3",
     ]
     code = (
         "import sys; from corrcascades.cli import main; "

@@ -1,9 +1,13 @@
 import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import corrcascades
 from corrcascades import _workers
 from corrcascades._workers import run_jobs
 
@@ -155,3 +159,25 @@ def test_a_warning_shown_once_is_not_shown_again_by_a_child():
 
     assert shown(1, False) == shown(3, False) == 1
     assert shown(1, True) == shown(3, True) == 0
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread entries in /proc here")
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_one_blas_thread_per_process_unless_set(preset):
+    # the workers are the parallelism: a BLAS that starts a thread per CPU
+    # in each of them runs several threads on each pinned CPU
+    env = {key: value for key, value in os.environ.items() if key not in _BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(Path(corrcascades.__file__).parents[1]))
+    code = (
+        "import os, corrcascades, numpy as np; a = np.ones((400, 400)); a @ a; "
+        f"print(len(os.listdir('/proc/self/task')), [os.environ.get(v) for v in {_BLAS_VARS!r}])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    threads, values = proc.stdout.split(" ", 1)
+    if not preset:
+        assert threads == "1"
+    assert values.strip() == repr([preset.get(v, "1") for v in _BLAS_VARS])

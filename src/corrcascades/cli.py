@@ -8,10 +8,10 @@ rule that spans two flags, incentivization's `--switch-time` below
 `--horizon`, is checked after parsing.  The library keeps its own checks
 for its callers.
 `fit` maps users over `default_worker_count()` processes
-(`_workers.run_jobs`), and `evaluate`, once it has read its inputs and they
-pass every check of the scorer and the sampler, scores the test window
-while a stream is sampled and compared with it.  Importing the package sets
-one BLAS thread per process (`_workers`).
+(`_workers.run_jobs`).  `evaluate` reads its inputs, refuses what the
+scorer would refuse, then scores the test window in the calling process;
+it reads no worker count and starts no process.  Importing the package
+sets one BLAS thread per process (`_workers`).
 `main` returns the code; `run`, the console entry, ends the process with it
 by `os._exit`, skipping interpreter teardown, about 20 ms of freeing
 modules and objects that the process is about to give back anyway.
@@ -29,13 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import fitting
-from ._workers import default_worker_count, run_jobs
-from .data import EventLog
+from ._workers import default_worker_count
 from .fitting import FitConfig, cross_validate_beta, fit_all
 from .io import FileFormatError, read_event_log, read_params, write_curves_csv, write_event_log, write_params
 from .likelihood import InfeasibleLikelihoodError
-from .metrics import avg_pred_loglik, check_held_out, compare_models
-from .model import ModelParams
+from .metrics import avg_pred_loglik, check_held_out
 from .replicate import run_incentivization, run_recovery
 from .simulate import SimConfig, simulate
 
@@ -116,8 +114,9 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--train", required=True)
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--params", required=True)
-    p_eval.add_argument("--bins", type=_positive_int, default=100, help="number of bins for the curves")
-    p_eval.add_argument("--seed", type=_nonnegative_int, default=0)
+    # still checked, so a script that passes them keeps working
+    p_eval.add_argument("--bins", type=_positive_int, default=100, help="deprecated and ignored")
+    p_eval.add_argument("--seed", type=_nonnegative_int, default=0, help="deprecated and ignored")
     p_eval.add_argument("--out", required=True)
 
     p_rep = sub.add_parser("replicate-synthetic", help="run a synthetic experiment pipeline")
@@ -184,48 +183,21 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _shift_to_window(log: EventLog, t_start: float) -> EventLog:
-    """`log`, whose events are all at or after t_start, moved to start at 0."""
-    return EventLog.from_arrays(
-        log.times - t_start, log.users, log.products, log.horizon - t_start, log.n_users, log.n_products
-    )
-
-
-def _sample_and_compare(train: EventLog, test: EventLog, params: ModelParams, seed: int, bins: int) -> list:
-    """Curve scores of one stream sampled after `train` against `test`,
-    both shifted to start at the train horizon."""
-    generated = simulate(params, SimConfig(horizon=test.horizon, seed=seed, initial_history=train))
-    bin_width = (test.horizon - train.horizon) / bins
-    real_w = _shift_to_window(test, train.horizon)
-    gen_w = _shift_to_window(generated, train.horizon)
-    return compare_models(real_w, [("model", gen_w)], bin_width)
-
-
 def _cmd_evaluate(args) -> int:
-    workers = default_worker_count()
     train = read_event_log(args.train)
     test = read_event_log(args.test)
     params = read_params(args.params)
-    # every refusal comes before any input is scored or sampled
+    # every refusal comes before any input is scored
     check_held_out(train, test, params)
-    if not test.horizon > train.horizon:  # no window to bin the curves over
+    if not test.horizon > train.horizon:  # an empty window
         raise ValueError(f"the test horizon {test.horizon!r} must be after the train horizon {train.horizon!r}")
-    score, rows = run_jobs(
-        [
-            lambda: avg_pred_loglik(train, test, params),
-            lambda: _sample_and_compare(train, test, params, args.seed, args.bins),
-        ],
-        workers,
-    )
+    score = avg_pred_loglik(train, test, params)
+    counts = np.bincount(test.products, minlength=test.n_products).tolist()
     with Path(args.out).open("w", newline="") as fh:
         fh.write("metric,product,value\n")
         fh.write(f"avg_pred_loglik,all,{score!r}\n")
-        for r in rows:
-            tag = "all" if r.product is None else str(r.product)
-            fh.write(f"pearson,{tag},{r.pearson!r}\n")
-            fh.write(f"inv_l1,{tag},{r.inv_l1!r}\n")
-            fh.write(f"n_events_real,{tag},{r.n_events_real}\n")
-            fh.write(f"n_events_generated,{tag},{r.n_events_generated}\n")
+        for p, count in [*enumerate(counts), ("all", len(test))]:
+            fh.write(f"n_events_real,{p},{count}\n")
     print(f"avg_pred_loglik={score:.6f}; wrote metrics to {args.out}")
     return EXIT_OK
 

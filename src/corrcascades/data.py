@@ -36,8 +36,12 @@ class EventLog:
         return log
 
     def _assign(self, times, users, products, horizon, n_users, n_products) -> None:
-        if n_users < 1 or n_products < 1:
-            raise ValueError("n_users and n_products must be >= 1")
+        # a fractional count would pass the id checks below, then be truncated
+        for count in (n_users, n_products):
+            if isinstance(count, (bool, np.bool_)) or not (count >= 1 and float(count).is_integer()):
+                raise ValueError(
+                    f"n_users and n_products must be integers >= 1, got {n_users!r} and {n_products!r}"
+                )
         # NaN passes every comparison below, so finiteness is checked first
         if not np.isfinite(horizon):
             raise ValueError("horizon must be finite")

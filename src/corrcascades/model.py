@@ -26,6 +26,8 @@ class SoftMaxMark:
     beta: float
 
     def __post_init__(self):
+        if isinstance(self.beta, (bool, np.bool_)):
+            raise TypeError("beta must be a number, not a bool")
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ValueError("beta must be positive and finite")
 
@@ -50,6 +52,9 @@ class ModelParams:
     mark: MarkModel
 
     def __post_init__(self):
+        # every consumer scores a mark that is not a SoftMaxMark as linear
+        if not isinstance(self.mark, (SoftMaxMark, LinearMark)):
+            raise TypeError(f"mark must be a SoftMaxMark or a LinearMark, not {self.mark!r}")
         mu = np.asarray(self.mu, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
         if mu.ndim != 2:

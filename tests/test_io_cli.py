@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 import warnings
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import corrcascades
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
 from corrcascades.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _build_parser, main
-from corrcascades import _workers, fitting
+from corrcascades import fitting
 from corrcascades.fitting import FitConfig, fit_all
 from corrcascades import io as io_module
 from corrcascades.io import (
@@ -610,8 +609,8 @@ class TestCliFit:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: CORRCASCADES_WORKERS {message}, got {raw!r}\n"
         assert not (tmp_path / "fit.json").exists()
-        # evaluate runs on the same workers, and refuses the same values
-        # before it reads a file
+        # evaluate starts no worker, so it reads no count: its first
+        # refusal is the missing test log
         code = main(
             [
                 "evaluate", "--train", str(events), "--test", str(tmp_path / "test.csv"),
@@ -619,7 +618,9 @@ class TestCliFit:
             ]
         )
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: CORRCASCADES_WORKERS {message}, got {raw!r}\n"
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(tmp_path / 'test.csv')!r}\n"
+        )
 
     def test_bad_worker_count_refused_before_the_log_is_read(self, tmp_path, monkeypatch, capsys):
         # the missing log was reported first, and a real one was parsed
@@ -817,7 +818,7 @@ def _each_worker_count(monkeypatch):
 class TestCliEvaluate:
     @pytest.mark.parametrize("flag", ["--train", "--test", "--params"])
     def test_directory_for_an_input_is_usage_error(self, tmp_path, monkeypatch, flag):
-        # the inputs are read in the caller, before any worker starts
+        # every input is read before anything is scored
         params, params_path = _write_model(tmp_path, seed=29)
         train_path, test_path = self._train_test_files(tmp_path, params)
         paths = {"--train": str(train_path), "--test": str(test_path), "--params": str(params_path)}
@@ -844,6 +845,7 @@ class TestCliEvaluate:
         return train_path, test_path
 
     def test_end_to_end_metrics_file(self, tmp_path):
+        # the score, then the test log's event count per product and in all
         params, params_path = _write_model(tmp_path, seed=29)
         train_path, test_path = self._train_test_files(tmp_path, params)
         out = tmp_path / "metrics.csv"
@@ -854,10 +856,15 @@ class TestCliEvaluate:
             ]
         )
         assert code == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[0] == "metric,product,value"
-        assert any(l.startswith("avg_pred_loglik,all,") for l in lines)
-        assert any(l.startswith("pearson,all,") for l in lines)
+        train, test = read_event_log(train_path), read_event_log(test_path)
+        counts = [int((test.products == p).sum()) for p in range(test.n_products)]
+        assert min(counts) > 0
+        assert out.read_text().splitlines() == [
+            "metric,product,value",
+            f"avg_pred_loglik,all,{avg_pred_loglik(train, test, read_params(params_path))!r}",
+            *(f"n_events_real,{p},{count}" for p, count in enumerate(counts)),
+            f"n_events_real,all,{len(test)}",
+        ]
 
     def test_nonpositive_bins_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # rejected before any file is read: none of these paths exists; so
@@ -883,15 +890,10 @@ class TestCliEvaluate:
         train_path, test_path = self._train_test_files(tmp_path, params)
 
         def no_simulation(*args, **kwargs):
-            (tmp_path / "simulated").touch()  # seen from here when a forked worker calls it
+            (tmp_path / "simulated").touch()
             raise AssertionError("simulate was called")
 
-        def slow_score(*args):
-            time.sleep(0.2)  # time for a sampler started alongside to reach simulate
-            return avg_pred_loglik(*args)
-
         monkeypatch.setattr("corrcascades.cli.simulate", no_simulation)
-        monkeypatch.setattr("corrcascades.cli.avg_pred_loglik", slow_score)
         for _, (n, m) in itertools.product(_each_worker_count(monkeypatch), ((2, 2), (4, 2), (3, 1), (3, 3))):
             other_dir = tmp_path / f"{n}x{m}"
             other_dir.mkdir(exist_ok=True)
@@ -981,34 +983,43 @@ class TestCliEvaluate:
             assert (proc.returncode, proc.stdout) == (EXIT_NUMERICAL, "")
             assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
 
-    def test_supercritical_model_warns_once(self, tmp_path, monkeypatch):
-        # the sampler's warning reaches stderr once, also from a forked worker
+    def test_supercritical_model_is_scored_without_sampling(self, tmp_path, monkeypatch):
+        # scoring a supercritical model samples nothing, so nothing warns of it
         params, _ = _write_model(tmp_path, seed=53)
         train_path, test_path = self._train_test_files(tmp_path, params)
+        supercritical = ModelParams(params.mu, np.full_like(params.alpha, 0.5), params.mark)
         params_path = tmp_path / "supercritical.json"
-        write_params(ModelParams(params.mu, np.full_like(params.alpha, 0.5), params.mark), params_path)
-        for _ in _each_worker_count(monkeypatch):
-            proc = _run_cli(
-                "evaluate", "--train", str(train_path), "--test", str(test_path),
-                "--params", str(params_path), "--out", str(tmp_path / "metrics.csv"),
+        write_params(supercritical, params_path)
+        out = tmp_path / "metrics.csv"
+        # every sampling path draws through _sample: a call would fail with a TypeError
+        monkeypatch.setattr(sys.modules["corrcascades.simulate"], "_sample", None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                [
+                    "evaluate", "--train", str(train_path), "--test", str(test_path),
+                    "--params", str(params_path), "--out", str(out),
+                ]
             )  # fmt: skip
-            assert proc.returncode == EXIT_OK, proc.stderr
-            assert proc.stderr.count("SubcriticalityWarning") == 1, proc.stderr
+        assert (code, caught) == (EXIT_OK, [])
+        score = avg_pred_loglik(read_event_log(train_path), read_event_log(test_path), supercritical)
+        assert out.read_text().splitlines()[1] == f"avg_pred_loglik,all,{score!r}"
 
     def test_one_and_two_workers_write_the_same_metrics(self, tmp_path, monkeypatch):
+        # and so does every --seed and --bins, which are ignored
         params, params_path = _write_model(tmp_path, n=5, m=3, seed=43)
         train_path, test_path = self._train_test_files(tmp_path, params, horizon=60.0, split=40.0)
-        written = []
-        for workers in _each_worker_count(monkeypatch):
-            out = tmp_path / f"metrics{workers}.csv"
+        written = set()
+        for workers, seed, bins in itertools.product(_each_worker_count(monkeypatch), ("0", "5"), ("12", "100")):
+            out = tmp_path / f"metrics{workers}-{seed}-{bins}.csv"
             argv = [
                 "evaluate", "--train", str(train_path), "--test", str(test_path),
-                "--params", str(params_path), "--bins", "12", "--seed", "5", "--out", str(out),
+                "--params", str(params_path), "--bins", bins, "--seed", seed, "--out", str(out),
             ]  # fmt: skip
             assert main(argv) == EXIT_OK
-            written.append(out.read_bytes())
-        assert written[0] == written[1]
-        assert written[0].count(b"\n") == 2 + 4 * 4  # the score, then 4 rows for each product and all
+            written.add(out.read_bytes())
+        assert len(written) == 1
+        assert written.pop().count(b"\n") == 2 + 3 + 1  # header, score, then a count for each product and all
 
     def test_malformed_train_and_test_report_the_train_file(self, tmp_path, monkeypatch, capsys):
         # the train file is read first, at any worker count
@@ -1029,8 +1040,8 @@ class TestCliEvaluate:
         assert reports[0][0] == EXIT_USAGE and str(train_path) in reports[0][1], reports[0]
         assert not (tmp_path / "metrics.csv").exists()
 
-    def test_two_workers_fork_once(self, tmp_path, monkeypatch):
-        # the inputs are read here; only scoring and sampling run at once
+    def test_two_workers_fork_nothing(self, tmp_path, monkeypatch):
+        # the score is the one stage, and it runs in the calling process
         params, params_path = _write_model(tmp_path, seed=29)
         train_path, test_path = self._train_test_files(tmp_path, params)
         forks = []
@@ -1050,23 +1061,20 @@ class TestCliEvaluate:
                 "--params", str(params_path), "--out", str(tmp_path / "metrics.csv"),
             ]
         )  # fmt: skip
-        assert code == EXIT_OK
-        assert len(forks) == (1 if _workers.FORK_SAFE else 0)
+        assert (code, forks) == (EXIT_OK, [])
 
-    def test_bin_count_past_memory_fails_at_once(self, tmp_path, monkeypatch):
-        # 10**17 edges of 8 bytes are past any process's address space, so
-        # their first allocation fails without touching memory; the cap
-        # stops a regression that would append them one by one
+    def test_bin_count_past_memory_allocates_nothing(self, tmp_path):
+        # 10**17 bin edges of 8 bytes are past any process's address space;
+        # --bins is ignored, so the run ends well within the cap
         params, params_path = _write_model(tmp_path, seed=29)
         train_path, test_path = self._train_test_files(tmp_path, params)
-        for _ in _each_worker_count(monkeypatch):
-            proc = _run_cli(
-                "evaluate", "--train", str(train_path), "--test", str(test_path), "--params", str(params_path),
-                "--bins", str(10**17), "--out", str(tmp_path / "metrics.csv"), preexec_fn=_cap_address_space,
-            )  # fmt: skip
-            assert (proc.returncode, proc.stdout) == (EXIT_USAGE, ""), proc.stderr
-            assert proc.stderr.startswith("error: Unable to allocate ") and proc.stderr.count("\n") == 1
-        assert not (tmp_path / "metrics.csv").exists()
+        out = tmp_path / "metrics.csv"
+        proc = _run_cli(
+            "evaluate", "--train", str(train_path), "--test", str(test_path), "--params", str(params_path),
+            "--bins", str(10**17), "--out", str(out), preexec_fn=_cap_address_space,
+        )  # fmt: skip
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.endswith(f"; wrote metrics to {out}\n")
 
 
 class TestCliReplicate:

@@ -415,6 +415,15 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="finite"):
             EventLog.from_arrays([1.0, float("nan")], [0, 0], [0, 0], 5.0, 1, 1)
 
+    def test_fractional_or_boolean_counts_rejected(self):
+        # 2.5 users passed the check of user 2's id, then were truncated to 2
+        for n_users, n_products in ((2.5, 1), (True, 1), (3, np.True_), (float("nan"), 1), (math.inf, 1)):
+            with pytest.raises(ValueError, match="integers >= 1"):
+                EventLog([(0.1, 2, 0)], 1.0, n_users, n_products)
+        log = EventLog([(0.1, 2, 0)], 1.0, 3.0, np.int64(1))
+        assert (log.n_users, log.n_products) == (3, 1)
+        assert decayed_counts(log, 0.5, 0, 1).shape == (3, 1)
+
     def test_ids_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             EventLog([(1.0, 1, 0)], 5.0, 1, 1)
@@ -455,3 +464,12 @@ class TestDomainTypes:
             SoftMaxMark(0.0)
         with pytest.raises(ValueError):
             SoftMaxMark(float("inf"))
+        for flag in (True, np.True_):
+            with pytest.raises(TypeError, match="bool"):
+                SoftMaxMark(flag)
+
+    def test_unknown_mark_rejected(self):
+        # every consumer scored any mark but a SoftMaxMark as linear
+        for mark in ("softmax", None, 1.0, LinearMark):
+            with pytest.raises(TypeError, match="SoftMaxMark or a LinearMark"):
+                ModelParams(np.full((1, 1), 0.1), np.zeros((1, 1)), mark)

@@ -3,9 +3,10 @@
 `run_jobs` runs a list of zero-argument jobs: job 0 in the caller and every
 later job in a child started by `os.fork`.  A child inherits everything the
 caller holds, so nothing is pickled in; it sends its result or its
-exception back pickled through a pipe, with the warnings its job issued
-for the caller to issue again, and leaves by `os._exit`, so it never runs
-its parent's exit handlers or flushes the output buffers it inherited.
+exception back pickled through a pipe and leaves by `os._exit`, so it never
+runs its parent's exit handlers or flushes the output buffers it inherited.
+A child keeps the warning filters it inherited: a warning its job issues
+prints from the child, and one that a filter makes an error fails the job.
 While the jobs run, each process is pinned to its own CPU of the caller's
 affinity mask.  On a host whose cpuset does not balance load between its
 CPUs (`cpuset.sched_load_balance = 0`) the kernel never moves a forked child
@@ -27,7 +28,6 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-import warnings
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -69,22 +69,17 @@ def _pin(cpus: list[int] | None, i: int) -> bool:
 
 
 def _child(write_fd: int, job, cpus: list[int] | None, i: int):
-    """Body of the child that runs job i: send `(ok, value, shown)` pickled
-    through `write_fd` and leave by `os._exit`.  `shown` lists the
-    (message, category, filename, lineno) of each warning the job issued
-    that the filters it inherited let through; a filter that makes one an
-    error fails the job.  A child that cannot send its payload exits with
-    code 1 and sends nothing."""
+    """Body of the child that runs job i: send `(ok, value)` pickled through
+    `write_fd` and leave by `os._exit`.  A child that cannot send its
+    payload exits with code 1 and sends nothing."""
     code = 1
     try:
         _pin(cpus, i)
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                payload = (True, job())
-            except BaseException as exc:  # the caller raises it
-                payload = (False, exc)
-        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        data = pickle.dumps((*payload, shown), pickle.HIGHEST_PROTOCOL)
+        try:
+            payload = (True, job())
+        except BaseException as exc:  # the caller raises it
+            payload = (False, exc)
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -92,36 +87,19 @@ def _child(write_fd: int, job, cpus: list[int] | None, i: int):
         os._exit(code)
 
 
-def _warn_again(message, category, filename, lineno):
-    """Issue a child's warning here as `warnings.warn` would have: under the
-    name, and into the `__warningregistry__`, of the module loaded from
-    `filename` (the defaults of `warn_explicit` where none was), so a
-    warning already shown from that line is not shown again."""
-    for module in list(sys.modules.values()):
-        if getattr(module, "__file__", None) == filename:
-            registry = vars(module).setdefault("__warningregistry__", {})
-            warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
-            return
-    warnings.warn_explicit(message, category, filename, lineno)
-
-
-def run_jobs(jobs: list, workers: int) -> list:
+def run_jobs(jobs: list) -> list:
     """The results of the zero-argument `jobs`, in job order.
 
-    With `workers` > 1 and a safe fork, job 0 runs in the caller and each
-    later job in a forked child, all at once, process i pinned to
-    cpus[i % len(cpus)] of the caller's affinity mask (unplaced where
-    pinning fails); the caller's mask is restored before this returns or
-    raises.  The exception of the lowest-index failed job is raised, with
-    its type and message; a child that sends nothing is named with its
-    exit code.  A child's warnings are issued again here (`_warn_again`),
-    job by job after job 0's own and before a job's exception, so the
-    caller's filters, records and warning registries see each job's
-    warnings in job order, as if the jobs had run here.  Every child is
-    reaped, and on any failure the ones still running are killed first.
-    Otherwise the jobs run in order here.
+    With a safe fork, job 0 runs in the caller and each later job in a
+    forked child, all at once, process i pinned to cpus[i % len(cpus)] of
+    the caller's affinity mask (unplaced where pinning fails); the caller's
+    mask is restored before this returns or raises.  The exception of the
+    lowest-index failed job is raised, with its type and message; a child
+    that sends nothing is named with its exit code.  Every child is reaped,
+    and on any failure the ones still running are killed first.  Otherwise
+    the jobs run in order here.
     """
-    if workers < 2 or len(jobs) < 2 or not FORK_SAFE:
+    if len(jobs) < 2 or not FORK_SAFE:
         return [job() for job in jobs]
     mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
     cpus = sorted(mask) if mask else None
@@ -147,9 +125,7 @@ def run_jobs(jobs: list, workers: int) -> list:
             if not data:
                 code = os.waitstatus_to_exitcode(status)
                 raise RuntimeError(f"worker {i + 1} ended without a result (exit code {code})")
-            ok, value, shown = pickle.loads(data)
-            for message, category, filename, lineno in shown:
-                _warn_again(message, category, filename, lineno)
+            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             results.append(value)

@@ -267,7 +267,7 @@ def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
     shares = min(config.n_workers, n)
     jobs = [partial(_fit_users, log, range(w, n, shares), config) for w in range(shares)]
     results = [None] * n
-    for w, chunk in enumerate(_workers.run_jobs(jobs, shares)):
+    for w, chunk in enumerate(_workers.run_jobs(jobs)):
         results[w::shares] = chunk
     theta = np.array([theta_u for theta_u, _ in results])  # row u: [alpha[:, u] | mu[u]]
     report = FitReport([entry for _, entry in results])

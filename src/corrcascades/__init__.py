@@ -6,14 +6,17 @@ metrics."""
 # first: it sets one BLAS thread per process before numpy is loaded
 from . import _workers  # noqa: F401
 from .data import EventLog, concat_logs
-from .fitting import FitConfig, FitReport, UserFitEntry, cross_validate_beta, fit_all, fit_user
-from .likelihood import (
+from .fitting import (
     EventFeatures,
-    InfeasibleLikelihoodError,
+    FitConfig,
+    FitReport,
+    UserFitEntry,
     build_all_features,
-    total_nll,
-    window_nll,
+    cross_validate_beta,
+    fit_all,
+    fit_user,
 )
+from .likelihood import InfeasibleLikelihoodError, total_nll, window_nll
 from .metrics import (
     CurveScoreRow,
     CurveSeries,

@@ -4,7 +4,7 @@ All history dependence flows through the exponentially decayed event counts
 B(t), the sufficient statistics of the likelihood: any tendency
 g_u^p(t) = mu_u^p + sum_j alpha[j, u] B_j^p(t) costs O(N) given them,
 however many events came before.  `decayed_counts` gives them at one time
-in closed form; `likelihood._user_snapshots` gives them at every event
+in closed form; `fitting._user_snapshots` gives them at every event
 time of one user.
 """
 

@@ -19,7 +19,7 @@ import pytest
 from scipy.integrate import quad
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
-from corrcascades.likelihood import _eval_features, _gradient_from_eval
+from corrcascades.fitting import _eval_features, _gradient_from_eval
 
 
 @pytest.fixture(autouse=True)

@@ -21,8 +21,8 @@ from corrcascades import (
     window_nll,
 )
 from corrcascades import _workers, fitting
-from corrcascades.fitting import FitConfig, cross_validate_beta, fit_all, fit_user
-from corrcascades.likelihood import BLOCK, _compensator_slope, _user_features
+from corrcascades.fitting import FitConfig, _compensator_slope, _user_features, cross_validate_beta, fit_all, fit_user
+from corrcascades.likelihood import BLOCK
 from corrcascades.metrics import avg_pred_loglik, held_out_score
 from corrcascades.model import ModelParams, SoftMaxMark
 from corrcascades.replicate import expected_event_rate, make_recovery_model
@@ -404,6 +404,24 @@ class TestFitAll:
         theta, _ = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
         np.testing.assert_array_equal(params.mu[0], theta[1:])
         np.testing.assert_array_equal(params.alpha[:, 0], theta[:1])
+
+    def test_every_user_matches_fit_user_at_any_worker_count(self):
+        # each share reuses one Jacobian buffer, sized for its largest user
+        # and sliced per user: every user's fit equals one on fresh features,
+        # whichever share the user falls in and wherever in it
+        rng = np.random.default_rng(31)
+        times = np.cumsum(rng.choice((0.0, 0.0, 0.3, 1.0), size=90))
+        users = rng.choice(4, size=90, p=[0.45, 0.3, 0.15, 0.1])  # user 4 of 5 stays silent
+        log = EventLog.from_arrays(times, users, rng.integers(0, 3, 90), times[-1] + 0.5, 5, 3)
+        counts = np.bincount(log.users, minlength=5)
+        assert counts[4] == 0 and len(set(counts[:4].tolist())) == 4 and (np.diff(log.times) == 0).any()
+        config = FitConfig(beta=1.0)
+        fresh = [fit_user(build_all_features(log)[u], u, config) for u in range(5)]
+        for workers in (1, 2, 3):
+            params, report = fit_all(log, dataclasses.replace(config, n_workers=workers))
+            for u, (theta, entry) in enumerate(fresh):
+                np.testing.assert_array_equal(np.concatenate([params.alpha[:, u], params.mu[u]]), theta)
+                assert report.entries[u].nll == entry.nll
 
     def test_parallel_equals_sequential(self, monkeypatch):
         # worker counts that do not divide N, a user with no events, and

@@ -16,18 +16,8 @@ from corrcascades import (
     window_nll,
 )
 
-from corrcascades.likelihood import (
-    BLOCK,
-    _TINY,
-    _block_starts,
-    _block_sweep,
-    _eval_features,
-    _event_loglik,
-    _hessian_core,
-    _hessian_factor,
-    _window_tendencies,
-)
-from corrcascades.fitting import _ridge_step
+from corrcascades.likelihood import BLOCK, _block_starts, _block_sweep, _event_loglik, _window_tendencies
+from corrcascades.fitting import _TINY, _eval_features, _hessian_core, _hessian_factor, _ridge_step
 from corrcascades.metrics import avg_pred_loglik, held_out_score
 from corrcascades.model import decayed_counts
 

@@ -14,7 +14,8 @@ from corrcascades import (
     window_nll,
 )
 from corrcascades.data import concat_logs
-from corrcascades.likelihood import InfeasibleLikelihoodError, _eval_features, _event_loglik
+from corrcascades.fitting import _eval_features
+from corrcascades.likelihood import InfeasibleLikelihoodError, _event_loglik
 from corrcascades.model import _UNDERFLOW, decayed_counts
 
 from conftest import (

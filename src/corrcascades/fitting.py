@@ -41,6 +41,7 @@ from the first iteration instead of widening the early free blocks.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -248,6 +249,8 @@ class FitConfig:
 
     def __post_init__(self):
         SoftMaxMark(self.beta)  # raises unless beta is positive and finite
+        if isinstance(self.n_workers, bool) or not isinstance(self.n_workers, numbers.Integral):
+            raise TypeError(f"n_workers must be an integer, not {self.n_workers!r}")
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
 

@@ -18,16 +18,17 @@ needs the tendencies g_u(t) at every event, which come in the window
 scorer's blocks (`likelihood._block_sweep`); `_softmax_products` redraws
 each block's products as the fixed point of a few vectorized draws.
 
-One pass (`_sample`) covers one regime: one `ModelParams`.  The counts B
-at a time summarize everything before it, so a switch of parameters
-mid-run (`run_scenario`, the incentivization experiment's baseline boost
-and mark change) is two passes on one random stream, the second absorbing
-the first's events through B at the switch.
+`_sample_regimes` runs a list of regimes, each one `ModelParams` up to an
+end time, on one random stream.  The counts B at a time summarize
+everything before it, so each regime starts from the counts the last one
+ends with: `simulate` is one regime, and `run_scenario`, the
+incentivization experiment's baseline boost and mark change, is two.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -58,6 +59,9 @@ class SimConfig:
     max_events: int = 10_000_000
 
     def __post_init__(self):
+        for name, value in (("seed", self.seed), ("max_events", self.max_events)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         # NaN passes every comparison, so finiteness is checked explicitly
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be positive and finite")
@@ -225,42 +229,42 @@ def _softmax_products(beta, mu, alpha, b, start, times, users, v) -> np.ndarray:
     return products
 
 
-def _initial_state(params: ModelParams, history: EventLog | None) -> tuple[np.ndarray, float]:
-    """Decayed counts B at the horizon T of `history`, and T (0 without one).
+def _sample_regimes(regimes: list[tuple[ModelParams, float]], config: SimConfig) -> EventLog:
+    """The events on (start, horizon] under each (params, end) regime in turn.
 
-    B[j, q] = sum over history events (t_i, j, q) of exp(-(T - t_i)), from
-    `model.decayed_counts`.  The history shows (t_last, T] to be empty, so
-    sampling starts at T.  Raises ValueError unless the history has the
-    parameters' users and products.
+    start is 0, or the horizon of `config.initial_history`, whose events
+    enter through their decayed counts B there (ValueError unless it has
+    the parameters' users and products).  Each regime draws
+    (start, max(end, start)] with what is left of the event cap, then
+    decays B to that end, adds the new events and hands both on.  The log
+    ends at `config.horizon`; a binding cap warns once.
     """
-    if history is None:
-        return np.zeros((params.n_users, params.n_products)), 0.0
-    check_dimensions(history, params)
-    return decayed_counts(history, history.horizon, 0, len(history)), history.horizon
-
-
-def _sample(params: ModelParams, b, start, horizon, rng, cap: int) -> tuple[EventLog, bool]:
-    """One pass: the events on (start, horizon] after counts `b` at `start`.
-
-    Linear-mark events keep the products `_cluster` hands down; soft-max
-    ones are redrawn.  Returns the log and whether the event cap dropped
-    events.
-    """
-    times, users, products, exhausted = _cluster(params.mu, params.alpha, b, start, horizon, rng, cap)
-    if isinstance(params.mark, SoftMaxMark):
-        v = rng.random(times.size)
-        products = _softmax_products(params.mark.beta, params.mu, params.alpha, b, start, times, users, v)
-    log = EventLog.from_arrays(times, users, products, horizon, params.n_users, params.n_products)
-    return log, exhausted
-
-
-def _warn_if_capped(exhausted: bool, log: EventLog, cap: int) -> None:
+    first = regimes[0][0]
+    history = config.initial_history
+    b, start = np.zeros(first.mu.shape), 0.0
+    if history is not None:
+        check_dimensions(history, first)
+        b, start = decayed_counts(history, history.horizon, 0, len(history)), history.horizon
+    rng = np.random.default_rng(config.seed)
+    log, exhausted = EventLog([], start, *b.shape), False
+    for params, end in regimes:
+        end = max(end, start)
+        cap = config.max_events - len(log)
+        times, users, products, capped = _cluster(params.mu, params.alpha, b, start, end, rng, cap)
+        if isinstance(params.mark, SoftMaxMark):
+            v = rng.random(times.size)
+            products = _softmax_products(params.mark.beta, params.mu, params.alpha, b, start, times, users, v)
+        part = EventLog.from_arrays(times, users, products, end, *b.shape)
+        b = b * math.exp(-(end - start)) + decayed_counts(part, end, 0, len(part))
+        log, exhausted, start = concat_logs(log, part), exhausted or capped, end
+    log = log.with_horizon(config.horizon)
     if exhausted:
         warnings.warn(
-            f"event cap {cap} exhausted at t={log.times[-1]:.3f}; log is partial",
+            f"event cap {config.max_events} exhausted at t={log.times[-1]:.3f}; log is partial",
             RuntimeWarning,
             stacklevel=3,
         )
+    return log
 
 
 def simulate(params: ModelParams, config: SimConfig) -> EventLog:
@@ -273,11 +277,7 @@ def simulate(params: ModelParams, config: SimConfig) -> EventLog:
     earliest `max_events` are kept, with a RuntimeWarning.
     """
     _check_subcritical(params)
-    b, start = _initial_state(params, config.initial_history)
-    rng = np.random.default_rng(config.seed)
-    log, exhausted = _sample(params, b, start, config.horizon, rng, config.max_events)
-    _warn_if_capped(exhausted, log, config.max_events)
-    return log
+    return _sample_regimes([(params, config.horizon)], config)
 
 
 def run_scenario(before: ModelParams, after: ModelParams, switch_time: float, config: SimConfig) -> EventLog:
@@ -285,16 +285,13 @@ def run_scenario(before: ModelParams, after: ModelParams, switch_time: float, co
 
     The two parameter sets must have the same users and products
     (ValueError otherwise); the incentivization experiment's `after` has
-    boosted baselines and another mark.  Two passes share one random
-    stream.  The first covers (start, s] under `before`, where start is as
-    in `simulate` and s is the later of `switch_time` and start; it draws
-    exactly what `simulate(before, ...)` draws with `horizon=switch_time`
-    and the same seed.  The second covers (s, horizon] under `after`,
-    starting from the decayed counts of the history and the first pass at
-    s, with what is left of the event cap.  A history whose horizon is
-    after `switch_time` leaves the whole window to the second pass.  As in
-    `simulate`, a binding event cap keeps the earliest `max_events` events,
-    with a RuntimeWarning.
+    boosted baselines and another mark.  They are two regimes of
+    `_sample_regimes`: the first covers (start, s] under `before`, where
+    start is as in `simulate` and s is the later of `switch_time` and
+    start, and draws exactly what `simulate(before, ...)` draws with
+    `horizon=switch_time` and the same seed; the second covers
+    (s, horizon] under `after`.  As in `simulate`, a binding event cap
+    keeps the earliest `max_events` events, with a RuntimeWarning.
     """
     if not 0 < switch_time < config.horizon:
         raise ValueError("switch_time must fall inside (0, horizon)")
@@ -306,14 +303,4 @@ def run_scenario(before: ModelParams, after: ModelParams, switch_time: float, co
     _check_subcritical(before)
     if after.alpha is not before.alpha:
         _check_subcritical(after)
-
-    b, start = _initial_state(before, config.initial_history)
-    switch = max(switch_time, start)
-    rng = np.random.default_rng(config.seed)
-    pre, pre_exhausted = _sample(before, b, start, switch, rng, config.max_events)
-    b = b * math.exp(-(switch - start)) + decayed_counts(pre, switch, 0, len(pre))
-    post, post_exhausted = _sample(after, b, switch, config.horizon, rng, config.max_events - len(pre))
-    # a history horizon beyond `config.horizon` puts s, and the first log's horizon, beyond it
-    log = concat_logs(pre, post).with_horizon(config.horizon)
-    _warn_if_capped(pre_exhausted or post_exhausted, log, config.max_events)
-    return log
+    return _sample_regimes([(before, switch_time), (after, config.horizon)], config)

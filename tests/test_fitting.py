@@ -231,6 +231,11 @@ class TestFitUser:
         for workers in (0, -1):
             with pytest.raises(ValueError, match="n_workers"):
                 FitConfig(n_workers=workers)
+        # a fractional count would fail only in fit_all's range
+        for workers in (2.5, 2.0, True):
+            with pytest.raises(TypeError, match="n_workers must be an integer"):
+                FitConfig(n_workers=workers)
+        assert FitConfig(n_workers=np.int64(2)).n_workers == 2
 
     def test_config_holds_beta_and_workers_only(self):
         # the step cap and the hold-out share are the solver's constants

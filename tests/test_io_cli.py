@@ -991,8 +991,8 @@ class TestCliEvaluate:
         params_path = tmp_path / "supercritical.json"
         write_params(supercritical, params_path)
         out = tmp_path / "metrics.csv"
-        # every sampling path draws through _sample: a call would fail with a TypeError
-        monkeypatch.setattr(sys.modules["corrcascades.simulate"], "_sample", None)
+        # every sampling path draws through _sample_regimes: a call would fail with a TypeError
+        monkeypatch.setattr(sys.modules["corrcascades.simulate"], "_sample_regimes", None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(

@@ -18,7 +18,6 @@ from corrcascades.simulate import (
     _POISSON_LAM_MAX,
     SimConfig,
     SubcriticalityWarning,
-    _initial_state,
     _softmax_products,
     run_scenario,
     simulate,
@@ -204,10 +203,23 @@ class TestSimulate:
         # numpy's generators refuse it too, but without naming the seed
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             SimConfig(horizon=1.0, seed=-1)
+        # and refuse a fractional one deep in SeedSequence, or take True as 1
+        for bad in (1.5, 2.0, True):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                SimConfig(horizon=1.0, seed=bad)
+        assert simulate(poisson_model(), SimConfig(horizon=5.0, seed=np.int64(3))) == simulate(
+            poisson_model(), SimConfig(horizon=5.0, seed=3)
+        )
 
     def test_zero_event_cap_rejected(self):
         with pytest.raises(ValueError, match="max_events must be positive"):
             SimConfig(horizon=1.0, seed=0, max_events=0)
+        # a fractional cap or a bool would fail only inside the draws
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(TypeError, match="max_events must be an integer"):
+                SimConfig(horizon=1.0, seed=0, max_events=bad)
+        with pytest.warns(RuntimeWarning, match="event cap 3 exhausted"):
+            assert len(simulate(poisson_model(), SimConfig(horizon=50.0, seed=0, max_events=np.int64(3)))) == 3
 
     def test_mark_marginal_single_user(self):
         # constant tendencies: products are iid soft-max draws
@@ -587,19 +599,16 @@ class TestThinningOracle:
                 assert events > 0.25
 
     def test_initial_state_matches_rescan(self):
-        # the history decayed to its horizon, events at the horizon included
+        # the sampler absorbs a history as its counts decayed to its
+        # horizon, events at the horizon included
         rng = np.random.default_rng(109)
         zeroed = 0
         for _ in range(200):
             log = tied_log(rng)
-            params = random_params(rng, log.n_users, log.n_products)
-            b, start = _initial_state(params, log)
-            assert start == log.horizon
-            np.testing.assert_allclose(b, brute_counts(log, start, inclusive=True), rtol=1e-12, atol=0.0)
-            zeroed += int(np.any((log.times < start - 700.0)))
+            b = decayed_counts(log, log.horizon, 0, len(log))
+            np.testing.assert_allclose(b, brute_counts(log, log.horizon, inclusive=True), rtol=1e-12, atol=0.0)
+            zeroed += int(np.any((log.times < log.horizon - 700.0)))
         assert zeroed >= 20
-        b, start = _initial_state(params, None)
-        assert start == 0.0 and not b.any()
 
 
 def inverse_cdf(weights, v):
@@ -628,7 +637,9 @@ class TestProductDraw:
         n = history.n_users if history is not None else int(rng.integers(1, 5))
         m = history.n_products if history is not None else int(rng.integers(1, 4))
         params = random_params(rng, n, m, beta=beta, mu_high=0.2, alpha_high=0.4)
-        b, start = _initial_state(params, history)
+        b, start = np.zeros((n, m)), 0.0
+        if history is not None:
+            b, start = decayed_counts(history, history.horizon, 0, len(history)), history.horizon
 
         # more than two blocks; zero gaps tie events, and one constructed run
         # of tied events sits inside a block (sometimes a run longer than one)
@@ -642,8 +653,8 @@ class TestProductDraw:
 
         # one `_softmax_products` call per regime: a second regime, with
         # boosted baselines, starts after the tie run of the middle event
-        # and absorbs the first through the decayed counts there, as
-        # `run_scenario` does
+        # and absorbs the first through the decayed counts there, as the
+        # sampler's regime loop does
         boosted = params.mu.copy()
         boosted[:, 0] *= 2.0
         regimes = [params, ModelParams(boosted, params.alpha, params.mark)][: len(marks.split("-"))]
@@ -751,6 +762,33 @@ class TestSamplerEdges:
         assert {type(w.message) for w in caught} == {SubcriticalityWarning, RuntimeWarning}
         # one cap warning from each sampler
         assert sum("cap 20 exhausted" in str(w.message) for w in caught) == 2
+
+    def test_warnings_point_at_the_caller(self):
+        # both samplers attribute the subcriticality and cap warnings to the
+        # line that called them, not to a line inside the package
+        params = ModelParams(np.full((2, 2), 0.5), np.full((2, 2), 3.0), SoftMaxMark(1.0))
+        after = ModelParams(params.mu, np.full((2, 2), 2.0), LinearMark())
+        config = SimConfig(horizon=10.0, seed=3, max_events=5)
+        # called from this function, not a helper, so that a stack level
+        # one too deep would name pytest's file
+        for n_subcritical in (1, 2):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                if n_subcritical == 1:
+                    simulate(params, config)
+                else:
+                    run_scenario(params, after, 5.0, config)
+            assert [w.category for w in record] == [SubcriticalityWarning] * n_subcritical + [RuntimeWarning]
+            assert [w.filename for w in record] == [__file__] * len(record)
+
+    def test_history_past_the_horizon_gives_empty_log(self):
+        # nothing is left to draw: both samplers return no events, and the
+        # log ends at the run's horizon, not the history's
+        history = EventLog([(1.0, 0, 0), (30.0, 1, 1)], 40.0, 2, 2)
+        params = random_params(np.random.default_rng(5), 2, 2)
+        config = SimConfig(horizon=20.0, seed=0, initial_history=history)
+        for log in (simulate(params, config), run_scenario(params, boosted(params, 0, 2.0, LinearMark()), 10.0, config)):
+            assert len(log) == 0 and log.horizon == 20.0
 
     def test_cap_binds_beyond_the_poisson_range(self):
         # numpy draws no Poisson count above about 9.2e18: a horizon whose

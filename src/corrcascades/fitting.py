@@ -4,15 +4,14 @@ The likelihood of a log factorizes over users, so the fit works on one
 user's parameters at a time, the packed vector theta = [alpha_col | mu_row]
 of length N + M.  A user's features are one array, the stacked event
 Jacobian D_i = dg(t_i)/dtheta = [B(t_i); I], with the decayed-count
-snapshots B written into its first N rows (`_user_features`), plus the
+snapshots B written into its first N rows (`_user_jacobian`), plus the
 compensator slope.  The snapshots come in blocks of the user's events
 (`_user_snapshots`): each event's share of the log is absorbed in closed
 form and one decay matrix sums the shares.  The NLL is theta . slope minus
-the event terms (`likelihood._event_loglik`) of the tendencies
-g_i = D_i^T theta, so an evaluation (`_eval_features`,
-`_gradient_from_eval`) never rescans the event history.  The gradient is
-the slope minus one product of the Jacobian with per-event weights.  The
-Hessian comes as a factor X with Hessian X X^T: event i's columns of X are
+the soft-max event terms of the tendencies g_i = D_i^T theta, so an
+evaluation never rescans the event history.  The gradient is the slope
+minus one product of the Jacobian with per-event weights.  The Hessian
+comes as a factor X with Hessian X X^T: event i's columns of X are
 D_i L_i, with L_i an M x (M+1) factor formed once per evaluation for every
 event (`_hessian_core`), so the rows of X for any subset of coordinates
 are one batched product of those rows of the Jacobian (`_hessian_factor`).
@@ -20,22 +19,31 @@ are one batched product of those rows of the Jacobian (`_hessian_factor`).
 Each user's problem (minimize the per-user NLL over theta >= 0) is convex
 and independent of every other user's, so the full fit is a map over users
 that may run in parallel with bit-identical results to a sequential run.
-The map streams the users: each of W strided shares builds one user's
-features at a time from the event log, fits that user and drops them, so
-no feature array is pickled to a worker and no process holds more than one
-user's features (`build_all_features` gives every user's at once).  The
-shares go to `_workers.run_jobs`: the caller fits share 0 itself and forked
-children fit the others at once, each process pinned to its own CPU.  The
-children inherit the log, so nothing is pickled in, and send their fitted
-parameters back through a pipe.  Where fork is unsafe or missing (Windows,
-macOS) `run_jobs` fits the shares one after another in the caller.  Every
-iteration sends the coordinates at the bound to 0 and steps the others
-with the exact Hessian (Bertsekas 1982, "Projected Newton methods for
-optimization problems with simple constraints"), of which it forms only
-the factor of the free rows, from one set of per-event factors, solved in
-whichever of coordinate space and event space is smaller.  Influence
-starts at 0, so a source whose gradient points to the bound stays pinned
-from the first iteration instead of widening the early free blocks.
+The users are solved in lockstep groups (`_groups`): sorted by event count
+and cut so that a group's Jacobians, stacked and zero-padded to its largest
+event count, fit `_GROUP_BYTES`.  The solver advances a whole group per
+call (`_projected_newton`): one batched evaluation (`_eval_group`),
+gradient (`_group_gradient`) and set of per-event factors per iteration,
+while each user keeps its own step, line search, stop tests and free-block
+direction.  The groups depend on the log alone, and each group computes the
+same bits in any process.  The map streams the groups: each of W shares,
+dealt whole groups balanced by padded bytes (`_shares`), builds one group's
+features at a time from the event log into one reused Jacobian buffer, fits
+that group and drops it, so no feature array is pickled to a worker and no
+process holds more than one group's features (`build_all_features` gives
+every user's at once).  The shares go to `_workers.run_jobs`: the caller
+fits share 0 itself and forked children fit the others at once, each
+process pinned to its own CPU.  The children inherit the log, so nothing is
+pickled in, and send their fitted parameters back through a pipe.  Where
+fork is unsafe or missing (Windows, macOS) `run_jobs` fits the shares one
+after another in the caller.  Every iteration sends the coordinates at the
+bound to 0 and steps the others with the exact Hessian (Bertsekas 1982,
+"Projected Newton methods for optimization problems with simple
+constraints"), of which it forms only the factor of the free rows, from one
+set of per-event factors, solved in whichever of coordinate space and event
+space is smaller.  Influence starts at 0, so a source whose gradient points
+to the bound stays pinned from the first iteration instead of widening the
+early free blocks.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import numpy as np
 from . import _workers
 from ._workers import default_worker_count  # noqa: F401  bench/traced.py imports it from here
 from .data import EventLog
-from .likelihood import BLOCK, InfeasibleLikelihoodError, _event_loglik, _kernel_mass, _observed_cells
+from .likelihood import BLOCK, InfeasibleLikelihoodError, _kernel_mass, _observed_cells, _softmax_loglik
 from .metrics import held_out_score
 from .model import ModelParams, SoftMaxMark
 
@@ -67,24 +75,13 @@ class EventFeatures:
     product.  slope = [excite; T 1] is the compensator's gradient, where
     excite[j] = sum over events of source j before T of 1 - exp(-(T - t)).
     The NLL is theta . slope minus the event terms of g_i = D_i^T theta.
-
-    Two constants every evaluation reads are formed once, from jac and
-    products: `flat`, the (N+M, K M) view of jac, and `observed`, the flat
-    index of each event's observed cell in a K x M matrix
-    (`_observed_cells`).
+    The solver reads it as a group of one (`_Group.of`).
     """
 
     jac: np.ndarray  # (N+M, K, M)
     products: np.ndarray  # (K,)
     slope: np.ndarray  # (N+M,)
     horizon: float
-    flat: np.ndarray = field(init=False, repr=False)  # (N+M, K M)
-    observed: np.ndarray = field(init=False, repr=False)  # (K,)
-
-    def __post_init__(self):
-        nm, k, m = self.jac.shape
-        self.flat = self.jac.reshape(nm, k * m)
-        self.observed = _observed_cells(self.products, m)
 
     @property
     def n_users(self) -> int:
@@ -99,16 +96,74 @@ class EventFeatures:
         return self.jac.shape[2]
 
 
+@dataclass(slots=True, eq=False)
+class _Group:
+    """The features of G users stacked for the solver, zero-padded to the
+    group's largest event count K (`_Group.stack`).
+
+    jac[g, :, :counts[g]] is user g's stacked event Jacobian
+    (`EventFeatures.jac`) and jac[g, :, counts[g]:] is 0; products[g] holds
+    its events' products, padded with product 0.  The compensator slope is
+    the log's, which every user shares.  `observed` is the flat
+    index of each event's observed cell in a G x K x M array
+    (`_observed_cells` over the G K events), and `pad` is M at the padding
+    events and 0 at the others: added to the intensities, it makes each
+    padding event's intensity M, its soft-max normalizer, so its event term
+    is log 1 = 0 and its gradient weight finite, and its zero Jacobian adds
+    nothing to the gradient.  `group[a:b]` is the users a..b-1 as views of
+    these arrays, so a subset of a group costs no copy of its Jacobian.
+    """
+
+    jac: np.ndarray  # (G, N+M, K, M)
+    products: np.ndarray  # (G, K)
+    counts: np.ndarray  # (G,)
+    slope: np.ndarray  # (N+M,)
+    observed: np.ndarray  # (G K,)
+    pad: np.ndarray  # (G, K)
+
+    @classmethod
+    def stack(cls, jac: np.ndarray, products: np.ndarray, counts: np.ndarray, slope: np.ndarray) -> _Group:
+        """The group of the users whose Jacobians, zero-padded, are `jac`,
+        with `products` (G, K) their events' products, zero-padded, and
+        `counts` their event counts."""
+        k, m = jac.shape[2:]
+        pad = np.where(np.arange(k) < counts[:, None], 0.0, float(m))
+        return cls(jac, products, counts, slope, _observed_cells(products.ravel(), m), pad)
+
+    @classmethod
+    def of(cls, features: EventFeatures) -> _Group:
+        """One user's features as a group of one, sharing their arrays."""
+        return cls.stack(features.jac[None], features.products[None], np.array([features.n_events]), features.slope)
+
+    def __getitem__(self, users: slice) -> _Group:
+        a, b = users.start, users.stop
+        k, m = self.jac.shape[2:]
+        observed = self.observed[a * k : b * k] - a * k * m
+        return _Group(self.jac[a:b], self.products[a:b], self.counts[a:b], self.slope, observed, self.pad[a:b])
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The (G, N+M, K M) view of jac."""
+        size, nm, k, m = self.jac.shape
+        return self.jac.reshape(size, nm, k * m)
+
+
 # about 1.5e-154: products of factors at least this large are normal
 # doubles, and subnormal operands make a matrix product 10-100 times slower
 _TINY = math.sqrt(np.finfo(float).tiny)
+
+# the zero-padded stacked Jacobian of one group of users (`_groups`) fits
+# in this many bytes, unless the group is one user larger than that.  On
+# fit-wide 4 MiB solves 6% faster, but cuts fit's 50 users into 3 groups,
+# which no 2 shares split evenly
+_GROUP_BYTES = 2 << 20
 
 
 def build_all_features(log: EventLog) -> dict[int, EventFeatures]:
     """Every user's EventFeatures, each built from the log alone (`_user_features`).
 
-    `fit_all` does not call this: it builds one user's features at a time
-    inside its map and drops them after the user's fit.
+    `fit_all` does not call this: it builds one group of users' features
+    at a time inside its map and drops them after the group's fit.
     """
     slope = _compensator_slope(log)
     work = np.empty(BLOCK * log.n_users * log.n_products)
@@ -123,26 +178,30 @@ def _compensator_slope(log: EventLog) -> np.ndarray:
     return slope
 
 
-def _user_features(
-    log: EventLog, user: int, slope: np.ndarray, work: np.ndarray, out: np.ndarray | None = None
-) -> EventFeatures:
+def _user_features(log: EventLog, user: int, slope: np.ndarray, work: np.ndarray) -> EventFeatures:
     """One user's EventFeatures from the log, the shared compensator slope
-    and a work buffer of BLOCK N M floats (see `_user_snapshots`).
-
-    The snapshots are written straight into the Jacobian's first N rows.
-    Callers reuse one work buffer for every user: a fresh one per block is
-    above malloc's mmap threshold on fit-wide, and its page faults cost
-    15 ms.  The Jacobian is a view of `out`, of at least (N+M) K M floats,
-    when given, so a caller that drops each user's features before the next
-    can reuse one buffer for all of them; otherwise it is a fresh array.
-    """
+    and a work buffer of BLOCK N M floats (`_user_jacobian`)."""
     n, m = log.n_users, log.n_products
     own = np.flatnonzero(log.users == user)
-    size = (n + m) * own.size * m
-    jac = (np.empty(size) if out is None else out[:size]).reshape(n + m, own.size, m)
-    _user_snapshots(log, log.times[own], jac[:n], work)
-    jac[n:] = np.eye(m)[:, None, :]
+    jac = np.empty((n + m, own.size, m))
+    _user_jacobian(log, own, jac, work)
     return EventFeatures(jac, log.products[own], slope, log.horizon)
+
+
+def _user_jacobian(log: EventLog, own: np.ndarray, jac: np.ndarray, work: np.ndarray) -> None:
+    """Write the stacked event Jacobian of one user's events `own` (indices
+    into the log, in time order) into the first own.size columns of `jac`,
+    (N+M, K', M) with K' >= own.size, and zeros into the rest.
+
+    The snapshots go straight into the first N rows (`_user_snapshots`).
+    Callers reuse one work buffer, of BLOCK N M floats, for every user: a
+    fresh one per block is above malloc's mmap threshold on fit-wide, and
+    its page faults cost 15 ms.
+    """
+    n, m, k = log.n_users, log.n_products, own.size
+    _user_snapshots(log, log.times[own], jac[:n, :k], work)
+    jac[n:, :k] = np.eye(m)[:, None, :]
+    jac[:, k:] = 0.0
 
 
 def _user_snapshots(log: EventLog, s: np.ndarray, snapshots: np.ndarray, work: np.ndarray) -> None:
@@ -181,33 +240,48 @@ def _user_snapshots(log: EventLog, s: np.ndarray, snapshots: np.ndarray, work: n
         last, t_last = block[-1].copy(), sb[-1]
 
 
-def _eval_features(features, theta, mark):
-    """(nll, soft-max mark probabilities f, intensities lam) of one user's
-    events at the packed parameters theta, under the soft-max `mark`."""
-    g = (theta @ features.flat).reshape(features.jac.shape[1:])
-    event_ll, lam, f = _event_loglik(g, features.observed, mark)
-    nll = theta @ features.slope - event_ll
-    if not math.isfinite(nll):
-        raise InfeasibleLikelihoodError("nonfinite likelihood")
-    return float(nll), f, lam
+def _eval_group(group, theta, mark):
+    """(nll, soft-max mark probabilities f, intensities lam) of each user of
+    `group` at its row of the packed parameters theta (G, N+M), under the
+    soft-max `mark`: nll (G,), f (G, K, M) and lam (G, K).
+
+    A user's nll is inf when one of its events has intensity <= 0 (such a
+    user's lam reads 1 there), and padding events have lam = M (`_Group`).
+    """
+    size, _, k, m = group.jac.shape
+    g = np.matmul(theta[:, None, :], group.flat).reshape(size, k, m)
+    lam = g.sum(axis=2)
+    lam += group.pad
+    feasible = lam.min(axis=1, initial=np.inf) > 0
+    infeasible = not feasible.all()
+    if infeasible:
+        lam[lam <= 0] = 1.0
+    event_ll, f = _softmax_loglik(g, lam, group.observed, mark.beta)
+    nll = theta @ group.slope - event_ll
+    if infeasible:
+        nll[~feasible] = np.inf
+    return nll, f, lam
 
 
-def _gradient_from_eval(features, beta, f, lam):
-    """Gradient of the per-user NLL given the cached evaluation of f and lam.
+def _group_gradient(group, beta, f, lam):
+    """The (G, N+M) gradients of the per-user NLLs given the cached
+    evaluation of f and lam (`_eval_group`).
 
-    The event terms of the NLL have gradient -sum_i D_i w_i, with event
+    The event terms of a user's NLL have gradient -sum_i D_i w_i, with event
     weights w_i = 1/lambda_i 1 + beta (e_{p_i} - f_i), so the gradient is
     the compensator slope minus one product of the Jacobian with w.
     """
+    size, _, k, m = group.jac.shape
     w = -beta * f  # a new contiguous array, so its ravel is a view
-    w.ravel()[features.observed] += beta
-    w += (1.0 / lam)[:, None]
-    return features.slope - features.flat @ w.ravel()
+    w.ravel()[group.observed] += beta
+    w += (1.0 / lam)[:, :, None]
+    return group.slope - np.matmul(group.flat, w.reshape(size, k * m, 1))[:, :, 0]
 
 
 def _hessian_core(beta, f, lam):
-    """The (K, M, M+1) per-event factors L_i of the per-user NLL Hessian,
-    given f and lam: event i's columns of the Hessian factor are D_i L_i.
+    """The (..., K, M, M+1) per-event factors L_i of the per-user NLL
+    Hessian, given f (..., K, M) and lam (..., K): event i's columns of the
+    Hessian factor are D_i L_i.
 
     Only the -log lambda and log-sum-exp terms are curved, so the Hessian is
     sum_i (D_i 1)(D_i 1)^T / lambda_i^2
@@ -217,12 +291,12 @@ def _hessian_core(beta, f, lam):
     (N+M) x K(M+1) matrix X whose columns for event i are D_i L_i, with
     L_i = [beta S_i | 1 / lambda_i].
     """
-    k, m = f.shape
+    m = f.shape[-1]
     root = np.sqrt(f)
-    core = np.empty((k, m, m + 1))
-    np.multiply(f[:, :, None], -beta * root[:, None, :], out=core[:, :, :m])
-    core.reshape(k, m * (m + 1))[:, :: m + 2] += beta * root  # the diagonal of each beta S_i
-    core[:, :, m] = (1.0 / lam)[:, None]
+    core = np.empty((*f.shape, m + 1))
+    np.multiply(f[..., None], -beta * root[..., None, :], out=core[..., :m])
+    core.reshape(-1, m * (m + 1))[:, :: m + 2] += beta * root.reshape(-1, m)  # the diagonal of each beta S_i
+    core[..., m] = (1.0 / lam)[..., None]
     return core
 
 
@@ -260,7 +334,9 @@ class UserFitEntry:
     """One user's solve: `outer_iterations` counts projected-Newton
     iterations (gradient evaluations, the final optimality check included)
     and `inner_iterations` objective evaluations (line-search trials
-    included)."""
+    included).  The users of a group are solved together, so `wall_time`
+    is the group's solve time divided by its users: the entries' wall
+    times still sum to the time spent solving."""
 
     user: int
     nll: float
@@ -312,8 +388,34 @@ def _ridge_step(x, grad, ridge):
     return -np.linalg.solve(hess, grad)
 
 
-def _projected_newton(features, theta, config):
-    """Projected Newton (Bertsekas 1982) on theta >= 0, with one step rule.
+def _free_step(jac, core, grad, theta, at_bound, direction):
+    """Write into `direction` one user's ridge Newton step on the Hessian
+    block of its coordinates off the bound (`_projected_newton`); `jac` and
+    `core` are the user's event Jacobian and per-event factors."""
+    free = (~at_bound).nonzero()[0]
+    g_free = grad[free]
+    if g_free.any():  # a zero free gradient takes no step, and a zero ridge no Woodbury
+        ridge = _RIDGE * math.sqrt(g_free @ g_free) / math.sqrt(theta @ theta)
+        direction[free] = _ridge_step(_hessian_factor(jac[free], core), g_free, ridge)
+
+
+def _span(mask):
+    """The slice from the first to past the last True entry of `mask`."""
+    on = mask.nonzero()[0]
+    return slice(int(on[0]), int(on[-1]) + 1)
+
+
+def _projected_newton(group, theta, config):
+    """Projected Newton (Bertsekas 1982) on theta >= 0 for every user of a
+    group at once, with one step rule.
+
+    Each user's iteration is its own; the group only shares the array
+    operations.  Each iteration makes one evaluation of the gradients, KKT
+    residuals, step-rule masks and per-event Hessian factors of the users
+    still iterating, and each round of the line search one evaluation of
+    the users still searching, over the contiguous users that span them
+    (views of the group, `_Group`).  Masks keep every user's own step
+    length, Armijo test, retry, step cap, stop tests and counts.
 
     A coordinate is at the bound when its gradient points outward and
     setting it to 0 changes the NLL by less than the NLL's resolution,
@@ -322,10 +424,10 @@ def _projected_newton(features, theta, config):
     compensator slope, which is >= 0, so at 0 it is at the bound or takes
     no step.  Every other coordinate is in the free set F and takes a
     Newton step on the exact Hessian block X_F X_F^T, whose factor is one
-    batched product of the free rows of the event Jacobian with the
+    batched product of the free rows of the user's event Jacobian with the
     per-event factors L_i (`_hessian_core`, `_hessian_factor`), formed once
-    per iteration.  With fewer events than dimensions that block is
-    singular and the NLL is linear along its null space.  A ridge
+    per iteration (`_free_step`).  With fewer events than dimensions that
+    block is singular and the NLL is linear along its null space.  A ridge
     proportional to the gradient norm (Li, Fukushima, Qi and Yamashita
     2004), divided by |theta| to carry Hessian units, keeps such steps near
     the size of theta and vanishes at the optimum, where Newton's fast
@@ -337,67 +439,123 @@ def _projected_newton(features, theta, config):
     coordinates that the full step clipped against an outward gradient
     join the bound and the iteration is solved once more.
 
-    Stops when the norm of the natural KKT residual theta - max(theta -
-    grad, 0) reaches `_GRAD_TOL`, when the predicted decrease -grad . d
-    falls below the NLL's resolution, when the line search finds no
-    decrease and the retry adds no coordinate to the bound or fails too, or
-    after `_MAX_STEPS` steps.  Returns (theta, nll, residual,
-    iterations, evaluations): the NLL at theta and that residual norm
-    there, which every exit computes at the returned point; iterations
-    counts gradient evaluations, the final check included.
+    A user stops when the norm of its natural KKT residual theta -
+    max(theta - grad, 0) reaches `_GRAD_TOL`, when the predicted decrease
+    -grad . d falls below the NLL's resolution, when the line search finds
+    no decrease and the retry adds no coordinate to the bound or fails too,
+    or after `_MAX_STEPS` steps.  Returns per-user arrays (theta, nll,
+    residual, iterations, evaluations): the NLL at theta and that residual
+    norm there, which every exit computes at the returned point;
+    iterations counts gradient evaluations, the final check included.
     """
     beta, mark = config.beta, SoftMaxMark(config.beta)
-    value, f, lam = _eval_features(features, theta, mark)
-    iterations, evals = 0, 1
-    while True:
-        iterations += 1
-        grad = _gradient_from_eval(features, beta, f, lam)
-        residual = theta - np.maximum(theta - grad, 0.0)
-        residual_norm = math.sqrt(residual @ residual)
-        if residual_norm <= _GRAD_TOL or iterations > _MAX_STEPS:
-            break
-        resolution = 8.0 * math.ulp(value)
-        at_bound = (grad > 0) & (grad * theta <= resolution)
-        core = _hessian_core(beta, f, lam)
-        accepted = None
-        for _retry in range(2):
-            free = (~at_bound).nonzero()[0]
-            direction = np.where(at_bound, -theta, 0.0)
-            g_free = grad[free]
-            if g_free.any():  # a zero free gradient takes no step, and a zero ridge no Woodbury
-                ridge = _RIDGE * math.sqrt(g_free @ g_free) / math.sqrt(theta @ theta)
-                direction[free] = _ridge_step(_hessian_factor(features.jac[free], core), g_free, ridge)
-            slope = float(grad @ direction)
-            if -slope <= resolution:
-                break
-            step = 1.0
-            for _ in range(_MAX_BACKTRACKS):
-                cand = np.maximum(theta + step * direction, 0.0)
-                evals += 1
-                try:
-                    cand_value, cand_f, cand_lam = _eval_features(features, cand, mark)
-                except InfeasibleLikelihoodError:  # a nonpositive intensity: +inf
-                    cand_value = np.inf
-                if cand_value < value + _LS_DECREASE * step * slope:
-                    accepted = cand, cand_value, cand_f, cand_lam
-                    break
-                step *= _LS_SHRINK
-            if accepted is not None:
-                break
-            # retry with the coordinates the full step clipped against an
-            # outward gradient at the bound
-            clipped = (theta + direction < 0) & (grad > 0)
-            if not clipped.any():
-                break
-            at_bound |= clipped
-        if accepted is None:
-            break
-        theta, value, f, lam = accepted
+    value, f, lam = _eval_group(group, theta, mark)
+    if not np.isfinite(value).all():
+        raise InfeasibleLikelihoodError("nonfinite likelihood")
+    size = theta.shape[0]
+    iterations = np.zeros(size, dtype=int)
+    evals = np.ones(size, dtype=int)
+    residual_norm = np.zeros(size)
+    live = np.ones(size, dtype=bool)
+    while live.any():
+        users = _span(live)
+        # views: a user cleared in `here` stops in `live`
+        part, here, th = group[users], live[users], theta[users]
+        iterations[users] += here
+        grad = _group_gradient(part, beta, f[users], lam[users])
+        residual = th - np.maximum(th - grad, 0.0)
+        norm = np.sqrt(np.einsum("ij,ij->i", residual, residual))
+        np.copyto(residual_norm[users], norm, where=here)
+        here &= (norm > _GRAD_TOL) & (iterations[users] <= _MAX_STEPS)
+        if not here.any():
+            continue
+        resolution = 8.0 * np.spacing(np.abs(value[users]))
+        at_bound = (grad > 0) & (grad * th <= resolution[:, None])
+        core = _hessian_core(beta, f[users], lam[users])
+        counts = part.counts.tolist()
+        direction = np.where(at_bound, -th, 0.0)
+
+        def solve(i):
+            k = counts[i]
+            _free_step(part.jac[i, :, :k], core[i, :k], grad[i], th[i], at_bound[i], direction[i])
+
+        for i in here.nonzero()[0].tolist():
+            solve(i)
+        slope = np.einsum("ij,ij->i", grad, direction)
+        here &= -slope > resolution
+        # the line search, in rounds over the span of the users still searching;
+        # th keeps its rows until a user accepts a step and leaves the search
+        searching = here.copy()
+        step = np.ones(len(th))
+        backtracks = np.zeros(len(th), dtype=int)
+        retried = np.zeros(len(th), dtype=bool)
+        while searching.any():
+            trial = _span(searching)
+            cand = np.maximum(th[trial] + step[trial, None] * direction[trial], 0.0)
+            cand_value, cand_f, cand_lam = _eval_group(part[trial], cand, mark)
+            now = searching[trial]
+            evals[users][trial] += now
+            accept = now & (cand_value < value[users][trial] + _LS_DECREASE * step[trial] * slope[trial])
+            if accept.any():
+                rows = users.start + trial.start + accept.nonzero()[0]
+                theta[rows], value[rows], f[rows], lam[rows] = (
+                    cand[accept], cand_value[accept], cand_f[accept], cand_lam[accept]
+                )
+                now &= ~accept
+            step[searching] *= _LS_SHRINK
+            backtracks[searching] += 1
+            for i in (backtracks == _MAX_BACKTRACKS).nonzero()[0].tolist():
+                # retry with the coordinates the full step clipped against an
+                # outward gradient at the bound
+                clipped = (th[i] + direction[i] < 0) & (grad[i] > 0)
+                backtracks[i], step[i] = 0, 1.0
+                if not retried[i] and clipped.any():
+                    retried[i] = True
+                    at_bound[i] |= clipped
+                    direction[i] = np.where(at_bound[i], -th[i], 0.0)
+                    solve(i)
+                    slope[i] = grad[i] @ direction[i]
+                    if -slope[i] > resolution[i]:
+                        continue
+                searching[i] = here[i] = False
     return theta, value, residual_norm, iterations, evals
 
 
+def _fit_group(group: _Group, users, horizon: float, config: FitConfig):
+    """Fit every user of `group`, labelled `users`, from the start: influence
+    0 and baselines at the per-product event rate.  Returns (theta
+    (G, N+M), the users' report entries).  Raises ValueError when a user
+    has events but the horizon is 0: with no compensator the NLL is
+    unbounded below and has no minimizer."""
+    if horizon == 0 and group.counts.any():
+        raise ValueError("a log with events at horizon 0 has no maximum-likelihood estimate")
+    start = time.perf_counter()
+    size, nm, _, m = group.jac.shape
+    n = nm - m
+    theta = np.zeros((size, nm))
+    if horizon > 0:
+        cells = (np.arange(size)[:, None] * m + group.products)[group.pad == 0]
+        theta[:, n:] = np.bincount(cells, minlength=size * m).reshape(size, m) / horizon
+    theta, nll, residual_norm, iterations, evals = _projected_newton(group, theta, config)
+    share = (time.perf_counter() - start) / size
+    entries = [
+        UserFitEntry(
+            user=int(users[g]),
+            nll=float(nll[g]),
+            outer_iterations=int(iterations[g]),
+            inner_iterations=int(evals[g]),
+            converged=bool(residual_norm[g] <= 1e-4 * max(1.0, abs(nll[g]))),
+            grad_norm=float(residual_norm[g]),
+            wall_time=share,
+        )
+        for g in range(size)
+    ]
+    return theta, entries
+
+
 def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.ndarray, UserFitEntry]:
-    """Projected-Newton MLE of one user's packed parameters over theta >= 0.
+    """Projected-Newton MLE of one user's packed parameters over theta >= 0,
+    solved as a group of one.
 
     `features` are the user's (see `build_all_features`) and `user` labels
     the report entry.  Returns theta = [alpha_col | mu_row], of length
@@ -408,57 +566,90 @@ def fit_user(features: EventFeatures, user: int, config: FitConfig) -> tuple[np.
     the horizon is 0: with no compensator the NLL is unbounded below and
     has no minimizer.
     """
-    if features.horizon == 0 and features.n_events:
-        raise ValueError("a log with events at horizon 0 has no maximum-likelihood estimate")
-    start = time.perf_counter()
-    n, m = features.n_users, features.n_products
-    # influence starts at 0 and baselines at the per-product event rate
-    theta = np.zeros(n + m)
-    if features.horizon > 0:
-        theta[n:] = np.bincount(features.products, minlength=m) / features.horizon
-    theta, nll, residual_norm, iterations, evals = _projected_newton(features, theta, config)
-    entry = UserFitEntry(
-        user=user,
-        nll=nll,
-        outer_iterations=iterations,
-        inner_iterations=evals,
-        converged=residual_norm <= 1e-4 * max(1.0, abs(nll)),
-        grad_norm=residual_norm,
-        wall_time=time.perf_counter() - start,
-    )
-    return theta, entry
+    theta, entries = _fit_group(_Group.of(features), [user], features.horizon, config)
+    return theta[0], entries[0]
 
 
-def _fit_users(log: EventLog, users: range, config: FitConfig) -> list[tuple[np.ndarray, UserFitEntry]]:
-    """`fit_user` over `users`, each user's features built from the log just
-    before its fit and dropped after it.  The compensator slope, the
+def _groups(log: EventLog) -> list[np.ndarray]:
+    """The log's users sorted by event count (ties by id), cut into
+    consecutive groups whose zero-padded stacked Jacobian, users x (N+M) x
+    largest event count x M doubles, fits `_GROUP_BYTES`; a user larger
+    than that is a group of one.  The groups depend on the log alone, so a
+    user is solved in the same group, to the same bits, at any worker
+    count."""
+    n, m = log.n_users, log.n_products
+    counts = np.bincount(log.users, minlength=n)
+    order = np.argsort(counts, kind="stable")
+    per_event = (n + m) * m * 8  # bytes per user per padded event
+    groups, first = [], 0
+    for j, user in enumerate(order.tolist()):
+        if j > first and (j + 1 - first) * int(counts[user]) * per_event > _GROUP_BYTES:
+            groups.append(order[first:j])
+            first = j
+    groups.append(order[first:])
+    return groups
+
+
+def _shares(log: EventLog, n_workers: int) -> list[list[np.ndarray]]:
+    """`_groups` dealt to min(n_workers, groups) shares, balanced by padded
+    bytes: largest first, each to the least-loaded share, the first of
+    equals on ties."""
+    counts = np.bincount(log.users, minlength=log.n_users)
+    groups = _groups(log)
+    size = [len(g) * int(counts[g].max()) for g in groups]
+    shares = [[] for _ in range(min(n_workers, len(groups)))]
+    load = [0] * len(shares)
+    for i in sorted(range(len(groups)), key=lambda i: -size[i]):
+        w = load.index(min(load))
+        shares[w].append(groups[i])
+        load[w] += size[i]
+    return shares
+
+
+def _fit_users(log: EventLog, groups: list[np.ndarray], config: FitConfig) -> list[tuple[np.ndarray, UserFitEntry]]:
+    """`_fit_group` over `groups`, each group's features built from the log
+    just before its fit and dropped after it.  The compensator slope, the
     snapshot work buffer and one Jacobian buffer, sized for the largest of
-    these users, are made once, so no user's Jacobian is freed and faulted
-    in again."""
+    these groups, are made once, so no group's Jacobian is freed and
+    faulted in again."""
     n, m = log.n_users, log.n_products
     slope = _compensator_slope(log)
     work = np.empty(BLOCK * n * m)
-    k_max = int(np.bincount(log.users, minlength=n)[users].max(initial=0))
-    jac_buffer = np.empty((n + m) * k_max * m)
-    return [fit_user(_user_features(log, u, slope, work, jac_buffer), u, config) for u in users]
+    counts = np.bincount(log.users, minlength=n)
+    ends = np.cumsum(counts)
+    by_user = np.argsort(log.users, kind="stable")  # each user's events in time order
+    width = [int(counts[g].max()) for g in groups]
+    buffer = np.empty(max(len(g) * k for g, k in zip(groups, width)) * (n + m) * m)
+    results = []
+    for users, k in zip(groups, width):
+        jac = buffer[: len(users) * (n + m) * k * m].reshape(len(users), n + m, k, m)
+        products = np.zeros((len(users), k), dtype=log.products.dtype)
+        for slot, user in enumerate(users.tolist()):
+            own = by_user[ends[user] - counts[user] : ends[user]]
+            _user_jacobian(log, own, jac[slot], work)
+            products[slot, : own.size] = log.products[own]
+        group = _Group.stack(jac, products, counts[users], slope)
+        theta, entries = _fit_group(group, users, log.horizon, config)
+        results.extend(zip(theta, entries))
+    return results
 
 
 def fit_all(log: EventLog, config: FitConfig) -> tuple[ModelParams, FitReport]:
     """Fit every user; parallel execution matches sequential bit for bit.
 
-    Features are built per user inside the map and never pickled: the W =
-    min(n_workers, N) strided shares fit users w, w + W, ... from the log,
-    each through `_workers.run_jobs`, and their results are interleaved
-    back into user order.
+    Features are built per group inside the map and never pickled: the
+    users' groups (`_groups`), dealt to min(n_workers, groups) shares
+    balanced by bytes (`_shares`), are fitted from the log through
+    `_workers.run_jobs`, and their results are put back into user order.
     """
     n = log.n_users
-    shares = min(config.n_workers, n)
-    jobs = [partial(_fit_users, log, range(w, n, shares), config) for w in range(shares)]
-    results = [None] * n
-    for w, chunk in enumerate(_workers.run_jobs(jobs)):
-        results[w::shares] = chunk
-    theta = np.array([theta_u for theta_u, _ in results])  # row u: [alpha[:, u] | mu[u]]
-    report = FitReport([entry for _, entry in results])
+    jobs = [partial(_fit_users, log, groups, config) for groups in _shares(log, config.n_workers)]
+    theta = np.empty((n, n + log.n_products))  # row u: [alpha[:, u] | mu[u]]
+    entries = [None] * n
+    for chunk in _workers.run_jobs(jobs):
+        for theta_u, entry in chunk:
+            theta[entry.user], entries[entry.user] = theta_u, entry
+    report = FitReport(entries)
     return ModelParams(theta[:, n:].copy(), theta[:, :n].T.copy(), SoftMaxMark(config.beta)), report
 
 

@@ -2,8 +2,9 @@
 
 The NLL is a compensator minus a sum of event terms log lambda + log f,
 whatever the mark model.  `_event_loglik` scores an event-by-product
-tendency matrix for both mark models, for a time window (`window_nll`)
-and for one user's cached features (`fitting`) alike.  A window's
+tendency matrix for both mark models, for a time window (`window_nll`);
+its soft-max term (`_softmax_loglik`) also scores a group of users'
+cached features (`fitting`), one sum per user.  A window's
 tendencies come in blocks of events (`_window_tendencies`): the history
 before the window is absorbed in closed form (`model.decayed_counts`),
 and within a block the events see each other through one kernel matrix.
@@ -57,18 +58,33 @@ def _event_loglik(
     lam = g.sum(axis=1)
     if (lam <= 0).any():
         raise InfeasibleLikelihoodError("zero intensity at an observed event")
-    g_obs = g.take(observed)
     if isinstance(mark, SoftMaxMark):
-        # log f_p = beta (g_p - gmax) - log norm, so the event term takes one
-        # log per event, of lam / norm
-        gmax = g.max(axis=1)
-        expz = np.exp(mark.beta * (g - gmax[:, None]))
-        norm = expz.sum(axis=1)
-        loglik = float(np.log(lam / norm).sum() + mark.beta * (g_obs.sum() - gmax.sum()))
-        return loglik, lam, expz / norm[:, None]
+        loglik, f = _softmax_loglik(g, lam, observed, mark.beta)
+        return float(loglik), lam, f
+    g_obs = g.take(observed)
     if (g_obs <= 0).any():
         raise InfeasibleLikelihoodError("zero mark density at an observed event")
     return float(np.log(g_obs).sum()), lam, None
+
+
+def _softmax_loglik(
+    g: np.ndarray, lam: np.ndarray, observed: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the events axis of log lambda + log f(product) under
+    soft-max marks of sharpness beta, and the mark probabilities f.
+
+    g is (..., K, M) and lam (..., K) its positive intensities; observed
+    indexes each event's observed cell in g's flat layout, so the sums are
+    one per leading index (a float array of shape g.shape[:-2]).
+    log f_p = beta (g_p - gmax) - log norm, so the event term takes one log
+    per event, of lam / norm.
+    """
+    gmax = g.max(axis=-1)
+    expz = np.exp(beta * (g - gmax[..., None]))
+    norm = expz.sum(axis=-1)
+    g_obs = g.take(observed).reshape(lam.shape)
+    loglik = np.log(lam / norm).sum(axis=-1) + beta * (g_obs.sum(axis=-1) - gmax.sum(axis=-1))
+    return loglik, expz / norm[..., None]
 
 
 def _block_starts(times: np.ndarray, lo: int, last: int) -> list[int]:

@@ -73,8 +73,9 @@ def param_mae(est: ModelParams, true: ModelParams) -> float:
 
 def check_held_out(train: EventLog, test: EventLog, params: ModelParams) -> None:
     """Raise ValueError unless `test` is nonempty, starts at or after the
-    train horizon and has the users and products of `train` and `params`:
-    every input that `avg_pred_loglik` refuses before scoring."""
+    train horizon, has the users and products of `train` and `params`, and
+    ends after the train horizon: every input that `avg_pred_loglik`
+    refuses before scoring."""
     if len(test) == 0:
         raise ValueError("test log must be nonempty")
     if test.times[0] < train.horizon:
@@ -82,6 +83,8 @@ def check_held_out(train: EventLog, test: EventLog, params: ModelParams) -> None
     if (train.n_users, train.n_products) != (test.n_users, test.n_products):
         raise ValueError("logs have mismatched dimensions")
     check_dimensions(train, params)
+    if not test.horizon > train.horizon:  # an empty window
+        raise ValueError(f"the test horizon {test.horizon!r} must be after the train horizon {train.horizon!r}")
 
 
 def avg_pred_loglik(train: EventLog, test: EventLog, params: ModelParams) -> float:

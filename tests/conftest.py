@@ -2,9 +2,10 @@
 
 Every reference here rescans the raw event history and never touches the
 decayed-count machinery, so agreement is evidence rather than tautology.
-Two kinds of helper are exceptions.  `user_nll` and `user_nll_gradient` are
-thin wrappers over the fit's private per-user objective, not oracles: tests
-check them against the references here.  `rescaled_interevent_times` sums
+Two kinds of helper are exceptions.  `user_eval`, `user_nll` and
+`user_nll_gradient` are thin wrappers over the fit's private group
+objective, called on a group of one user, not oracles: tests check them
+against the references here.  `rescaled_interevent_times` sums
 the pooled compensator in one recursive pass, and a test checks it against
 a rescan.
 """
@@ -19,7 +20,8 @@ import pytest
 from scipy.integrate import quad
 
 from corrcascades import EventLog, LinearMark, ModelParams, SoftMaxMark
-from corrcascades.fitting import _eval_features, _gradient_from_eval
+from corrcascades.fitting import _eval_group, _Group, _group_gradient
+from corrcascades.likelihood import InfeasibleLikelihoodError
 
 
 @pytest.fixture(autouse=True)
@@ -61,15 +63,25 @@ def random_params(rng, n_users, n_products, beta=1.0, mu_high=0.8, alpha_high=0.
     return ModelParams(mu, alpha, mark)
 
 
+def user_eval(features, theta, beta):
+    """(nll, f, lam) of one user's soft-max NLL at the packed theta =
+    [alpha_col | mu_row], from the fit's evaluation of that user as a group
+    of one; raises InfeasibleLikelihoodError where the NLL is not finite."""
+    nll, f, lam = _eval_group(_Group.of(features), np.asarray(theta, float)[None], SoftMaxMark(beta))
+    if not math.isfinite(nll[0]):
+        raise InfeasibleLikelihoodError("nonfinite likelihood")
+    return float(nll[0]), f[0], lam[0]
+
+
 def user_nll(features, theta, beta):
     """One user's soft-max NLL at the packed theta = [alpha_col | mu_row]."""
-    return _eval_features(features, np.asarray(theta, float), SoftMaxMark(beta))[0]
+    return user_eval(features, theta, beta)[0]
 
 
 def user_nll_gradient(features, theta, beta):
     """The analytic gradient of `user_nll` in the same packed layout."""
-    _, f, lam = _eval_features(features, np.asarray(theta, float), SoftMaxMark(beta))
-    return _gradient_from_eval(features, beta, f, lam)
+    _, f, lam = user_eval(features, theta, beta)
+    return _group_gradient(_Group.of(features), beta, f[None], lam[None])[0]
 
 
 def rescaled_interevent_times(log, params):

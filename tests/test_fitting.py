@@ -79,11 +79,11 @@ def _start_influence_at(value):
     per-product rates."""
     newton = fitting._projected_newton
 
-    def start_elsewhere(features, theta, config):
-        n = features.n_users
+    def start_elsewhere(group, theta, config):
+        n = group.jac.shape[1] - group.jac.shape[3]
         theta = theta.copy()
-        theta[:n] = np.where(features.flat[:n].any(axis=1), value, 0.0)
-        return newton(features, theta, config)
+        theta[:, :n] = np.where(group.jac[:, :n].any(axis=(2, 3)), value, 0.0)
+        return newton(group, theta, config)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "_projected_newton", start_elsewhere)
@@ -324,10 +324,9 @@ class TestEveryUserCertified:
 
 
 class TestOneObjectivePath:
-    """The solver reads its per-user constants (`EventFeatures.flat` and
-    `observed`) once, and scores and differentiates through
-    the same `_eval_features` and `_gradient_from_eval` as the test helpers
-    `user_nll` and `user_nll_gradient`, so what it reports is theirs bit for bit."""
+    """The solver scores and differentiates a user fitted alone through the
+    same `_eval_group` and `_group_gradient` as the test helpers `user_nll`
+    and `user_nll_gradient`, so what it reports is theirs bit for bit."""
 
     @staticmethod
     def _logs(rng, n_products):
@@ -342,9 +341,9 @@ class TestOneObjectivePath:
         solves = []
         newton = fitting._projected_newton
 
-        def spy(features, theta, config):
-            out = newton(features, theta, config)
-            solves.append(out[2])
+        def spy(group, theta, config):
+            out = newton(group, theta, config)
+            solves.extend(out[2].tolist())
             return out
 
         monkeypatch.setattr(fitting, "_projected_newton", spy)
@@ -402,31 +401,31 @@ class TestDefaultWorkerCount:
 
 
 class TestFitAll:
-    def test_single_user_matches_fit_user(self):
-        rng = np.random.default_rng(13)
-        log = random_log(rng, n_users=1, n_products=2, max_events=20)
-        params, report = fit_all(log, FitConfig(beta=1.0))
-        theta, _ = fit_user(_features(log, 0), 0, FitConfig(beta=1.0))
-        np.testing.assert_array_equal(params.mu[0], theta[1:])
-        np.testing.assert_array_equal(params.alpha[:, 0], theta[:1])
-
-    def test_every_user_matches_fit_user_at_any_worker_count(self):
-        # each share reuses one Jacobian buffer, sized for its largest user
-        # and sliced per user: every user's fit equals one on fresh features,
-        # whichever share the user falls in and wherever in it
+    @pytest.mark.parametrize("group_bytes", [None, 1], ids=["one-group", "groups-of-one"])
+    def test_every_user_matches_its_one_user_fit(self, monkeypatch, group_bytes):
+        # a user solved in a group shares its array operations with the
+        # others, so its fit is bit-identical at every worker count and
+        # matches its fit alone (`fit_user` on fresh features) to rounding
+        if group_bytes is not None:
+            monkeypatch.setattr(fitting, "_GROUP_BYTES", group_bytes)
         rng = np.random.default_rng(31)
         times = np.cumsum(rng.choice((0.0, 0.0, 0.3, 1.0), size=90))
         users = rng.choice(4, size=90, p=[0.45, 0.3, 0.15, 0.1])  # user 4 of 5 stays silent
         log = EventLog.from_arrays(times, users, rng.integers(0, 3, 90), times[-1] + 0.5, 5, 3)
         counts = np.bincount(log.users, minlength=5)
         assert counts[4] == 0 and len(set(counts[:4].tolist())) == 4 and (np.diff(log.times) == 0).any()
+        single = random_log(np.random.default_rng(13), n_users=1, n_products=2, max_events=20)
         config = FitConfig(beta=1.0)
-        fresh = [fit_user(build_all_features(log)[u], u, config) for u in range(5)]
-        for workers in (1, 2, 3):
-            params, report = fit_all(log, dataclasses.replace(config, n_workers=workers))
-            for u, (theta, entry) in enumerate(fresh):
-                np.testing.assert_array_equal(np.concatenate([params.alpha[:, u], params.mu[u]]), theta)
-                assert report.entries[u].nll == entry.nll
+        for log in (log, single):
+            alone = [fit_user(features, u, config)[1] for u, features in build_all_features(log).items()]
+            fits = [fit_all(log, dataclasses.replace(config, n_workers=w)) for w in (1, 2, 3)]
+            for params, report in fits[1:]:
+                np.testing.assert_array_equal(params.mu, fits[0][0].mu)
+                np.testing.assert_array_equal(params.alpha, fits[0][0].alpha)
+                assert [e.nll for e in report.entries] == [e.nll for e in fits[0][1].entries]
+            for entry, own in zip(fits[0][1].entries, alone):
+                assert entry.converged and own.converged
+                assert entry.nll == pytest.approx(own.nll, rel=1e-12, abs=0.0)
 
     def test_parallel_equals_sequential(self, monkeypatch):
         # worker counts that do not divide N, a user with no events, and
@@ -471,16 +470,20 @@ class TestFitAll:
         # busy: once the caller has fitted share 0 itself, the fit names
         # worker 1 and kills worker 2
         fit_users = fitting._fit_users
+        monkeypatch.setattr(fitting, "_GROUP_BYTES", 1)  # every user with events is a group of one
+        log = random_log(np.random.default_rng(29), n_users=4, n_products=2, max_events=30)
+        shares = fitting._shares(log, 3)
+        assert len(shares) == 3
 
-        def dying(log, users, config):
-            if users.start == 1:
+        def dying(log, groups, config):
+            if groups[0] is shares[1][0]:
                 os._exit(3)
-            if users.start == 2:
+            if groups[0] is shares[2][0]:
                 time.sleep(30.0)
-            return fit_users(log, users, config)
+            return fit_users(log, groups, config)
 
         monkeypatch.setattr(fitting, "_fit_users", dying)
-        log = random_log(np.random.default_rng(29), n_users=4, n_products=2, max_events=30)
+        monkeypatch.setattr(fitting, "_shares", lambda log, n_workers: shares)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match=r"worker 1 ended without a result \(exit code 3\)"):
             fit_all(log, FitConfig(beta=1.0, n_workers=3))
@@ -506,21 +509,24 @@ class TestFitAll:
             _, report = fit_all(log, FitConfig(beta, n_workers=2))
         assert report.all_converged
 
-    def test_sequential_fit_holds_one_users_features(self):
-        # users are streamed through the map, so the traced peak is one
+    def test_sequential_fit_holds_one_users_features(self, monkeypatch):
+        # users are streamed through the map a group at a time; with groups
+        # no larger than the largest user's Jacobian the traced peak is one
         # user's working set (its stacked event Jacobian and the Hessian
         # factor of the free rows), not every user's features at once.
         # Measured: peak 0.84 MB, 7.2 times the largest user's 117 kB of
         # snapshots, against 5.18 MB for all 60 users (6.0 MB peak before
         # streaming, 9.9 times with a second per-user copy of the Jacobian in
         # the solver, 8.85 times with the factor built for every row and its
-        # free rows copied out)
+        # free rows copied out; 0.60 MB, 5.1 times, solved in groups)
         rng = np.random.default_rng(3)
         n, m, k = 60, 3, 3600
         log = EventLog.from_arrays(
             np.sort(rng.uniform(0.0, 40.0, k)), rng.integers(0, n, k), rng.integers(0, m, k), 40.0, n, m
         )
-        sizes = [f.jac[:n].nbytes for f in build_all_features(log).values()]
+        features = build_all_features(log).values()
+        sizes = [f.jac[:n].nbytes for f in features]
+        monkeypatch.setattr(fitting, "_GROUP_BYTES", max(f.jac.nbytes for f in features))
         tracemalloc.start()
         try:
             fit_all(log, FitConfig(beta=1.0, n_workers=1))
@@ -573,6 +579,98 @@ class TestFitAll:
             assert e.outer_iterations >= 1
             assert e.wall_time >= 0
             assert isinstance(e.converged, bool)
+
+
+def group_log():
+    """A 6-user log with tied times whose users hold 0, 8, 12, 15, 25 and
+    40 events, in a random order of ids."""
+    rng = np.random.default_rng(43)
+    counts = np.array([25, 0, 12, 40, 8, 15])
+    users = rng.permutation(np.repeat(np.arange(6), counts))
+    times = np.cumsum(rng.choice((0.0, 0.0, 0.3, 1.0), size=users.size))
+    return EventLog.from_arrays(times, users, rng.integers(0, 2, users.size), times[-1] + 0.5, 6, 2)
+
+
+class TestGroups:
+    """`fit_all` solves users in lockstep groups cut by `_GROUP_BYTES`: a
+    group's users share each iteration's array operations and keep their
+    own steps, retries, caps, stop tests and counts."""
+
+    def test_groups_follow_event_counts(self, monkeypatch):
+        # 30 events of 8 rows x 2 products of doubles per group: users sorted
+        # by event count and cut where the padded group would outgrow it; a
+        # larger user is a group of one.  Shares take the largest groups
+        # first, each to the least-loaded share (padded sizes 40, 30, 25, 16)
+        monkeypatch.setattr(fitting, "_GROUP_BYTES", 30 * 8 * 2 * 8)
+        log = group_log()
+        assert [g.tolist() for g in fitting._groups(log)] == [[1, 4], [2, 5], [0], [3]]
+        assert [[g.tolist() for g in share] for share in fitting._shares(log, 3)] == [[[3]], [[2, 5]], [[0], [1, 4]]]
+        assert len(fitting._shares(log, 9)) == 4
+
+    def test_parallel_equals_sequential_across_groups(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_GROUP_BYTES", 30 * 8 * 2 * 8)
+        log = group_log()
+        assert (np.diff(log.times) == 0).any()
+        seq, seq_report = fit_all(log, FitConfig(beta=1.0, n_workers=1))
+        assert seq_report.all_converged
+        for fork, workers in itertools.product((_workers.FORK_SAFE, False), (1, 2, 3)):
+            monkeypatch.setattr(_workers, "FORK_SAFE", fork)
+            par, par_report = fit_all(log, FitConfig(beta=1.0, n_workers=workers))
+            np.testing.assert_array_equal(seq.mu, par.mu)
+            np.testing.assert_array_equal(seq.alpha, par.alpha)
+            assert [(e.user, e.nll) for e in par_report.entries] == [(e.user, e.nll) for e in seq_report.entries]
+            assert par_report.all_converged
+
+    @pytest.mark.parametrize("seed, user", [(12, 15), (13, 7)])
+    def test_retry_users_converge_inside_groups(self, monkeypatch, seed, user):
+        # the users of `test_failed_line_search_retried_with_clipped_coordinates_pinned`,
+        # solved beside others: the retry is theirs alone
+        log = retry_log(seed)
+        counts = np.bincount(log.users, minlength=log.n_users)
+        per_event = (log.n_users + log.n_products) * log.n_products * 8
+        monkeypatch.setattr(fitting, "_GROUP_BYTES", 6 * int(counts.max()) * per_event)
+        groups = fitting._groups(log)
+        assert len(groups) > 2 and len(next(g for g in groups if user in g)) > 1
+        _, report = fit_all(log, FitConfig(beta=0.3))
+        assert report.entries[user].converged, report.entries[user]
+        assert report.all_converged
+
+    def test_step_cap_of_zero_returns_the_start(self, monkeypatch):
+        # every user of a group, the silent one included, stops at its start
+        # after one check
+        monkeypatch.setattr(fitting, "_MAX_STEPS", 0)
+        log = EventLog([(1.0, 0, 0), (2.0, 1, 1), (3.0, 0, 1), (3.5, 0, 0)], 4.0, 3, 2)
+        assert len(fitting._groups(log)) == 1
+        params, report = fit_all(log, FitConfig(beta=1.0))
+        assert params.mu.tolist() == [[2 / 4.0, 1 / 4.0], [0.0, 1 / 4.0], [0.0, 0.0]]
+        assert not params.alpha.any()
+        features = build_all_features(log)
+        for e in report.entries:
+            assert (e.outer_iterations, e.inner_iterations) == (1, 1)
+            theta = np.concatenate([params.alpha[:, e.user], params.mu[e.user]])
+            assert e.nll == pytest.approx(user_nll(features[e.user], theta, 1.0), rel=1e-15)
+        assert [e.converged for e in report.entries] == [False, False, True]
+
+    def test_monotone_outer_stages(self, monkeypatch):
+        # capping the step count replays every user's solve step by step
+        log = group_log()
+        assert len(fitting._groups(log)) == 1
+        features = build_all_features(log)
+        prev = np.full(log.n_users, np.inf)
+        for cap in range(0, 60):
+            monkeypatch.setattr(fitting, "_MAX_STEPS", cap)
+            params, report = fit_all(log, FitConfig(beta=1.0))
+            nll = [
+                user_nll(features[u], np.concatenate([params.alpha[:, u], params.mu[u]]), 1.0)
+                for u in range(log.n_users)
+            ]
+            assert (np.array(nll) <= prev).all()
+            prev = np.array(nll)
+            if all(e.outer_iterations <= cap for e in report.entries):  # all stopped before the cap
+                break
+        assert cap >= 2
+        assert report.all_converged
+        assert len({e.outer_iterations for e in report.entries}) > 2
 
 
 def reference_log(params, horizon, seed):

@@ -17,7 +17,7 @@ from corrcascades import (
 )
 
 from corrcascades.likelihood import BLOCK, _block_starts, _block_sweep, _event_loglik, _window_tendencies
-from corrcascades.fitting import _TINY, _eval_features, _hessian_core, _hessian_factor, _ridge_step
+from corrcascades.fitting import _TINY, _hessian_core, _hessian_factor, _ridge_step
 from corrcascades.metrics import avg_pred_loglik, held_out_score
 from corrcascades.model import decayed_counts
 
@@ -30,6 +30,7 @@ from conftest import (
     brute_total_nll,
     brute_window_nll,
     random_log,
+    user_eval,
     random_params,
     tied_log,
     user_nll,
@@ -252,7 +253,7 @@ class TestHessian:
             theta = np.concatenate(
                 [rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)]
             )
-            _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
+            _, f, lam = user_eval(features, theta, beta)
             x = _hessian_factor(features.jac, _hessian_core(beta, f, lam))
             assert x.shape == (n + m, features.n_events * (m + 1))
             hess = x @ x.T
@@ -287,7 +288,7 @@ class TestHessian:
             theta = np.concatenate([rng.uniform(0.05, 0.4, n), rng.uniform(0.1, 1.0, m)])
             beta = float(rng.uniform(0.3, 3.0))
             for features in build_all_features(log).values():
-                _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
+                _, f, lam = user_eval(features, theta, beta)
                 core = _hessian_core(beta, f, lam)
                 x = _hessian_factor(features.jac, core)
                 diagonal = np.einsum("ij,ij->i", x, x)
@@ -328,7 +329,7 @@ class TestHessian:
                 cols = features.n_events * (m + 1)
                 if cols >= n + m:
                     continue
-                _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
+                _, f, lam = user_eval(features, theta, beta)
                 free = np.zeros(n + m, dtype=bool)
                 free[rng.choice(n + m, int(rng.integers(cols + 1, n + m + 1)), replace=False)] = True
                 x = _hessian_factor(features.jac[free], _hessian_core(beta, f, lam))
@@ -344,7 +345,7 @@ class TestHessian:
     def test_silent_user_has_zero_curvature(self):
         log = EventLog([(1.0, 0, 0)], 3.0, 2, 2)
         features = build_all_features(log)[1]
-        _, f, lam = _eval_features(features, np.array([0.1, 0.2, 0.3, 0.4]), SoftMaxMark(1.0))
+        _, f, lam = user_eval(features, np.array([0.1, 0.2, 0.3, 0.4]), 1.0)
         x = _hessian_factor(features.jac, _hessian_core(1.0, f, lam))
         assert not (x @ x.T).any()
 
@@ -367,7 +368,7 @@ class TestHessianMatchesRescan:
         log = EventLog.from_arrays(times, users, rng.integers(0, m, k + 1), times[-1] + 1.0, n, m)
         theta = np.concatenate([rng.uniform(0.0, 0.4, n), rng.uniform(0.05, 1.0, m)])
         for user, features in build_all_features(log).items():
-            _, f, lam = _eval_features(features, theta, SoftMaxMark(beta))
+            _, f, lam = user_eval(features, theta, beta)
             x = _hessian_factor(features.jac, _hessian_core(beta, f, lam))
             assert x.shape == (n + m, features.n_events * (m + 1))
             oracle = brute_hessian(log, user, theta, beta)
@@ -598,6 +599,10 @@ class TestUnderflowHorizonWindows:
                 assert held_out_score(log, t, params) == pytest.approx(expected, rel=1e-10)
                 # a split inside the tie run puts events at t in both logs
                 for split in {first, (first + stop) // 2}:
+                    if log.horizon == t:  # no window after the train horizon: refused
+                        with pytest.raises(ValueError, match="must be after the train horizon"):
+                            avg_pred_loglik(part(0, split, t), part(split, k, log.horizon), params)
+                        continue
                     expected = _brute_window(log, params, split, k, t, log.horizon) / (k - split)
                     got = avg_pred_loglik(part(0, split, t), part(split, k, log.horizon), params)
                     assert got == pytest.approx(expected, rel=1e-10)

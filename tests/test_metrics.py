@@ -108,7 +108,7 @@ class TestAvgPredLoglik:
         # split every tied log between two events that share a time, and
         # at time 0: the scores add the test events and nothing else
         rng = np.random.default_rng(113)
-        checked = at_zero = 0
+        checked = at_zero = refused = 0
         for _ in range(150):
             log = tied_log(rng, gaps=(0.0, 0.0, 0.5, 1.0))
             ties = np.flatnonzero(np.diff(log.times) == 0) + 1
@@ -125,11 +125,16 @@ class TestAvgPredLoglik:
                 )
                 for w, h in zip(keep, (t, log.horizon))
             )
+            if test.horizon == t:  # the test events all at the train horizon: no window to score
+                with pytest.raises(ValueError, match="must be after the train horizon"):
+                    avg_pred_loglik(train, test, params)
+                refused += 1
+                continue
             score = avg_pred_loglik(train, test, params)
             assert score == pytest.approx(self._brute_score(train, test, params), rel=1e-9)
             checked += 1
             at_zero += t == 0.0
-        assert checked >= 50 and at_zero >= 5
+        assert checked >= 50 and at_zero >= 5 and refused >= 1, (checked, at_zero, refused)
 
     def test_empty_test_rejected(self):
         train = EventLog([(1.0, 0, 0)], 2.0, 1, 1)
@@ -142,6 +147,17 @@ class TestAvgPredLoglik:
         test = EventLog([(1.5, 0, 0)], 4.0, 1, 1)
         with pytest.raises(ValueError):
             avg_pred_loglik(train, test, single_entry_params(0.1, 0.5))
+
+    def test_test_horizon_at_the_train_horizon_rejected(self):
+        # every test event at the train horizon leaves an empty window,
+        # refused as the evaluate command refuses it
+        train = EventLog([(1.0, 0, 0), (2.0, 1, 1)], 2.0, 2, 2)
+        test = EventLog([(2.0, 0, 1)], 2.0, 2, 2)
+        params = ModelParams(np.full((2, 2), 0.2), np.full((2, 2), 0.1), SoftMaxMark(1.0))
+        message = "the test horizon 2.0 must be after the train horizon 2.0"
+        for refuse in (avg_pred_loglik, check_held_out):
+            with pytest.raises(ValueError, match=message):
+                refuse(train, test, params)
 
     def test_logs_of_other_dimensions_rejected(self):
         train = EventLog([(1.0, 0, 0)], 2.0, 1, 1)

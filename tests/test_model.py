@@ -14,7 +14,6 @@ from corrcascades import (
     window_nll,
 )
 from corrcascades.data import concat_logs
-from corrcascades.fitting import _eval_features
 from corrcascades.likelihood import InfeasibleLikelihoodError, _event_loglik
 from corrcascades.model import _UNDERFLOW, decayed_counts
 
@@ -26,6 +25,7 @@ from conftest import (
     random_log,
     random_params,
     tied_log,
+    user_eval,
 )
 
 
@@ -217,7 +217,7 @@ class TestTotalIntensity:
 
     @staticmethod
     def _intensities(log, params, user):
-        return _eval_features(build_all_features(log)[user], _theta(params, user), params.mark)[2]
+        return user_eval(build_all_features(log)[user], _theta(params, user), params.mark.beta)[2]
 
     def test_empty_history(self):
         params = random_params(np.random.default_rng(1), 3, 2)
